@@ -2,52 +2,56 @@
  * @file
  * Simulator hot-path benchmark: solver events/sec and wall time.
  *
- * Scenarios, each run under every solver configuration (GlobalResolve —
- * the seed's coupled whole-network loop, the baseline — FullResolve,
- * Incremental, and Incremental + parallel scan):
+ * Scenarios, each run under both solver modes — FullResolve (every
+ * component re-solved on every mutation, the reference) and Incremental
+ * (only the touched components) — with the same event budget, and
+ * repeated: every row records the median and the minimum wall time.
  *
  *  - fig19_at_256: the paper's TrainBox preset at 256 accelerators — a
  *    real end-to-end session, the largest single-server configuration in
- *    the repo. All modes must produce bit-identical session throughput
- *    (the solver is an optimization, not a model change); the bench
- *    asserts this.
+ *    the repo.
  *
  *  - fleet_10k: a synthetic fleet of disjoint *heterogeneous* jobs
  *    (~10k concurrent flows over 2500 jobs) with continuous churn —
- *    every completion launches a replacement flow. This is the ROADMAP
- *    item-1 shape: the sharing graph decomposes into thousands of small
- *    components with distinct bottleneck steps, which is exactly where
- *    the coupled global loop degrades (O(components) rounds of
- *    O(network) work per event) and the incremental solver wins (it
- *    touches ~one component per event).
+ *    every completion launches a replacement flow. The sharing graph
+ *    decomposes into thousands of small components, so an incremental
+ *    event touches one of them while FullResolve pays for all.
+ *
+ *  - fleet_sessions: co-resident full training sessions on one shared
+ *    core (trainbox/fleet.hh), run to completion.
  *
  *  - eq_churn: EventQueue schedule/cancel/step microbenchmark — the
  *    lazy-tombstone cancel path under load.
  *
- * Output: a table on stdout plus BENCH_sim_perf.json (see --out). The
- * JSON is the repo's perf trajectory artifact: CI re-runs this bench in
- * --smoke mode and compares *normalized* metrics (each mode's
- * events/sec over the global-resolve baseline, measured on the same
- * host in the same run) against the committed baseline, failing on a
- * >20% regression. Absolute events/sec is recorded for trend reading
- * but never gated — it varies with the host.
+ * Both modes must produce bit-identical scenario metrics (session
+ * throughput, simulated end time): the solver mode is an optimization,
+ * not a model change. A violation exits 1.
+ *
+ * Output: a table on stdout plus BENCH_sim_perf.json (see --out). Each
+ * incremental row carries its events/sec ratio over FullResolve in the
+ * same run (median over median, and the worst pairing of repetitions),
+ * plus a gate floor: half that worst pairing. With --baseline, this run
+ * fails (exit 3) when a case's median ratio falls below the committed
+ * floor. Absolute events/sec is recorded for trend reading but never
+ * gated — it varies with the host.
  *
  * Flags:
  *   --smoke            small sizes for CI (64 accs, 1k-flow fleet)
  *   --out <path>       JSON output path (default BENCH_sim_perf.json)
- *   --baseline <path>  compare speedups against a committed JSON
- *   --min-speedup <x>  fail unless fleet incremental speedup >= x
- *                      (default 5, the ISSUE acceptance floor)
+ *   --baseline <path>  gate ratios against a committed JSON's floors
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "fluid/fluid.hh"
 #include "sim/event_queue.hh"
@@ -60,6 +64,7 @@
 namespace {
 
 using namespace tb;
+using Mode = FluidNetwork::SolverMode;
 
 using Clock = std::chrono::steady_clock;
 
@@ -69,84 +74,133 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/** One repetition of a case: host time, events, scenario metric. */
+struct Sample
+{
+    double wallS = 0.0;
+    std::uint64_t events = 0;
+    double metric = 0.0; ///< must not vary across reps or modes
+};
+
 struct CaseResult
 {
     std::string name;
     std::string mode;
-    double wallS = 0.0;
-    std::uint64_t events = 0;
-    double eventsPerSec = 0.0;
-    double speedupVsGlobal = 0.0; ///< 0 on the baseline row itself
-    double metric = 0.0;          ///< scenario metric (throughput, ...)
+    std::size_t reps = 0;
+    std::uint64_t events = 0; ///< per repetition
+    double wallMedian = 0.0;
+    double wallMin = 0.0;
+    double wallMax = 0.0;
+    double eventsPerSec = 0.0; ///< at the median wall time
+    double ratio = 0.0;        ///< events/sec over FullResolve (medians)
+    double ratioMin = 0.0;     ///< slowest rep here vs fastest reference
+    double gateFloor = 0.0;    ///< ratioMin / 2
+    double metric = 0.0;
 };
 
-constexpr unsigned kParallelWorkers = 4;
-
 const char *
-modeName(FluidNetwork::SolverMode mode, bool parallel)
+modeName(Mode mode)
 {
-    switch (mode) {
-    case FluidNetwork::SolverMode::GlobalResolve:
-        return "global_resolve";
-    case FluidNetwork::SolverMode::FullResolve:
-        return "full_resolve";
-    case FluidNetwork::SolverMode::Incremental:
-        return parallel ? "incremental_parallel" : "incremental";
+    return mode == Mode::FullResolve ? "full_resolve" : "incremental";
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/**
+ * Time @p reps repetitions of @p inner back-to-back runs of @p once (a
+ * short case needs several runs per repetition to outlast timer and
+ * scheduler noise). Panics if events or metric vary between runs.
+ */
+CaseResult
+repeat(const char *name, const char *mode, std::size_t reps,
+       std::size_t inner, const std::function<Sample()> &once)
+{
+    CaseResult r;
+    r.name = name;
+    r.mode = mode;
+    r.reps = reps;
+    std::vector<double> walls;
+    for (std::size_t i = 0; i < reps; ++i) {
+        double wall = 0.0;
+        std::uint64_t events = 0;
+        for (std::size_t k = 0; k < inner; ++k) {
+            const Sample s = once();
+            if (i == 0 && k == 0)
+                r.metric = s.metric;
+            panic_if(s.metric != r.metric,
+                     "sim_perf: %s/%s is not deterministic across runs",
+                     name, mode);
+            wall += s.wallS;
+            events += s.events;
+        }
+        if (i == 0)
+            r.events = events;
+        panic_if(events != r.events,
+                 "sim_perf: %s/%s is not deterministic across runs", name,
+                 mode);
+        walls.push_back(wall);
     }
-    return "?";
+    r.wallMedian = median(walls);
+    r.wallMin = *std::min_element(walls.begin(), walls.end());
+    r.wallMax = *std::max_element(walls.begin(), walls.end());
+    r.eventsPerSec = r.wallMedian > 0.0
+                         ? static_cast<double>(r.events) / r.wallMedian
+                         : 0.0;
+    return r;
+}
+
+/** Fill @p inc's ratios against the reference row @p full. */
+void
+compare(CaseResult &inc, const CaseResult &full)
+{
+    // Equal event budgets, so the events/sec ratio is a wall-time ratio.
+    inc.ratio = full.wallMedian / inc.wallMedian;
+    inc.ratioMin = full.wallMin / inc.wallMax;
+    inc.gateFloor = 0.5 * inc.ratioMin;
 }
 
 // --- fig19_at_256 --------------------------------------------------------
 
-CaseResult
-runSession(const char *caseName, std::size_t accs,
-           FluidNetwork::SolverMode mode, bool parallel, std::size_t warmup,
-           std::size_t measure, std::size_t reps)
+Sample
+runSession(std::size_t accs, Mode mode, std::size_t warmup,
+           std::size_t measure)
 {
-    CaseResult r;
-    r.name = caseName;
-    r.mode = modeName(mode, parallel);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-        ServerConfig cfg;
-        cfg.preset = ArchPreset::TrainBox;
-        cfg.model = workload::ModelId::Resnet50;
-        cfg.numAccelerators = accs;
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.model = workload::ModelId::Resnet50;
+    cfg.numAccelerators = accs;
 
-        auto server = buildServer(cfg);
-        server->core().fluid().setSolverMode(mode);
-        if (parallel)
-            server->core().fluid().setParallelWorkers(kParallelWorkers,
-                                                      /*minFlows=*/64);
+    auto server = buildServer(cfg);
+    server->core().fluid().setSolverMode(mode);
 
-        TrainingSession session(*server);
-        const auto t0 = Clock::now();
-        const SessionReport report = session.runReport(warmup, measure);
-        r.wallS += secondsSince(t0);
-        r.events += server->core().events().numExecuted();
-        r.metric = report.throughput(); // deterministic across reps
-    }
-    r.eventsPerSec =
-        r.wallS > 0.0 ? static_cast<double>(r.events) / r.wallS : 0.0;
-    return r;
+    TrainingSession session(*server);
+    const auto t0 = Clock::now();
+    const SessionReport report = session.runReport(warmup, measure);
+    Sample s;
+    s.wallS = secondsSince(t0);
+    s.events = server->core().events().numExecuted();
+    s.metric = report.throughput();
+    return s;
 }
 
 // --- fleet_10k -----------------------------------------------------------
 
-CaseResult
-runFleet(const char *caseName, std::size_t jobs,
-         std::uint64_t targetEvents, FluidNetwork::SolverMode mode,
-         bool parallel)
+Sample
+runFleet(std::size_t jobs, std::uint64_t targetEvents, Mode mode)
 {
     EventQueue eq;
     FluidNetwork net(eq);
     net.setSolverMode(mode);
-    if (parallel)
-        net.setParallelWorkers(kParallelWorkers, /*minFlows=*/64);
 
     // Per-job private resources with heterogeneous capacities: the
     // sharing graph is `jobs` disjoint components whose bottleneck
-    // steps all differ, so the coupled global loop pays one freezing
-    // round per job (the fleet-scale shape from ROADMAP item 1).
+    // steps all differ.
     struct Job
     {
         FluidResource *link;
@@ -193,18 +247,11 @@ runFleet(const char *caseName, std::size_t jobs,
     const auto t0 = Clock::now();
     while (eq.numExecuted() < startEvents + targetEvents && eq.step()) {
     }
-    const double wall = secondsSince(t0);
-    const std::uint64_t events = eq.numExecuted() - startEvents;
-
-    CaseResult r;
-    r.name = caseName;
-    r.mode = modeName(mode, parallel);
-    r.wallS = wall;
-    r.events = events;
-    r.eventsPerSec =
-        wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
-    r.metric = static_cast<double>(net.numActive());
-    return r;
+    Sample s;
+    s.wallS = secondsSince(t0);
+    s.events = eq.numExecuted() - startEvents;
+    s.metric = eq.now();
+    return s;
 }
 
 // --- fleet_sessions ------------------------------------------------------
@@ -212,16 +259,13 @@ runFleet(const char *caseName, std::size_t jobs,
 /**
  * End-to-end multi-job fleet on one shared core (trainbox/fleet.hh):
  * @p jobs co-resident mixed vision + audio TrainBox sessions, each a
- * full training run with its own prefixed fluid server — the realistic
- * fleet-scale solver shape (many mid-size disjoint components, all
- * live at once), where fleet_10k above is the synthetic raw-flow
- * stress. Metric is the fleet's aggregate throughput, which must be
- * bit-identical across solver modes.
+ * full training run with its own prefixed fluid server — many mid-size
+ * disjoint components, all live at once. Metric is the fleet's
+ * aggregate throughput.
  */
-CaseResult
-runFleetSessions(const char *caseName, std::size_t jobs,
-                 FluidNetwork::SolverMode mode, bool parallel,
-                 std::size_t warmup, std::size_t measure)
+Sample
+runFleetSessions(std::size_t jobs, Mode mode, std::size_t warmup,
+                 std::size_t measure)
 {
     FleetConfig cfg;
     for (std::size_t j = 0; j < jobs; ++j) {
@@ -242,26 +286,19 @@ runFleetSessions(const char *caseName, std::size_t jobs,
     }
     cfg.overrideSolverMode = true;
     cfg.solverMode = mode;
-    cfg.parallelWorkers = parallel ? kParallelWorkers : 0;
 
     const auto t0 = Clock::now();
     const FleetReport report = runFleet(std::move(cfg));
-    const double wall = secondsSince(t0);
-
-    CaseResult r;
-    r.name = caseName;
-    r.mode = modeName(mode, parallel);
-    r.wallS = wall;
-    r.events = report.eventsExecuted;
-    r.eventsPerSec =
-        wall > 0.0 ? static_cast<double>(r.events) / wall : 0.0;
-    r.metric = report.aggregateThroughput;
-    return r;
+    Sample s;
+    s.wallS = secondsSince(t0);
+    s.events = report.eventsExecuted;
+    s.metric = report.aggregateThroughput;
+    return s;
 }
 
 // --- eq_churn ------------------------------------------------------------
 
-CaseResult
+Sample
 runEqChurn(std::uint64_t ops)
 {
     EventQueue eq;
@@ -287,16 +324,11 @@ runEqChurn(std::uint64_t ops)
             eq.step();
         }
     }
-    const double wall = secondsSince(t0);
-
-    CaseResult r;
-    r.name = "eq_churn";
-    r.mode = "tombstone";
-    r.wallS = wall;
-    r.events = ops;
-    r.eventsPerSec = wall > 0.0 ? static_cast<double>(ops) / wall : 0.0;
-    r.metric = static_cast<double>(fired);
-    return r;
+    Sample s;
+    s.wallS = secondsSince(t0);
+    s.events = ops;
+    s.metric = static_cast<double>(fired);
+    return s;
 }
 
 // --- JSON emit / baseline compare ----------------------------------------
@@ -312,16 +344,19 @@ writeJson(const std::string &path, const std::vector<CaseResult> &results,
     out << "  \"cases\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const CaseResult &r = results[i];
-        char line[512];
+        char line[768];
         // One case per line: the baseline comparator below is line-based.
         std::snprintf(line, sizeof(line),
                       "    {\"name\": \"%s\", \"mode\": \"%s\", "
-                      "\"wall_s\": %.6f, \"events\": %llu, "
-                      "\"events_per_sec\": %.1f, "
-                      "\"speedup_vs_global\": %.3f, \"metric\": %.6f}%s",
-                      r.name.c_str(), r.mode.c_str(), r.wallS,
+                      "\"reps\": %zu, \"events\": %llu, "
+                      "\"wall_s_median\": %.6f, \"wall_s_min\": %.6f, "
+                      "\"wall_s_max\": %.6f, \"events_per_sec\": %.1f, "
+                      "\"ratio_vs_full\": %.3f, \"ratio_min\": %.3f, "
+                      "\"gate_floor\": %.3f, \"metric\": %.6f}%s",
+                      r.name.c_str(), r.mode.c_str(), r.reps,
                       static_cast<unsigned long long>(r.events),
-                      r.eventsPerSec, r.speedupVsGlobal, r.metric,
+                      r.wallMedian, r.wallMin, r.wallMax, r.eventsPerSec,
+                      r.ratio, r.ratioMin, r.gateFloor, r.metric,
                       i + 1 < results.size() ? "," : "");
         out << line << "\n";
     }
@@ -341,10 +376,9 @@ extractNumber(const std::string &line, const std::string &key)
 }
 
 /**
- * Compare this run's speedup ratios against a committed baseline JSON.
- * Returns false (regression) when any case+mode present in both files
- * lost more than 20% of its speedup-over-global — a normalized
- * events/sec regression check that is robust to absolute host speed.
+ * Gate this run's incremental-over-FullResolve ratios against the floors
+ * in a committed baseline JSON. Returns false when any case+mode present
+ * in both files fell below its floor.
  */
 bool
 compareBaseline(const std::string &path,
@@ -361,24 +395,21 @@ compareBaseline(const std::string &path,
     while (std::getline(in, line)) {
         if (line.find("\"name\"") == std::string::npos)
             continue;
-        const double baseSpeedup =
-            extractNumber(line, "speedup_vs_global");
-        if (baseSpeedup <= 0.0)
-            continue; // baseline-mode rows carry no ratio
+        const double floor = extractNumber(line, "gate_floor");
+        if (floor <= 0.0)
+            continue; // reference rows carry no ratio
         for (const CaseResult &r : results) {
-            if (r.speedupVsGlobal <= 0.0)
-                continue;
             if (line.find("\"name\": \"" + r.name + "\"") ==
                     std::string::npos ||
                 line.find("\"mode\": \"" + r.mode + "\"") ==
                     std::string::npos)
                 continue;
-            if (r.speedupVsGlobal < 0.8 * baseSpeedup) {
+            if (r.ratio < floor) {
                 std::fprintf(stderr,
-                             "sim_perf: REGRESSION %s/%s speedup %.2fx < "
-                             "80%% of baseline %.2fx\n",
-                             r.name.c_str(), r.mode.c_str(),
-                             r.speedupVsGlobal, baseSpeedup);
+                             "sim_perf: REGRESSION %s/%s ratio over "
+                             "full_resolve %.2fx < floor %.2fx\n",
+                             r.name.c_str(), r.mode.c_str(), r.ratio,
+                             floor);
                 ok = false;
             }
         }
@@ -394,7 +425,6 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string outPath = "BENCH_sim_perf.json";
     std::string baselinePath;
-    double minSpeedup = 5.0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
@@ -403,154 +433,96 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--baseline") == 0 &&
                    i + 1 < argc) {
             baselinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--min-speedup") == 0 &&
-                   i + 1 < argc) {
-            minSpeedup = std::atof(argv[++i]);
         } else {
             std::fprintf(stderr, "sim_perf: unknown arg %s\n", argv[i]);
             return 1;
         }
     }
 
-    bool haveParallel = false;
-    {
-        EventQueue probeEq;
-        FluidNetwork probeNet(probeEq);
-        haveParallel = probeNet.setParallelWorkers(0);
-    }
+    const std::size_t reps = smoke ? 3 : 5;
+    std::vector<CaseResult> results;
 
-    using Mode = FluidNetwork::SolverMode;
+    // Runs @p once under both modes; the incremental row is compared
+    // against the reference and both must report the same metric.
+    auto both = [&](const char *name, std::size_t inner,
+                    const std::function<Sample(Mode)> &once) {
+        const CaseResult full =
+            repeat(name, modeName(Mode::FullResolve), reps, inner,
+                   [&] { return once(Mode::FullResolve); });
+        CaseResult inc =
+            repeat(name, modeName(Mode::Incremental), reps, inner,
+                   [&] { return once(Mode::Incremental); });
+        compare(inc, full);
+        results.push_back(full);
+        results.push_back(inc);
+        if (inc.metric != full.metric || inc.events != full.events) {
+            std::fprintf(stderr,
+                         "sim_perf: BIT-IDENTITY VIOLATION: %s incremental "
+                         "metric %.17g (%llu events) != full_resolve "
+                         "%.17g (%llu events)\n",
+                         name, inc.metric,
+                         static_cast<unsigned long long>(inc.events),
+                         full.metric,
+                         static_cast<unsigned long long>(full.events));
+            return false;
+        }
+        return true;
+    };
 
-    // fig19-at-256: a real session at the repo's largest single-server
+    // fig19_at_256: a real session at the repo's largest single-server
     // scale. Smoke shrinks to 64 accelerators for CI.
     const std::size_t accs = smoke ? 64 : 256;
     const std::size_t warmup = smoke ? 1 : 2;
     const std::size_t measure = smoke ? 2 : 4;
-    const std::size_t reps = smoke ? 2 : 5;
-    const char *sessName = smoke ? "fig19_at_64" : "fig19_at_256";
+    if (!both(smoke ? "fig19_at_64" : "fig19_at_256", smoke ? 20 : 5,
+              [&](Mode mode) {
+                  return runSession(accs, mode, warmup, measure);
+              }))
+        return 1;
 
-    std::vector<CaseResult> results;
-    results.push_back(runSession(sessName, accs, Mode::GlobalResolve,
-                                 false, warmup, measure, reps));
-    results.push_back(runSession(sessName, accs, Mode::FullResolve, false,
-                                 warmup, measure, reps));
-    results.push_back(runSession(sessName, accs, Mode::Incremental, false,
-                                 warmup, measure, reps));
-    if (haveParallel)
-        results.push_back(runSession(sessName, accs, Mode::Incremental,
-                                     true, warmup, measure, reps));
-    for (std::size_t i = 1; i < results.size(); ++i)
-        results[i].speedupVsGlobal =
-            results[0].eventsPerSec > 0.0
-                ? results[i].eventsPerSec / results[0].eventsPerSec
-                : 0.0;
-
-    // Bit-identity guardrail: every mode must reproduce the same session
-    // throughput, to the last bit. (The session's components are
-    // symmetric, so even the coupled global loop matches exactly.)
-    for (std::size_t i = 1; i < results.size(); ++i) {
-        if (results[i].metric != results[0].metric) {
-            std::fprintf(stderr,
-                         "sim_perf: BIT-IDENTITY VIOLATION: %s throughput "
-                         "%.17g != global_resolve %.17g\n",
-                         results[i].mode.c_str(), results[i].metric,
-                         results[0].metric);
-            return 1;
-        }
-    }
-
-    // fleet_10k: disjoint heterogeneous-job churn. The global baseline
-    // re-solves the whole network on every event, so it gets a smaller
-    // event budget; the comparison is events/sec, which normalizes.
+    // fleet_10k: disjoint heterogeneous-job churn, one event budget for
+    // both modes.
     const std::size_t jobs = smoke ? 250 : 2500;
-    const char *fleetName = smoke ? "fleet_1k" : "fleet_10k";
-    // The coupled loop costs seconds per event at 10k flows — a tiny
-    // budget keeps the baseline measurable without dominating the run.
-    const std::uint64_t globalEvents = smoke ? 60 : 15;
-    const std::uint64_t fullEvents = smoke ? 600 : 2000;
-    const std::uint64_t incEvents = smoke ? 4000 : 20000;
+    const std::uint64_t budget = smoke ? 2000 : 4000;
+    if (!both(smoke ? "fleet_1k" : "fleet_10k", 1, [&](Mode mode) {
+            return runFleet(jobs, budget, mode);
+        }))
+        return 1;
 
-    const CaseResult fleetGlobal = runFleet(
-        fleetName, jobs, globalEvents, Mode::GlobalResolve, false);
-    results.push_back(fleetGlobal);
-    auto addFleet = [&](std::uint64_t budget, Mode mode, bool parallel) {
-        CaseResult r = runFleet(fleetName, jobs, budget, mode, parallel);
-        r.speedupVsGlobal = fleetGlobal.eventsPerSec > 0.0
-                                ? r.eventsPerSec /
-                                      fleetGlobal.eventsPerSec
-                                : 0.0;
-        results.push_back(r);
-        return r;
-    };
-    addFleet(fullEvents, Mode::FullResolve, false);
-    const CaseResult fleetInc =
-        addFleet(incEvents, Mode::Incremental, false);
-    if (haveParallel)
-        addFleet(incEvents, Mode::Incremental, true);
-
-    // fleet_sessions: the real multi-job fleet (trainbox/fleet.hh) end
-    // to end — co-resident full sessions on one shared core, run to
-    // completion under each mode. Aggregate throughput must be
-    // bit-identical across modes (same guardrail as fig19).
+    // fleet_sessions: the real multi-job fleet end to end.
     const std::size_t fleetJobs = smoke ? 4 : 12;
-    const char *fsName = smoke ? "fleet_sessions_4" : "fleet_sessions_12";
     const std::size_t fsWarmup = smoke ? 1 : 2;
     const std::size_t fsMeasure = smoke ? 2 : 4;
-    const CaseResult fsGlobal = runFleetSessions(
-        fsName, fleetJobs, Mode::GlobalResolve, false, fsWarmup,
-        fsMeasure);
-    results.push_back(fsGlobal);
-    auto addFleetSessions = [&](Mode mode, bool parallel) {
-        CaseResult r = runFleetSessions(fsName, fleetJobs, mode, parallel,
-                                        fsWarmup, fsMeasure);
-        r.speedupVsGlobal =
-            fsGlobal.eventsPerSec > 0.0
-                ? r.eventsPerSec / fsGlobal.eventsPerSec
-                : 0.0;
-        results.push_back(r);
-    };
-    addFleetSessions(Mode::FullResolve, false);
-    addFleetSessions(Mode::Incremental, false);
-    if (haveParallel)
-        addFleetSessions(Mode::Incremental, true);
-    for (std::size_t i = results.size() - (haveParallel ? 3 : 2);
-         i < results.size(); ++i) {
-        if (results[i].metric != fsGlobal.metric) {
-            std::fprintf(stderr,
-                         "sim_perf: BIT-IDENTITY VIOLATION: %s/%s "
-                         "aggregate throughput %.17g != global_resolve "
-                         "%.17g\n",
-                         results[i].name.c_str(), results[i].mode.c_str(),
-                         results[i].metric, fsGlobal.metric);
-            return 1;
-        }
-    }
+    if (!both(smoke ? "fleet_sessions_4" : "fleet_sessions_12",
+              smoke ? 10 : 3, [&](Mode mode) {
+                  return runFleetSessions(fleetJobs, mode, fsWarmup,
+                                          fsMeasure);
+              }))
+        return 1;
 
-    results.push_back(runEqChurn(smoke ? 200000 : 2000000));
+    results.push_back(repeat("eq_churn", "tombstone", reps, 1, [&] {
+        return runEqChurn(smoke ? 200000 : 2000000);
+    }));
 
-    std::printf("%-14s %-20s %10s %10s %14s %10s\n", "case", "mode",
-                "wall_s", "events", "events/sec", "speedup");
+    std::printf("%-18s %-13s %4s %9s %11s %11s %13s %8s %8s\n", "case",
+                "mode", "reps", "events", "wall_med_s", "wall_min_s",
+                "events/sec", "ratio", "floor");
     for (const CaseResult &r : results) {
-        char speedup[32] = "-";
-        if (r.speedupVsGlobal > 0.0)
-            std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                          r.speedupVsGlobal);
-        std::printf("%-14s %-20s %10.3f %10llu %14.1f %10s\n",
-                    r.name.c_str(), r.mode.c_str(), r.wallS,
+        char ratio[32] = "-";
+        char floor[32] = "-";
+        if (r.ratio > 0.0) {
+            std::snprintf(ratio, sizeof(ratio), "%.2fx", r.ratio);
+            std::snprintf(floor, sizeof(floor), "%.2fx", r.gateFloor);
+        }
+        std::printf("%-18s %-13s %4zu %9llu %11.4f %11.4f %13.1f %8s %8s\n",
+                    r.name.c_str(), r.mode.c_str(), r.reps,
                     static_cast<unsigned long long>(r.events),
-                    r.eventsPerSec, speedup);
+                    r.wallMedian, r.wallMin, r.eventsPerSec, ratio, floor);
     }
 
     writeJson(outPath, results, smoke);
     std::printf("\nwrote %s\n", outPath.c_str());
 
-    if (fleetInc.speedupVsGlobal < minSpeedup) {
-        std::fprintf(stderr,
-                     "sim_perf: fleet incremental speedup %.2fx below "
-                     "required %.2fx\n",
-                     fleetInc.speedupVsGlobal, minSpeedup);
-        return 2;
-    }
     if (!baselinePath.empty() && !compareBaseline(baselinePath, results))
         return 3;
     return 0;

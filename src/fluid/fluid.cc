@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "sim/metrics.hh"
@@ -12,7 +10,56 @@
 namespace tb {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Completion test tolerance: done once remaining <= kDoneTol * scale. */
+constexpr double kDoneTol = 1e-9;
+
+/** Flow-id order: every order-sensitive loop runs in it. */
+bool
+byId(const FluidFlow *a, const FluidFlow *b)
+{
+    return a->id < b->id;
+}
+
+/** The completion test completeEarliest() applies to every flow. */
+bool
+isDone(double remaining, double rate)
+{
+    return remaining <= kDoneTol * std::max(1.0, remaining + rate);
+}
+
+/** Time at which @p flow finishes at its current rate (+inf if never). */
+double
+finishKey(const FluidFlow &flow)
+{
+    if (flow.r0 <= 0.0)
+        return flow.t0;
+    if (flow.rate <= 0.0)
+        return kInf;
+    return flow.t0 + flow.r0 / flow.rate;
+}
+
+/**
+ * A lower bound on the earliest time @p flow can pass isDone(). Passing
+ * needs remaining <= E := kDoneTol * (1 + rate) / (1 - kDoneTol), i.e.
+ * t >= t0 + (r0 - E) / rate; the key subtracts a second E / rate, which
+ * dwarfs the rounding of both this key and remaining(t). So a flow that
+ * passes at time T has a key <= T (1 + 1e-12), the bound
+ * completeEarliest() walks to — for any rate, however small.
+ */
+double
+dueKey(const FluidFlow &flow)
+{
+    if (isDone(flow.r0, flow.rate))
+        return -kInf;
+    if (flow.rate <= 0.0)
+        return kInf;
+    const double tol = 2.0 * kDoneTol * (1.0 + flow.rate) / (1.0 - kDoneTol);
+    return flow.t0 + (flow.r0 - tol) / flow.rate;
+}
+
 } // namespace
 
 FluidResource::FluidResource(std::string name, Rate capacity)
@@ -35,11 +82,23 @@ FluidResource::setCapacity(Rate capacity)
     capacity_ = capacity;
 }
 
+const std::map<std::string, double> &
+FluidResource::servedByCategory() const
+{
+    servedView_.clear();
+    for (std::size_t c = 0; c < served_.size(); ++c)
+        if (served_[c] != 0.0)
+            servedView_.emplace((*categoryNames_)[c], served_[c]);
+    return servedView_;
+}
+
 double
 FluidResource::served(const std::string &category) const
 {
-    auto it = served_.find(category);
-    return it == served_.end() ? 0.0 : it->second;
+    for (std::size_t c = 0; c < served_.size(); ++c)
+        if ((*categoryNames_)[c] == category)
+            return served_[c];
+    return 0.0;
 }
 
 double
@@ -55,8 +114,85 @@ void
 FluidResource::resetAccounting(Time now)
 {
     totalServed_ = 0.0;
-    served_.clear();
+    std::fill(served_.begin(), served_.end(), 0.0);
     windowStart_ = now;
+}
+
+void
+SlotHeap::place(std::size_t i, Node node)
+{
+    nodes_[i] = node;
+    pos_[node.slot] = static_cast<std::uint32_t>(i);
+}
+
+void
+SlotHeap::siftUp(std::size_t i)
+{
+    const Node node = nodes_[i];
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!(node.key < nodes_[parent].key))
+            break;
+        place(i, nodes_[parent]);
+        i = parent;
+    }
+    place(i, node);
+}
+
+void
+SlotHeap::siftDown(std::size_t i)
+{
+    const Node node = nodes_[i];
+    const std::size_t n = nodes_.size();
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && nodes_[child + 1].key < nodes_[child].key)
+            ++child;
+        if (!(nodes_[child].key < node.key))
+            break;
+        place(i, nodes_[child]);
+        i = child;
+    }
+    place(i, node);
+}
+
+void
+SlotHeap::set(std::uint32_t slot, double key)
+{
+    if (slot >= pos_.size())
+        pos_.resize(slot + 1, kAbsent);
+    std::size_t i = pos_[slot];
+    if (i == kAbsent) {
+        i = nodes_.size();
+        nodes_.push_back({key, slot});
+        pos_[slot] = static_cast<std::uint32_t>(i);
+        siftUp(i);
+        return;
+    }
+    const double old = nodes_[i].key;
+    nodes_[i].key = key;
+    if (key < old)
+        siftUp(i);
+    else
+        siftDown(i);
+}
+
+void
+SlotHeap::erase(std::uint32_t slot)
+{
+    if (slot >= pos_.size() || pos_[slot] == kAbsent)
+        return;
+    const std::size_t i = pos_[slot];
+    pos_[slot] = kAbsent;
+    const Node last = nodes_.back();
+    nodes_.pop_back();
+    if (i == nodes_.size())
+        return;
+    place(i, last);
+    siftUp(i);
+    siftDown(pos_[last.slot]);
 }
 
 void
@@ -85,16 +221,7 @@ DemandSet::build() const
     return out;
 }
 
-FluidNetwork::FluidNetwork(EventQueue &eq) : eq_(eq)
-{
-#ifdef TB_PARALLEL_SOLVER
-    if (const char *env = std::getenv("TB_PARALLEL_SOLVER")) {
-        const int workers = std::atoi(env);
-        if (workers > 1)
-            setParallelWorkers(static_cast<unsigned>(workers));
-    }
-#endif
-}
+FluidNetwork::FluidNetwork(EventQueue &eq) : eq_(eq) {}
 
 FluidNetwork::~FluidNetwork()
 {
@@ -108,6 +235,7 @@ FluidNetwork::addResource(const std::string &name, Rate capacity)
         std::make_unique<FluidResource>(namePrefix_ + name, capacity));
     FluidResource *r = resources_.back().get();
     r->index_ = resources_.size() - 1;
+    r->categoryNames_ = &categoryNames_;
     if (metrics_)
         instrumentResource(r);
     return r;
@@ -118,6 +246,7 @@ FluidNetwork::instrumentResource(FluidResource *r)
 {
     r->utilHist_ = metrics_->histogram(
         "util." + r->name(), "time-weighted utilization of " + r->name());
+    r->utilSince_ = eq_.now();
 }
 
 void
@@ -141,8 +270,34 @@ FluidNetwork::attachMetrics(MetricsRegistry *metrics)
 void
 FluidNetwork::flushMetrics()
 {
-    if (metrics_)
-        advanceTo(eq_.now());
+    if (!metrics_)
+        return;
+    const Time now = eq_.now();
+    for (auto &r : resources_) {
+        if (now > r->utilSince_)
+            r->utilHist_->record(r->util_, now - r->utilSince_);
+        r->utilSince_ = now;
+    }
+}
+
+void
+FluidNetwork::refreshUtil(FluidResource &r)
+{
+    // Rates are piecewise constant, so the utilization held since
+    // utilSince_ is one exact time-weighted sample.
+    double load = 0.0;
+    for (const auto &[slot, di] : r.members_) {
+        const FluidFlow &flow = slots_[slot];
+        load += flow.demands[di].weight * flow.rate;
+    }
+    const double util = std::min(1.0, load / r.capacity());
+    if (util == r.util_)
+        return;
+    const Time now = eq_.now();
+    if (now > r.utilSince_)
+        r.utilHist_->record(r.util_, now - r.utilSince_);
+    r.utilSince_ = now;
+    r.util_ = util;
 }
 
 FluidResource *
@@ -154,32 +309,22 @@ FluidNetwork::findResource(const std::string &name) const
     return nullptr;
 }
 
-bool
-FluidNetwork::setParallelWorkers(unsigned workers, std::size_t minFlows)
+const FluidFlow *
+FluidNetwork::findFlow(FlowId id) const
 {
-#ifdef TB_PARALLEL_SOLVER
-    if (workers < 2) {
-        pool_.reset();
-        return true;
-    }
-    pool_ = std::make_unique<ParallelFor>(workers);
-    parallelMinFlows_ = std::max<std::size_t>(1, minFlows);
-    return true;
-#else
-    (void)workers;
-    (void)minFlows;
-    return false;
-#endif
+    auto it = slotOf_.find(id);
+    return it == slotOf_.end() ? nullptr : &slots_[it->second];
 }
 
 void
 FluidNetwork::addMembership(FluidFlow &flow)
 {
+    const std::uint32_t slot = slotOf(flow);
     flow.memberSlot.resize(flow.demands.size());
     for (std::size_t i = 0; i < flow.demands.size(); ++i) {
         FluidResource *r = flow.demands[i].resource;
         flow.memberSlot[i] = static_cast<std::uint32_t>(r->members_.size());
-        r->members_.emplace_back(&flow, static_cast<std::uint32_t>(i));
+        r->members_.emplace_back(slot, static_cast<std::uint32_t>(i));
     }
 }
 
@@ -195,7 +340,7 @@ FluidNetwork::removeMembership(FluidFlow &flow)
         // Swap-remove moved another entry into this slot; fix its
         // back-reference (self-moves were just popped).
         if (slot < vec.size())
-            vec[slot].first->memberSlot[vec[slot].second] = slot;
+            slots_[vec[slot].first].memberSlot[vec[slot].second] = slot;
     }
 }
 
@@ -214,25 +359,41 @@ FluidNetwork::startFlow(FlowSpec spec)
                  d.weight, d.resource->name().c_str());
     }
 
-    advanceTo(eq_.now());
+    auto [cat, fresh] = categoryIds_.try_emplace(
+        spec.category, static_cast<std::uint32_t>(categoryNames_.size()));
+    if (fresh)
+        categoryNames_.push_back(std::move(spec.category));
+
+    std::uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
 
     const FlowId id = nextId_++;
-    FluidFlow flow;
+    FluidFlow &flow = slots_[slot];
     flow.id = id;
-    flow.category = std::move(spec.category);
-    flow.remaining = spec.size;
+    flow.category = cat->second;
+    flow.r0 = spec.size;
+    flow.t0 = eq_.now();
+    flow.rate = 0.0;
+    flow.charged = 0.0;
     flow.rateCap = spec.rateCap;
     flow.fairWeight = spec.fairWeight;
+    flow.empty = spec.size <= 0.0;
     flow.demands = std::move(spec.demands);
     flow.onComplete = std::move(spec.onComplete);
-    auto it = flows_.emplace(id, std::move(flow)).first;
-    addMembership(it->second);
-    markFlowDirty(it->second);
-    flowArrayStale_ = true;
+    slotOf_.emplace(id, slot);
+    addMembership(flow);
+    markFlowDirty(flow);
+    updateHeaps(flow);
 
     if (flowsStartedCtr_) {
         flowsStartedCtr_->inc();
-        activeFlowsGauge_->set(static_cast<double>(flows_.size()));
+        activeFlowsGauge_->set(static_cast<double>(numActive()));
     }
 
     afterMutation();
@@ -242,44 +403,52 @@ FluidNetwork::startFlow(FlowSpec spec)
 void
 FluidNetwork::cancelFlow(FlowId id)
 {
-    advanceTo(eq_.now());
-    auto it = flows_.find(id);
-    if (it != flows_.end()) {
-        removeMembership(it->second);
-        for (const auto &d : it->second.demands)
-            markDirty(d.resource);
-        flows_.erase(it);
-        flowArrayStale_ = true;
+    auto it = slotOf_.find(id);
+    if (it != slotOf_.end()) {
+        FluidFlow &flow = slots_[it->second];
+        settle(flow, eq_.now());
+        removeFlow(flow);
         if (flowsCancelledCtr_) {
             flowsCancelledCtr_->inc();
-            activeFlowsGauge_->set(static_cast<double>(flows_.size()));
+            activeFlowsGauge_->set(static_cast<double>(numActive()));
         }
     }
     afterMutation();
 }
 
+void
+FluidNetwork::removeFlow(FluidFlow &flow)
+{
+    removeMembership(flow);
+    for (const auto &d : flow.demands)
+        markDirty(d.resource);
+    const std::uint32_t slot = slotOf(flow);
+    finish_.erase(slot);
+    due_.erase(slot);
+    ++stats_.heapUpdates;
+    slotOf_.erase(flow.id);
+    flow.id = 0;
+    flow.onComplete = nullptr;
+    freeSlots_.push_back(slot);
+}
+
 double
 FluidNetwork::flowRate(FlowId id) const
 {
-    auto it = flows_.find(id);
-    return it == flows_.end() ? 0.0 : it->second.rate;
+    const FluidFlow *flow = findFlow(id);
+    return flow ? flow->rate : 0.0;
 }
 
 double
 FluidNetwork::flowRemaining(FlowId id) const
 {
-    auto it = flows_.find(id);
-    if (it == flows_.end())
-        return 0.0;
-    // Account for progress since the last advance without mutating state.
-    const double dt = eq_.now() - lastAdvance_;
-    return std::max(0.0, it->second.remaining - it->second.rate * dt);
+    const FluidFlow *flow = findFlow(id);
+    return flow ? flow->remaining(eq_.now()) : 0.0;
 }
 
 void
 FluidNetwork::capacityChanged()
 {
-    advanceTo(eq_.now());
     for (auto &r : resources_)
         markDirty(r.get());
     afterMutation();
@@ -289,7 +458,6 @@ void
 FluidNetwork::capacityChanged(FluidResource *resource)
 {
     panic_if(resource == nullptr, "capacityChanged(null resource)");
-    advanceTo(eq_.now());
     markDirty(resource);
     afterMutation();
 }
@@ -303,116 +471,70 @@ FluidNetwork::resetAccounting()
 void
 FluidNetwork::resetAccounting(std::size_t begin, std::size_t end)
 {
-    panic_if(begin > end || end > resources_.size(),
-             "resetAccounting range [%zu, %zu) out of bounds (%zu resources)",
-             begin, end, resources_.size());
-    advanceTo(eq_.now());
+    // Charge in-flight progress first, so only post-reset progress
+    // lands in the new window.
+    settleAccounting(begin, end);
+    const Time now = eq_.now();
     for (std::size_t i = begin; i < end; ++i) {
-        auto &r = resources_[i];
-        r->resetAccounting(eq_.now());
-        if (r->utilHist_)
-            r->utilHist_->reset();
-    }
-}
-
-void
-FluidNetwork::advanceTo(Time now)
-{
-    const double dt = now - lastAdvance_;
-    panic_if(dt < -1e-12, "fluid network advancing backwards (%g)", dt);
-    lastAdvance_ = now;
-    if (dt <= 0.0)
-        return;
-    if (parallelActive()) {
-        advanceParallel(dt);
-        return;
-    }
-    for (auto &[id, flow] : flows_) {
-        if (metrics_) {
-            // The rates held for all of [lastAdvance_, now]: charge one
-            // exact time-weighted utilization sample per resource.
-            for (const auto &d : flow.demands)
-                d.resource->loadScratch_ += d.weight * flow.rate;
-        }
-        const double served = std::min(flow.remaining, flow.rate * dt);
-        if (served > 0.0) {
-            flow.remaining -= served;
-            for (const auto &d : flow.demands)
-                d.resource->account(flow.category, d.weight * served);
-            // A flow that drained to zero frees its share: its component
-            // must re-solve, exactly as a full re-solve would freeze it.
-            if (flow.remaining <= 0.0)
-                markFlowDirty(flow);
-        }
-    }
-    if (metrics_) {
-        for (auto &r : resources_) {
-            const double util =
-                std::min(1.0, r->loadScratch_ / r->capacity());
-            r->loadScratch_ = 0.0;
-            if (r->utilHist_)
-                r->utilHist_->record(util, dt);
+        FluidResource &r = *resources_[i];
+        r.resetAccounting(now);
+        if (r.utilHist_) {
+            r.utilHist_->reset();
+            r.utilSince_ = now;
         }
     }
 }
 
 void
-FluidNetwork::advanceParallel(double dt)
+FluidNetwork::settleAccounting(std::size_t begin, std::size_t end)
 {
-    rebuildFlowArray();
-    // Phase 1 (parallel): per-flow arithmetic only — each flow's served
-    // amount and remaining size are independent of every other flow.
-    pool_->run(flowArray_.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            FluidFlow &flow = *flowArray_[i];
-            const double served = std::min(flow.remaining, flow.rate * dt);
-            flow.servedScratch = served;
-            if (served > 0.0) {
-                flow.remaining -= served;
-                flow.drainedScratch = flow.remaining <= 0.0;
-            } else {
-                flow.drainedScratch = false;
+    panic_if(begin > end || end > resources_.size(),
+             "accounting range [%zu, %zu) out of bounds (%zu resources)",
+             begin, end, resources_.size());
+    const Time now = eq_.now();
+    const std::uint64_t mark = ++mark_;
+    for (std::size_t i = begin; i < end; ++i) {
+        for (const auto &[slot, di] : resources_[i]->members_) {
+            FluidFlow &flow = slots_[slot];
+            if (flow.mark != mark) {
+                flow.mark = mark;
+                settle(flow, now);
             }
         }
-    });
-    // Phase 2 (serial, flow-id order): shared-state accumulation. The
-    // additions land in exactly the order the serial path uses, so the
-    // accounting sums are bit-identical.
-    for (FluidFlow *fp : flowArray_) {
-        FluidFlow &flow = *fp;
-        if (metrics_) {
-            for (const auto &d : flow.demands)
-                d.resource->loadScratch_ += d.weight * flow.rate;
-        }
-        if (flow.servedScratch > 0.0) {
-            for (const auto &d : flow.demands)
-                d.resource->account(flow.category,
-                                    d.weight * flow.servedScratch);
-            if (flow.drainedScratch)
-                markFlowDirty(flow);
-        }
-    }
-    if (metrics_) {
-        for (auto &r : resources_) {
-            const double util =
-                std::min(1.0, r->loadScratch_ / r->capacity());
-            r->loadScratch_ = 0.0;
-            if (r->utilHist_)
-                r->utilHist_->record(util, dt);
-        }
     }
 }
 
 void
-FluidNetwork::rebuildFlowArray()
+FluidNetwork::settle(FluidFlow &flow, Time now)
 {
-    if (!flowArrayStale_)
-        return;
-    flowArray_.clear();
-    flowArray_.reserve(flows_.size());
-    for (auto &[id, flow] : flows_)
-        flowArray_.push_back(&flow);
-    flowArrayStale_ = false;
+    const double served = flow.served(now);
+    const double delta = served - flow.charged;
+    if (delta > 0.0) {
+        for (const auto &d : flow.demands)
+            d.resource->account(flow.category, d.weight * delta);
+        flow.charged = served;
+    }
+}
+
+void
+FluidNetwork::rebase(FluidFlow &flow, Time now, double rate)
+{
+    settle(flow, now);
+    flow.r0 -= flow.served(now);
+    flow.t0 = now;
+    flow.charged = 0.0;
+    flow.rate = rate;
+    ++stats_.flowsRebased;
+    updateHeaps(flow);
+}
+
+void
+FluidNetwork::updateHeaps(FluidFlow &flow)
+{
+    const std::uint32_t slot = slotOf(flow);
+    finish_.set(slot, finishKey(flow));
+    due_.set(slot, dueKey(flow));
+    ++stats_.heapUpdates;
 }
 
 void
@@ -437,55 +559,40 @@ FluidNetwork::endBatch()
 void
 FluidNetwork::solveDirty()
 {
-    if (mode_ == SolverMode::GlobalResolve) {
-        for (FluidResource *r : dirtyResources_)
-            r->dirty_ = false;
-        dirtyResources_.clear();
-        dirtyFlowIds_.clear();
-        if (flows_.empty())
-            return;
-        ++stats_.solves;
-        ++stats_.fullSolves;
-        ++stats_.componentsSolved;
-        stats_.flowsSolved += flows_.size();
-        solveGlobal();
-        return;
-    }
-
     affected_.clear();
     resQueue_.clear();
     const std::uint64_t mark = ++mark_;
+    for (FluidResource *r : dirtyResources_) {
+        r->dirty_ = false;
+        // A resource left without flows belongs to no component, so no
+        // solve below will refresh its utilization.
+        if (metrics_ && r->members_.empty())
+            refreshUtil(*r);
+        if (r->mark_ != mark) {
+            r->mark_ = mark;
+            resQueue_.push_back(r);
+        }
+    }
+    dirtyResources_.clear();
 
     if (mode_ == SolverMode::FullResolve) {
         ++stats_.fullSolves;
-        for (FluidResource *r : dirtyResources_)
-            r->dirty_ = false;
-        dirtyResources_.clear();
-        dirtyFlowIds_.clear();
-        for (auto &[id, flow] : flows_) {
-            flow.mark = mark;
-            affected_.push_back(&flow);
+        dirtyFlows_.clear();
+        for (FluidFlow &flow : slots_) {
+            if (flow.id != 0) {
+                flow.mark = mark;
+                affected_.push_back(&flow);
+            }
         }
-        if (affected_.empty())
-            return;
     } else {
         // Gather: BFS over the sharing graph from the dirty seeds. Every
         // flow sharing a resource with a dirty flow can see its max-min
         // share shift, transitively — the closure is exactly the union
         // of the connected components that contain a dirty seed.
-        for (FluidResource *r : dirtyResources_) {
-            r->dirty_ = false;
-            if (r->mark_ != mark) {
-                r->mark_ = mark;
-                resQueue_.push_back(r);
-            }
-        }
-        dirtyResources_.clear();
-        for (FlowId id : dirtyFlowIds_) {
-            auto it = flows_.find(id);
-            if (it == flows_.end() || it->second.mark == mark)
+        for (const auto &[id, slot] : dirtyFlows_) {
+            FluidFlow &flow = slots_[slot];
+            if (flow.id != id || flow.mark == mark)
                 continue;
-            FluidFlow &flow = it->second;
             flow.mark = mark;
             affected_.push_back(&flow);
             for (const auto &d : flow.demands) {
@@ -495,15 +602,16 @@ FluidNetwork::solveDirty()
                 }
             }
         }
-        dirtyFlowIds_.clear();
+        dirtyFlows_.clear();
         for (std::size_t head = 0; head < resQueue_.size(); ++head) {
             FluidResource *r = resQueue_[head];
-            for (const auto &[flow, di] : r->members_) {
-                if (flow->mark == mark)
+            for (const auto &[slot, di] : r->members_) {
+                FluidFlow &flow = slots_[slot];
+                if (flow.mark == mark)
                     continue;
-                flow->mark = mark;
-                affected_.push_back(flow);
-                for (const auto &d : flow->demands) {
+                flow.mark = mark;
+                affected_.push_back(&flow);
+                for (const auto &d : flow.demands) {
                     if (d.resource->mark_ != mark) {
                         d.resource->mark_ = mark;
                         resQueue_.push_back(d.resource);
@@ -511,19 +619,17 @@ FluidNetwork::solveDirty()
                 }
             }
         }
-        if (affected_.empty())
-            return;
-        std::sort(affected_.begin(), affected_.end(),
-                  [](const FluidFlow *a, const FluidFlow *b) {
-                      return a->id < b->id;
-                  });
     }
+    if (affected_.empty())
+        return;
+    std::sort(affected_.begin(), affected_.end(), byId);
 
     ++stats_.solves;
 
     // Partition the affected set into true connected components and run
     // progressive filling on each. Components are seeded in ascending
     // flow-id order, so the decomposition is deterministic.
+    const Time now = eq_.now();
     const std::uint64_t cmark = ++mark_;
     for (FluidFlow *seed : affected_) {
         if (seed->mark == cmark)
@@ -540,7 +646,8 @@ FluidNetwork::solveDirty()
                     continue;
                 r->mark_ = cmark;
                 compRes_.push_back(r);
-                for (const auto &[member, di] : r->members_) {
+                for (const auto &[slot, di] : r->members_) {
+                    FluidFlow *member = &slots_[slot];
                     if (member->mark != cmark) {
                         member->mark = cmark;
                         compFlows_.push_back(member);
@@ -548,10 +655,7 @@ FluidNetwork::solveDirty()
                 }
             }
         }
-        std::sort(compFlows_.begin(), compFlows_.end(),
-                  [](const FluidFlow *a, const FluidFlow *b) {
-                      return a->id < b->id;
-                  });
+        std::sort(compFlows_.begin(), compFlows_.end(), byId);
         std::sort(compRes_.begin(), compRes_.end(),
                   [](const FluidResource *a, const FluidResource *b) {
                       return a->index_ < b->index_;
@@ -559,6 +663,15 @@ FluidNetwork::solveDirty()
         solveComponent();
         ++stats_.componentsSolved;
         stats_.flowsSolved += compFlows_.size();
+
+        // Only a bitwise rate change moves a flow's closed form: a
+        // re-solve of an unchanged component rebases nothing.
+        for (FluidFlow *flow : compFlows_)
+            if (flow->fill != flow->rate)
+                rebase(*flow, now, flow->fill);
+        if (metrics_)
+            for (FluidResource *r : compRes_)
+                refreshUtil(*r);
     }
 }
 
@@ -570,7 +683,9 @@ FluidNetwork::solveComponent()
     // connected component, this performs the same iterations in the same
     // order (flows by id, resources by creation order) as a whole-network
     // solve would on this component — resources outside the component
-    // never constrain it, and flows outside never contribute weight.
+    // never constrain it, and flows outside never contribute weight. It
+    // reads no progress state, so its result depends on the component
+    // alone.
     for (FluidResource *r : compRes_) {
         r->allocScratch_ = r->capacity(); // remaining slack
         r->weightScratch_ = 0.0;          // active weight (recomputed below)
@@ -578,8 +693,8 @@ FluidNetwork::solveComponent()
 
     std::size_t unfrozen = 0;
     for (FluidFlow *flow : compFlows_) {
-        flow->rate = 0.0;
-        flow->frozen = flow->remaining <= 0.0;
+        flow->fill = 0.0;
+        flow->frozen = flow->empty;
         if (!flow->frozen)
             ++unfrozen;
     }
@@ -604,7 +719,7 @@ FluidNetwork::solveComponent()
         for (FluidFlow *flow : compFlows_) {
             if (flow->frozen || flow->rateCap <= 0.0)
                 continue;
-            step = std::min(step, (flow->rateCap - flow->rate) /
+            step = std::min(step, (flow->rateCap - flow->fill) /
                                       flow->fairWeight);
         }
         panic_if(std::isinf(step),
@@ -613,7 +728,7 @@ FluidNetwork::solveComponent()
         for (FluidFlow *flow : compFlows_) {
             if (flow->frozen)
                 continue;
-            flow->rate += step * flow->fairWeight;
+            flow->fill += step * flow->fairWeight;
             for (const auto &d : flow->demands)
                 d.resource->allocScratch_ -=
                     d.weight * flow->fairWeight * step;
@@ -624,7 +739,7 @@ FluidNetwork::solveComponent()
             if (flow->frozen)
                 continue;
             if (flow->rateCap > 0.0 &&
-                flow->rate >= flow->rateCap * (1.0 - 1e-12)) {
+                flow->fill >= flow->rateCap * (1.0 - 1e-12)) {
                 flow->frozen = true;
                 --unfrozen;
             }
@@ -651,166 +766,56 @@ FluidNetwork::solveComponent()
 }
 
 void
-FluidNetwork::solveGlobal()
-{
-    // The seed's coupled loop, kept verbatim: the uniform step is the
-    // minimum across the entire network, so disjoint components advance
-    // in lockstep and a 10k-flow fleet pays O(components) rounds of
-    // O(network) work per solve. bench/sim_perf's baseline.
-    for (auto &r : resources_) {
-        r->allocScratch_ = r->capacity();
-        r->weightScratch_ = 0.0;
-    }
-
-    std::size_t unfrozen = 0;
-    for (auto &[id, flow] : flows_) {
-        flow.rate = 0.0;
-        flow.frozen = flow.remaining <= 0.0;
-        if (!flow.frozen)
-            ++unfrozen;
-    }
-
-    while (unfrozen > 0) {
-        for (auto &r : resources_)
-            r->weightScratch_ = 0.0;
-        for (auto &[id, flow] : flows_) {
-            if (flow.frozen)
-                continue;
-            for (const auto &d : flow.demands)
-                d.resource->weightScratch_ += d.weight * flow.fairWeight;
-        }
-
-        double step = kInf;
-        for (auto &r : resources_) {
-            if (r->weightScratch_ > 0.0)
-                step = std::min(step,
-                                std::max(0.0, r->allocScratch_) /
-                                    r->weightScratch_);
-        }
-        for (auto &[id, flow] : flows_) {
-            if (flow.frozen || flow.rateCap <= 0.0)
-                continue;
-            step = std::min(step, (flow.rateCap - flow.rate) /
-                                      flow.fairWeight);
-        }
-        panic_if(std::isinf(step),
-                 "unconstrained flow in fluid network (no demand, no cap)");
-
-        for (auto &[id, flow] : flows_) {
-            if (flow.frozen)
-                continue;
-            flow.rate += step * flow.fairWeight;
-            for (const auto &d : flow.demands)
-                d.resource->allocScratch_ -=
-                    d.weight * flow.fairWeight * step;
-        }
-
-        for (auto &[id, flow] : flows_) {
-            if (flow.frozen)
-                continue;
-            if (flow.rateCap > 0.0 &&
-                flow.rate >= flow.rateCap * (1.0 - 1e-12)) {
-                flow.frozen = true;
-                --unfrozen;
-            }
-        }
-        for (auto &r : resources_) {
-            if (r->weightScratch_ <= 0.0)
-                continue;
-            if (r->allocScratch_ <= 1e-12 * r->capacity()) {
-                for (auto &[id, flow] : flows_) {
-                    if (flow.frozen)
-                        continue;
-                    for (const auto &d : flow.demands) {
-                        if (d.resource == r.get()) {
-                            flow.frozen = true;
-                            --unfrozen;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
 FluidNetwork::scheduleCompletion()
 {
+    // Cancel and reschedule on every mutation, even when the time is
+    // unchanged: event sequence numbers (and so tie-breaks) depend on it.
     eq_.cancel(pending_);
-    double earliest = kInf;
-    if (parallelActive()) {
-        rebuildFlowArray();
-        // Per-thread minimum, merged under a mutex: min() is exact (no
-        // rounding), so the merge order cannot change the result.
-        std::mutex mu;
-        pool_->run(flowArray_.size(),
-                   [&](std::size_t begin, std::size_t end) {
-                       double local = kInf;
-                       for (std::size_t i = begin; i < end; ++i) {
-                           const FluidFlow &flow = *flowArray_[i];
-                           if (flow.remaining <= 0.0) {
-                               local = 0.0;
-                               break;
-                           }
-                           if (flow.rate > 0.0)
-                               local = std::min(local,
-                                                flow.remaining / flow.rate);
-                       }
-                       std::lock_guard lock(mu);
-                       earliest = std::min(earliest, local);
-                   });
-    } else {
-        for (const auto &[id, flow] : flows_) {
-            if (flow.remaining <= 0.0) {
-                earliest = 0.0;
-                break;
-            }
-            if (flow.rate > 0.0)
-                earliest = std::min(earliest, flow.remaining / flow.rate);
-        }
-    }
-    if (std::isinf(earliest))
+    if (finish_.empty())
         return;
-    pending_ = eq_.scheduleIn(earliest, [this] { completeEarliest(); });
+    const double when = finish_.topKey();
+    if (std::isinf(when))
+        return;
+    pending_ = eq_.schedule(std::max(when, eq_.now()),
+                            [this] { completeEarliest(); });
 }
 
 void
 FluidNetwork::completeEarliest()
 {
     pending_.invalidate();
-    advanceTo(eq_.now());
+    const Time now = eq_.now();
 
-    // Collect every flow that has (numerically) finished.
-    std::vector<FluidFlow> done;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-        FluidFlow &flow = it->second;
-        const double eps =
-            1e-9 * std::max(1.0, flow.remaining + flow.rate);
-        if (flow.remaining <= eps) {
-            removeMembership(flow);
-            for (const auto &d : flow.demands)
-                markDirty(d.resource);
-            done.push_back(std::move(flow));
-            it = flows_.erase(it);
-            flowArrayStale_ = true;
-        } else {
-            ++it;
-        }
+    // Collect every flow that has (numerically) finished. Only flows
+    // whose due key is within the bound can pass the test (see
+    // dueKey), so this visits the finishing flows, not all of them.
+    doneFlows_.clear();
+    due_.forEachAtMost(now + 1e-12 * now, [&](std::uint32_t slot) {
+        FluidFlow &flow = slots_[slot];
+        if (isDone(flow.remaining(now), flow.rate))
+            doneFlows_.push_back(&flow);
+    });
+    std::sort(doneFlows_.begin(), doneFlows_.end(), byId);
+
+    std::vector<std::function<void(Time)>> callbacks;
+    callbacks.reserve(doneFlows_.size());
+    for (FluidFlow *flow : doneFlows_) {
+        settle(*flow, now);
+        callbacks.push_back(std::move(flow->onComplete));
+        removeFlow(*flow);
     }
 
-    if (flowsCompletedCtr_ && !done.empty()) {
-        flowsCompletedCtr_->add(static_cast<double>(done.size()));
-        activeFlowsGauge_->set(static_cast<double>(flows_.size()));
+    if (flowsCompletedCtr_ && !callbacks.empty()) {
+        flowsCompletedCtr_->add(static_cast<double>(callbacks.size()));
+        activeFlowsGauge_->set(static_cast<double>(numActive()));
     }
 
     solveDirty();
     scheduleCompletion();
 
-    const Time now = eq_.now();
-    for (auto &flow : done)
-        if (flow.onComplete)
-            flow.onComplete(now);
+    for (auto &cb : callbacks)
+        if (cb)
+            cb(now);
 }
 
 } // namespace tb

@@ -15,17 +15,23 @@
  * progressive filling (weighted max-min fairness with optional per-flow
  * rate caps — a prep task cannot exceed its parallelism, a device port
  * cannot exceed its line rate). Rates are piecewise constant between flow
- * arrivals/departures; the engine advances remaining sizes lazily and keeps
- * exactly one completion event pending in the EventQueue.
+ * arrivals/departures, so progress has a closed form: a flow stores
+ * (r0, t0, rate) and remaining(t) = r0 - min(r0, rate * (t - t0)). A flow
+ * is rebased (accounting charged, r0 and t0 moved to now) only when a
+ * re-solve changes its rate bitwise. Finish times live in an indexed
+ * min-heap, and exactly one completion event stays pending in the
+ * EventQueue.
  *
  * The solver is *incremental*: progressive filling is run per connected
  * component of the flow/resource sharing graph, and a mutation (flow
- * start/cancel/completion, capacity change, a flow draining to zero) only
- * re-solves the components it touched. Clean components keep their cached
- * rates, which are exactly what a fresh solve would produce — max-min
- * allocations are independent across components (the dirty-set invariant;
- * see docs/PERFORMANCE.md). FullResolve mode re-solves every component on
- * every mutation and is the reference the equivalence tests pin against.
+ * start/cancel/completion, capacity change) only re-solves the components
+ * it touched. Clean components keep their cached rates, which are exactly
+ * what a fresh solve would produce — max-min allocations are independent
+ * across components and the solve never reads progress (the rebase
+ * invariant; see docs/PERFORMANCE.md). An event therefore costs only the
+ * flows of the components it re-solves, times log n for the heaps.
+ * FullResolve mode re-solves every component on every mutation and is the
+ * reference the equivalence tests pin against.
  *
  * The engine also performs per-category accounting on every resource
  * (bytes moved for "data_load" vs "formatting" vs ...), which is what the
@@ -35,15 +41,16 @@
 #ifndef TRAINBOX_FLUID_FLUID_HH
 #define TRAINBOX_FLUID_FLUID_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/parallel_for.hh"
 #include "sim/event_queue.hh"
 
 namespace tb {
@@ -52,7 +59,6 @@ class MetricsRegistry;
 class MetricCounter;
 class MetricGauge;
 class TimeWeightedHistogram;
-struct FluidFlow;
 
 /** A capacity-limited shared resource (link, memory, core pool, ...). */
 class FluidResource
@@ -72,14 +78,15 @@ class FluidResource
      */
     void setCapacity(Rate capacity);
 
-    /** Total units served through this resource so far. */
+    /**
+     * Total units served through this resource so far. In-flight flows
+     * are charged when they are rebased, complete or are cancelled, and
+     * when FluidNetwork::settleAccounting() covers this resource.
+     */
     double totalServed() const { return totalServed_; }
 
     /** Units served per accounting category. */
-    const std::map<std::string, double> &servedByCategory() const
-    {
-        return served_;
-    }
+    const std::map<std::string, double> &servedByCategory() const;
 
     /** Served units for one category (0 when absent). */
     double served(const std::string &category) const;
@@ -105,17 +112,25 @@ class FluidResource
   private:
     friend class FluidNetwork;
 
+    /** Charge @p units to the interned category @p category. */
     void
-    account(const std::string &category, double units)
+    account(std::uint32_t category, double units)
     {
         totalServed_ += units;
+        if (category >= served_.size())
+            served_.resize(category + 1, 0.0);
         served_[category] += units;
     }
 
     std::string name_;
     Rate capacity_;
     double totalServed_ = 0.0;
-    std::map<std::string, double> served_;
+    /** Served units by interned category id (0 = never charged). */
+    std::vector<double> served_;
+    /** The owning network's category names, indexed by id. */
+    const std::vector<std::string> *categoryNames_ = nullptr;
+    /** servedByCategory()'s view, rebuilt on each call. */
+    mutable std::map<std::string, double> servedView_;
     Time windowStart_ = 0.0;
 
     // scratch space for the allocator
@@ -126,11 +141,12 @@ class FluidResource
     std::size_t index_ = 0; ///< creation order (solve iteration order)
     bool dirty_ = false;    ///< queued in the network's dirty set
     std::uint64_t mark_ = 0; ///< BFS visit epoch (gather + components)
-    /** Flows demanding this resource, as (flow, demand index) pairs. */
-    std::vector<std::pair<FluidFlow *, std::uint32_t>> members_;
+    /** Flows demanding this resource, as (flow slot, demand index). */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> members_;
 
     // metrics instrumentation (inert while metrics are disabled)
-    double loadScratch_ = 0.0;
+    double util_ = 0.0;     ///< utilization since utilSince_
+    Time utilSince_ = 0.0;  ///< start of the unrecorded interval
     TimeWeightedHistogram *utilHist_ = nullptr;
 };
 
@@ -174,28 +190,84 @@ struct FlowSpec
 };
 
 /**
- * Solver-internal per-flow state. Exposed at namespace scope only so
- * FluidResource can hold back-pointers; not part of the public API.
+ * Solver-internal per-flow state (one storage slot); not part of the
+ * public API.
+ *
+ * Progress is closed-form: the flow had r0 base units left at t0 and has
+ * run at `rate` since, so served(t) = min(r0, rate * (t - t0)). `charged`
+ * is the part of served(t) already charged to the resources' accounting.
  */
 struct FluidFlow
 {
-    FlowId id;
-    std::string category;
-    double remaining;
-    double rateCap;
-    double fairWeight;
+    FlowId id = 0; ///< 0 while the slot is free
+    std::uint32_t category = 0; ///< interned accounting category
+    double r0 = 0.0;
+    Time t0 = 0.0;
+    double rate = 0.0;
+    double charged = 0.0;
+    double rateCap = 0.0;
+    double fairWeight = 1.0;
+    bool empty = false; ///< started with size 0: never gets a rate
     std::vector<FlowDemand> demands;
     std::function<void(Time)> onComplete;
-    double rate = 0.0;
-    bool frozen = false; ///< allocator scratch
+
+    // allocator scratch
+    double fill = 0.0; ///< rate being computed by the current solve
+    bool frozen = false;
 
     /** Slot of demand i in demands[i].resource->members_. */
     std::vector<std::uint32_t> memberSlot;
     std::uint64_t mark = 0; ///< BFS visit epoch (gather + components)
 
-    // parallel-advance scratch (written in phase 1, read in phase 2)
-    double servedScratch = 0.0;
-    bool drainedScratch = false;
+    double served(Time now) const { return std::min(r0, rate * (now - t0)); }
+    double remaining(Time now) const { return r0 - served(now); }
+};
+
+/**
+ * Binary min-heap of (key, slot) pairs that knows where each slot sits,
+ * so a slot's key can be changed or removed in O(log n).
+ */
+class SlotHeap
+{
+  public:
+    /** Insert @p slot with @p key, or move it to @p key. */
+    void set(std::uint32_t slot, double key);
+
+    /** Remove @p slot (no-op when absent). */
+    void erase(std::uint32_t slot);
+
+    bool empty() const { return nodes_.empty(); }
+
+    /** Smallest key; the heap must not be empty. */
+    double topKey() const { return nodes_.front().key; }
+
+    /** Call @p fn(slot) for every slot whose key is <= @p bound. */
+    template <typename Fn>
+    void
+    forEachAtMost(double bound, Fn &&fn, std::size_t i = 0) const
+    {
+        if (i >= nodes_.size() || nodes_[i].key > bound)
+            return;
+        fn(nodes_[i].slot);
+        forEachAtMost(bound, fn, 2 * i + 1);
+        forEachAtMost(bound, fn, 2 * i + 2);
+    }
+
+  private:
+    struct Node
+    {
+        double key;
+        std::uint32_t slot;
+    };
+
+    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+    void place(std::size_t i, Node node);
+    void siftUp(std::size_t i);
+    void siftDown(std::size_t i);
+
+    std::vector<Node> nodes_;
+    std::vector<std::uint32_t> pos_; ///< slot -> index in nodes_
 };
 
 /**
@@ -232,25 +304,16 @@ class FluidNetwork
      * Solver strategy. Incremental (the default) re-solves only the
      * connected components touched since the last solve; FullResolve
      * re-solves every component on every mutation. Both run the same
-     * per-component progressive filling, so their results are
-     * bit-identical — FullResolve exists as the reference baseline for
-     * equivalence tests and for perf comparisons in bench/sim_perf.
-     *
-     * GlobalResolve is the legacy seed algorithm: one *coupled*
-     * progressive-filling loop over the whole network, whose uniform
-     * rate-raising step is the min across all components at once. Its
-     * exact allocations equal the per-component solve, but the
-     * floating-point summation order differs when several asymmetric
-     * components are active (identical results on single-component or
-     * symmetric networks, which covers the pinned session goldens).
-     * Kept as the perf baseline bench/sim_perf measures speedups
-     * against, and for A/B-ing the decomposition itself.
+     * per-component progressive filling, and a re-solve of a clean
+     * component reproduces its rates bitwise (so it rebases nothing),
+     * which makes the two bit-identical — FullResolve exists as the
+     * reference baseline for equivalence tests and for perf
+     * comparisons in bench/sim_perf.
      */
     enum class SolverMode
     {
         Incremental,
         FullResolve,
-        GlobalResolve,
     };
 
     /** Cumulative solver work counters (monotonic; for bench/tests). */
@@ -260,6 +323,8 @@ class FluidNetwork
         std::uint64_t fullSolves = 0; ///< passes forced by FullResolve
         std::uint64_t componentsSolved = 0;
         std::uint64_t flowsSolved = 0; ///< sum of solved component sizes
+        std::uint64_t flowsRebased = 0; ///< rate changes (charge + re-anchor)
+        std::uint64_t heapUpdates = 0; ///< finish/due heap insert/move/erase
     };
 
     /**
@@ -269,8 +334,11 @@ class FluidNetwork
      * batch ends. Launching k flows at one timestamp costs one solve
      * instead of k. Rates and the completion event are stale inside the
      * scope, so don't query flowRate() or step the EventQueue until the
-     * batch closes. Results are bit-identical to unbatched calls because
-     * component solves are from-scratch (see docs/PERFORMANCE.md).
+     * batch closes. Rates are bit-identical to unbatched calls because
+     * component solves are from-scratch (see docs/PERFORMANCE.md); a
+     * flow whose rate the unbatched calls change and change back is
+     * simply not re-anchored, so its progress may differ in the last
+     * ulp.
      */
     class FlowBatch
     {
@@ -339,7 +407,7 @@ class FluidNetwork
     double flowRemaining(FlowId id) const;
 
     /** Number of in-flight flows. */
-    std::size_t numActive() const { return flows_.size(); }
+    std::size_t numActive() const { return slotOf_.size(); }
 
     /** Notify the network that any resource capacity may have changed. */
     void capacityChanged();
@@ -360,26 +428,6 @@ class FluidNetwork
     const SolverStats &solverStats() const { return stats_; }
 
     /**
-     * Enable the parallel per-flow scan (advance + completion scan +
-     * parallel phase of the solve bookkeeping) on @p workers threads.
-     * The parallel path only engages once the network holds at least
-     * @p minFlows flows — below that the fork-join overhead dominates.
-     * Pass workers < 2 to disable. Returns false when the build was
-     * configured without TB_PARALLEL_SOLVER (request ignored). The
-     * TB_PARALLEL_SOLVER environment variable (worker count) enables
-     * this at construction. Results are bit-identical to the serial
-     * path: per-flow arithmetic is unchanged and all reductions /
-     * accounting merges happen in flow-id order (docs/PERFORMANCE.md).
-     */
-    bool setParallelWorkers(unsigned workers, std::size_t minFlows = 512);
-
-    /** Workers the parallel scan would use (1 = serial). */
-    unsigned parallelWorkers() const
-    {
-        return pool_ ? pool_->workers() : 1;
-    }
-
-    /**
      * Reset accounting on all resources (and, when metrics are
      * attached, their utilization histories — the metrics window is
      * the accounting window).
@@ -397,29 +445,32 @@ class FluidNetwork
     void resetAccounting(std::size_t begin, std::size_t end);
 
     /**
+     * Charge every in-flight flow that touches a resource in
+     * [begin, end) for its progress up to now, so that range's served
+     * totals are exact at the current time. Only accounting moves:
+     * rates, finish times and every later event are unaffected.
+     */
+    void settleAccounting(std::size_t begin, std::size_t end);
+
+    /**
      * Attach a metrics registry. When the registry is enabled, the
      * network keeps one time-weighted utilization histogram per
      * resource ("util.<resource>") — rates are piecewise constant
-     * between flow events, so every inter-event interval becomes one
-     * exact histogram sample — plus flow lifecycle counters. A
+     * between flow events, so every interval between two load changes
+     * of a resource becomes one exact histogram sample — plus flow
+     * lifecycle counters. A
      * disabled registry (or nullptr) leaves the network exactly on the
      * uninstrumented path. Must be attached before flows start.
      */
     void attachMetrics(MetricsRegistry *metrics);
 
     /**
-     * Record utilization up to the current time (also charges per-
-     * category accounting for in-flight flows). No-op when metrics are
-     * not attached, so an uninstrumented run's accounting is
-     * bit-identical with or without the call.
+     * Record utilization histories up to the current time. Touches no
+     * accounting, and is a no-op when metrics are not attached.
      */
     void flushMetrics();
 
   private:
-    /** Charge elapsed progress to all flows. */
-    void advanceTo(Time now);
-    void advanceParallel(double dt);
-
     /** Solve + reschedule, unless inside a FlowBatch. */
     void afterMutation();
     void beginBatch() { ++batchDepth_; }
@@ -429,12 +480,28 @@ class FluidNetwork
     void solveDirty();
     /** Progressive filling over compFlows_/compRes_ (sorted). */
     void solveComponent();
-    /** Legacy coupled whole-network progressive filling. */
-    void solveGlobal();
 
     void scheduleCompletion();
     void completeEarliest();
     void instrumentResource(FluidResource *r);
+
+    /** Charge @p flow's uncharged progress up to @p now. */
+    void settle(FluidFlow &flow, Time now);
+    /** Settle, then re-anchor (r0, t0) at @p now with @p rate. */
+    void rebase(FluidFlow &flow, Time now, double rate);
+    /** Recompute @p flow's finish and due keys in both heaps. */
+    void updateHeaps(FluidFlow &flow);
+    /** Unlink a finished or cancelled flow and free its slot. */
+    void removeFlow(FluidFlow &flow);
+    /** Record @p r's utilization if its load or capacity changed. */
+    void refreshUtil(FluidResource &r);
+
+    std::uint32_t slotOf(const FluidFlow &flow) const
+    {
+        return static_cast<std::uint32_t>(&flow - slots_.data());
+    }
+
+    const FluidFlow *findFlow(FlowId id) const;
 
     /** Register/unregister a flow in its resources' member lists. */
     void addMembership(FluidFlow &flow);
@@ -455,24 +522,29 @@ class FluidNetwork
     {
         for (const auto &d : flow.demands)
             markDirty(d.resource);
-        dirtyFlowIds_.push_back(flow.id);
+        dirtyFlows_.emplace_back(flow.id, slotOf(flow));
     }
-
-    bool
-    parallelActive() const
-    {
-        return pool_ != nullptr && flows_.size() >= parallelMinFlows_;
-    }
-
-    void rebuildFlowArray();
 
     EventQueue &eq_;
     std::vector<std::unique_ptr<FluidResource>> resources_;
     std::string namePrefix_;
-    std::map<FlowId, FluidFlow> flows_;
     FlowId nextId_ = 1;
-    Time lastAdvance_ = 0.0;
     EventId pending_{};
+
+    /** Flow storage; free slots are recycled (see freeSlots_). */
+    std::vector<FluidFlow> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+    std::unordered_map<FlowId, std::uint32_t> slotOf_; ///< live flows
+    /** Finish time t0 + r0/rate per flow: the pending event's time. */
+    SlotHeap finish_;
+    /**
+     * Earliest time each flow can pass the completion test (a safe
+     * lower bound): completeEarliest() walks this heap, not all flows.
+     */
+    SlotHeap due_;
+
+    std::unordered_map<std::string, std::uint32_t> categoryIds_;
+    std::vector<std::string> categoryNames_;
 
     SolverMode mode_ = SolverMode::Incremental;
     SolverStats stats_;
@@ -482,12 +554,12 @@ class FluidNetwork
     /** Resources touched since the last solve (dirty_ flag set). */
     std::vector<FluidResource *> dirtyResources_;
     /**
-     * Flows touched since the last solve, by id — ids, not pointers,
-     * because a flow can be started and cancelled within one batch.
-     * Also covers demandless (cap-only) flows, which no resource
-     * member list reaches.
+     * Flows touched since the last solve, as (id, slot) — the id
+     * detects a flow started and cancelled within one batch (its slot
+     * freed or reused). Also covers demandless (cap-only) flows, which
+     * no resource member list reaches.
      */
-    std::vector<FlowId> dirtyFlowIds_;
+    std::vector<std::pair<FlowId, std::uint32_t>> dirtyFlows_;
 
     // reusable solver scratch (cleared per solve; avoids per-event
     // allocation in the hot path)
@@ -495,12 +567,7 @@ class FluidNetwork
     std::vector<FluidResource *> resQueue_;
     std::vector<FluidFlow *> compFlows_;
     std::vector<FluidResource *> compRes_;
-
-    // parallel scan state
-    std::unique_ptr<ParallelFor> pool_;
-    std::size_t parallelMinFlows_ = 512;
-    std::vector<FluidFlow *> flowArray_; ///< flows_ values, id order
-    bool flowArrayStale_ = true;
+    std::vector<FluidFlow *> doneFlows_;
 
     // metrics instrumentation (all nullptr when metrics are disabled)
     MetricsRegistry *metrics_ = nullptr;

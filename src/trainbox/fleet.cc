@@ -618,9 +618,6 @@ FleetSimulation::run()
 {
     if (cfg_.overrideSolverMode)
         core_.fluid().setSolverMode(cfg_.solverMode);
-    if (cfg_.parallelWorkers > 0)
-        core_.fluid().setParallelWorkers(cfg_.parallelWorkers,
-                                         /*minFlows=*/64);
 
     EventQueue &eq = core_.events();
     for (std::size_t j = 0; j < jobs_.size(); ++j)

@@ -154,9 +154,6 @@ struct FleetConfig
     FluidNetwork::SolverMode solverMode =
         FluidNetwork::SolverMode::Incremental;
 
-    /** Parallel solver workers (0 = leave the network's default). */
-    unsigned parallelWorkers = 0;
-
     /**
      * Fleet-level fault injection + the retry/backoff re-admission
      * policy (sim/fault_injector.hh). Disabled by default; when

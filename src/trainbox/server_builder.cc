@@ -953,6 +953,12 @@ Server::resetAccounting()
     core_.fluid().resetAccounting(resBegin_, resEnd_);
 }
 
+void
+Server::settleAccounting()
+{
+    core_.fluid().settleAccounting(resBegin_, resEnd_);
+}
+
 Time
 Server::computeTime() const
 {

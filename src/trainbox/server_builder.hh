@@ -181,6 +181,13 @@ class Server
     void resetAccounting();
 
     /**
+     * Charge this server's in-flight flows up to now, so its served
+     * totals are exact at the current time whatever co-resident
+     * servers did last (FluidNetwork::settleAccounting).
+     */
+    void settleAccounting();
+
+    /**
      * Observability instruments (docs/OBSERVABILITY.md), owned by the
      * core and shared by every server on it. Enabled iff any attached
      * server sets cfg.metricsEnabled; while disabled it holds no

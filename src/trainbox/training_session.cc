@@ -1459,8 +1459,11 @@ TrainingSession::run(std::size_t warmup, std::size_t measure)
 void
 TrainingSession::finalizeResult(bool partial)
 {
-    // Extend the recorded utilization histories to the end of the run
-    // (no-op — and in particular no accounting change — without metrics).
+    // Charge this server's in-flight flows up to now, so the category
+    // maps end at the window end with or without metrics and whatever
+    // co-resident jobs did last; then extend the utilization histories
+    // (no-op without metrics).
+    server_.settleAccounting();
     net_.flushMetrics();
 
     SessionResult res;

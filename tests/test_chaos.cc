@@ -235,7 +235,7 @@ TEST(ChaosDisabled, PresetThroughputsBitIdentical)
         double throughput;
     } golden[] = {
         { ArchPreset::Baseline, 30412.537359822836 },
-        { ArchPreset::BaselineAccFpga, 44099.421789334992 },
+        { ArchPreset::BaselineAccFpga, 44099.421789335029 },
         { ArchPreset::BaselineAccP2p, 52726.559174010392 },
         { ArchPreset::BaselineAccP2pGen4, 105706.38456337905 },
         { ArchPreset::TrainBoxNoPool, 237516.29284407894 },

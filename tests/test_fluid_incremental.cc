@@ -9,9 +9,9 @@
  * component on every event (FullResolve). These tests replay randomized
  * scripts — random topologies x random flow arrival/departure schedules
  * — under both modes and compare the full observable trace. The same
- * harness pins metrics-on/off, parallel-on/off, and FlowBatch-vs-
- * unbatched bit-identity, and sanity-checks the legacy coupled
- * GlobalResolve mode (equal up to floating-point reassociation).
+ * harness pins metrics-on/off and FlowBatch-vs-unbatched bit-identity.
+ * The O(touched) tests check that a mutation rebases and re-keys only
+ * the flows of the component it changes.
  */
 
 #include <gtest/gtest.h>
@@ -115,7 +115,6 @@ struct RunTrace
 struct RunConfig
 {
     Mode mode = Mode::FullResolve;
-    bool parallel = false;
     bool metrics = false;
     bool batchStarts = false; ///< wrap each start op in a FlowBatch
 };
@@ -126,10 +125,6 @@ replay(const Script &s, const RunConfig &cfg)
     EventQueue eq;
     FluidNetwork net(eq);
     net.setSolverMode(cfg.mode);
-    if (cfg.parallel) {
-        // minFlows=1 forces the parallel path for every scan.
-        EXPECT_TRUE(net.setParallelWorkers(4, 1));
-    }
     MetricsRegistry reg;
     if (cfg.metrics) {
         reg.enable();
@@ -219,43 +214,6 @@ TEST(FluidIncremental, RandomizedEquivalenceWithFullResolve)
         const RunTrace full = replay(s, {.mode = Mode::FullResolve});
         const RunTrace inc = replay(s, {.mode = Mode::Incremental});
         expectTracesEqual(full, inc, "incremental vs full");
-    }
-}
-
-TEST(FluidIncremental, GlobalResolveMatchesWithinTolerance)
-{
-    // The legacy coupled loop reassociates floating-point sums across
-    // components, so it is equal only up to tiny relative error.
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        const Script s = makeScript(seed * 0xabcd);
-        const RunTrace inc = replay(s, {.mode = Mode::Incremental});
-        const RunTrace glob = replay(s, {.mode = Mode::GlobalResolve});
-        ASSERT_EQ(inc.completionTimes.size(),
-                  glob.completionTimes.size());
-        for (std::size_t i = 0; i < inc.completionTimes.size(); ++i)
-            EXPECT_NEAR(inc.completionTimes[i], glob.completionTimes[i],
-                        1e-6 * (1.0 + inc.completionTimes[i]));
-        ASSERT_EQ(inc.servedTotals.size(), glob.servedTotals.size());
-        for (std::size_t i = 0; i < inc.servedTotals.size(); ++i)
-            EXPECT_NEAR(inc.servedTotals[i], glob.servedTotals[i],
-                        1e-6 * (1.0 + inc.servedTotals[i]));
-    }
-}
-
-TEST(FluidIncremental, ParallelScanBitIdentity)
-{
-    EventQueue probeEq;
-    FluidNetwork probe(probeEq);
-    if (!probe.setParallelWorkers(0))
-        GTEST_SKIP() << "built without TB_PARALLEL_SOLVER";
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        const Script s = makeScript(seed * 0x51de);
-        const RunTrace serial = replay(s, {.mode = Mode::Incremental});
-        const RunTrace par =
-            replay(s, {.mode = Mode::Incremental, .parallel = true});
-        expectTracesEqual(serial, par, "parallel vs serial");
     }
 }
 
@@ -414,6 +372,109 @@ TEST(FluidIncremental, FullResolveModeStillSolvesEverything)
     EXPECT_EQ(after.fullSolves, before.fullSolves + 1);
     EXPECT_EQ(after.flowsSolved, before.flowsSolved + 2);
     EXPECT_EQ(after.componentsSolved, before.componentsSolved + 2);
+}
+
+/** Body of MutationRebasesOnlyItsComponent under solver @p mode. */
+void
+expectMutationsTouchOneComponent(Mode mode)
+{
+    constexpr std::size_t kComponents = 16;
+    EventQueue eq;
+    FluidNetwork net(eq);
+    net.setSolverMode(mode);
+    std::vector<FluidResource *> links;
+    std::vector<std::vector<FlowId>> flows(kComponents);
+    auto start = [&](std::size_t c, double size) {
+        FlowSpec spec;
+        spec.category = "x";
+        spec.size = size;
+        spec.demands = {{links[c], 1.0}};
+        flows[c].push_back(net.startFlow(std::move(spec)));
+    };
+    for (std::size_t c = 0; c < kComponents; ++c) {
+        links.push_back(net.addResource("l" + std::to_string(c), 90.0));
+        for (int k = 0; k < 3; ++k)
+            start(c, 1000.0 + 100.0 * static_cast<double>(k) +
+                         static_cast<double>(c));
+    }
+
+    // Start: the new flow and its three peers change rate (30 -> 22.5).
+    auto before = net.solverStats();
+    start(3, 5000.0);
+    auto after = net.solverStats();
+    if (mode == Mode::Incremental)
+        EXPECT_EQ(after.flowsSolved - before.flowsSolved, 4u);
+    EXPECT_EQ(after.flowsRebased - before.flowsRebased, 4u);
+    // One insert for the new flow, one re-key per rebased flow.
+    EXPECT_EQ(after.heapUpdates - before.heapUpdates, 5u);
+
+    // Cancel: one removal, the two remaining peers rebased (30 -> 45).
+    eq.run(1.0);
+    before = net.solverStats();
+    net.cancelFlow(flows[5][0]);
+    after = net.solverStats();
+    EXPECT_EQ(after.flowsRebased - before.flowsRebased, 2u);
+    EXPECT_EQ(after.heapUpdates - before.heapUpdates, 3u);
+    EXPECT_DOUBLE_EQ(net.flowRate(flows[5][1]), 45.0);
+    EXPECT_DOUBLE_EQ(net.flowRate(flows[6][1]), 30.0);
+
+    // Completion: component 5's two flows now run at 45/s, so its
+    // smaller one finishes first; only its last peer is rebased.
+    before = net.solverStats();
+    ASSERT_TRUE(eq.step());
+    after = net.solverStats();
+    EXPECT_EQ(net.numActive(), 3 * kComponents - 1);
+    EXPECT_DOUBLE_EQ(net.flowRemaining(flows[5][1]), 0.0);
+    EXPECT_DOUBLE_EQ(net.flowRate(flows[5][2]), 90.0);
+    EXPECT_EQ(after.flowsRebased - before.flowsRebased, 1u);
+    EXPECT_EQ(after.heapUpdates - before.heapUpdates, 2u);
+}
+
+TEST(FluidIncremental, MutationRebasesOnlyItsComponent)
+{
+    // K disjoint components of three flows each. A start, a cancel and
+    // a completion in one component must rebase (charge and re-anchor)
+    // and re-key only that component's flows, however many others run
+    // — in FullResolve too, whose re-solves of the clean components
+    // reproduce their rates bitwise.
+    for (Mode mode : {Mode::Incremental, Mode::FullResolve}) {
+        SCOPED_TRACE(mode == Mode::Incremental ? "incremental" : "full");
+        expectMutationsTouchOneComponent(mode);
+    }
+}
+
+TEST(FluidIncremental, FinishTieAcrossComponentsCompletesInOneEvent)
+{
+    // Flows in disjoint components that finish together — exactly, or
+    // within the completion tolerance (down to rates far below 1, whose
+    // tolerance window is long) — complete in one event, as a scan over
+    // every flow would collect them.
+    EventQueue eq;
+    FluidNetwork net(eq);
+    std::vector<Time> done;
+    auto start = [&](double capacity, double size) {
+        FluidResource *r = net.addResource(
+            "r" + std::to_string(net.resources().size()), capacity);
+        FlowSpec spec;
+        spec.category = "x";
+        spec.size = size;
+        spec.demands = {{r, 1.0}};
+        spec.onComplete = [&done](Time t) { done.push_back(t); };
+        net.startFlow(std::move(spec));
+    };
+    start(100.0, 500.0);
+    start(50.0, 250.0);
+    start(100.0, 500.0 + 1e-8);   // 1e-10 s late at rate 100
+    start(0.5, 2.5 + 1e-10);      // 2e-10 s late at rate 0.5
+    start(1e-3, 5e-3 + 5e-10);    // 5e-7 s late at rate 1e-3
+    start(100.0, 500.0 + 1e-3);   // genuinely later: its own event
+
+    eq.run();
+    ASSERT_EQ(done.size(), 6u);
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_DOUBLE_EQ(done[i], 5.0);
+    EXPECT_GT(done[5], 5.0);
+    EXPECT_EQ(eq.numExecuted(), 2u);
 }
 
 } // namespace

@@ -26,6 +26,36 @@ runThroughput(ArchPreset preset, workload::ModelId model, std::size_t n,
     return session.run(warmup, measure).throughput;
 }
 
+TEST(Session, CategoryMapsIgnoreMetricsSwitch)
+{
+    // The category maps are charged up to the window end whether or not
+    // metrics are on: turning metrics on must not move them by a bit.
+    for (ArchPreset preset : {ArchPreset::Baseline, ArchPreset::TrainBox}) {
+        SessionResult res[2];
+        for (int on = 0; on < 2; ++on) {
+            ServerConfig cfg;
+            cfg.preset = preset;
+            cfg.model = workload::ModelId::Resnet50;
+            cfg.numAccelerators = 32;
+            cfg.metricsEnabled = on == 1;
+            auto server = buildServer(cfg);
+            TrainingSession session(*server);
+            res[on] = session.run(4, 8);
+        }
+        EXPECT_FALSE(res[0].cpuCoresByCategory.empty());
+        EXPECT_EQ(res[0].cpuCoresByCategory, res[1].cpuCoresByCategory);
+        EXPECT_EQ(res[0].memBwByCategory, res[1].memBwByCategory);
+        EXPECT_EQ(res[0].rcBwByCategory, res[1].rcBwByCategory);
+        EXPECT_EQ(res[0].throughput, res[1].throughput);
+        // Baseline saturates the 48 host cores for the whole window, so
+        // maps charged up to the window end sum to the full pool.
+        if (preset == ArchPreset::Baseline)
+            EXPECT_NEAR(
+                SessionReport::sumCategories(res[0].cpuCoresByCategory),
+                48.0, 1e-9);
+    }
+}
+
 TEST(Session, BaselineIsCpuBound)
 {
     // 48 cores / 1.572 ms per sample = ~30.5k samples/s regardless of

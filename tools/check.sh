@@ -45,14 +45,12 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "$@"
 # Run instrumented so the envelope/validator code is sanitizer-checked.
 "$build_dir/bench/integrity_sweep" --smoke
 
-# Simulator perf smoke: runs the incremental solver + parallel scan +
-# event-queue batching under the sanitizer (the bit-identity assert and
-# the solver hot path get instrumented coverage). The speedup floor is
-# relaxed to 3x — sanitizer instrumentation skews relative costs — and
-# the committed-baseline ratio gate is left to the uninstrumented CI
-# job (docs/PERFORMANCE.md).
-"$build_dir/bench/sim_perf" --smoke --min-speedup 3 \
-    --out "$build_dir/BENCH_sim_perf.json"
+# Simulator perf smoke: runs the incremental solver + event-queue
+# batching under the sanitizer (the bit-identity assert and the solver
+# hot path get instrumented coverage). The committed-baseline ratio gate
+# is left to the uninstrumented CI job — sanitizer instrumentation skews
+# relative costs (docs/PERFORMANCE.md).
+"$build_dir/bench/sim_perf" --smoke --out "$build_dir/BENCH_sim_perf.json"
 
 # Chaos smoke: randomized fault+elastic schedules against the global
 # invariants (sample conservation, corruption accounting, liveness,
