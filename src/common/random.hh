@@ -14,6 +14,19 @@
 namespace tb {
 
 /**
+ * splitmix64 finalizer: a bijective 64-bit mix. Derives unrelated
+ * stream seeds from one seed (`mix64(seed ^ tag)`) and decorrelates
+ * adjacent indices.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
  * xoshiro256** generator. Small, fast, and good enough for workload
  * synthesis and augmentation randomness. Satisfies the C++
  * UniformRandomBitGenerator requirements.

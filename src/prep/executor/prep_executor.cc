@@ -17,15 +17,6 @@ nowSeconds()
         .count();
 }
 
-/** splitmix64 finalizer: decorrelates consecutive item indices. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 } // namespace
 
 PrepExecutor::PrepExecutor(ExecutorConfig cfg)

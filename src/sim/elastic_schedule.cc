@@ -1,7 +1,6 @@
 #include "sim/elastic_schedule.hh"
 
-#include <algorithm>
-#include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -9,23 +8,60 @@ namespace tb {
 
 namespace {
 
-/** splitmix64 finalizer — derives unrelated streams from one seed. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-/** Per-class stream tags (keep stable: they define the timelines). */
+/** Stream tag base (keep stable: it defines the timelines). */
 constexpr std::uint64_t kElasticStream = 0x454c415354ull;
 
-std::uint64_t
-classStreamTag(ElasticTargetKind target, bool planned)
+/**
+ * The scenario's live leave classes. A class's kind indexes the four
+ * leave classes in declaration order — group drain, group preempt, prep
+ * drain, prep preempt — so kind / 2 is its ElasticTargetKind, an even
+ * kind is a planned drain, and kElasticStream + kind is its stream tag.
+ */
+std::vector<WindowClass>
+windowClasses(const ElasticityConfig &cfg, const ElasticTargets &targets)
 {
-    return kElasticStream + 2 * static_cast<std::uint64_t>(target) +
-           (planned ? 0 : 1);
+    const ElasticClassConfig *leaves[] = {&cfg.groupDrain, &cfg.groupPreempt,
+                                          &cfg.prepDrain, &cfg.prepPreempt};
+    std::vector<WindowClass> classes;
+    for (int k = 0; k < static_cast<int>(std::size(leaves)); ++k) {
+        if (leaves[k]->ratePerSec <= 0.0 || targets.numGroups == 0)
+            continue;
+        // A leave window runs from the leave to the paired join: the
+        // grace window of a planned drain, then the absence.
+        const bool planned = k % 2 == 0;
+        classes.push_back({k, kElasticStream + static_cast<std::uint64_t>(k),
+                           leaves[k]->ratePerSec, targets.numGroups,
+                           planned ? cfg.graceWindow : 0.0,
+                           leaves[k]->absence});
+    }
+    return classes;
+}
+
+/** A leave window's leave and its paired join. */
+std::pair<ElasticEvent, ElasticEvent>
+toEvents(const Window &w)
+{
+    const auto target = static_cast<ElasticTargetKind>(w.kind / 2);
+    const ElasticAction leave =
+        w.kind % 2 == 0 ? ElasticAction::Drain : ElasticAction::Preempt;
+    return {{target, leave, w.target, w.start},
+            {target, ElasticAction::Join, w.target, w.end}};
+}
+
+/** Scale-up joins + explicit schedule (non-random event sources). */
+std::vector<ElasticEvent>
+fixedEvents(const ElasticityConfig &cfg, const ElasticTargets &targets)
+{
+    std::vector<ElasticEvent> events = cfg.schedule;
+    // Scale-up: the deferred groups (end of the group list) join at
+    // scaleUpTime. Their initial detachment is session state, not an
+    // event.
+    for (std::size_t i = 0; i < cfg.deferredJoinGroups &&
+                            i < targets.numGroups;
+         ++i)
+        events.push_back({ElasticTargetKind::Group, ElasticAction::Join,
+                          targets.numGroups - 1 - i, cfg.scaleUpTime});
+    return events;
 }
 
 } // namespace
@@ -58,7 +94,8 @@ elasticActionName(ElasticAction action)
 
 ElasticScheduler::ElasticScheduler(const ElasticityConfig &cfg,
                                    const ElasticTargets &targets)
-    : cfg_(cfg), targets_(targets), classes_(makeClasses(cfg, targets))
+    : cfg_(cfg), targets_(targets),
+      windows_(cfg.seed, windowClasses(cfg, targets))
 {
     panic_if(cfg_.graceWindow < 0.0,
              "elasticity.graceWindow must be >= 0, got %g",
@@ -73,74 +110,6 @@ ElasticScheduler::ElasticScheduler(const ElasticityConfig &cfg,
              cfg_.deferredJoinGroups, targets.numGroups);
 }
 
-std::vector<ElasticScheduler::ClassState>
-ElasticScheduler::makeClasses(const ElasticityConfig &cfg,
-                              const ElasticTargets &targets)
-{
-    std::vector<ClassState> classes;
-    auto add = [&](ElasticTargetKind target, bool planned,
-                   const ElasticClassConfig &cc) {
-        if (cc.ratePerSec <= 0.0 || targets.numGroups == 0)
-            return;
-        ClassState cs{target,
-                      planned,
-                      cc,
-                      targets.numGroups,
-                      planned ? cfg.graceWindow : 0.0,
-                      Rng(mix64(cfg.seed ^ classStreamTag(target, planned))),
-                      0.0};
-        classes.push_back(std::move(cs));
-    };
-    add(ElasticTargetKind::Group, /*planned=*/true, cfg.groupDrain);
-    add(ElasticTargetKind::Group, /*planned=*/false, cfg.groupPreempt);
-    add(ElasticTargetKind::Prep, /*planned=*/true, cfg.prepDrain);
-    add(ElasticTargetKind::Prep, /*planned=*/false, cfg.prepPreempt);
-    return classes;
-}
-
-std::pair<ElasticEvent, ElasticEvent>
-ElasticScheduler::nextPair(ClassState &cs)
-{
-    // Exponential inter-arrival measured from the previous join, so one
-    // class never re-targets a member it has not yet returned.
-    const double u = cs.rng.uniform();
-    const Time gap = -std::log(1.0 - u) / cs.cfg.ratePerSec;
-    ElasticEvent leave;
-    leave.target = cs.target;
-    leave.action =
-        cs.planned ? ElasticAction::Drain : ElasticAction::Preempt;
-    leave.index = static_cast<std::size_t>(cs.rng.uniformInt(
-        0, static_cast<std::int64_t>(cs.numTargets) - 1));
-    leave.at = cs.prevEnd + gap;
-
-    ElasticEvent join = leave;
-    join.action = ElasticAction::Join;
-    join.at = leave.at + cs.grace + cs.cfg.absence;
-    cs.prevEnd = join.at;
-    return {leave, join};
-}
-
-std::vector<ElasticEvent>
-ElasticScheduler::fixedEvents(const ElasticityConfig &cfg,
-                              const ElasticTargets &targets)
-{
-    std::vector<ElasticEvent> events = cfg.schedule;
-    // Scale-up: the deferred groups (end of the group list) join at
-    // scaleUpTime. Their initial detachment is session state, not an
-    // event.
-    for (std::size_t i = 0; i < cfg.deferredJoinGroups &&
-                            i < targets.numGroups;
-         ++i) {
-        ElasticEvent ev;
-        ev.target = ElasticTargetKind::Group;
-        ev.action = ElasticAction::Join;
-        ev.index = targets.numGroups - 1 - i;
-        ev.at = cfg.scaleUpTime;
-        events.push_back(ev);
-    }
-    return events;
-}
-
 void
 ElasticScheduler::deliver(const ElasticEvent &ev)
 {
@@ -150,30 +119,20 @@ ElasticScheduler::deliver(const ElasticEvent &ev)
 }
 
 void
-ElasticScheduler::scheduleClass(EventQueue &eq, std::size_t idx)
-{
-    ClassState &cs = classes_[idx];
-    const auto [leave, join] = nextPair(cs);
-    eq.schedule(origin_ + leave.at, [this, &eq, idx, leave, join] {
-        deliver(leave);
-        eq.schedule(origin_ + join.at, [this, join] { deliver(join); });
-        // Chain the class's next pair (drawn lazily so the timeline
-        // extends as far as the simulation runs).
-        scheduleClass(eq, idx);
-    });
-}
-
-void
 ElasticScheduler::arm(EventQueue &eq, Handler handler)
 {
     handler_ = std::move(handler);
     // Anchor the job-relative schedule at the current clock (0 for the
     // historical standalone run, so x + 0.0 leaves every time exact).
-    origin_ = eq.now();
+    const Time origin = eq.now();
     for (const ElasticEvent &ev : fixedEvents(cfg_, targets_))
-        eq.schedule(origin_ + ev.at, [this, ev] { deliver(ev); });
-    for (std::size_t i = 0; i < classes_.size(); ++i)
-        scheduleClass(eq, i);
+        eq.schedule(origin + ev.at, [this, ev] { deliver(ev); });
+    windows_.arm(eq, [this, &eq](const Window &w) {
+        const auto [leave, join] = toEvents(w);
+        deliver(leave);
+        eq.schedule(windows_.origin() + join.at,
+                    [this, join] { deliver(join); });
+    });
 }
 
 std::vector<ElasticEvent>
@@ -184,23 +143,14 @@ ElasticScheduler::schedule(const ElasticityConfig &cfg,
     for (const ElasticEvent &ev : fixedEvents(cfg, targets))
         if (ev.at < horizon)
             events.push_back(ev);
-    for (ClassState &cs : makeClasses(cfg, targets)) {
-        while (true) {
-            const auto [leave, join] = nextPair(cs);
-            if (leave.at >= horizon)
-                break;
-            events.push_back(leave);
-            if (join.at < horizon)
-                events.push_back(join);
-        }
+    WindowStream windows(cfg.seed, windowClasses(cfg, targets));
+    for (const Window &w : windows.windowsBefore(horizon)) {
+        const auto [leave, join] = toEvents(w);
+        events.push_back(leave);
+        if (join.at < horizon)
+            events.push_back(join);
     }
-    // Merge into global time order (stable for identical timestamps:
-    // fixed events first, then class declaration order).
-    std::stable_sort(events.begin(), events.end(),
-                     [](const ElasticEvent &a, const ElasticEvent &b) {
-                         return a.at < b.at;
-                     });
-    return events;
+    return sortedByTime(std::move(events), &ElasticEvent::at);
 }
 
 } // namespace tb

@@ -38,8 +38,8 @@
 #include <functional>
 #include <vector>
 
-#include "common/random.hh"
 #include "sim/event_queue.hh"
+#include "sim/window_stream.hh"
 
 namespace tb {
 
@@ -179,6 +179,13 @@ class ElasticScheduler
     void arm(EventQueue &eq, Handler handler);
 
     /**
+     * Stop drawing leaves: cancel each class's pending leave. Joins and
+     * explicit events already scheduled still fire. Safe from inside
+     * the handler.
+     */
+    void disarm() { windows_.disarm(); }
+
+    /**
      * Deterministically enumerate the events in [0, horizon) without
      * an event queue — what arm() will play, in time order.
      */
@@ -190,41 +197,13 @@ class ElasticScheduler
     std::size_t eventsDelivered() const { return delivered_; }
 
   private:
-    /** Lazy per-class leave/join pair generator state. */
-    struct ClassState
-    {
-        ElasticTargetKind target;
-        bool planned = false; ///< Drain (with grace) vs Preempt
-        ElasticClassConfig cfg;
-        std::size_t numTargets = 0;
-        Time grace = 0.0;
-        Rng rng;
-        Time prevEnd = 0.0;
-    };
-
-    static std::vector<ClassState>
-    makeClasses(const ElasticityConfig &cfg,
-                const ElasticTargets &targets);
-
-    /** Draw the class's next leave + paired join. */
-    static std::pair<ElasticEvent, ElasticEvent>
-    nextPair(ClassState &cs);
-
-    /** Scale-up joins + explicit schedule (non-random event sources). */
-    static std::vector<ElasticEvent>
-    fixedEvents(const ElasticityConfig &cfg,
-                const ElasticTargets &targets);
-
-    void scheduleClass(EventQueue &eq, std::size_t idx);
     void deliver(const ElasticEvent &ev);
 
     ElasticityConfig cfg_;
     ElasticTargets targets_;
-    std::vector<ClassState> classes_;
+    WindowStream windows_;
     Handler handler_;
     std::size_t delivered_ = 0;
-    /** Clock at arm(): schedules are job-relative, the queue absolute. */
-    Time origin_ = 0.0;
 };
 
 } // namespace tb

@@ -1,22 +1,12 @@
 #include "sim/fault_injector.hh"
 
-#include <algorithm>
-#include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace tb {
 
 namespace {
-
-/** splitmix64 finalizer — derives unrelated streams from one seed. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 /** Per-class stream tags (keep stable: they define the schedules). */
 constexpr std::uint64_t kReadFailStream = 0x5245414446ull;
@@ -33,6 +23,61 @@ std::uint64_t
 classStreamTag(FaultKind kind)
 {
     return 0x57494e444f57ull + static_cast<std::uint64_t>(kind);
+}
+
+/**
+ * The scenario's parameters for one windowed class. Fatal crashes are
+ * point events: the configured duration and magnitude are ignored
+ * (forced to 0) so arrivals stay a Poisson process with MTBF = 1/rate
+ * regardless of what the scenario struct says.
+ */
+FaultClassConfig
+classConfig(const FaultConfig &cfg, FaultKind kind)
+{
+    switch (kind) {
+      case FaultKind::SsdDegrade:
+        return cfg.ssdDegrade;
+      case FaultKind::PrepCrash:
+        return cfg.prepCrash;
+      case FaultKind::EthDegrade:
+        return cfg.ethDegrade;
+      case FaultKind::RouteLoss:
+        return cfg.routeLoss;
+      case FaultKind::FatalCrash:
+        return {cfg.fatalCrash.ratePerSec, 0.0, 0.0};
+    }
+    return {};
+}
+
+/** The scenario's live windowed classes, in FaultKind order. */
+std::vector<WindowClass>
+windowClasses(const FaultConfig &cfg, const FaultTargets &targets)
+{
+    const std::pair<FaultKind, std::size_t> kinds[] = {
+        {FaultKind::SsdDegrade, targets.numSsds},
+        {FaultKind::PrepCrash, targets.numGroups},
+        {FaultKind::EthDegrade, 1},
+        {FaultKind::RouteLoss, targets.numGroups},
+        {FaultKind::FatalCrash, 1},
+    };
+    std::vector<WindowClass> classes;
+    for (const auto &[kind, n] : kinds) {
+        const FaultClassConfig cc = classConfig(cfg, kind);
+        const bool point = kind == FaultKind::FatalCrash;
+        if (cc.ratePerSec <= 0.0 || (!point && cc.duration <= 0.0) || n == 0)
+            continue;
+        classes.push_back({static_cast<int>(kind), classStreamTag(kind),
+                           cc.ratePerSec, n, 0.0, cc.duration});
+    }
+    return classes;
+}
+
+FaultEvent
+toEvent(const FaultConfig &cfg, const Window &w)
+{
+    const auto kind = static_cast<FaultKind>(w.kind);
+    const FaultClassConfig cc = classConfig(cfg, kind);
+    return {kind, w.target, w.start, cc.duration, cc.magnitude};
 }
 
 } // namespace
@@ -74,9 +119,8 @@ corruptionKindName(CorruptionKind kind)
 FaultInjector::FaultInjector(const FaultConfig &cfg,
                              const FaultTargets &targets)
     : cfg_(cfg),
-      targets_(targets),
       readFailRng_(mix64(cfg.seed ^ kReadFailStream)),
-      classes_(makeClasses(cfg, targets))
+      windows_(cfg.seed, windowClasses(cfg, targets))
 {
     panic_if(cfg_.ssdReadFailureProb < 0.0 ||
                  cfg_.ssdReadFailureProb >= 1.0,
@@ -95,56 +139,6 @@ FaultInjector::FaultInjector(const FaultConfig &cfg,
     panic_if(cfg_.corruption.pcieReplayLatency < 0.0,
              "pcieReplayLatency must be >= 0, got %g",
              cfg_.corruption.pcieReplayLatency);
-}
-
-std::vector<FaultInjector::ClassState>
-FaultInjector::makeClasses(const FaultConfig &cfg,
-                           const FaultTargets &targets)
-{
-    std::vector<ClassState> classes;
-    auto add = [&](FaultKind kind, const FaultClassConfig &cc,
-                   std::size_t n_targets) {
-        if (cc.ratePerSec <= 0.0 || cc.duration <= 0.0 || n_targets == 0)
-            return;
-        ClassState cs{kind, cc, n_targets,
-                      Rng(mix64(cfg.seed ^ classStreamTag(kind))), 0.0};
-        classes.push_back(std::move(cs));
-    };
-    add(FaultKind::SsdDegrade, cfg.ssdDegrade, targets.numSsds);
-    add(FaultKind::PrepCrash, cfg.prepCrash, targets.numGroups);
-    add(FaultKind::EthDegrade, cfg.ethDegrade, 1);
-    add(FaultKind::RouteLoss, cfg.routeLoss, targets.numGroups);
-    // Fatal crashes are point events: the configured duration is
-    // ignored (forced to 0) so arrivals stay a Poisson process with
-    // MTBF = 1/rate regardless of what the scenario struct says.
-    if (cfg.fatalCrash.ratePerSec > 0.0) {
-        FaultClassConfig fatal = cfg.fatalCrash;
-        fatal.duration = 0.0;
-        fatal.magnitude = 0.0;
-        classes.push_back(ClassState{
-            FaultKind::FatalCrash, fatal, 1,
-            Rng(mix64(cfg.seed ^ classStreamTag(FaultKind::FatalCrash))),
-            0.0});
-    }
-    return classes;
-}
-
-FaultEvent
-FaultInjector::nextEvent(ClassState &cs)
-{
-    // Exponential inter-arrival measured from the end of the previous
-    // window, so windows of one class never overlap.
-    const double u = cs.rng.uniform();
-    const Time gap = -std::log(1.0 - u) / cs.cfg.ratePerSec;
-    FaultEvent ev;
-    ev.kind = cs.kind;
-    ev.target = static_cast<std::size_t>(cs.rng.uniformInt(
-        0, static_cast<std::int64_t>(cs.numTargets) - 1));
-    ev.start = cs.prevEnd + gap;
-    ev.duration = cs.cfg.duration;
-    ev.magnitude = cs.cfg.magnitude;
-    cs.prevEnd = ev.start + ev.duration;
-    return ev;
 }
 
 bool
@@ -194,35 +188,21 @@ FaultInjector::stragglerFactor(std::size_t group, std::size_t step) const
 }
 
 void
-FaultInjector::scheduleClass(EventQueue &eq, std::size_t idx)
-{
-    ClassState &cs = classes_[idx];
-    const FaultEvent ev = nextEvent(cs);
-    eq.schedule(origin_ + ev.start, [this, &eq, idx, ev] {
-        ++faultsInjected_;
-        if (onFault_)
-            onFault_(ev);
-        eq.schedule(origin_ + ev.start + ev.duration, [this, ev] {
-            if (onRepair_)
-                onRepair_(ev);
-        });
-        // Chain the class's next window (drawn lazily so the schedule
-        // extends as far as the simulation runs).
-        scheduleClass(eq, idx);
-    });
-}
-
-void
 FaultInjector::arm(EventQueue &eq, FaultHandler onFault,
                    FaultHandler onRepair)
 {
     onFault_ = std::move(onFault);
     onRepair_ = std::move(onRepair);
-    // Anchor the job-relative schedule at the current clock (0 for the
-    // historical standalone run, so x + 0.0 leaves every time exact).
-    origin_ = eq.now();
-    for (std::size_t i = 0; i < classes_.size(); ++i)
-        scheduleClass(eq, i);
+    windows_.arm(eq, [this, &eq](const Window &w) {
+        const FaultEvent ev = toEvent(cfg_, w);
+        ++faultsInjected_;
+        if (onFault_)
+            onFault_(ev);
+        eq.schedule(windows_.origin() + ev.start + ev.duration, [this, ev] {
+            if (onRepair_)
+                onRepair_(ev);
+        });
+    });
 }
 
 std::vector<FaultEvent>
@@ -230,21 +210,10 @@ FaultInjector::schedule(const FaultConfig &cfg, const FaultTargets &targets,
                         Time horizon)
 {
     std::vector<FaultEvent> events;
-    for (ClassState &cs : makeClasses(cfg, targets)) {
-        while (true) {
-            const FaultEvent ev = nextEvent(cs);
-            if (ev.start >= horizon)
-                break;
-            events.push_back(ev);
-        }
-    }
-    // Merge the per-class streams into global time order (stable for
-    // identical timestamps: class declaration order).
-    std::stable_sort(events.begin(), events.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
-                         return a.start < b.start;
-                     });
-    return events;
+    WindowStream windows(cfg.seed, windowClasses(cfg, targets));
+    for (const Window &w : windows.windowsBefore(horizon))
+        events.push_back(toEvent(cfg, w));
+    return sortedByTime(std::move(events), &FaultEvent::start);
 }
 
 // --- fleet-level faults -------------------------------------------------
@@ -283,43 +252,37 @@ FleetFaultInjector::schedule(const FleetFaultConfig &cfg,
     // Scripted windows first: they sort ahead of same-instant seeded
     // windows, so a hand-written scenario always plays as written.
     events = cfg.schedule;
-    // Seeded streams: exponential inter-arrival from the previous
-    // window's *end* (per-class windows never overlap), aggregate rate
+    // Seeded streams, indexed by FleetFaultKind: aggregate rate
     // numTargets / mtbf, uniform victim. Bounded by the horizon — fleet
     // validation requires horizon > 0 when any class is active.
-    auto addClass = [&](FleetFaultKind kind, const FleetFaultClassConfig &cc,
-                        std::size_t n_targets, std::size_t units) {
-        if (cc.mtbf <= 0.0 || n_targets == 0 || horizon <= 0.0)
-            return;
-        Rng rng(mix64(cfg.seed ^ fleetClassStreamTag(kind)));
-        const double rate = static_cast<double>(n_targets) / cc.mtbf;
-        Time prev_end = 0.0;
-        while (true) {
-            const double u = rng.uniform();
-            const Time start = prev_end - std::log(1.0 - u) / rate;
-            if (start >= horizon)
-                break;
-            FleetFaultEvent ev;
-            ev.kind = kind;
-            ev.host = static_cast<std::size_t>(rng.uniformInt(
-                0, static_cast<std::int64_t>(n_targets) - 1));
-            ev.start = start;
-            ev.duration = cc.mttr;
-            ev.units = units;
-            prev_end = ev.start + ev.duration;
-            events.push_back(ev);
-        }
+    struct FleetClass
+    {
+        const FleetFaultClassConfig &cc;
+        std::size_t numTargets;
+        std::size_t units;
     };
-    addClass(FleetFaultKind::HostOutage, cfg.hostOutage, numHosts, 1);
-    addClass(FleetFaultKind::BoxLoss, cfg.boxLoss, numHosts,
-             cfg.boxLossUnits);
-    addClass(FleetFaultKind::PoolPartition, cfg.poolPartition, 1,
-             cfg.poolPartitionFpgas);
-    std::stable_sort(events.begin(), events.end(),
-                     [](const FleetFaultEvent &a, const FleetFaultEvent &b) {
-                         return a.start < b.start;
-                     });
-    return events;
+    const FleetClass table[] = {
+        {cfg.hostOutage, numHosts, 1},
+        {cfg.boxLoss, numHosts, cfg.boxLossUnits},
+        {cfg.poolPartition, 1, cfg.poolPartitionFpgas},
+    };
+    std::vector<WindowClass> classes;
+    for (int k = 0; k < static_cast<int>(std::size(table)); ++k) {
+        const FleetClass &fc = table[k];
+        if (fc.cc.mtbf <= 0.0 || fc.numTargets == 0)
+            continue;
+        classes.push_back(
+            {k, fleetClassStreamTag(static_cast<FleetFaultKind>(k)),
+             static_cast<double>(fc.numTargets) / fc.cc.mtbf, fc.numTargets,
+             0.0, fc.cc.mttr});
+    }
+    WindowStream windows(cfg.seed, classes);
+    for (const Window &w : windows.windowsBefore(horizon)) {
+        const FleetClass &fc = table[w.kind];
+        events.push_back({static_cast<FleetFaultKind>(w.kind), w.target,
+                          w.start, fc.cc.mttr, fc.units});
+    }
+    return sortedByTime(std::move(events), &FleetFaultEvent::start);
 }
 
 FleetFaultInjector::FleetFaultInjector(const FleetFaultConfig &cfg,

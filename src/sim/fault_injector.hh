@@ -19,7 +19,8 @@
  *  - **windowed faults** (SSD latency spike, prep-FPGA crash, Ethernet
  *    degradation, loss of a switch-local P2P route) generated as
  *    non-overlapping (per class) windows with exponential inter-arrival
- *    times and played onto the EventQueue by arm().
+ *    times by the shared WindowStream (sim/window_stream.hh) and played
+ *    onto the EventQueue by arm().
  *
  * Recovery *policy* knobs (retry budgets, backoff, failover switches)
  * also live in FaultConfig so a whole scenario is one struct; the
@@ -37,6 +38,7 @@
 
 #include "common/random.hh"
 #include "sim/event_queue.hh"
+#include "sim/window_stream.hh"
 
 namespace tb {
 
@@ -296,6 +298,12 @@ class FaultInjector
     void arm(EventQueue &eq, FaultHandler onFault, FaultHandler onRepair);
 
     /**
+     * Stop drawing windows: cancel each class's pending fault. Repairs
+     * of windows already open still fire. Safe from inside @p onFault.
+     */
+    void disarm() { windows_.disarm(); }
+
+    /**
      * Deterministically enumerate the windowed events in [0, horizon)
      * for a scenario, without an event queue — what arm() will play.
      */
@@ -310,34 +318,13 @@ class FaultInjector
     std::size_t readFailuresInjected() const { return readFailures_; }
 
   private:
-    /** Lazy per-class arrival generator state. */
-    struct ClassState
-    {
-        FaultKind kind;
-        FaultClassConfig cfg;
-        std::size_t numTargets = 0;
-        Rng rng;
-        Time prevEnd = 0.0;
-    };
-
-    static std::vector<ClassState> makeClasses(const FaultConfig &cfg,
-                                               const FaultTargets &targets);
-
-    /** Draw the class's next window (start measured from prevEnd). */
-    static FaultEvent nextEvent(ClassState &cs);
-
-    void scheduleClass(EventQueue &eq, std::size_t idx);
-
     FaultConfig cfg_;
-    FaultTargets targets_;
     Rng readFailRng_;
     std::array<Rng, kNumCorruptionKinds> corruptionRngs_;
     std::array<std::size_t, kNumCorruptionKinds> corruptions_{};
-    std::vector<ClassState> classes_;
+    WindowStream windows_;
     FaultHandler onFault_;
     FaultHandler onRepair_;
-    /** Clock at arm(): schedules are job-relative, the queue absolute. */
-    Time origin_ = 0.0;
     std::size_t faultsInjected_ = 0;
     std::size_t readFailures_ = 0;
 };

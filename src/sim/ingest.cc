@@ -9,26 +9,64 @@ namespace tb {
 
 namespace {
 
-/** splitmix64 finalizer — derives unrelated streams from one seed. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** Per-class stream tags (keep stable: they define the traces). */
 constexpr std::uint64_t kIngestStream = 0x494e474553ull;
 constexpr std::uint64_t kWriteFailStream = 0x494e475746ull;
 
-std::uint64_t
-classStreamTag(IngestTrafficKind kind)
+constexpr double kTwoPi = 6.283185307179586476925286766559;
+
+/** The scenario's config for one traffic class. */
+const IngestClassConfig &
+classConfig(const IngestConfig &cfg, IngestTrafficKind kind)
 {
-    return kIngestStream + static_cast<std::uint64_t>(kind);
+    switch (kind) {
+      case IngestTrafficKind::Steady:
+        return cfg.steady;
+      case IngestTrafficKind::Diurnal:
+        return cfg.diurnal;
+      case IngestTrafficKind::Burst:
+        return cfg.burst;
+    }
+    return cfg.burst;
 }
 
-constexpr double kTwoPi = 6.283185307179586476925286766559;
+/**
+ * The scenario's live traffic classes, in IngestTrafficKind order. An
+ * arrival is a zero-length window with no victim; the event rate is
+ * ratePerSec / samplesPerEvent, so the class delivers its mean sample
+ * rate in batch-sized lumps.
+ */
+std::vector<WindowClass>
+windowClasses(const IngestConfig &cfg)
+{
+    std::vector<WindowClass> classes;
+    for (const IngestTrafficKind kind :
+         {IngestTrafficKind::Steady, IngestTrafficKind::Diurnal,
+          IngestTrafficKind::Burst}) {
+        const IngestClassConfig &cc = classConfig(cfg, kind);
+        if (cc.ratePerSec <= 0.0 || cc.samplesPerEvent <= 0.0)
+            continue;
+        const auto k = static_cast<int>(kind);
+        classes.push_back({k, kIngestStream + static_cast<std::uint64_t>(k),
+                           cc.ratePerSec / cc.samplesPerEvent});
+    }
+    return classes;
+}
+
+IngestArrival
+toArrival(const IngestConfig &cfg, const Window &w)
+{
+    const auto kind = static_cast<IngestTrafficKind>(w.kind);
+    const IngestClassConfig &cc = classConfig(cfg, kind);
+    // Diurnal traffic modulates the batch *volume* at a fixed event
+    // rate: rate(t) = mean * (1 + A sin(2*pi*t/period)), clamped at 0.
+    double scale = 1.0;
+    if (kind == IngestTrafficKind::Diurnal && cfg.diurnalAmplitude > 0.0)
+        scale = std::max(0.0, 1.0 + cfg.diurnalAmplitude *
+                                        std::sin(kTwoPi * w.start /
+                                                 cfg.diurnalPeriod));
+    return {kind, cc.samplesPerEvent * scale, cc.priority, w.start};
+}
 
 } // namespace
 
@@ -63,7 +101,7 @@ ingestPolicyName(IngestPolicy policy)
 }
 
 IngestScheduler::IngestScheduler(const IngestConfig &cfg)
-    : cfg_(cfg), classes_(makeClasses(cfg)),
+    : cfg_(cfg), windows_(cfg.seed, windowClasses(cfg)),
       writeFailRng_(mix64(cfg.seed ^ kWriteFailStream))
 {
     panic_if(cfg_.bufferCapacity < 0.0,
@@ -72,53 +110,6 @@ IngestScheduler::IngestScheduler(const IngestConfig &cfg)
     panic_if(cfg_.diurnalPeriod <= 0.0 && cfg_.diurnal.ratePerSec > 0.0,
              "ingest.diurnalPeriod must be > 0, got %g",
              cfg_.diurnalPeriod);
-}
-
-std::vector<IngestScheduler::ClassState>
-IngestScheduler::makeClasses(const IngestConfig &cfg)
-{
-    std::vector<ClassState> classes;
-    auto add = [&](IngestTrafficKind kind, const IngestClassConfig &cc,
-                   double amplitude, Time period) {
-        if (cc.ratePerSec <= 0.0 || cc.samplesPerEvent <= 0.0)
-            return;
-        ClassState cs{kind,
-                      cc,
-                      amplitude,
-                      period,
-                      Rng(mix64(cfg.seed ^ classStreamTag(kind))),
-                      0.0};
-        classes.push_back(std::move(cs));
-    };
-    add(IngestTrafficKind::Steady, cfg.steady, 0.0, 1.0);
-    add(IngestTrafficKind::Diurnal, cfg.diurnal, cfg.diurnalAmplitude,
-        cfg.diurnalPeriod);
-    add(IngestTrafficKind::Burst, cfg.burst, 0.0, 1.0);
-    return classes;
-}
-
-IngestArrival
-IngestScheduler::nextArrival(ClassState &cs)
-{
-    // Exponential inter-event gap at the class's event rate, so the
-    // class delivers its mean sample rate in batch-sized lumps.
-    const double event_rate = cs.cfg.ratePerSec / cs.cfg.samplesPerEvent;
-    const double u = cs.rng.uniform();
-    const Time gap = -std::log(1.0 - u) / event_rate;
-
-    IngestArrival ev;
-    ev.kind = cs.kind;
-    ev.priority = cs.cfg.priority;
-    ev.at = cs.prevAt + gap;
-    // Diurnal traffic modulates the batch *volume* at a fixed event
-    // rate: rate(t) = mean * (1 + A sin(2*pi*t/period)), clamped at 0.
-    double scale = 1.0;
-    if (cs.amplitude > 0.0)
-        scale = std::max(
-            0.0, 1.0 + cs.amplitude * std::sin(kTwoPi * ev.at / cs.period));
-    ev.samples = cs.cfg.samplesPerEvent * scale;
-    cs.prevAt = ev.at;
-    return ev;
 }
 
 void
@@ -130,29 +121,16 @@ IngestScheduler::deliver(const IngestArrival &ev)
 }
 
 void
-IngestScheduler::scheduleClass(EventQueue &eq, std::size_t idx)
-{
-    ClassState &cs = classes_[idx];
-    const IngestArrival ev = nextArrival(cs);
-    eq.schedule(origin_ + ev.at, [this, &eq, idx, ev] {
-        deliver(ev);
-        // Chain the class's next arrival (drawn lazily so the trace
-        // extends as far as the simulation runs).
-        scheduleClass(eq, idx);
-    });
-}
-
-void
 IngestScheduler::arm(EventQueue &eq, Handler handler)
 {
     handler_ = std::move(handler);
     // Anchor the job-relative schedule at the current clock (0 for the
     // historical standalone run, so x + 0.0 leaves every time exact).
-    origin_ = eq.now();
+    const Time origin = eq.now();
     for (const IngestArrival &ev : cfg_.schedule)
-        eq.schedule(origin_ + ev.at, [this, ev] { deliver(ev); });
-    for (std::size_t i = 0; i < classes_.size(); ++i)
-        scheduleClass(eq, i);
+        eq.schedule(origin + ev.at, [this, ev] { deliver(ev); });
+    windows_.arm(eq,
+                 [this](const Window &w) { deliver(toArrival(cfg_, w)); });
 }
 
 bool
@@ -170,21 +148,10 @@ IngestScheduler::schedule(const IngestConfig &cfg, Time horizon)
     for (const IngestArrival &ev : cfg.schedule)
         if (ev.at < horizon)
             events.push_back(ev);
-    for (ClassState &cs : makeClasses(cfg)) {
-        while (true) {
-            const IngestArrival ev = nextArrival(cs);
-            if (ev.at >= horizon)
-                break;
-            events.push_back(ev);
-        }
-    }
-    // Merge into global time order (stable for identical timestamps:
-    // explicit schedule first, then class declaration order).
-    std::stable_sort(events.begin(), events.end(),
-                     [](const IngestArrival &a, const IngestArrival &b) {
-                         return a.at < b.at;
-                     });
-    return events;
+    WindowStream windows(cfg.seed, windowClasses(cfg));
+    for (const Window &w : windows.windowsBefore(horizon))
+        events.push_back(toArrival(cfg, w));
+    return sortedByTime(std::move(events), &IngestArrival::at);
 }
 
 } // namespace tb

@@ -33,6 +33,7 @@
 
 #include "common/random.hh"
 #include "sim/event_queue.hh"
+#include "sim/window_stream.hh"
 
 namespace tb {
 
@@ -213,6 +214,13 @@ class IngestScheduler
     void arm(EventQueue &eq, Handler handler);
 
     /**
+     * Stop drawing arrivals: cancel each class's pending arrival.
+     * Explicit arrivals already scheduled still fire. Safe from inside
+     * the handler.
+     */
+    void disarm() { windows_.disarm(); }
+
+    /**
      * Deterministically enumerate the arrivals in [0, horizon) without
      * an event queue — what arm() will play, in time order.
      */
@@ -226,32 +234,13 @@ class IngestScheduler
     bool writeAttemptFails();
 
   private:
-    /** Lazy per-class arrival generator state. */
-    struct ClassState
-    {
-        IngestTrafficKind kind;
-        IngestClassConfig cfg;
-        double amplitude = 0.0;
-        Time period = 1.0;
-        Rng rng;
-        Time prevAt = 0.0;
-    };
-
-    static std::vector<ClassState> makeClasses(const IngestConfig &cfg);
-
-    /** Draw the class's next arrival. */
-    static IngestArrival nextArrival(ClassState &cs);
-
-    void scheduleClass(EventQueue &eq, std::size_t idx);
     void deliver(const IngestArrival &ev);
 
     IngestConfig cfg_;
-    std::vector<ClassState> classes_;
+    WindowStream windows_;
     Rng writeFailRng_;
     Handler handler_;
     std::size_t delivered_ = 0;
-    /** Clock at arm(): schedules are job-relative, the queue absolute. */
-    Time origin_ = 0.0;
 };
 
 } // namespace tb

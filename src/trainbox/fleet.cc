@@ -8,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
-#include "sim/schedule_source.hh"
 #include "trainbox/train_initializer.hh"
 
 namespace tb {
@@ -629,11 +628,6 @@ FleetSimulation::run()
     // disabled path schedules zero events and every sequence number —
     // and therefore every pinned golden — stays bit-identical.
     if (cfg_.faults.enabled) {
-        ScheduleTargets targets;
-        targets.numHosts = hosts_.size();
-        core_.addScheduleSource(
-            std::make_unique<FleetFaultScheduleSource>(cfg_.faults),
-            targets);
         fleetFaults_ = std::make_unique<FleetFaultInjector>(
             cfg_.faults, hosts_.size(), cfg_.horizon);
         faultApplied_.assign(fleetFaults_->events().size(), 0);
@@ -647,8 +641,10 @@ FleetSimulation::run()
             });
     }
 
-    // Injector streams self-rearm forever, so the queue never drains on
-    // a disturbed run: stop on all-jobs-done (or the safety horizon).
+    // Stop on all-jobs-done (or the safety horizon) rather than on an
+    // empty queue: finished sessions disarm their injectors, but
+    // stragglers (in-flight flows, repairs of open windows) and fleet
+    // fault windows past the last completion may still be pending.
     while (!allDone() && !horizonHit_ && eq.step()) {
     }
     panic_if(!allDone() && !horizonHit_,

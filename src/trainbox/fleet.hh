@@ -142,9 +142,10 @@ struct FleetConfig
     int sharedPoolFpgas = -1;
 
     /**
-     * Safety horizon (fleet-clock seconds; 0 = none). Injector streams
-     * self-rearm forever, so the fleet stops on all-jobs-done, not on
-     * queue exhaustion; the horizon bounds a run whose job stalls.
+     * Safety horizon (fleet-clock seconds; 0 = none). The fleet stops
+     * on all-jobs-done, not on queue exhaustion (a running job's
+     * injector streams re-arm until it finishes); the horizon bounds a
+     * run whose job stalls.
      * Jobs unfinished at the horizon report completed = false.
      */
     Time horizon = 0.0;

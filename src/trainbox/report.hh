@@ -8,8 +8,8 @@
  * per-device utilization histories recorded by the metrics layer, and
  * a ranked bottleneck attribution — behind one documented API with
  * JSON / CSV / Chrome-trace exporters. It replaces the ad-hoc
- * accounting every bench used to hand-roll; SessionResult's scattered
- * accessors (goodput(), efficiency(), *Used()) now delegate here.
+ * accounting every bench used to hand-roll, and is the one home of the
+ * derived ratios (goodput(), efficiency(), the host resource totals).
  *
  * Utilization and bottleneck data require the run's ServerConfig to
  * have metricsEnabled set; without metrics the report still carries
@@ -264,7 +264,7 @@ class SessionReport
     /** Human-readable summary (the tb_report default output). */
     void print(std::FILE *out = stdout) const;
 
-    // --- canonical formulas (SessionResult delegates here) --------------
+    // --- canonical formulas, usable on a bare SessionResult -------------
     static double computeGoodput(double throughput, double reference);
     static double computeEfficiency(const CheckpointStats &ckpt,
                                     Time wallTime);

@@ -11,40 +11,6 @@
 
 namespace tb {
 
-// The deprecated SessionResult accessors delegate to the canonical
-// formulas on SessionReport so there is exactly one definition of each.
-
-double
-SessionResult::cpuCoresUsed() const
-{
-    return SessionReport::sumCategories(cpuCoresByCategory);
-}
-
-double
-SessionResult::memBwUsed() const
-{
-    return SessionReport::sumCategories(memBwByCategory);
-}
-
-double
-SessionResult::rcBwUsed() const
-{
-    return SessionReport::sumCategories(rcBwByCategory);
-}
-
-double
-SessionResult::goodput(double fault_free_throughput) const
-{
-    return SessionReport::computeGoodput(throughput,
-                                         fault_free_throughput);
-}
-
-double
-SessionResult::efficiency() const
-{
-    return SessionReport::computeEfficiency(checkpoint, wallTime);
-}
-
 TrainingSession::TrainingSession(Server &server)
     : server_(server), eq_(server.core().events()),
       net_(server.core().fluid())
@@ -490,9 +456,9 @@ TrainingSession::redispatchLocalChains(std::size_t g)
 void
 TrainingSession::onFault(const FaultEvent &ev)
 {
-    // The injector's lazily chained schedule keeps firing on a shared
-    // core after this session finishes; a finished session ignores it
-    // (unreachable on a private core — the loop exits at done_).
+    // finalizeResult() disarms the injector, so no fault arrives once
+    // the session is done (only repairs of windows still open do; see
+    // onRepair). The guard keeps that a local invariant.
     if (done_)
         return;
     if (activeFaultWindows_++ == 0)
@@ -1362,30 +1328,6 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
                                "prep chains finished in the window");
     }
 
-    // Register this session's disturbance previews with the core: the
-    // uniform ScheduleSource face over the three injector configs, so a
-    // fleet driver can merge every job's schedule onto one timeline
-    // (sim/schedule_source.hh). Previews are pure — registration never
-    // perturbs the run.
-    {
-        ScheduleTargets stargets;
-        stargets.numSsds = server_.ssds.size();
-        stargets.numGroups = groups_.size();
-        if (server_.cfg.faults.enabled)
-            server_.core().addScheduleSource(
-                std::make_unique<FaultScheduleSource>(server_.cfg.faults),
-                stargets);
-        if (server_.cfg.elasticity.enabled)
-            server_.core().addScheduleSource(
-                std::make_unique<ElasticScheduleSource>(
-                    server_.cfg.elasticity),
-                stargets);
-        if (server_.cfg.ingest.enabled)
-            server_.core().addScheduleSource(
-                std::make_unique<IngestScheduleSource>(server_.cfg.ingest),
-                stargets);
-    }
-
     if (server_.cfg.faults.enabled) {
         FaultTargets targets;
         targets.numSsds = server_.ssds.size();
@@ -1465,6 +1407,15 @@ TrainingSession::finalizeResult(bool partial)
     // (no-op without metrics).
     server_.settleAccounting();
     net_.flushMetrics();
+    // Both the done transition and kill() pass through here: stop the
+    // injector streams so a finished session stops re-arming no-op
+    // events on a shared queue (possibly from inside their handler).
+    if (fault_)
+        fault_->disarm();
+    if (elastic_)
+        elastic_->disarm();
+    if (ingest_)
+        ingest_->disarm();
 
     SessionResult res;
     const Time elapsed = windowEnd_ - windowStart_;

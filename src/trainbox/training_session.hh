@@ -264,38 +264,6 @@ struct SessionResult
 
     /** Total simulated wall time of the run (start to last sync). */
     Time wallTime = 0.0;
-
-    /**
-     * Goodput fraction: this run's throughput relative to a fault-free
-     * reference throughput (same config with faults.enabled = false).
-     * \deprecated Delegates to SessionReport::computeGoodput(); new
-     * code should consume a SessionReport.
-     */
-    [[deprecated("use SessionReport::computeGoodput()")]]
-    double goodput(double faultFreeThroughput) const;
-
-    /**
-     * Useful-time fraction: 1 - (checkpoint pauses + lost work +
-     * restart downtime) / wallTime — the quantity the Young–Daly
-     * interval maximizes. 1.0 for a run with no checkpoint overhead and
-     * no crashes; 0 when wallTime is degenerate.
-     * \deprecated Delegates to SessionReport::computeEfficiency(); new
-     * code should consume a SessionReport.
-     */
-    [[deprecated("use SessionReport::computeEfficiency()")]]
-    double efficiency() const;
-
-    /**
-     * Sums of the per-category maps.
-     * \deprecated Delegate to SessionReport::sumCategories(); new code
-     * should consume a SessionReport.
-     */
-    [[deprecated("use SessionReport::sumCategories()")]]
-    double cpuCoresUsed() const;
-    [[deprecated("use SessionReport::sumCategories()")]]
-    double memBwUsed() const;
-    [[deprecated("use SessionReport::sumCategories()")]]
-    double rcBwUsed() const;
 };
 
 /**
@@ -322,10 +290,10 @@ class TrainingSession
 
     /**
      * Arm the session on its server's core without stepping the event
-     * loop: registers instruments and schedule sources, arms the
-     * fault/elastic/ingest injectors, and launches the initial prep
-     * chains at the core's current time. The caller (run(), or a fleet
-     * driver multiplexing several sessions) then steps the core.
+     * loop: registers instruments, arms the fault/elastic/ingest
+     * injectors, and launches the initial prep chains at the core's
+     * current time. The caller (run(), or a fleet driver multiplexing
+     * several sessions) then steps the core.
      */
     void start(std::size_t warmup = 4, std::size_t measure = 8);
 
@@ -349,8 +317,8 @@ class TrainingSession
     /**
      * Terminate the session *now* — the fleet layer's host-failure
      * path (docs/ROBUSTNESS.md). Cancels the pending sync and every
-     * per-group compute/membership event, cancels tracked prep-chain
-     * flows, discards buffered prepared samples (counted in the
+     * per-group compute/membership event, stops the injector streams,
+     * cancels tracked prep-chain flows, discards buffered prepared samples (counted in the
      * conservation ledger), and freezes a *partial* result over
      * whatever measurement window had elapsed: stepsMeasured is the
      * synchronized in-window step count, throughput/stepTime are 0
@@ -514,7 +482,9 @@ class TrainingSession
      * identical to assembling the result after the event loop drains —
      * simulated time cannot advance in between — but on a shared core
      * it guards the result against co-resident sessions that keep
-     * simulating past this session's end.
+     * simulating past this session's end. It also disarms the
+     * fault/elastic/ingest injectors, so a finished or killed session
+     * stops adding events to a shared queue.
      *
      * @p partial relaxes the completed-run assumptions for kill():
      * the measurement window may be empty (no throughput/resource

@@ -627,5 +627,88 @@ TEST(ElasticSchedulerUnit, PreviewIsDeterministicAndPaired)
     EXPECT_TRUE(differs);
 }
 
+TEST(ElasticSchedulerUnit, ArmPlaysExactlyThePreview)
+{
+    ElasticityConfig cfg;
+    cfg.enabled = true;
+    cfg.seed = 42;
+    cfg.graceWindow = 1.3;
+    cfg.groupDrain = {0.2, 2.0};
+    cfg.groupPreempt = {0.15, 1.7};
+    cfg.prepDrain = {0.25, 0.9};
+    cfg.prepPreempt = {0.1, 3.1};
+    cfg.deferredJoinGroups = 1;
+    cfg.scaleUpTime = 4.0;
+    cfg.schedule = {{ElasticTargetKind::Prep, ElasticAction::Preempt, 2, 7.5},
+                    {ElasticTargetKind::Prep, ElasticAction::Join, 2, 9.0}};
+    ElasticTargets targets;
+    targets.numGroups = 4;
+    constexpr Time kHorizon = 100.0;
+    const auto preview = ElasticScheduler::schedule(cfg, targets, kHorizon);
+    ASSERT_GT(preview.size(), 20u);
+
+    // Arm off the zero clock, as a fleet job admitted mid-run does.
+    EventQueue eq;
+    eq.run(3.7);
+    const Time origin = eq.now();
+    ElasticScheduler sched(cfg, targets);
+    std::vector<std::pair<Time, ElasticEvent>> played;
+    sched.arm(eq, [&](const ElasticEvent &ev) {
+        if (ev.at < kHorizon)
+            played.emplace_back(eq.now(), ev);
+    });
+    while (eq.nextTime() <= origin + kHorizon)
+        eq.step();
+
+    ASSERT_EQ(played.size(), preview.size());
+    for (std::size_t i = 0; i < preview.size(); ++i) {
+        const auto &[at, ev] = played[i];
+        EXPECT_EQ(ev.target, preview[i].target) << i;
+        EXPECT_EQ(ev.action, preview[i].action) << i;
+        EXPECT_EQ(ev.index, preview[i].index) << i;
+        EXPECT_EQ(ev.at, preview[i].at) << i;
+        EXPECT_EQ(at, origin + preview[i].at) << i;
+    }
+}
+
+// --- a finished session stops its injectors --------------------------
+
+TEST(ChaosLiveness, FinishedSessionStopsItsInjectorStreams)
+{
+    // Every injector class armed and busy. Their chains re-arm lazily,
+    // so unless the session disarms them at its end a private queue
+    // never drains.
+    ServerConfig cfg = chaosConfig();
+    cfg.faults.enabled = true;
+    cfg.faults.ssdDegrade = {0.2, 0.5, 0.5};
+    cfg.faults.prepCrash = {0.1, 0.5, 0.0};
+    cfg.faults.ethDegrade = {0.1, 0.5, 0.5};
+    cfg.faults.routeLoss = {0.1, 0.5, 0.0};
+    cfg.elasticity.enabled = true;
+    cfg.elasticity.graceWindow = 0.2;
+    cfg.elasticity.groupDrain = {0.1, 0.5};
+    cfg.elasticity.prepPreempt = {0.1, 0.5};
+    cfg.ingest.enabled = true;
+    cfg.ingest.steady = {2000.0, 256.0, 2};
+    cfg.ingest.diurnal = {1000.0, 128.0, 1};
+    cfg.ingest.burst = {1000.0, 512.0, 0};
+    ASSERT_EQ(cfg.validate(), "");
+    auto server = buildServer(cfg);
+    TrainingSession session(*server);
+    const SessionResult res = session.run(2, 4);
+    EXPECT_EQ(res.stepsMeasured, 4u);
+    EXPECT_GT(res.faults.faultsInjected, 0u);
+    EXPECT_GT(res.elasticity.events, 0u);
+    EXPECT_GT(res.ingest.arrivalEvents, 0u);
+
+    // What is left — in-flight flows, repairs and joins of windows
+    // still open — is finite.
+    EventQueue &eq = server->core().events();
+    std::size_t steps = 0;
+    while (steps < 100000 && eq.step())
+        ++steps;
+    EXPECT_TRUE(eq.empty()) << "still pending after " << steps << " steps";
+}
+
 } // namespace
 } // namespace tb

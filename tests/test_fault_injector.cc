@@ -79,6 +79,114 @@ TEST(FaultSchedule, DisabledClassesProduceNothing)
     EXPECT_TRUE(FaultInjector::schedule(fc, targets, 1000.0).empty());
 }
 
+TEST(FaultSchedule, ArmPlaysExactlyThePreview)
+{
+    FaultConfig fc = windowScenario();
+    fc.fatalCrash.ratePerSec = 0.05;
+    FaultTargets targets;
+    targets.numSsds = 8;
+    targets.numGroups = 4;
+    constexpr Time kHorizon = 100.0;
+    const auto preview = FaultInjector::schedule(fc, targets, kHorizon);
+    ASSERT_GT(preview.size(), 20u);
+
+    // Arm off the zero clock, as a fleet job admitted mid-run does.
+    EventQueue eq;
+    eq.run(3.7);
+    const Time origin = eq.now();
+    FaultInjector inj(fc, targets);
+    std::vector<std::pair<Time, FaultEvent>> played;
+    inj.arm(
+        eq,
+        [&](const FaultEvent &ev) {
+            if (ev.start < kHorizon)
+                played.emplace_back(eq.now(), ev);
+        },
+        nullptr);
+    while (eq.nextTime() <= origin + kHorizon)
+        eq.step();
+
+    ASSERT_EQ(played.size(), preview.size());
+    for (std::size_t i = 0; i < preview.size(); ++i) {
+        const auto &[at, ev] = played[i];
+        EXPECT_EQ(ev.kind, preview[i].kind) << i;
+        EXPECT_EQ(ev.target, preview[i].target) << i;
+        EXPECT_EQ(ev.start, preview[i].start) << i;
+        EXPECT_EQ(ev.duration, preview[i].duration) << i;
+        EXPECT_EQ(at, origin + preview[i].start) << i;
+    }
+}
+
+TEST(FaultSchedule, DisarmInsideHandlerStopsEveryClass)
+{
+    const FaultConfig fc = windowScenario();
+    FaultTargets targets;
+    targets.numSsds = 8;
+    targets.numGroups = 4;
+    EventQueue eq;
+    FaultInjector inj(fc, targets);
+    std::size_t faults = 0, repairs = 0;
+    inj.arm(
+        eq,
+        [&](const FaultEvent &) {
+            ++faults;
+            inj.disarm();
+        },
+        [&](const FaultEvent &) { ++repairs; });
+    // Only the first window's repair outlives the disarm.
+    std::size_t steps = 0;
+    while (steps < 100 && eq.step())
+        ++steps;
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(faults, 1u);
+    EXPECT_EQ(repairs, 1u);
+    EXPECT_EQ(inj.faultsInjected(), 1u);
+}
+
+TEST(FleetFaultSchedule, ArmPlaysExactlyThePreview)
+{
+    FleetFaultConfig cfg;
+    cfg.enabled = true;
+    cfg.seed = 11;
+    cfg.hostOutage = {20.0, 0.5};
+    cfg.boxLoss = {40.0, 2.0};
+    cfg.poolPartition = {15.0, 1.0};
+    cfg.boxLossUnits = 2;
+    cfg.poolPartitionFpgas = 3;
+    cfg.schedule = {{FleetFaultKind::HostOutage, 1, 5.0, 1.0, 1}};
+    constexpr std::size_t kHosts = 6;
+    constexpr Time kHorizon = 60.0;
+    const auto preview = FleetFaultInjector::schedule(cfg, kHosts, kHorizon);
+    ASSERT_GT(preview.size(), 10u);
+
+    EventQueue eq;
+    eq.run(3.7);
+    const Time origin = eq.now();
+    FleetFaultInjector inj(cfg, kHosts, kHorizon);
+    std::vector<std::pair<Time, FleetFaultEvent>> played;
+    std::vector<std::size_t> indices;
+    inj.arm(
+        eq,
+        [&](const FleetFaultEvent &ev, std::size_t idx) {
+            played.emplace_back(eq.now(), ev);
+            indices.push_back(idx);
+        },
+        nullptr);
+    while (eq.step()) {
+    }
+
+    ASSERT_EQ(played.size(), preview.size());
+    for (std::size_t i = 0; i < preview.size(); ++i) {
+        const auto &[at, ev] = played[i];
+        EXPECT_EQ(indices[i], i);
+        EXPECT_EQ(ev.kind, preview[i].kind) << i;
+        EXPECT_EQ(ev.host, preview[i].host) << i;
+        EXPECT_EQ(ev.units, preview[i].units) << i;
+        EXPECT_EQ(ev.start, preview[i].start) << i;
+        EXPECT_EQ(at, origin + preview[i].start) << i;
+    }
+}
+
 SessionResult
 runSession(const ServerConfig &cfg, std::size_t warmup = 4,
            std::size_t measure = 8)

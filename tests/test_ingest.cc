@@ -107,6 +107,44 @@ TEST(IngestSchedulerUnit, PreviewIsDeterministicAndOrdered)
     EXPECT_TRUE(differs);
 }
 
+TEST(IngestSchedulerUnit, ArmPlaysExactlyThePreview)
+{
+    IngestConfig cfg;
+    cfg.enabled = true;
+    cfg.seed = 7;
+    cfg.steady = {500.0, 64.0, 2};
+    cfg.diurnal = {300.0, 32.0, 1};
+    cfg.burst = {200.0, 256.0, 0};
+    cfg.schedule = {{IngestTrafficKind::Burst, 100.0, 0, 1.5},
+                    {IngestTrafficKind::Steady, 50.0, 2, 12.0}};
+    constexpr Time kHorizon = 50.0;
+    const auto preview = IngestScheduler::schedule(cfg, kHorizon);
+    ASSERT_GT(preview.size(), 10u);
+
+    // Arm off the zero clock, as a fleet job admitted mid-run does.
+    EventQueue eq;
+    eq.run(3.7);
+    const Time origin = eq.now();
+    IngestScheduler sched(cfg);
+    std::vector<std::pair<Time, IngestArrival>> played;
+    sched.arm(eq, [&](const IngestArrival &ev) {
+        if (ev.at < kHorizon)
+            played.emplace_back(eq.now(), ev);
+    });
+    while (eq.nextTime() <= origin + kHorizon)
+        eq.step();
+
+    ASSERT_EQ(played.size(), preview.size());
+    for (std::size_t i = 0; i < preview.size(); ++i) {
+        const auto &[at, ev] = played[i];
+        EXPECT_EQ(ev.kind, preview[i].kind) << i;
+        EXPECT_EQ(ev.samples, preview[i].samples) << i;
+        EXPECT_EQ(ev.priority, preview[i].priority) << i;
+        EXPECT_EQ(ev.at, preview[i].at) << i;
+        EXPECT_EQ(at, origin + preview[i].at) << i;
+    }
+}
+
 TEST(IngestSchedulerUnit, DiurnalModulatesBatchVolume)
 {
     IngestConfig cfg;

@@ -180,29 +180,6 @@ TEST(SessionReport, ExportersAreWellFormed)
     EXPECT_GT(trace.numEvents(), 0u);
 }
 
-// The accessors below are deprecated in favour of the SessionReport
-// API; this test deliberately exercises them to pin the delegation.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST(SessionResult, DeprecatedAccessorsDelegate)
-{
-    const SessionReport r =
-        runReport(ServerConfig::baseline().withAccelerators(32));
-    const SessionResult &res = r.result;
-    EXPECT_DOUBLE_EQ(res.cpuCoresUsed(), r.hostCpuCores());
-    EXPECT_DOUBLE_EQ(res.memBwUsed(), r.hostMemBw());
-    EXPECT_DOUBLE_EQ(res.rcBwUsed(), r.hostRcBw());
-    EXPECT_DOUBLE_EQ(res.goodput(2.0 * res.throughput), 0.5);
-    EXPECT_DOUBLE_EQ(res.goodput(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(res.efficiency(), r.efficiency());
-    EXPECT_DOUBLE_EQ(res.efficiency(), 1.0); // no checkpoint overhead
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 TEST(SessionReport, FluentConfigMatchesFieldAssignment)
 {
     ServerConfig fields;
