@@ -13,9 +13,9 @@
  * --smoke runs the CI assertion mode instead: the disabled path is
  * bit-identical to a fault-free fleet, a scripted host death returns
  * its integer pool grant for immediate re-lending (and the victim
- * retries to completion), and seeded chaos runs hold every
- * conservation ledger and replay deterministically. Exits non-zero on
- * any violation.
+ * retries to completion), seeded chaos runs hold every conservation
+ * ledger and replay deterministically, and no killed or finished job
+ * leaves a flow running. Exits non-zero on any violation.
  */
 
 #include <cmath>
@@ -211,7 +211,10 @@ smoke()
         fleet.jobs.push_back(victim);
         fleet.jobs.push_back(lucky);
 
-        const FleetReport r = runFleet(fleet);
+        FleetSimulation sim(fleet);
+        const FleetReport r = sim.run();
+        check(sim.core().fluid().numActive() == 0,
+              "killed and finished jobs own no flow");
         check(r.jobsCompleted == 2, "killed fleet recovers fully");
         check(r.restartsTotal == 1, "exactly one restart");
         check(r.jobs[0].state == FleetJobState::Completed &&
@@ -236,9 +239,12 @@ smoke()
         const Time w = bareWall();
         std::string first;
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-            const FleetReport r = runFleet(makeFaultFleet(
+            FleetSimulation sim(makeFaultFleet(
                 2, 2, w, /*mtbfScale=*/1.5, /*maxRetries=*/2, seed,
                 /*disturbed=*/true));
+            const FleetReport r = sim.run();
+            check(sim.core().fluid().numActive() == 0,
+                  "no job owns a flow after the chaos run");
             check(r.jobsCompleted + r.jobsAbandoned +
                           r.jobsRunningAtHorizon + r.jobsQueuedAtHorizon ==
                       r.jobsTotal,

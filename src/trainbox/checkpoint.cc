@@ -70,12 +70,9 @@ Checkpointer::Checkpointer(Server &server, TraceWriter *trace)
 
 Checkpointer::~Checkpointer()
 {
-    // Abandon an unfinished drain (run ended mid-flight): suppress the
-    // completions so they cannot reach a dead checkpointer.
-    for (FlowId f : drainFlows_)
-        server_.core().fluid().cancelFlow(f);
-    if (snapshotEv_.valid())
-        server_.core().events().cancel(snapshotEv_);
+    // Abandon an unfinished capture: suppress the completions so they
+    // cannot reach a dead checkpointer.
+    abortCapture();
 }
 
 Bytes
@@ -148,19 +145,14 @@ Checkpointer::launchDrain()
     for (std::size_t g = 0; g < server_.groups.size(); ++g) {
         if (shardBytes_[g] <= 0.0)
             continue;
-        FlowSpec spec;
-        spec.category = "checkpoint";
-        spec.size = shardBytes_[g];
-        spec.demands =
-            server_.groups[g].checkpointWrite.demandsPerSample;
-        spec.fairWeight = server_.groups[g].checkpointWrite.fairWeight;
-        spec.onComplete = [this, g](Time now) {
-            // Completed flows were never cancelled; forget the id.
-            if (g < drainFlows_.size())
-                drainFlows_[g] = 0;
-            if (--outstanding_ == 0)
-                onDrainComplete(now);
-        };
+        FlowSpec spec = server_.groups[g].checkpointWrite.flow(
+            shardBytes_[g], [this, g](Time now) {
+                // Completed flows were never cancelled; forget the id.
+                if (g < drainFlows_.size())
+                    drainFlows_[g] = 0;
+                if (--outstanding_ == 0)
+                    onDrainComplete(now);
+            });
         ++outstanding_;
         if (drainFlows_.size() <= g)
             drainFlows_.resize(g + 1, 0);
@@ -215,15 +207,7 @@ Checkpointer::crash(Time now, std::size_t current_step)
     stats_.stepsLost += current_step - durableStep_;
 
     // A partial checkpoint file is useless: abort the capture.
-    if (snapshotEv_.valid())
-        server_.core().events().cancel(snapshotEv_);
-    for (FlowId f : drainFlows_)
-        if (f != 0)
-            server_.core().fluid().cancelFlow(f);
-    drainFlows_.clear();
-    outstanding_ = 0;
-    draining_ = false;
-    onResume_ = nullptr;
+    abortCapture();
 
     // Work since the at-risk anchor is discarded; pauses inside that
     // window were already billed as checkpoint overhead.
@@ -232,6 +216,19 @@ Checkpointer::crash(Time now, std::size_t current_step)
     pauseSinceAnchor_ = 0.0;
     crashTime_ = now;
     return durableStep_;
+}
+
+void
+Checkpointer::abortCapture()
+{
+    server_.core().events().cancel(snapshotEv_);
+    for (FlowId f : drainFlows_)
+        if (f != 0)
+            server_.core().fluid().cancelFlow(f);
+    drainFlows_.clear();
+    outstanding_ = 0;
+    draining_ = false;
+    onResume_ = nullptr;
 }
 
 void

@@ -184,6 +184,12 @@ class Checkpointer
      */
     std::size_t crash(Time now, std::size_t currentStep);
 
+    /**
+     * Drop any in-flight capture uncommitted: cancel the pending
+     * snapshot event and the drain flows (session teardown, crash()).
+     */
+    void abortCapture();
+
     /** The restart after the last crash() finished at time @p now. */
     void restarted(Time now);
 

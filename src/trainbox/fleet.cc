@@ -398,9 +398,9 @@ FleetSimulation::onJobDone(std::size_t j)
     job.cumFaults += job.result.report.faults().faultsInjected;
     ++terminal_;
 
-    // Release held capacity. The server itself stays alive: post-done
-    // flows may still drain on the shared core (training_session.cc
-    // guards make them no-ops).
+    // Release held capacity. The server itself stays alive: repairs or
+    // joins of windows already open and guarded timers may still reach
+    // it (as no-ops; the session cancelled its flows as it finished).
     releaseCapacity(job);
 
     tryAdmit();
@@ -477,9 +477,9 @@ FleetSimulation::killJob(std::size_t j)
                                        : 0;
     job.measureDone += std::min(banked, attempt_measure - 1);
 
-    // The dead attempt's server/session must outlive it (stray flows
-    // drain into guarded no-ops), but the job slot needs room for the
-    // retry: retire the pair.
+    // The dead attempt's server/session must outlive it (guarded timers
+    // and repairs or joins of open windows still fire into no-ops), but
+    // the job slot needs room for the retry: retire the pair.
     retiredServers_.push_back(std::move(job.server));
     retiredSessions_.push_back(std::move(job.session));
     job.running = false;
@@ -642,9 +642,9 @@ FleetSimulation::run()
     }
 
     // Stop on all-jobs-done (or the safety horizon) rather than on an
-    // empty queue: finished sessions disarm their injectors, but
-    // stragglers (in-flight flows, repairs of open windows) and fleet
-    // fault windows past the last completion may still be pending.
+    // empty queue: finished sessions disarm their injectors and cancel
+    // their flows, but repairs or joins of open windows, guarded timers
+    // and fleet fault windows past the last completion may still wait.
     while (!allDone() && !horizonHit_ && eq.step()) {
     }
     panic_if(!allDone() && !horizonHit_,

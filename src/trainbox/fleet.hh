@@ -379,8 +379,8 @@ class FleetSimulation
         std::size_t boxesNeeded = 0;
         FleetJobResult result;
         // Admitted jobs own a server + session until the run ends:
-        // post-done flows may still drain on the shared core, so
-        // teardown mid-run would dangle callbacks. Retired attempt
+        // repairs or joins of open windows and guarded timers may
+        // still reach them, so teardown mid-run would dangle callbacks. Retired attempt
         // pairs (failed, replaced by a retry) move to the graveyard
         // below for the same reason.
         std::unique_ptr<Server> server;

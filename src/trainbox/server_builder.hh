@@ -64,6 +64,14 @@ struct StageTemplate
      * pending on the chain are detected here (training_session.cc).
      */
     bool verifiesIntegrity = false;
+
+    /** The flow running this stage over @p size base units. */
+    FlowSpec flow(double size, std::function<void(Time)> onComplete) const
+    {
+        return {.category = category, .size = size, .rateCap = rateCap,
+                .fairWeight = fairWeight, .demands = demandsPerSample,
+                .onComplete = std::move(onComplete)};
+    }
 };
 
 /** A set of accelerators fed by one preparation pipeline. */

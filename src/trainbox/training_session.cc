@@ -26,38 +26,6 @@ TrainingSession::measuring() const
     return syncedSteps_ >= warmupSteps_ && !done_;
 }
 
-void
-TrainingSession::runChain(const std::string &track,
-                          const std::vector<StageTemplate> &stages,
-                          double samples, std::size_t idx,
-                          std::function<void()> done)
-{
-    if (idx >= stages.size()) {
-        done();
-        return;
-    }
-    const StageTemplate &st = stages[idx];
-    const Time start = eq_.now();
-    FlowSpec spec;
-    spec.category = st.category;
-    spec.size = samples;
-    spec.rateCap = st.rateCap;
-    spec.fairWeight = st.fairWeight;
-    spec.demands = st.demandsPerSample;
-    spec.onComplete = [this, track, &stages, samples, idx, start,
-                       done = std::move(done)](Time now) {
-        if (measuring()) {
-            stageTimeSum_[stages[idx].name] += now - start;
-            ++stageTimeCount_[stages[idx].name];
-        }
-        if (trace_)
-            trace_->complete(track, stages[idx].name, start, now - start,
-                             "prep");
-        runChain(track, stages, samples, idx + 1, done);
-    };
-    net_.startFlow(std::move(spec));
-}
-
 std::size_t
 TrainingSession::chunksPerBatch() const
 {
@@ -81,43 +49,24 @@ TrainingSession::launchPrep(std::size_t g)
         return;
     const double batch = groupBatchSamples(g);
     const double chunk = batch / static_cast<double>(chunksPerBatch());
-    const double f = gs.spec->offloadFraction;
     const double window =
         static_cast<double>(server_.cfg.prefetchDepth) * batch;
 
     // Launch chunk chains as window slots free up; the local and
     // offloaded streams are independent producers of prepared samples,
     // so a slow prep-pool round-trip never stalls completed local work.
+    // A crashed or departed FPGA's share shifts onto the prep pool.
     // All chains launch at one timestamp: batch them so the solver runs
     // once for the whole window instead of once per flow.
     FluidNetwork::FlowBatch launchBatch(net_);
     while (gs.readySamples + gs.inFlightSamples < window - 1e-6) {
         gs.inFlightSamples += chunk;
-        if (fault_ || elastic_) {
-            // Tracked chains so faults and membership changes can
-            // cancel and re-dispatch them; a crashed or departed FPGA's
-            // share shifts onto the prep-pool.
-            const double fe = effectiveOffload(g);
-            const double local = chunk * (1.0 - fe);
-            if (local > 0.0)
-                launchFaultChain(g, /*offload=*/false, local);
-            if (fe > 0.0)
-                launchFaultChain(g, /*offload=*/true, chunk * fe);
-            continue;
-        }
-        const Time start = eq_.now();
+        const double f = effectiveOffload(g);
         const double local = chunk * (1.0 - f);
-        runChain(gs.spec->name, gs.spec->stages, local, 0,
-                 [this, g, local, start] {
-                     onChainDone(g, local, start);
-                 });
-        if (f > 0.0) {
-            const double remote = chunk * f;
-            runChain(gs.spec->name + ".offload", gs.spec->offloadStages,
-                     remote, 0, [this, g, remote, start] {
-                         onChainDone(g, remote, start);
-                     });
-        }
+        if (local > 0.0)
+            launchChain(g, /*offload=*/false, local);
+        if (f > 0.0)
+            launchChain(g, /*offload=*/true, chunk * f);
     }
 }
 
@@ -141,12 +90,13 @@ TrainingSession::onChainDone(std::size_t g, double samples,
     launchPrep(g);
 }
 
-// --- fault-injection path ------------------------------------------------
+// --- prep chains ---------------------------------------------------------
 //
-// Under fault injection every prep chain is a tracked ChainRun so that an
-// open fault window can cancel its current flow and re-dispatch it on a
-// recovery template. The fault-free path above never allocates any of
-// this.
+// Every prep chain is a ChainRun in chains_, so an open fault window or a
+// membership change can cancel its current flow and re-dispatch it on
+// another template, and finalizeResult() can cancel it outright. A chain
+// steps through its template one flow per stage; each scheduled
+// continuation carries the chain's epoch, which a restart bumps.
 
 /**
  * Is the group's last prep FPGA out of service for *routing* purposes?
@@ -198,18 +148,16 @@ TrainingSession::effectiveOffload(std::size_t g) const
 }
 
 void
-TrainingSession::launchFaultChain(std::size_t g, bool offload,
-                                  double samples)
+TrainingSession::launchChain(std::size_t g, bool offload, double samples)
 {
     const std::uint64_t cid = nextChainId_++;
-    ChainRun run;
+    ChainRun &run = chains_[cid];
     run.group = g;
     run.offload = offload;
     run.samples = samples;
     run.start = eq_.now();
     run.track = groups_[g].spec->name + (offload ? ".offload" : "");
-    auto [it, inserted] = chains_.emplace(cid, std::move(run));
-    it->second.stages = &selectStages(it->second);
+    run.stages = &selectStages(run);
     startChainStage(cid, 0);
 }
 
@@ -229,38 +177,84 @@ TrainingSession::startChainStage(std::uint64_t cid, std::size_t idx)
         onChainDone(g, samples, chain_start);
         return;
     }
-    const StageTemplate &st = stages[idx];
     const Time start = eq_.now();
     const std::uint64_t epoch = run.epoch;
-    FlowSpec spec;
-    spec.category = st.category;
-    spec.size = run.samples;
-    spec.rateCap = st.rateCap;
-    spec.fairWeight = st.fairWeight;
-    spec.demands = st.demandsPerSample;
-    spec.onComplete = [this, cid, idx, start, epoch](Time now) {
-        auto it = chains_.find(cid);
-        if (it == chains_.end() || it->second.epoch != epoch)
-            return;
-        ChainRun &run = it->second;
-        run.flow = 0;
-        const StageTemplate &done = (*run.stages)[idx];
-        if (measuring()) {
-            stageTimeSum_[done.name] += now - start;
-            ++stageTimeCount_[done.name];
-        }
-        if (trace_)
-            trace_->complete(run.track, done.name, start, now - start,
-                             "prep");
-        if (done.name == "ssd_read" && handleReadFailure(cid, idx))
-            return;
-        if ((done.corruptionHops != 0 || done.verifiesIntegrity) &&
-            handleCorruption(cid, idx))
-            return;
-        startChainStage(cid, idx + 1);
-    };
-    run.flow = net_.startFlow(std::move(spec));
+    run.flow = net_.startFlow(stages[idx].flow(
+        run.samples, [this, cid, idx, start, epoch](Time now) {
+            auto it = chains_.find(cid);
+            if (it == chains_.end() || it->second.epoch != epoch)
+                return;
+            ChainRun &run = it->second;
+            run.flow = 0;
+            const StageTemplate &done = (*run.stages)[idx];
+            if (measuring()) {
+                stageTimeSum_[done.name] += now - start;
+                ++stageTimeCount_[done.name];
+            }
+            if (trace_)
+                trace_->complete(run.track, done.name, start, now - start,
+                                 "prep");
+            if (done.name == "ssd_read" && handleReadFailure(cid, run, idx))
+                return;
+            if ((done.corruptionHops != 0 || done.verifiesIntegrity) &&
+                handleCorruption(cid, run, idx))
+                return;
+            startChainStage(cid, idx + 1);
+        }));
 }
+
+/**
+ * Start stage @p idx of chain @p cid after @p delay, unless the chain is
+ * restarted or cancelled meanwhile.
+ */
+void
+TrainingSession::resumeChainIn(Time delay, std::uint64_t cid,
+                               std::size_t idx)
+{
+    const std::uint64_t epoch = chains_.at(cid).epoch;
+    eq_.scheduleIn(delay, [this, cid, idx, epoch] {
+        auto it = chains_.find(cid);
+        if (it != chains_.end() && it->second.epoch == epoch)
+            startChainStage(cid, idx);
+    });
+}
+
+/**
+ * Restart chain @p cid at stage 0 on a freshly selected template: cancel
+ * its current flow, reset the per-chunk retry state, and bump its epoch
+ * so pending continuations go stale.
+ */
+void
+TrainingSession::restartChain(std::uint64_t cid, ChainRun &run)
+{
+    if (run.flow != 0) {
+        net_.cancelFlow(run.flow);
+        run.flow = 0;
+    }
+    run.stages = &selectStages(run);
+    run.readAttempts = 0;
+    run.pendingCorruptions = 0;
+    run.recoveries = 0;
+    ++run.epoch;
+    startChainStage(cid, 0);
+}
+
+/** Cancel the in-flight chains of group @p g (or of every group). */
+void
+TrainingSession::cancelChains(std::size_t g)
+{
+    for (auto it = chains_.begin(); it != chains_.end();) {
+        if (g != kAllGroups && it->second.group != g) {
+            ++it;
+            continue;
+        }
+        if (it->second.flow != 0)
+            net_.cancelFlow(it->second.flow);
+        it = chains_.erase(it);
+    }
+}
+
+// --- fault-injection path (inert when fault_ is null) --------------------
 
 /**
  * Bounded-retry policy for SSD reads. Returns true when the read failed
@@ -268,11 +262,11 @@ TrainingSession::startChainStage(std::uint64_t cid, std::size_t idx)
  * restart once the retry budget is exhausted).
  */
 bool
-TrainingSession::handleReadFailure(std::uint64_t cid, std::size_t idx)
+TrainingSession::handleReadFailure(std::uint64_t cid, ChainRun &run,
+                                   std::size_t idx)
 {
-    if (!fault_) // tracked chains exist under elasticity alone
+    if (!fault_) // no injector: every read succeeds
         return false;
-    ChainRun &run = chains_.find(cid)->second;
     const FaultConfig &fc = fault_->config();
     if (fc.ssdReadFailureProb <= 0.0 || !fault_->ssdReadAttemptFails()) {
         run.readAttempts = 0;
@@ -286,26 +280,15 @@ TrainingSession::handleReadFailure(std::uint64_t cid, std::size_t idx)
         ++faultStats_.ssdRetries;
         if (trace_)
             trace_->instant(run.track, "read_retry", now, "fault");
-        const std::uint64_t epoch = run.epoch;
-        eq_.scheduleIn(backoff, [this, cid, idx, epoch] {
-            auto it = chains_.find(cid);
-            if (it == chains_.end() || it->second.epoch != epoch)
-                return;
-            startChainStage(cid, idx);
-        });
+        resumeChainIn(backoff, cid, idx);
         return true;
     }
     // Retry budget exhausted: abandon the chunk and restart the chain on
     // fresh data (the dataset is sharded; another replica serves it).
     ++faultStats_.chunksAbandoned;
-    run.readAttempts = 0;
-    run.pendingCorruptions = 0;
-    run.recoveries = 0;
-    run.stages = &selectStages(run);
-    ++run.epoch;
     if (trace_)
         trace_->instant(run.track, "chunk_abandoned", now, "fault");
-    startChainStage(cid, 0);
+    restartChain(cid, run);
     return true;
 }
 
@@ -339,11 +322,11 @@ TrainingSession::chainVerifiesFrom(const ChainRun &run, std::size_t idx)
  * or verify-triggered recovery).
  */
 bool
-TrainingSession::handleCorruption(std::uint64_t cid, std::size_t idx)
+TrainingSession::handleCorruption(std::uint64_t cid, ChainRun &run,
+                                  std::size_t idx)
 {
-    if (!fault_) // tracked chains exist under elasticity alone
+    if (!fault_) // no injector: nothing corrupts or needs re-reading
         return false;
-    ChainRun &run = chains_.find(cid)->second;
     const StageTemplate &st = (*run.stages)[idx];
     const FaultConfig &fc = fault_->config();
     const CorruptionConfig &cc = fc.corruption;
@@ -396,36 +379,20 @@ TrainingSession::handleCorruption(std::uint64_t cid, std::size_t idx)
             if (trace_)
                 trace_->instant(run.track, "integrity_recover", now,
                                 "fault");
-            const std::uint64_t epoch = run.epoch;
-            eq_.scheduleIn(backoff, [this, cid, epoch] {
-                auto it = chains_.find(cid);
-                if (it == chains_.end() || it->second.epoch != epoch)
-                    return;
-                startChainStage(cid, 0);
-            });
+            resumeChainIn(backoff, cid, 0);
             return true;
         }
         // Recovery budget exhausted: quarantine the chunk and restart
         // the chain on fresh data (chunksAbandoned semantics).
         ++integrityStats_.chunksQuarantined;
-        run.recoveries = 0;
-        run.readAttempts = 0;
-        run.stages = &selectStages(run);
-        ++run.epoch;
         if (trace_)
             trace_->instant(run.track, "chunk_quarantined", now, "fault");
-        startChainStage(cid, 0);
+        restartChain(cid, run);
         return true;
     }
 
     if (replay > 0.0) {
-        const std::uint64_t epoch = run.epoch;
-        eq_.scheduleIn(replay, [this, cid, idx, epoch] {
-            auto it = chains_.find(cid);
-            if (it == chains_.end() || it->second.epoch != epoch)
-                return;
-            startChainStage(cid, idx + 1);
-        });
+        resumeChainIn(replay, cid, idx + 1);
         return true;
     }
     return false;
@@ -438,16 +405,7 @@ TrainingSession::redispatchLocalChains(std::size_t g)
     for (auto &[cid, run] : chains_) {
         if (run.group != g || run.offload)
             continue;
-        if (run.flow != 0) {
-            net_.cancelFlow(run.flow);
-            run.flow = 0;
-        }
-        run.stages = &selectStages(run);
-        run.readAttempts = 0;
-        run.pendingCorruptions = 0;
-        run.recoveries = 0;
-        ++run.epoch;
-        startChainStage(cid, 0);
+        restartChain(cid, run);
         ++redispatched;
     }
     return redispatched;
@@ -557,10 +515,7 @@ TrainingSession::onFatalCrash(const FaultEvent &)
 
     // Everything volatile dies with the process: in-flight prep chains,
     // buffered prepared samples, running compute, the pending sync.
-    for (auto &[cid, run] : chains_)
-        if (run.flow != 0)
-            net_.cancelFlow(run.flow);
-    chains_.clear();
+    cancelChains();
     for (GroupState &gs : groups_) {
         if (gs.computeEv.valid())
             eq_.cancel(gs.computeEv);
@@ -737,15 +692,7 @@ TrainingSession::detachGroup(std::size_t g, bool preempted)
     {
         FluidNetwork::FlowBatch batch(net_);
         // In-flight prep chains die with the member.
-        for (auto it = chains_.begin(); it != chains_.end();) {
-            if (it->second.group != g) {
-                ++it;
-                continue;
-            }
-            if (it->second.flow != 0)
-                net_.cancelFlow(it->second.flow);
-            it = chains_.erase(it);
-        }
+        cancelChains(g);
         gs.inFlightSamples = 0.0;
         // Buffered prepared samples are discarded: the data shard moves
         // to the survivors, who re-read it from storage.
@@ -1047,21 +994,16 @@ TrainingSession::startIngestWrite(std::size_t attempt)
     ++ingestStats_.writeFlows;
     const Time start = eq_.now();
     const std::uint64_t epoch = ingestWriteEpoch_;
-    FlowSpec spec;
-    spec.category = st.category;
-    spec.size = ingestWriting_;
-    spec.rateCap = st.rateCap;
-    spec.fairWeight = st.fairWeight;
-    spec.demands = st.demandsPerSample;
-    spec.onComplete = [this, attempt, epoch, start](Time now) {
-        if (epoch != ingestWriteEpoch_)
-            return;
-        if (trace_)
-            trace_->complete("ingest", "ingest_write", start, now - start,
-                             "ingest");
-        onIngestWriteDone(attempt);
-    };
-    net_.startFlow(std::move(spec));
+    ingestWriteFlow_ = net_.startFlow(st.flow(
+        ingestWriting_, [this, attempt, epoch, start](Time now) {
+            if (epoch != ingestWriteEpoch_)
+                return;
+            ingestWriteFlow_ = 0;
+            if (trace_)
+                trace_->complete("ingest", "ingest_write", start,
+                                 now - start, "ingest");
+            onIngestWriteDone(attempt);
+        }));
 }
 
 /**
@@ -1264,10 +1206,10 @@ TrainingSession::onSyncDone()
     if (syncedSteps_ >= totalSteps_) {
         windowEnd_ = eq_.now();
         done_ = true;
-        // Freeze the result now: on a shared core other sessions keep
-        // simulating, and this session's stray in-flight completions
-        // must not leak into its numbers. Fire the completion hook
-        // last so a fleet scheduler sees a fully finalized session.
+        // Freeze the result and tear the session down now: on a shared
+        // core other sessions keep simulating, and nothing this session
+        // leaves behind may leak into its numbers. Fire the completion
+        // hook last so a fleet scheduler sees a fully finalized session.
         finalizeResult();
         if (doneCb_) {
             auto cb = std::move(doneCb_);
@@ -1409,13 +1351,28 @@ TrainingSession::finalizeResult(bool partial)
     net_.flushMetrics();
     // Both the done transition and kill() pass through here: stop the
     // injector streams so a finished session stops re-arming no-op
-    // events on a shared queue (possibly from inside their handler).
+    // events on a shared queue (possibly from inside their handler),
+    // and cancel every flow the session started — prefetch chains for
+    // steps that will never run, the in-flight shard write, a pending
+    // checkpoint capture — so it owns no flow from here on. The flows
+    // are already charged up to now, so cancelling them moves no
+    // number; batching them costs one solve.
     if (fault_)
         fault_->disarm();
     if (elastic_)
         elastic_->disarm();
     if (ingest_)
         ingest_->disarm();
+    {
+        FluidNetwork::FlowBatch batch(net_);
+        cancelChains();
+        if (ingestWriteFlow_ != 0) {
+            net_.cancelFlow(ingestWriteFlow_);
+            ingestWriteFlow_ = 0;
+        }
+        if (ckpt_)
+            ckpt_->abortCapture();
+    }
 
     SessionResult res;
     const Time elapsed = windowEnd_ - windowStart_;
@@ -1587,13 +1544,9 @@ TrainingSession::kill()
     if (syncEv_.valid())
         eq_.cancel(syncEv_);
     // Everything volatile dies with the host, as in a fatal crash —
-    // but terminally: cancel tracked chain flows and every per-group
-    // compute/membership event so the dead job stops loading the
-    // shared solver.
-    for (auto &[cid, run] : chains_)
-        if (run.flow != 0)
-            net_.cancelFlow(run.flow);
-    chains_.clear();
+    // but terminally: cancel every per-group compute/membership event
+    // here, and let finalizeResult() cancel every flow, so the dead
+    // job stops loading the shared queue and solver.
     for (GroupState &gs : groups_) {
         if (gs.computeEv.valid())
             eq_.cancel(gs.computeEv);

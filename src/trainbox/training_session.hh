@@ -85,7 +85,6 @@ class SessionReport;
  * point for consuming a run: it wraps this struct together with the
  * config echo, per-device utilization, and the ranked bottleneck
  * attribution, and owns the canonical goodput/efficiency formulas.
- * The accessors kept here delegate to it for compatibility.
  */
 struct SessionResult
 {
@@ -318,14 +317,16 @@ class TrainingSession
      * Terminate the session *now* — the fleet layer's host-failure
      * path (docs/ROBUSTNESS.md). Cancels the pending sync and every
      * per-group compute/membership event, stops the injector streams,
-     * cancels tracked prep-chain flows, discards buffered prepared samples (counted in the
-     * conservation ledger), and freezes a *partial* result over
-     * whatever measurement window had elapsed: stepsMeasured is the
-     * synchronized in-window step count, throughput/stepTime are 0
-     * when nothing measured, and every ledger invariant still holds.
-     * After kill() the session reports done() but the registered
-     * onDone callback never fires — termination is the caller's
-     * decision, not a completion. No-op on an already-done session.
+     * cancels every flow the session started (prep chains, the ingest
+     * shard write, a checkpoint capture), discards buffered prepared
+     * samples (counted in the conservation ledger), and freezes a
+     * *partial* result over whatever measurement window had elapsed:
+     * stepsMeasured is the synchronized in-window step count,
+     * throughput/stepTime are 0 when nothing measured, and every
+     * ledger invariant still holds. After kill() the session reports
+     * done() but the registered onDone callback never fires —
+     * termination is the caller's decision, not a completion. No-op on
+     * an already-done session.
      */
     void kill();
 
@@ -394,11 +395,9 @@ class TrainingSession
         double offloadOverride = -1.0; ///< re-planned offload (<0: spec)
         EventId detachEv{};            ///< pending grace-window end
         EventId joinEv{};              ///< pending rejoin completion
-        // Per in-flight chain bookkeeping is closure-captured
-        // (fault-free) or held in ChainRun records (fault injection).
     };
 
-    /** One in-flight prep chain (tracked under faults or elasticity). */
+    /** One in-flight prep chain (chains_, keyed in launch order). */
     struct ChainRun
     {
         std::size_t group = 0;
@@ -427,9 +426,6 @@ class TrainingSession
     };
 
     void launchPrep(std::size_t g);
-    void runChain(const std::string &track,
-                  const std::vector<StageTemplate> &stages, double samples,
-                  std::size_t idx, std::function<void()> done);
     void onChainDone(std::size_t g, double samples, Time chain_start);
     bool measuring() const;
     std::size_t chunksPerBatch() const;
@@ -438,6 +434,20 @@ class TrainingSession
     void onComputeDone(std::size_t g);
     void stepComplete();
     void onSyncDone();
+
+    // --- prep chains (every chain the session runs is a ChainRun) ----
+    void launchChain(std::size_t g, bool offload, double samples);
+    void startChainStage(std::uint64_t cid, std::size_t idx);
+    void resumeChainIn(Time delay, std::uint64_t cid, std::size_t idx);
+    void restartChain(std::uint64_t cid, ChainRun &run);
+    static constexpr std::size_t kAllGroups = static_cast<std::size_t>(-1);
+    void cancelChains(std::size_t g = kAllGroups);
+
+    std::size_t redispatchLocalChains(std::size_t g);
+    const std::vector<StageTemplate> &selectStages(const ChainRun &run)
+        const;
+    double effectiveOffload(std::size_t g) const;
+    bool prepOut(const GroupState &gs) const;
 
     // --- elastic-capacity path (never reached when elastic_ is null) -
     void onElasticEvent(const ElasticEvent &ev);
@@ -460,21 +470,14 @@ class TrainingSession
     void startIngestWrite(std::size_t attempt);
     void onIngestWriteDone(std::size_t attempt);
 
-    // --- fault-injection path (never reached when fault_ is null) ----
+    // --- fault-injection path (inert when fault_ is null) ------------
     void onFault(const FaultEvent &ev);
     void onRepair(const FaultEvent &ev);
     void onFatalCrash(const FaultEvent &ev);
     void onCheckpointResume();
-    void launchFaultChain(std::size_t g, bool offload, double samples);
-    void startChainStage(std::uint64_t cid, std::size_t idx);
-    bool handleReadFailure(std::uint64_t cid, std::size_t idx);
-    bool handleCorruption(std::uint64_t cid, std::size_t idx);
+    bool handleReadFailure(std::uint64_t cid, ChainRun &run, std::size_t idx);
+    bool handleCorruption(std::uint64_t cid, ChainRun &run, std::size_t idx);
     static bool chainVerifiesFrom(const ChainRun &run, std::size_t idx);
-    bool prepOut(const GroupState &gs) const;
-    const std::vector<StageTemplate> &selectStages(const ChainRun &run)
-        const;
-    double effectiveOffload(std::size_t g) const;
-    std::size_t redispatchLocalChains(std::size_t g);
 
     /**
      * Freeze the SessionResult at the completion instant (still inside
@@ -482,9 +485,10 @@ class TrainingSession
      * identical to assembling the result after the event loop drains —
      * simulated time cannot advance in between — but on a shared core
      * it guards the result against co-resident sessions that keep
-     * simulating past this session's end. It also disarms the
-     * fault/elastic/ingest injectors, so a finished or killed session
-     * stops adding events to a shared queue.
+     * simulating past this session's end. It is also the session's
+     * one teardown: it disarms the fault/elastic/ingest injectors and
+     * cancels every flow the session started, so a finished or killed
+     * session stops adding events to a shared queue and owns no flow.
      *
      * @p partial relaxes the completed-run assumptions for kill():
      * the measurement window may be empty (no throughput/resource
@@ -548,6 +552,7 @@ class TrainingSession
     Time ingestStallStart_ = 0.0;
     Time ingestOverloadStart_ = 0.0;
     std::uint64_t ingestWriteEpoch_ = 0; ///< stales pending retries
+    FlowId ingestWriteFlow_ = 0;         ///< in-flight write (0 = none)
 
     // sample ledger (always tracked; conservation panic-checked)
     double samplesPrepared_ = 0.0;

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sim/elastic_schedule.hh"
 #include "trainbox/report.hh"
@@ -696,18 +697,81 @@ TEST(ChaosLiveness, FinishedSessionStopsItsInjectorStreams)
     auto server = buildServer(cfg);
     TrainingSession session(*server);
     const SessionResult res = session.run(2, 4);
+    EXPECT_EQ(server->core().fluid().numActive(), 0u);
     EXPECT_EQ(res.stepsMeasured, 4u);
     EXPECT_GT(res.faults.faultsInjected, 0u);
     EXPECT_GT(res.elasticity.events, 0u);
     EXPECT_GT(res.ingest.arrivalEvents, 0u);
 
-    // What is left — in-flight flows, repairs and joins of windows
-    // still open — is finite.
+    // What is left — repairs and joins of windows still open, guarded
+    // timers — is finite.
     EventQueue &eq = server->core().events();
     std::size_t steps = 0;
     while (steps < 100000 && eq.step())
         ++steps;
     EXPECT_TRUE(eq.empty()) << "still pending after " << steps << " steps";
+}
+
+// kill() is the fleet's host-death path: the dead job must stop loading
+// the solver at once. Every flow the session started — prefetch chains,
+// a checkpoint capture, the in-flight ingest shard write — is
+// cancelled, and nothing it left scheduled starts another.
+TEST(ChaosLiveness, KilledSessionOwnsNoFlow)
+{
+    struct Case
+    {
+        const char *name;
+        ServerConfig cfg;
+    };
+    std::vector<Case> cases;
+    ServerConfig baseline = chaosConfig();
+    baseline.preset = ArchPreset::Baseline;
+    baseline.prepPoolFpgas = 0;
+    cases.push_back({"baseline", baseline});
+    cases.push_back({"trainbox", chaosConfig()});
+    // A capture begins at every step boundary: the kill below lands on
+    // a pending async snapshot, or on a sync drain in flight.
+    ServerConfig ckpt = chaosConfig();
+    ckpt.checkpoint.enabled = true;
+    ckpt.checkpoint.interval = 1e-3;
+    ckpt.checkpoint.mode = CheckpointMode::Async;
+    cases.push_back({"async_checkpoint", ckpt});
+    ckpt.checkpoint.mode = CheckpointMode::Sync;
+    cases.push_back({"sync_checkpoint", ckpt});
+    ServerConfig ingest = chaosConfig();
+    ingest.ingest.enabled = true;
+    ingest.ingest.steady = {20000.0, 256.0, 2};
+    cases.push_back({"ingest", ingest});
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        ASSERT_EQ(c.cfg.validate(), "");
+        auto server = buildServer(c.cfg);
+        TrainingSession session(*server);
+        session.start(2, 4);
+        EventQueue &eq = server->core().events();
+        FluidNetwork &net = server->core().fluid();
+        // Kill at a step boundary mid-run, while the next batches prep.
+        while (session.stepsSynced() < 3 && eq.step()) {
+        }
+        ASSERT_EQ(session.stepsSynced(), 3u);
+        ASSERT_FALSE(session.done());
+        ASSERT_GT(net.numActive(), 0u);
+        session.kill();
+        EXPECT_EQ(net.numActive(), 0u);
+
+        // Drain what is left; no event may start a flow.
+        std::size_t steps = 0;
+        std::size_t with_flows = 0;
+        while (steps < 100000 && eq.step()) {
+            ++steps;
+            if (net.numActive() != 0)
+                ++with_flows;
+        }
+        EXPECT_EQ(with_flows, 0u) << "of " << steps << " events after kill()";
+        EXPECT_TRUE(eq.empty()) << "still pending after " << steps
+                                << " steps";
+    }
 }
 
 } // namespace

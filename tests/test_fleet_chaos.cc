@@ -300,7 +300,10 @@ TEST(FleetRetry, RetryExhaustionAbandons)
     fleet.faults.schedule.push_back(
         {FleetFaultKind::HostOutage, 0, 1.7 * w, 0.1 * w});
 
-    const FleetReport r = runFleet(fleet);
+    FleetSimulation sim(fleet);
+    const FleetReport r = sim.run();
+    // Both killed attempts cancelled every flow they started.
+    EXPECT_EQ(sim.core().fluid().numActive(), 0u);
     EXPECT_EQ(r.jobsCompleted, 0u);
     EXPECT_EQ(r.jobsAbandoned, 1u);
     EXPECT_EQ(r.restartsTotal, 2u);
@@ -504,7 +507,10 @@ TEST(FleetChaos, LedgersHoldAcrossSeeds)
 
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        const FleetReport r = runFleet(chaosFleet(seed, w));
+        FleetSimulation sim(chaosFleet(seed, w));
+        const FleetReport r = sim.run();
+        // Finished, killed and horizon-frozen jobs alike own no flow.
+        EXPECT_EQ(sim.core().fluid().numActive(), 0u);
         EXPECT_EQ(r.jobsCompleted + r.jobsAbandoned +
                       r.jobsRunningAtHorizon + r.jobsQueuedAtHorizon,
                   r.jobsTotal);
