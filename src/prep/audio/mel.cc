@@ -1,5 +1,6 @@
 #include "prep/audio/mel.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -65,12 +66,25 @@ logMel(const Spectrogram &power, const MelConfig &mel, std::size_t fft_size)
     out.bins = mel.numMels;
     out.power.assign(out.frames * out.bins, 0.0);
 
+    // Band m's non-zero weights lie in bins [first[m], last[m]); the
+    // header says why skipping the others keeps every bit.
+    std::vector<std::size_t> first(mel.numMels, power.bins);
+    std::vector<std::size_t> last(mel.numMels, 0);
+    for (std::size_t m = 0; m < mel.numMels; ++m)
+        for (std::size_t b = 0; b < power.bins; ++b)
+            if (fb[m * power.bins + b] != 0.0) {
+                first[m] = std::min(first[m], b);
+                last[m] = b + 1;
+            }
+
     constexpr double eps = 1e-10;
     for (std::size_t f = 0; f < power.frames; ++f) {
+        const double *p = power.power.data() + f * power.bins;
         for (std::size_t m = 0; m < mel.numMels; ++m) {
+            const double *w = fb.data() + m * power.bins;
             double acc = 0.0;
-            for (std::size_t b = 0; b < power.bins; ++b)
-                acc += fb[m * power.bins + b] * power.at(f, b);
+            for (std::size_t b = first[m]; b < last[m]; ++b)
+                acc += w[b] * p[b];
             out.at(f, m) = std::log(acc + eps);
         }
     }

@@ -32,7 +32,15 @@ double melToHz(double mel);
 std::vector<double> melFilterbank(const MelConfig &mel, std::size_t bins,
                                   std::size_t fft_size);
 
-/** frames x numMels log-mel features: log(melE + eps). */
+/**
+ * frames x numMels log-mel features: log(melE + eps), where melE sums
+ * weight x power over bins in ascending order. Each band sums only the
+ * bins from its first non-zero weight to its last; the skipped terms
+ * are 0.0 x p, which is +0.0 for finite p >= 0. So the result equals
+ * the dense sum bit for bit whenever every power value is finite and
+ * non-negative, as |X|^2 of a finite signal is (the audio pipeline
+ * rejects non-finite and out-of-range samples before the STFT).
+ */
 Spectrogram logMel(const Spectrogram &power, const MelConfig &mel,
                    std::size_t fft_size);
 

@@ -1,6 +1,7 @@
 #include "prep/executor/prep_executor.hh"
 
 #include <chrono>
+#include <memory>
 
 #include "prep/integrity.hh"
 
@@ -15,6 +16,23 @@ nowSeconds()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/**
+ * One promise per item of an @p n-item batch: appends their futures to
+ * @p futures and returns the callback that fulfils promise i.
+ */
+template <typename Result>
+std::function<void(std::size_t, Result &&)>
+promiseCallback(std::size_t n, std::vector<std::future<Result>> &futures)
+{
+    auto promises = std::make_shared<std::vector<std::promise<Result>>>(n);
+    futures.reserve(futures.size() + n);
+    for (auto &p : *promises)
+        futures.push_back(p.get_future());
+    return [promises](std::size_t i, Result &&out) {
+        (*promises)[i].set_value(std::move(out));
+    };
 }
 
 } // namespace
@@ -75,22 +93,19 @@ PrepExecutor::workerLoop(std::size_t)
     }
 }
 
-std::vector<std::future<PreparedImage>>
-PrepExecutor::submitImageBatch(std::vector<std::vector<std::uint8_t>> jpegs)
+void
+PrepExecutor::submitImageBatch(
+    std::vector<std::vector<std::uint8_t>> jpegs,
+    std::function<void(std::size_t, PreparedImage &&)> done)
 {
-    std::vector<std::future<PreparedImage>> futures;
-    futures.reserve(jpegs.size());
-    for (auto &jpeg_bytes : jpegs) {
-        std::promise<PreparedImage> promise;
-        futures.push_back(promise.get_future());
-
+    for (std::size_t i = 0; i < jpegs.size(); ++i) {
         const std::uint64_t index = nextItemIndex_++;
         const std::uint64_t seed = itemSeed(index);
         Task task;
         task.submitSeconds = nowSeconds();
         task.run = std::packaged_task<void()>(
-            [this, index, seed, bytes = std::move(jpeg_bytes),
-             promise = std::move(promise)]() mutable {
+            [this, i, index, seed, done,
+             bytes = std::move(jpegs[i])]() mutable {
                 ImagePrepPipeline pipe(cfg_.image);
                 const double t0 = nowSeconds();
                 // Bounded in-task retry: attempt a>0 reruns the chain
@@ -135,62 +150,39 @@ PrepExecutor::submitImageBatch(std::vector<std::vector<std::uint8_t>> jpegs)
                     imagePrepSeconds_ += dt;
                     imagePrepMs_.sample(dt * 1e3);
                 }
-                promise.set_value(std::move(out));
+                done(i, std::move(out));
             });
         if (!enqueue(task)) {
             // Executor already shut down: fail the item immediately.
             PreparedImage failed;
             failed.error = "executor shut down";
-            std::promise<PreparedImage> p;
-            futures.back() = p.get_future();
-            p.set_value(std::move(failed));
+            done(i, std::move(failed));
         }
     }
+}
+
+std::vector<std::future<PreparedImage>>
+PrepExecutor::submitImageBatch(std::vector<std::vector<std::uint8_t>> jpegs)
+{
+    std::vector<std::future<PreparedImage>> futures;
+    auto done = promiseCallback(jpegs.size(), futures);
+    submitImageBatch(std::move(jpegs), std::move(done));
     return futures;
 }
 
 void
-PrepExecutor::submitImageBatch(
-    std::vector<std::vector<std::uint8_t>> jpegs,
-    std::function<void(std::size_t, PreparedImage &&)> done)
+PrepExecutor::submitAudioBatch(
+    std::vector<std::vector<double>> waveforms,
+    std::function<void(std::size_t, PreparedAudio &&)> done)
 {
-    auto futures = submitImageBatch(std::move(jpegs));
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        std::promise<PreparedImage> relay;
-        std::future<PreparedImage> original = std::move(futures[i]);
-        // Chain through one more queued task so the callback runs on a
-        // worker thread without blocking the submitter.
-        Task task;
-        task.submitSeconds = nowSeconds();
-        task.run = std::packaged_task<void()>(
-            [i, done, original = std::move(original)]() mutable {
-                done(i, original.get());
-            });
-        if (!enqueue(task)) {
-            // Shutdown raced the relay: run it inline. The prep future
-            // either drains (shutdown is graceful) or was already
-            // failed at submission, so get() cannot block forever.
-            task.run();
-        }
-    }
-}
-
-std::vector<std::future<PreparedAudio>>
-PrepExecutor::submitAudioBatch(std::vector<std::vector<double>> waveforms)
-{
-    std::vector<std::future<PreparedAudio>> futures;
-    futures.reserve(waveforms.size());
-    for (auto &wave : waveforms) {
-        std::promise<PreparedAudio> promise;
-        futures.push_back(promise.get_future());
-
+    for (std::size_t i = 0; i < waveforms.size(); ++i) {
         const std::uint64_t index = nextItemIndex_++;
         const std::uint64_t seed = itemSeed(index);
         Task task;
         task.submitSeconds = nowSeconds();
         task.run = std::packaged_task<void()>(
-            [this, index, seed, wave = std::move(wave),
-             promise = std::move(promise)]() mutable {
+            [this, i, index, seed, done,
+             wave = std::move(waveforms[i])]() mutable {
                 AudioPrepPipeline pipe(cfg_.audio);
                 const std::size_t pcm_bytes = wave.size() * 2;
                 const double t0 = nowSeconds();
@@ -230,37 +222,23 @@ PrepExecutor::submitAudioBatch(std::vector<std::vector<double>> waveforms)
                     audioPrepSeconds_ += dt;
                     audioPrepMs_.sample(dt * 1e3);
                 }
-                promise.set_value(std::move(out));
+                done(i, std::move(out));
             });
         if (!enqueue(task)) {
             PreparedAudio failed;
             failed.error = "executor shut down";
-            std::promise<PreparedAudio> p;
-            futures.back() = p.get_future();
-            p.set_value(std::move(failed));
+            done(i, std::move(failed));
         }
     }
-    return futures;
 }
 
-void
-PrepExecutor::submitAudioBatch(
-    std::vector<std::vector<double>> waveforms,
-    std::function<void(std::size_t, PreparedAudio &&)> done)
+std::vector<std::future<PreparedAudio>>
+PrepExecutor::submitAudioBatch(std::vector<std::vector<double>> waveforms)
 {
-    auto futures = submitAudioBatch(std::move(waveforms));
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        std::future<PreparedAudio> original = std::move(futures[i]);
-        Task task;
-        task.submitSeconds = nowSeconds();
-        task.run = std::packaged_task<void()>(
-            [i, done, original = std::move(original)]() mutable {
-                done(i, original.get());
-            });
-        if (!enqueue(task)) {
-            task.run();
-        }
-    }
+    std::vector<std::future<PreparedAudio>> futures;
+    auto done = promiseCallback(waveforms.size(), futures);
+    submitAudioBatch(std::move(waveforms), std::move(done));
+    return futures;
 }
 
 void

@@ -120,10 +120,14 @@ struct ExecutorStatsSnapshot
 /**
  * Fixed-size thread pool executing image/audio preparation chains.
  *
- * Batch submission returns one future per item, in item order; the
- * callback overloads instead invoke `done(index, result)` from a worker
- * thread as each item completes. After shutdown() — or destruction —
- * submissions complete immediately with ok=false.
+ * Every item enters the queue through a callback overload as one task:
+ * the worker that pops it runs the chain, records the item's stats,
+ * and then calls `done(index, result)` itself. That worker prepares
+ * nothing else until `done` returns (see docs/CONCURRENCY.md for what a
+ * callback may do). The futures overloads are wrappers whose callback
+ * fulfils promise `index`; they return one future per item, in item
+ * order. After shutdown() — or destruction — submissions complete on
+ * the calling thread with ok=false and "executor shut down".
  */
 class PrepExecutor
 {
@@ -140,7 +144,10 @@ class PrepExecutor
     std::vector<std::future<PreparedImage>>
     submitImageBatch(std::vector<std::vector<std::uint8_t>> jpegs);
 
-    /** Callback flavour: done(index, result) runs on a worker thread. */
+    /**
+     * Callback flavour: done(index, result) runs on the worker that
+     * prepared the item, after its stats are recorded.
+     */
     void submitImageBatch(
         std::vector<std::vector<std::uint8_t>> jpegs,
         std::function<void(std::size_t, PreparedImage &&)> done);
@@ -149,7 +156,7 @@ class PrepExecutor
     std::vector<std::future<PreparedAudio>>
     submitAudioBatch(std::vector<std::vector<double>> waveforms);
 
-    /** Callback flavour: done(index, result) runs on a worker thread. */
+    /** Callback flavour; same contract as the image overload. */
     void submitAudioBatch(
         std::vector<std::vector<double>> waveforms,
         std::function<void(std::size_t, PreparedAudio &&)> done);
@@ -182,7 +189,11 @@ class PrepExecutor
   private:
     struct Task
     {
-        /** Runs the prep chain and fulfills the promise/callback. */
+        /**
+         * Runs the prep chain, records its stats, calls `done`. A
+         * packaged_task, so an exception from the chain or from `done`
+         * stays in the task and never reaches workerLoop().
+         */
         std::packaged_task<void()> run;
 
         /** steady_clock seconds at submission (for queue-wait time). */

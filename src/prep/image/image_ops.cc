@@ -1,5 +1,6 @@
 #include "prep/image/image_ops.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -17,10 +18,14 @@ crop(const Image &src, int x0, int y0, int w, int h)
              "crop %dx%d@(%d,%d) outside %dx%d image", w, h, x0, y0,
              src.width, src.height);
     Image out(w, h, src.channels);
+    // Each output row is one contiguous run of the source row: copy it
+    // whole (copy_n, unlike memcpy, is defined for a 0-channel image).
+    const std::size_t ch = static_cast<std::size_t>(src.channels);
+    const std::size_t row = static_cast<std::size_t>(w) * ch;
+    const std::size_t src_row = static_cast<std::size_t>(src.width) * ch;
+    const std::uint8_t *in = src.pixels.data() + y0 * src_row + x0 * ch;
     for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-            for (int c = 0; c < src.channels; ++c)
-                out.at(x, y, c) = src.at(x0 + x, y0 + y, c);
+        std::copy_n(in + y * src_row, row, out.pixels.data() + y * row);
     return out;
 }
 
@@ -46,10 +51,16 @@ Image
 mirrorHorizontal(const Image &src)
 {
     Image out(src.width, src.height, src.channels);
-    for (int y = 0; y < src.height; ++y)
-        for (int x = 0; x < src.width; ++x)
-            for (int c = 0; c < src.channels; ++c)
-                out.at(x, y, c) = src.at(src.width - 1 - x, y, c);
+    const std::size_t ch = static_cast<std::size_t>(src.channels);
+    const std::size_t row = static_cast<std::size_t>(src.width) * ch;
+    for (int y = 0; y < src.height; ++y) {
+        const std::uint8_t *in = src.pixels.data() + y * row;
+        std::uint8_t *o = out.pixels.data() + y * row;
+        // Output pixel x is input pixel width-1-x, channels in order.
+        for (std::size_t x = 0; x < row; x += ch)
+            for (std::size_t c = 0; c < ch; ++c)
+                o[x + c] = in[row - ch - x + c];
+    }
     return out;
 }
 
@@ -115,13 +126,22 @@ toBf16(float v)
 std::vector<float>
 castToFloatTensor(const Image &src)
 {
-    std::vector<float> out(static_cast<std::size_t>(src.width) *
-                           src.height * src.channels);
-    std::size_t i = 0;
-    for (int c = 0; c < src.channels; ++c)
-        for (int y = 0; y < src.height; ++y)
-            for (int x = 0; x < src.width; ++x)
-                out[i++] = toBf16(src.at(x, y, c) / 255.0f);
+    // The value depends only on the byte, so round each of the 256
+    // possible bytes once.
+    float lut[256];
+    for (int v = 0; v < 256; ++v)
+        lut[v] = toBf16(v / 255.0f);
+
+    const std::size_t ch = static_cast<std::size_t>(src.channels);
+    const std::size_t plane = static_cast<std::size_t>(src.width) *
+                              src.height;
+    std::vector<float> out(plane * ch);
+    for (std::size_t c = 0; c < ch; ++c) {
+        float *dst = out.data() + c * plane;
+        const std::uint8_t *in = src.pixels.data() + c;
+        for (std::size_t p = 0; p < plane; ++p)
+            dst[p] = lut[in[p * ch]];
+    }
     return out;
 }
 

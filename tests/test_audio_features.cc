@@ -126,6 +126,67 @@ TEST(Mel, ToneLandsInTheRightBand)
                 frac * static_cast<double>(mcfg.numMels), 6.0);
 }
 
+/** logMel's definition: every bin of every band, in bin order. */
+Spectrogram
+denseLogMel(const Spectrogram &power, const MelConfig &mel,
+            std::size_t fft_size)
+{
+    const std::vector<double> fb = melFilterbank(mel, power.bins, fft_size);
+    Spectrogram out;
+    out.frames = power.frames;
+    out.bins = mel.numMels;
+    out.power.assign(out.frames * out.bins, 0.0);
+    for (std::size_t f = 0; f < power.frames; ++f)
+        for (std::size_t m = 0; m < mel.numMels; ++m) {
+            double acc = 0.0;
+            for (std::size_t b = 0; b < power.bins; ++b)
+                acc += fb[m * power.bins + b] * power.at(f, b);
+            out.at(f, m) = std::log(acc + 1e-10);
+        }
+    return out;
+}
+
+// logMel sums each band only over its non-zero weights; on finite,
+// non-negative power that must give the dense sum's exact values.
+TEST(Mel, LogMelMatchesDenseFilterbank)
+{
+    auto expectSame = [](const Spectrogram &power, const MelConfig &mel,
+                         std::size_t fft_size) {
+        const Spectrogram got = logMel(power, mel, fft_size);
+        const Spectrogram want = denseLogMel(power, mel, fft_size);
+        ASSERT_EQ(got.frames, want.frames);
+        ASSERT_EQ(got.bins, want.bins);
+        for (std::size_t i = 0; i < want.power.size(); ++i)
+            EXPECT_EQ(got.power[i], want.power[i]) << "value " << i;
+    };
+
+    // The pipeline's own input: an utterance's power spectrogram.
+    Rng rng(21);
+    WaveGenConfig wcfg;
+    wcfg.durationSec = 0.5;
+    const StftConfig scfg;
+    expectSame(stft(generateUtterance(wcfg, rng), scfg), MelConfig{},
+               scfg.fftSize);
+
+    // Runs of exact-zero bins, a silent frame, and a band layout that
+    // leaves bins outside every band.
+    Spectrogram runs;
+    runs.frames = 6;
+    runs.bins = 513;
+    runs.power.resize(runs.frames * runs.bins);
+    for (std::size_t f = 0; f < runs.frames; ++f)
+        for (std::size_t b = 0; b < runs.bins; ++b)
+            runs.at(f, b) = f == 3 || (b / (f + 3)) % 3 == 0
+                                ? 0.0
+                                : rng.uniform(0.0, 50.0);
+    MelConfig narrow;
+    narrow.numMels = 40;
+    narrow.fMin = 300.0;
+    narrow.fMax = 6000.0;
+    expectSame(runs, narrow, 1024);
+    expectSame(runs, MelConfig{}, 1024);
+}
+
 TEST(AudioOps, TimeMaskZeroesWholeFrames)
 {
     Spectrogram s;

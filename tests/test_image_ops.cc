@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +130,58 @@ TEST(ImageOps, CastTensorShapeAndRange)
     // CHW layout: first plane is channel 0.
     EXPECT_NEAR(t[0], toBf16(src.at(0, 0, 0) / 255.0f), 1e-6);
     EXPECT_NEAR(t[8 * 6], toBf16(src.at(0, 0, 1) / 255.0f), 1e-6);
+}
+
+// crop, mirrorHorizontal and castToFloatTensor index the pixel rows
+// directly; they must match per-pixel loops through the bounds-checked
+// at(). Odd widths, 1 and 3 channels, windows touching every edge, and
+// every byte value for the cast.
+TEST(ImageOps, RowKernelsMatchAtReference)
+{
+    for (int channels : {1, 3}) {
+        const int w = 37, h = 21;
+        Image src(w, h, channels);
+        for (std::size_t i = 0; i < src.pixels.size(); ++i)
+            src.pixels[i] = static_cast<std::uint8_t>(i * 7 + 3);
+
+        struct Window
+        {
+            int x0, y0, w, h;
+        };
+        for (const Window &win :
+             {Window{0, 0, 5, 4}, Window{w - 6, h - 3, 6, 3},
+              Window{0, h - 1, w, 1}, Window{w - 1, 0, 1, h},
+              Window{0, 0, w, h}, Window{3, 2, 11, 9}}) {
+            Image want(win.w, win.h, channels);
+            for (int y = 0; y < win.h; ++y)
+                for (int x = 0; x < win.w; ++x)
+                    for (int c = 0; c < channels; ++c)
+                        want.at(x, y, c) =
+                            src.at(win.x0 + x, win.y0 + y, c);
+            EXPECT_EQ(crop(src, win.x0, win.y0, win.w, win.h), want)
+                << win.w << "x" << win.h << "@(" << win.x0 << ","
+                << win.y0 << "), " << channels << " channels";
+        }
+
+        Image mirrored(w, h, channels);
+        for (int y = 0; y < h; ++y)
+            for (int x = 0; x < w; ++x)
+                for (int c = 0; c < channels; ++c)
+                    mirrored.at(x, y, c) = src.at(w - 1 - x, y, c);
+        EXPECT_EQ(mirrorHorizontal(src), mirrored) << channels;
+
+        std::vector<float> cast;
+        for (int c = 0; c < channels; ++c)
+            for (int y = 0; y < h; ++y)
+                for (int x = 0; x < w; ++x)
+                    cast.push_back(toBf16(src.at(x, y, c) / 255.0f));
+        const std::vector<float> got = castToFloatTensor(src);
+        ASSERT_EQ(got.size(), cast.size());
+        EXPECT_EQ(std::memcmp(got.data(), cast.data(),
+                              cast.size() * sizeof(float)),
+                  0)
+            << channels;
+    }
 }
 
 TEST(ImageOps, Bf16RoundingLosesLowMantissa)

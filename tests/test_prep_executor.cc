@@ -7,7 +7,10 @@
  */
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -83,6 +86,37 @@ runBoth(std::size_t workers)
     return out;
 }
 
+/** The same batches as runBoth, through the callback overloads. */
+RunOutput
+runBothCallbacks(std::size_t workers)
+{
+    RunOutput out;
+    out.imageTensors.resize(12);
+    out.audioFeatures.resize(6);
+    {
+        prep::PrepExecutor executor(smallImageConfig(workers));
+        executor.submitImageBatch(
+            makeJpegs(12), [&](std::size_t i, prep::PreparedImage &&img) {
+                EXPECT_TRUE(img.ok) << img.error;
+                out.imageTensors[i] = std::move(img.tensor);
+            });
+        executor.submitAudioBatch(
+            makeWaves(6), [&](std::size_t i, prep::PreparedAudio &&a) {
+                EXPECT_TRUE(a.ok);
+                out.audioFeatures[i] = std::move(a.features.power);
+            });
+    } // the destructor drains the queue and joins the workers
+    return out;
+}
+
+template <typename T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
 // The determinism guarantee: per-item RNG streams derived from
 // (base seed, item index) make the output independent of worker count
 // and scheduling. Futures come back in item order, so element-wise
@@ -105,6 +139,27 @@ TEST(PrepExecutor, DeterministicAcrossWorkerCounts)
             EXPECT_EQ(got.audioFeatures[i], ref.audioFeatures[i])
                 << "audio features " << i << " differ at " << workers
                 << " workers";
+    }
+
+    // The futures overloads wrap the callback overloads; both flavours
+    // must give the same bits at every worker count.
+    for (std::size_t workers : {1u, 2u, 8u}) {
+        const RunOutput futures = workers == 1 ? ref : runBoth(workers);
+        const RunOutput callbacks = runBothCallbacks(workers);
+        ASSERT_EQ(callbacks.imageTensors.size(),
+                  futures.imageTensors.size());
+        for (std::size_t i = 0; i < futures.imageTensors.size(); ++i)
+            EXPECT_TRUE(sameBits(callbacks.imageTensors[i],
+                                 futures.imageTensors[i]))
+                << "callback image tensor " << i << " differs at "
+                << workers << " workers";
+        ASSERT_EQ(callbacks.audioFeatures.size(),
+                  futures.audioFeatures.size());
+        for (std::size_t i = 0; i < futures.audioFeatures.size(); ++i)
+            EXPECT_TRUE(sameBits(callbacks.audioFeatures[i],
+                                 futures.audioFeatures[i]))
+                << "callback audio features " << i << " differ at "
+                << workers << " workers";
     }
 }
 
@@ -140,6 +195,29 @@ TEST(PrepExecutor, SubmitAfterShutdownFailsFast)
     auto audio_futures = executor.submitAudioBatch(makeWaves(2));
     for (auto &f : audio_futures)
         EXPECT_FALSE(f.get().ok);
+
+    // The callback overloads fail every item inline: each index arrives
+    // exactly once, on the calling thread, before submit returns.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<int> image_calls(3, 0);
+    executor.submitImageBatch(
+        makeJpegs(3, 80), [&](std::size_t i, prep::PreparedImage &&img) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            EXPECT_FALSE(img.ok);
+            EXPECT_EQ(img.error, "executor shut down");
+            ++image_calls.at(i);
+        });
+    EXPECT_EQ(image_calls, std::vector<int>(3, 1));
+
+    std::vector<int> audio_calls(3, 0);
+    executor.submitAudioBatch(
+        makeWaves(3), [&](std::size_t i, prep::PreparedAudio &&a) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            EXPECT_FALSE(a.ok);
+            EXPECT_EQ(a.error, "executor shut down");
+            ++audio_calls.at(i);
+        });
+    EXPECT_EQ(audio_calls, std::vector<int>(3, 1));
 }
 
 TEST(PrepExecutor, EmptyBatchesComplete)
@@ -167,6 +245,25 @@ TEST(PrepExecutor, CallbackFlavourDeliversEveryIndex)
     executor.shutdown();
     EXPECT_EQ(delivered.load(), 8u);
     EXPECT_EQ(index_mask.load(), 0xffull);
+}
+
+// A callback runs on the worker that prepared its item, after that
+// item's stats are recorded and before the worker pops anything else:
+// with one worker and a FIFO queue, item i's callback sees exactly
+// i + 1 items counted.
+TEST(PrepExecutor, CallbackRunsRightAfterItsItem)
+{
+    prep::PrepExecutor executor(smallImageConfig(1));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<double> counted(4, -1.0);
+    executor.submitImageBatch(
+        makeJpegs(4, 80), [&](std::size_t i, prep::PreparedImage &&img) {
+            EXPECT_TRUE(img.ok) << img.error;
+            EXPECT_NE(std::this_thread::get_id(), caller);
+            counted[i] = executor.statsSnapshot().imageItems;
+        });
+    executor.shutdown();
+    EXPECT_EQ(counted, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
 }
 
 TEST(PrepExecutor, StatsCountItemsAndBytes)
@@ -260,8 +357,9 @@ TEST(PrepExecutor, RetryPolicyDoesNotPerturbHealthyItems)
 }
 
 // MPMC stress: >=1000 items through >=4 workers with a tight queue
-// bound, plus a concurrent audio producer thread. Run under
-// -DTB_SANITIZE=thread to validate the locking protocol.
+// bound, plus a concurrent audio producer thread and a closed-loop
+// producer on the callback overloads. Run under -DTB_SANITIZE=thread to
+// validate the locking protocol.
 TEST(PrepExecutor, StressManyItemsManyWorkers)
 {
     prep::ExecutorConfig cfg = smallImageConfig(4);
@@ -285,17 +383,62 @@ TEST(PrepExecutor, StressManyItemsManyWorkers)
                 audio_ok.fetch_add(1);
     });
 
+    // Closed loop like perfbench's prep_mix: single-item batches through
+    // the callback overloads, 2 x workers outstanding, one audio item in
+    // every ten. Each callback runs on a worker and wakes the producer.
+    constexpr std::size_t kLoopItems = 240;
+    const std::size_t window = 2 * executor.numWorkers();
+    const auto loop_waves = makeWaves(2, 0.2);
+    std::mutex loop_mutex;
+    std::condition_variable loop_cv;
+    std::size_t outstanding = 0, loop_ok = 0;
+    std::vector<int> loop_calls(kLoopItems, 0);
+    std::thread loop_producer([&] {
+        for (std::size_t k = 0; k < kLoopItems; ++k) {
+            {
+                std::unique_lock<std::mutex> lock(loop_mutex);
+                loop_cv.wait(lock, [&] { return outstanding < window; });
+                ++outstanding;
+            }
+            auto finish = [&, k](bool ok) {
+                std::lock_guard<std::mutex> lock(loop_mutex);
+                ++loop_calls[k];
+                loop_ok += ok ? 1 : 0;
+                --outstanding;
+                loop_cv.notify_one();
+            };
+            if (k % 10 == 9)
+                executor.submitAudioBatch(
+                    {loop_waves[k / 10 % loop_waves.size()]},
+                    [finish](std::size_t, prep::PreparedAudio &&a) {
+                        finish(a.ok);
+                    });
+            else
+                executor.submitImageBatch(
+                    {base[k % base.size()]},
+                    [finish](std::size_t, prep::PreparedImage &&img) {
+                        finish(img.ok);
+                    });
+        }
+        std::unique_lock<std::mutex> lock(loop_mutex);
+        loop_cv.wait(lock, [&] { return outstanding == 0; });
+    });
+
     std::size_t image_ok = 0;
     for (auto &f : executor.submitImageBatch(std::move(jpegs)))
         if (f.get().ok)
             ++image_ok;
     audio_producer.join();
+    loop_producer.join();
     executor.shutdown();
 
     EXPECT_EQ(image_ok, kImages);
     EXPECT_EQ(audio_ok.load(), 24u);
+    EXPECT_EQ(loop_ok, kLoopItems);
+    EXPECT_EQ(loop_calls, std::vector<int>(kLoopItems, 1));
     const prep::ExecutorStatsSnapshot s = executor.statsSnapshot();
-    EXPECT_DOUBLE_EQ(s.itemsPrepared, static_cast<double>(kImages + 24));
+    EXPECT_DOUBLE_EQ(s.itemsPrepared,
+                     static_cast<double>(kImages + 24 + kLoopItems));
 }
 
 TEST(BoundedWorkQueue, CloseUnblocksProducerAndPreservesItem)
