@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 
+#include "common/escape.hh"
 #include "common/logging.hh"
 
 namespace tb {
@@ -91,9 +92,13 @@ void
 Table::printCsv(std::FILE *out) const
 {
     auto print_row = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c)
-            std::fprintf(out, "%s%s", c ? "," : "", cells[c].c_str());
-        std::fprintf(out, "\n");
+        std::string line;
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            if (c)
+                line += ',';
+            appendCsvField(line, cells[c]);
+        }
+        std::fprintf(out, "%s\n", line.c_str());
     };
     print_row(headers_);
     for (const auto &row : rows_)

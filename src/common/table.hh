@@ -43,7 +43,7 @@ class Table
     /** Print as aligned ASCII to @p out (default stdout). */
     void print(std::FILE *out = stdout) const;
 
-    /** Print as CSV to @p out. */
+    /** Print as CSV to @p out (cells quoted per RFC 4180 where needed). */
     void printCsv(std::FILE *out = stdout) const;
 
     /** Number of data rows so far. */

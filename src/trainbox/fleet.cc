@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstring>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
@@ -791,202 +790,67 @@ runFleet(FleetConfig cfg)
     return fleet.run();
 }
 
-// --- FleetReport exporters -----------------------------------------------
-
-namespace {
-
-/** JSON string escaping for names (conservative: quotes + backslash). */
-std::string
-jsonEscape(const std::string &s)
+ReportNode
+fieldTable(const FleetReport &r)
 {
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
-std::string
-FleetReport::toJson() const
-{
-    std::ostringstream out;
-    char buf[256];
-    out << "{\n";
-    out << "  \"policy\": \"" << jsonEscape(policy) << "\",\n";
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"jobs_total\": %zu,\n  \"jobs_completed\": %zu,\n"
-        "  \"makespan_s\": %.6f,\n  \"aggregate_throughput\": %.6f,\n",
-        jobsTotal, jobsCompleted, makespan, aggregateThroughput);
-    out << buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"avg_queueing_delay_s\": %.6f,\n"
-        "  \"max_queueing_delay_s\": %.6f,\n  \"jobs_queued\": %zu,\n",
-        avgQueueingDelay, maxQueueingDelay, jobsQueued);
-    out << buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"pool_fpgas_total\": %zu,\n"
-        "  \"pool_fpgas_requested\": %zu,\n"
-        "  \"pool_fpgas_granted\": %zu,\n"
-        "  \"jobs_pool_constrained\": %zu,\n"
-        "  \"pool_fairness\": %.6f,\n",
-        poolFpgasTotal, poolFpgasRequestedTotal, poolFpgasGrantedTotal,
-        jobsPoolConstrained, poolFairness);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"straggler_ratio\": %.6f,\n"
-                  "  \"preemptions\": %zu,\n"
-                  "  \"faults_injected\": %zu,\n"
-                  "  \"events_executed\": %llu,\n",
-                  stragglerRatio, preemptions, faultsInjected,
-                  static_cast<unsigned long long>(eventsExecuted));
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"jobs_abandoned\": %zu,\n"
-                  "  \"jobs_running_at_horizon\": %zu,\n"
-                  "  \"jobs_queued_at_horizon\": %zu,\n"
-                  "  \"restarts_total\": %zu,\n"
-                  "  \"steps_lost_total\": %zu,\n",
-                  jobsAbandoned, jobsRunningAtHorizon,
-                  jobsQueuedAtHorizon, restartsTotal, stepsLostTotal);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"work_lost_s\": %.6f,\n"
-                  "  \"avg_replacement_latency_s\": %.6f,\n"
-                  "  \"max_replacement_latency_s\": %.6f,\n"
-                  "  \"fleet_faults_injected\": %zu,\n"
-                  "  \"host_down_time_s\": %.6f,\n",
-                  workLostTime, avgReplacementLatency,
-                  maxReplacementLatency, fleetFaultsInjected,
-                  hostDownTime);
-    out << buf;
-    out << "  \"retry_histogram\": [";
-    for (std::size_t i = 0; i < retryHistogram.size(); ++i)
-        out << (i ? ", " : "") << retryHistogram[i];
-    out << "],\n";
-    out << "  \"jobs\": [\n";
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const FleetJobResult &j = jobs[i];
-        out << "    {\"name\": \"" << jsonEscape(j.job) << "\", "
-            << "\"host\": \"" << jsonEscape(j.host) << "\", ";
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"priority\": %d, \"arrival_s\": %.6f, "
-            "\"started_s\": %.6f, \"finished_s\": %.6f, "
-            "\"queueing_delay_s\": %.6f, \"boxes\": %zu, ",
-            j.priority, j.arrival, j.started, j.finished,
-            j.queueingDelay, j.boxesUsed);
-        out << buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"pool_fpgas_requested\": %zu, \"pool_fpgas_granted\": %zu, "
-            "\"pool_constrained\": %s, \"admitted\": %s, "
-            "\"completed\": %s, \"throughput\": %.6f, "
-            "\"wall_time_s\": %.6f, ",
-            j.poolFpgasRequested, j.poolFpgasGranted,
-            j.poolConstrained ? "true" : "false",
-            j.admitted ? "true" : "false",
-            j.completed ? "true" : "false",
-            j.completed ? j.report.throughput() : 0.0,
-            j.completed ? j.report.wallTime() : 0.0);
-        out << buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"state\": \"%s\", \"restarts\": %zu, "
-            "\"steps_lost\": %zu, \"work_lost_s\": %.6f, "
-            "\"replacement_latency_s\": %.6f}%s\n",
-            fleetJobStateName(j.state), j.restarts, j.stepsLost,
-            j.workLost, j.replacementLatency,
-            i + 1 < jobs.size() ? "," : "");
-        out << buf;
-    }
-    out << "  ]\n";
-    out << "}\n";
-    return out.str();
-}
-
-std::string
-FleetReport::toCsv() const
-{
-    std::ostringstream out;
-    char buf[192];
-    out << "section,key,value\n";
-    out << "fleet,policy," << policy << "\n";
-    std::snprintf(buf, sizeof(buf),
-                  "fleet,jobs_total,%zu\nfleet,jobs_completed,%zu\n"
-                  "fleet,makespan_s,%.6f\n"
-                  "fleet,aggregate_throughput,%.6f\n"
-                  "fleet,avg_queueing_delay_s,%.6f\n"
-                  "fleet,max_queueing_delay_s,%.6f\n",
-                  jobsTotal, jobsCompleted, makespan,
-                  aggregateThroughput, avgQueueingDelay,
-                  maxQueueingDelay);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "fleet,pool_fpgas_total,%zu\n"
-                  "fleet,pool_fpgas_requested,%zu\n"
-                  "fleet,pool_fpgas_granted,%zu\n"
-                  "fleet,pool_fairness,%.6f\n"
-                  "fleet,straggler_ratio,%.6f\n"
-                  "fleet,preemptions,%zu\n"
-                  "fleet,events_executed,%llu\n",
-                  poolFpgasTotal, poolFpgasRequestedTotal,
-                  poolFpgasGrantedTotal, poolFairness, stragglerRatio,
-                  preemptions,
-                  static_cast<unsigned long long>(eventsExecuted));
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "fleet,jobs_abandoned,%zu\n"
-                  "fleet,jobs_running_at_horizon,%zu\n"
-                  "fleet,jobs_queued_at_horizon,%zu\n"
-                  "fleet,restarts_total,%zu\n"
-                  "fleet,steps_lost_total,%zu\n"
-                  "fleet,work_lost_s,%.6f\n",
-                  jobsAbandoned, jobsRunningAtHorizon,
-                  jobsQueuedAtHorizon, restartsTotal, stepsLostTotal,
-                  workLostTime);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "fleet,avg_replacement_latency_s,%.6f\n"
-                  "fleet,max_replacement_latency_s,%.6f\n"
-                  "fleet,fleet_faults_injected,%zu\n"
-                  "fleet,host_down_time_s,%.6f\n",
-                  avgReplacementLatency, maxReplacementLatency,
-                  fleetFaultsInjected, hostDownTime);
-    out << buf;
-    for (const FleetJobResult &j : jobs) {
-        const std::string sec = "job." + j.job;
-        out << sec << ",host," << j.host << "\n";
-        std::snprintf(buf, sizeof(buf),
-                      "%s,arrival_s,%.6f\n%s,queueing_delay_s,%.6f\n"
-                      "%s,pool_fpgas_requested,%zu\n"
-                      "%s,pool_fpgas_granted,%zu\n"
-                      "%s,completed,%d\n",
-                      sec.c_str(), j.arrival, sec.c_str(),
-                      j.queueingDelay, sec.c_str(), j.poolFpgasRequested,
-                      sec.c_str(), j.poolFpgasGranted, sec.c_str(),
-                      j.completed ? 1 : 0);
-        out << buf;
-        std::snprintf(buf, sizeof(buf),
-                      "%s,state,%s\n%s,restarts,%zu\n",
-                      sec.c_str(), fleetJobStateName(j.state),
-                      sec.c_str(), j.restarts);
-        out << buf;
-        if (j.completed) {
-            std::snprintf(buf, sizeof(buf),
-                          "%s,throughput,%.6f\n%s,wall_time_s,%.6f\n",
-                          sec.c_str(), j.report.throughput(),
-                          sec.c_str(), j.report.wallTime());
-            out << buf;
-        }
-    }
-    return out.str();
+    using F = ReportNode::Format;
+    ReportNode root("fleet");
+    root.text("policy", r.policy)
+        .num("jobs_total", r.jobsTotal, F::Integer)
+        .num("jobs_completed", r.jobsCompleted, F::Integer)
+        .num("makespan_s", r.makespan, F::Fixed)
+        .num("aggregate_throughput", r.aggregateThroughput, F::Fixed)
+        .num("avg_queueing_delay_s", r.avgQueueingDelay, F::Fixed)
+        .num("max_queueing_delay_s", r.maxQueueingDelay, F::Fixed)
+        .num("jobs_queued", r.jobsQueued, F::Integer)
+        .num("pool_fpgas_total", r.poolFpgasTotal, F::Integer)
+        .num("pool_fpgas_requested", r.poolFpgasRequestedTotal, F::Integer)
+        .num("pool_fpgas_granted", r.poolFpgasGrantedTotal, F::Integer)
+        .num("jobs_pool_constrained", r.jobsPoolConstrained, F::Integer)
+        .num("pool_fairness", r.poolFairness, F::Fixed)
+        .num("straggler_ratio", r.stragglerRatio, F::Fixed)
+        .num("preemptions", r.preemptions, F::Integer)
+        .num("faults_injected", r.faultsInjected, F::Integer)
+        .num("events_executed", r.eventsExecuted, F::Integer)
+        .num("jobs_abandoned", r.jobsAbandoned, F::Integer)
+        .num("jobs_running_at_horizon", r.jobsRunningAtHorizon, F::Integer)
+        .num("jobs_queued_at_horizon", r.jobsQueuedAtHorizon, F::Integer)
+        .num("restarts_total", r.restartsTotal, F::Integer)
+        .num("steps_lost_total", r.stepsLostTotal, F::Integer)
+        .num("work_lost_s", r.workLostTime, F::Fixed)
+        .num("avg_replacement_latency_s", r.avgReplacementLatency, F::Fixed)
+        .num("max_replacement_latency_s", r.maxReplacementLatency, F::Fixed)
+        .num("fleet_faults_injected", r.fleetFaultsInjected, F::Integer)
+        .num("host_down_time_s", r.hostDownTime, F::Fixed);
+    ReportNode &retries = root.array("retry_histogram", "retry_histogram");
+    for (std::size_t k = 0; k < r.retryHistogram.size(); ++k)
+        retries.num(std::to_string(k), r.retryHistogram[k], F::Integer);
+    ReportNode &jobs = root.array("jobs", "");
+    for (const FleetJobResult &j : r.jobs)
+        jobs.object("", "job." + j.job)
+            .text("name", j.job).csvAs("", "") // the section names the job
+            .text("host", j.host)
+            .num("priority", j.priority, F::Integer)
+            .num("arrival_s", j.arrival, F::Fixed)
+            .num("started_s", j.started, F::Fixed)
+            .num("finished_s", j.finished, F::Fixed)
+            .num("queueing_delay_s", j.queueingDelay, F::Fixed)
+            .num("boxes", j.boxesUsed, F::Integer)
+            .num("pool_fpgas_requested", j.poolFpgasRequested, F::Integer)
+            .num("pool_fpgas_granted", j.poolFpgasGranted, F::Integer)
+            .flag("pool_constrained", j.poolConstrained)
+            .flag("admitted", j.admitted)
+            .flag("completed", j.completed)
+            .num("throughput", j.completed ? j.report.throughput() : 0.0,
+                 F::Fixed)
+            .num("wall_time_s", j.completed ? j.report.wallTime() : 0.0,
+                 F::Fixed)
+            .text("state", fleetJobStateName(j.state))
+            .num("restarts", j.restarts, F::Integer)
+            .num("steps_lost", j.stepsLost, F::Integer)
+            .num("work_lost_s", j.workLost, F::Fixed)
+            .num("replacement_latency_s", j.replacementLatency, F::Fixed);
+    return root;
 }
 
 void

@@ -231,6 +231,11 @@ struct FleetJobResult
     SessionReport report;
 };
 
+struct FleetReport;
+
+/** The fleet report's fields, in export order (docs/FLEET.md). */
+ReportNode fieldTable(const FleetReport &report);
+
 /** Fleet-level rollup of per-job results (docs/FLEET.md). */
 struct FleetReport
 {
@@ -318,10 +323,10 @@ struct FleetReport
     std::uint64_t eventsExecuted = 0;
 
     /** Serialize as JSON (schema in docs/FLEET.md). */
-    std::string toJson() const;
+    std::string toJson() const { return renderJson(fieldTable(*this)); }
 
     /** Serialize as "section,key,value" CSV rows (per-job sections). */
-    std::string toCsv() const;
+    std::string toCsv() const { return renderCsv(fieldTable(*this)); }
 
     /** Human-readable summary (the tb_report --fleet default). */
     void print(std::FILE *out = stdout) const;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/escape.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/table.hh"
@@ -25,66 +26,6 @@ isTransferStage(const std::string &name)
         if (name == t)
             return true;
     return false;
-}
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += c;
-        }
-    }
-}
-
-std::string
-jstr(const std::string &s)
-{
-    std::string out = "\"";
-    appendEscaped(out, s);
-    out += '"';
-    return out;
-}
-
-std::string
-jnum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return buf;
-}
-
-/** Fixed-precision percent — keeps the golden-JSON test stable. */
-std::string
-jpct(double fraction)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.4f", 100.0 * fraction);
-    return buf;
-}
-
-void
-jsonMap(std::string &out, const std::map<std::string, double> &by)
-{
-    out += '{';
-    bool first = true;
-    for (const auto &[k, v] : by) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += jstr(k) + ": " + jnum(v);
-    }
-    out += '}';
 }
 
 } // namespace
@@ -489,325 +430,271 @@ SessionReport::bottlenecks() const
     return ranked;
 }
 
-std::string
-SessionReport::toJson() const
+ReportNode::ReportNode(std::string csv_section, std::string k, Kind kd)
+    : kind(kd), key(k), csvSection(std::move(csv_section)), csvKey(k)
 {
-    const LatencyBreakdown lat = latency();
-    std::string out = "{\n";
+}
 
-    out += "  \"config\": {\"preset\": " + jstr(preset) +
-           ", \"model\": " + jstr(model) +
-           ", \"accelerators\": " + jnum(double(numAccelerators)) +
-           ", \"batch_size\": " + jnum(double(batchSize)) + "},\n";
+ReportNode &
+ReportNode::leaf(const std::string &k, Format f, std::string v)
+{
+    ReportNode &n = children.emplace_back(csvSection, k, Kind::Leaf);
+    n.format = f;
+    n.value = std::move(v);
+    return *this;
+}
 
-    out += "  \"throughput\": {\"samples_per_sec\": " +
-           jnum(result.throughput) +
-           ", \"target_samples_per_sec\": " + jnum(targetThroughput) +
-           ", \"target_fraction\": " + jnum(targetFraction()) +
-           ", \"step_time_sec\": " + jnum(result.stepTime) +
-           ", \"compute_time_sec\": " + jnum(result.computeTime) +
-           ", \"sync_time_sec\": " + jnum(result.syncTime) +
-           ", \"prep_latency_sec\": " + jnum(result.prepLatency) +
-           ", \"steps_measured\": " +
-           jnum(double(result.stepsMeasured)) + "},\n";
+ReportNode &
+ReportNode::num(const std::string &k, double v, Format f)
+{
+    static const char *const kSpec[] = {"%.12g", "%.4f", "%.6f", "%.0f"};
+    panic_if(f > Format::Integer, "report: %s is not a number", k.c_str());
+    char buf[512]; // %.6f of the largest double fits
+    std::snprintf(buf, sizeof(buf), kSpec[static_cast<int>(f)],
+                  f == Format::Percent ? 100.0 * v : v);
+    return leaf(k, f, buf);
+}
 
-    out += "  \"latency_breakdown_pct\": {\"transfer\": " +
-           jpct(lat.share(lat.transfer)) +
-           ", \"formatting\": " + jpct(lat.share(lat.formatting)) +
-           ", \"augmentation\": " + jpct(lat.share(lat.augmentation)) +
-           ", \"compute\": " + jpct(lat.share(lat.compute)) +
-           ", \"sync\": " + jpct(lat.share(lat.sync)) +
-           ", \"prep_total\": " + jpct(lat.prepShare()) + "},\n";
+ReportNode &
+ReportNode::flag(const std::string &k, bool v)
+{
+    return leaf(k, Format::Bool, v ? "true" : "false");
+}
 
-    out += "  \"prep_stage_time_sec\": ";
-    jsonMap(out, result.prepStageTime);
-    out += ",\n";
+ReportNode &
+ReportNode::text(const std::string &k, const std::string &v)
+{
+    return leaf(k, Format::String, v);
+}
 
-    out += "  \"host_demand\": {\n";
-    out += "    \"cpu_cores\": {\"total\": " + jnum(hostCpuCores()) +
-           ", \"by_category\": ";
-    jsonMap(out, result.cpuCoresByCategory);
-    out += "},\n";
-    out += "    \"mem_bw\": {\"total\": " + jnum(hostMemBw()) +
-           ", \"by_category\": ";
-    jsonMap(out, result.memBwByCategory);
-    out += "},\n";
-    out += "    \"rc_bw\": {\"total\": " + jnum(hostRcBw()) +
-           ", \"by_category\": ";
-    jsonMap(out, result.rcBwByCategory);
-    out += "}\n  },\n";
+ReportNode &
+ReportNode::csvAs(const std::string &section, const std::string &k)
+{
+    children.back().csvSection = section;
+    children.back().csvKey = k;
+    return *this;
+}
 
-    out += "  \"robustness\": {\"efficiency\": " + jnum(efficiency()) +
-           ", \"availability\": " + jnum(availability()) +
-           ", \"faults_injected\": " +
-           jnum(double(result.faults.faultsInjected)) +
-           ", \"checkpoints_committed\": " +
-           jnum(double(result.checkpoint.committed)) +
-           ", \"steps_lost\": " +
-           jnum(double(result.checkpoint.stepsLost)) + "},\n";
+ReportNode &
+ReportNode::object(const std::string &k, const std::string &csv_section)
+{
+    return children.emplace_back(csv_section, k);
+}
 
-    const SessionResult::ElasticityStats &el = result.elasticity;
-    out += "  \"elasticity\": {\"events\": " + jnum(double(el.events)) +
-           ", \"drains\": " + jnum(double(el.drains)) +
-           ", \"preemptions\": " + jnum(double(el.preemptions)) +
-           ", \"joins\": " + jnum(double(el.joins)) +
-           ", \"chains_rebalanced\": " +
-           jnum(double(el.chainsRebalanced)) +
-           ", \"samples_lost_to_preemption\": " +
-           jnum(el.samplesLostToPreemption) +
-           ", \"samples_saved_by_drain\": " +
-           jnum(el.samplesSavedByDrain) +
-           ", \"samples_dropped_at_drain\": " +
-           jnum(el.samplesDroppedAtDrain) +
-           ", \"degraded_capacity_time_sec\": " +
-           jnum(el.degradedCapacityTime) +
-           ", \"zero_capacity_time_sec\": " + jnum(el.zeroCapacityTime) +
-           ", \"rebalance_time_sec\": " + jnum(el.rebalanceTime) +
-           ", \"avg_active_fraction\": " + jnum(el.avgActiveFraction) +
-           ", \"capacity_availability\": " +
-           jnum(capacityAvailability()) +
-           ", \"slo_target_samples_per_sec\": " +
-           jnum(el.sloTargetSamplesPerSec) +
-           ", \"slo_attainment\": " + jnum(sloAttainment()) +
-           ", \"ledger\": {\"prepared\": " + jnum(el.samplesPrepared) +
-           ", \"consumed\": " + jnum(el.samplesConsumed) +
-           ", \"cached_at_end\": " + jnum(el.samplesCachedAtEnd) +
-           ", \"discarded\": " + jnum(el.samplesDiscarded) + "}},\n";
+ReportNode &
+ReportNode::array(const std::string &k, const std::string &csv_section)
+{
+    return children.emplace_back(csv_section, k, Kind::Array);
+}
 
-    const SessionResult::IngestStats &in = result.ingest;
-    out += "  \"ingest\": {\"arrival_events\": " +
-           jnum(double(in.arrivalEvents)) +
-           ", \"overload_trips\": " + jnum(double(in.overloadTrips)) +
-           ", \"stalls\": " + jnum(double(in.stalls)) +
-           ", \"write_flows\": " + jnum(double(in.writeFlows)) +
-           ", \"write_retries\": " + jnum(double(in.writeRetries)) +
-           ", \"write_failures\": " + jnum(double(in.writeFailures)) +
-           ", \"admit_rate\": " + jnum(ingestAdmitRate()) +
-           ", \"shed_rate\": " + jnum(ingestShedRate()) +
-           ", \"overload_time_sec\": " + jnum(in.overloadTime) +
-           ", \"stall_time_sec\": " + jnum(in.stallTime) +
-           ", \"peak_buffer_level\": " + jnum(in.peakBufferLevel) +
-           ", \"samples_echoed\": " + jnum(in.samplesEchoed) +
-           ", \"echo_effective_factor\": " + jnum(echoEffectiveFactor()) +
-           ", \"avg_staleness_sec\": " + jnum(avgIngestStaleness()) +
-           ", \"max_staleness_sec\": " + jnum(in.stalenessMax) +
-           ", \"staleness_slo_sec\": " + jnum(in.stalenessSloSec) +
-           ", \"freshness_slo_attainment\": " +
-           jnum(freshnessSloAttainment()) +
-           ", \"ledger\": {\"arrived\": " + jnum(in.samplesArrived) +
-           ", \"admitted\": " + jnum(in.samplesAdmitted) +
-           ", \"shed\": " + jnum(in.samplesShed) +
-           ", \"throttled\": " + jnum(in.samplesThrottled) +
-           ", \"shed_policy\": " + jnum(in.samplesShedPolicy) +
-           ", \"overflow_dropped\": " + jnum(in.samplesOverflowDropped) +
-           ", \"abandoned_writes\": " +
-           jnum(in.samplesAbandonedWrites) +
-           ", \"in_flight_at_end\": " +
-           jnum(in.samplesInFlightAtEnd) + "}},\n";
+namespace {
 
-    const SessionResult::IntegrityStats &integ = result.integrity;
-    out += "  \"integrity\": {\"injected\": " +
-           jnum(double(integ.injected)) +
-           ", \"detected\": " + jnum(double(integ.detected)) +
-           ", \"escaped\": " + jnum(double(integ.escaped)) +
-           ", \"escape_rate\": " + jnum(integ.escapeRate()) +
-           ", \"pcie_replays\": " + jnum(double(integ.pcieReplays)) +
-           ", \"recoveries\": " + jnum(double(integ.recoveries)) +
-           ", \"chunks_quarantined\": " +
-           jnum(double(integ.chunksQuarantined)) + ", \"by_kind\": {";
-    for (std::size_t k = 0; k < kNumCorruptionKinds; ++k) {
-        if (k > 0)
-            out += ", ";
-        out += jstr(corruptionKindName(static_cast<CorruptionKind>(k))) +
-               ": " + jnum(double(integ.injectedByKind[k]));
-    }
-    out += "}},\n";
-
-    out += "  \"prep_quarantine\": {\"items_processed\": " +
-           jnum(double(prepItemsProcessed)) + ", \"quarantined\": " +
-           jnum(double(prepItemsQuarantined())) + ", \"by_reason\": {";
-    {
-        bool first_reason = true;
-        for (const auto &[reason, n] : prepQuarantineByReason) {
-            if (!first_reason)
-                out += ", ";
-            first_reason = false;
-            out += jstr(reason) + ": " + jnum(double(n));
+void
+appendJson(std::string &out, const ReportNode &n, std::size_t depth)
+{
+    // The root, and a block of blocks, put each entry on its own line.
+    bool lines = !n.children.empty();
+    for (const ReportNode &c : n.children)
+        lines = lines && c.kind != ReportNode::Kind::Leaf;
+    lines = lines || depth == 0;
+    const bool array = n.kind == ReportNode::Kind::Array;
+    out += array ? '[' : '{';
+    for (const ReportNode &c : n.children) {
+        if (&c != &n.children.front())
+            out += lines ? "," : ", ";
+        if (lines)
+            out += "\n" + std::string(2 * depth + 2, ' ');
+        if (!array) {
+            appendJsonString(out, c.key);
+            out += ": ";
         }
+        if (c.kind != ReportNode::Kind::Leaf)
+            appendJson(out, c, depth + 1);
+        else if (c.format == ReportNode::Format::String)
+            appendJsonString(out, c.value);
+        else
+            out += c.value;
     }
-    out += "}},\n";
+    if (lines && !n.children.empty())
+        out += "\n" + std::string(2 * depth, ' ');
+    out += array ? ']' : '}';
+}
 
-    out += "  \"has_metrics\": ";
-    out += hasMetrics ? "true" : "false";
-    out += ",\n  \"utilization\": [";
-    bool first = true;
-    for (const ResourceUsage &u : resources) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    {\"resource\": " + jstr(u.name) +
-               ", \"kind\": " + jstr(u.kind) +
-               ", \"utilization\": " + jnum(u.utilization) +
-               ", \"peak\": " + jnum(u.peak) +
-               ", \"saturated_fraction\": " + jnum(u.saturatedFraction) +
-               ", \"dominant_category\": " + jstr(u.dominantCategory) +
-               "}";
-    }
-    out += first ? "],\n" : "\n  ],\n";
+void
+appendCsv(std::string &out, const ReportNode &n)
+{
+    for (const ReportNode &c : n.children)
+        appendCsv(out, c);
+    if (n.kind != ReportNode::Kind::Leaf || n.csvSection.empty())
+        return;
+    appendCsvField(out, n.csvSection);
+    out += ',';
+    appendCsvField(out, n.csvKey);
+    out += ',';
+    if (n.format == ReportNode::Format::Bool)
+        out += n.value == "true" ? '1' : '0';
+    else
+        appendCsvField(out, n.value);
+    out += '\n';
+}
 
-    out += "  \"bottlenecks\": [";
-    first = true;
-    std::size_t rank = 1;
-    for (const Bottleneck &b : bottlenecks()) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    {\"rank\": " + jnum(double(rank++)) +
-               ", \"kind\": " + jstr(b.kind) +
-               ", \"resource\": " + jstr(b.resource) +
-               ", \"utilization\": " + jnum(b.utilization) +
-               ", \"saturated_fraction\": " + jnum(b.saturatedFraction) +
-               ", \"dominant_category\": " + jstr(b.dominantCategory) +
-               "}";
-    }
-    out += first ? "]\n" : "\n  ]\n";
-    out += "}\n";
-    return out;
+} // namespace
+
+std::string
+renderJson(const ReportNode &root)
+{
+    std::string out;
+    appendJson(out, root, 0);
+    return out + '\n';
 }
 
 std::string
-SessionReport::toCsv() const
+renderCsv(const ReportNode &root)
 {
-    const LatencyBreakdown lat = latency();
     std::string out = "section,key,value\n";
-    auto row = [&out](const std::string &section, const std::string &key,
-                      const std::string &value) {
-        out += section + "," + key + "," + value + "\n";
-    };
-    row("config", "preset", preset);
-    row("config", "model", model);
-    row("config", "accelerators", jnum(double(numAccelerators)));
-    row("config", "batch_size", jnum(double(batchSize)));
-    row("throughput", "samples_per_sec", jnum(result.throughput));
-    row("throughput", "target_samples_per_sec", jnum(targetThroughput));
-    row("throughput", "step_time_sec", jnum(result.stepTime));
-    row("throughput", "compute_time_sec", jnum(result.computeTime));
-    row("throughput", "sync_time_sec", jnum(result.syncTime));
-    row("throughput", "prep_latency_sec", jnum(result.prepLatency));
-    row("latency_pct", "transfer", jpct(lat.share(lat.transfer)));
-    row("latency_pct", "formatting", jpct(lat.share(lat.formatting)));
-    row("latency_pct", "augmentation",
-        jpct(lat.share(lat.augmentation)));
-    row("latency_pct", "compute", jpct(lat.share(lat.compute)));
-    row("latency_pct", "sync", jpct(lat.share(lat.sync)));
-    row("latency_pct", "prep_total", jpct(lat.prepShare()));
-    for (const auto &[name, t] : result.prepStageTime)
-        row("prep_stage_time_sec", name, jnum(t));
-    row("host_demand", "cpu_cores", jnum(hostCpuCores()));
-    row("host_demand", "mem_bw", jnum(hostMemBw()));
-    row("host_demand", "rc_bw", jnum(hostRcBw()));
-    for (const auto &[cat, v] : result.cpuCoresByCategory)
-        row("cpu_by_category", cat, jnum(v));
-    for (const auto &[cat, v] : result.memBwByCategory)
-        row("mem_by_category", cat, jnum(v));
-    for (const auto &[cat, v] : result.rcBwByCategory)
-        row("rc_by_category", cat, jnum(v));
-    row("robustness", "efficiency", jnum(efficiency()));
-    row("robustness", "availability", jnum(availability()));
-    row("elasticity", "events", jnum(double(result.elasticity.events)));
-    row("elasticity", "drains", jnum(double(result.elasticity.drains)));
-    row("elasticity", "preemptions",
-        jnum(double(result.elasticity.preemptions)));
-    row("elasticity", "joins", jnum(double(result.elasticity.joins)));
-    row("elasticity", "chains_rebalanced",
-        jnum(double(result.elasticity.chainsRebalanced)));
-    row("elasticity", "samples_lost_to_preemption",
-        jnum(result.elasticity.samplesLostToPreemption));
-    row("elasticity", "samples_saved_by_drain",
-        jnum(result.elasticity.samplesSavedByDrain));
-    row("elasticity", "samples_dropped_at_drain",
-        jnum(result.elasticity.samplesDroppedAtDrain));
-    row("elasticity", "degraded_capacity_time_sec",
-        jnum(result.elasticity.degradedCapacityTime));
-    row("elasticity", "zero_capacity_time_sec",
-        jnum(result.elasticity.zeroCapacityTime));
-    row("elasticity", "rebalance_time_sec",
-        jnum(result.elasticity.rebalanceTime));
-    row("elasticity", "avg_active_fraction",
-        jnum(result.elasticity.avgActiveFraction));
-    row("elasticity", "capacity_availability",
-        jnum(capacityAvailability()));
-    row("elasticity", "slo_target_samples_per_sec",
-        jnum(result.elasticity.sloTargetSamplesPerSec));
-    row("elasticity", "slo_attainment", jnum(sloAttainment()));
-    row("sample_ledger", "prepared",
-        jnum(result.elasticity.samplesPrepared));
-    row("sample_ledger", "consumed",
-        jnum(result.elasticity.samplesConsumed));
-    row("sample_ledger", "cached_at_end",
-        jnum(result.elasticity.samplesCachedAtEnd));
-    row("sample_ledger", "discarded",
-        jnum(result.elasticity.samplesDiscarded));
-    row("ingest", "arrival_events",
-        jnum(double(result.ingest.arrivalEvents)));
-    row("ingest", "overload_trips",
-        jnum(double(result.ingest.overloadTrips)));
-    row("ingest", "stalls", jnum(double(result.ingest.stalls)));
-    row("ingest", "write_flows", jnum(double(result.ingest.writeFlows)));
-    row("ingest", "write_retries",
-        jnum(double(result.ingest.writeRetries)));
-    row("ingest", "write_failures",
-        jnum(double(result.ingest.writeFailures)));
-    row("ingest", "admit_rate", jnum(ingestAdmitRate()));
-    row("ingest", "shed_rate", jnum(ingestShedRate()));
-    row("ingest", "overload_time_sec", jnum(result.ingest.overloadTime));
-    row("ingest", "stall_time_sec", jnum(result.ingest.stallTime));
-    row("ingest", "peak_buffer_level",
-        jnum(result.ingest.peakBufferLevel));
-    row("ingest", "samples_echoed", jnum(result.ingest.samplesEchoed));
-    row("ingest", "echo_effective_factor", jnum(echoEffectiveFactor()));
-    row("ingest", "avg_staleness_sec", jnum(avgIngestStaleness()));
-    row("ingest", "max_staleness_sec", jnum(result.ingest.stalenessMax));
-    row("ingest", "freshness_slo_attainment",
-        jnum(freshnessSloAttainment()));
-    row("ingest_ledger", "arrived", jnum(result.ingest.samplesArrived));
-    row("ingest_ledger", "admitted",
-        jnum(result.ingest.samplesAdmitted));
-    row("ingest_ledger", "shed", jnum(result.ingest.samplesShed));
-    row("ingest_ledger", "throttled",
-        jnum(result.ingest.samplesThrottled));
-    row("ingest_ledger", "shed_policy",
-        jnum(result.ingest.samplesShedPolicy));
-    row("ingest_ledger", "overflow_dropped",
-        jnum(result.ingest.samplesOverflowDropped));
-    row("ingest_ledger", "abandoned_writes",
-        jnum(result.ingest.samplesAbandonedWrites));
-    row("ingest_ledger", "in_flight_at_end",
-        jnum(result.ingest.samplesInFlightAtEnd));
-    row("integrity", "injected", jnum(double(result.integrity.injected)));
-    row("integrity", "detected", jnum(double(result.integrity.detected)));
-    row("integrity", "escaped", jnum(double(result.integrity.escaped)));
-    row("integrity", "escape_rate", jnum(result.integrity.escapeRate()));
-    row("integrity", "pcie_replays",
-        jnum(double(result.integrity.pcieReplays)));
-    row("integrity", "recoveries",
-        jnum(double(result.integrity.recoveries)));
-    row("integrity", "chunks_quarantined",
-        jnum(double(result.integrity.chunksQuarantined)));
-    row("prep_quarantine", "items_processed",
-        jnum(double(prepItemsProcessed)));
-    row("prep_quarantine", "quarantined",
-        jnum(double(prepItemsQuarantined())));
-    for (const auto &[reason, n] : prepQuarantineByReason)
-        row("prep_quarantine_by_reason", reason, jnum(double(n)));
-    for (const ResourceUsage &u : resources) {
-        row("utilization", u.name, jnum(u.utilization));
-        row("saturated_fraction", u.name, jnum(u.saturatedFraction));
-    }
-    std::size_t rank = 1;
-    for (const Bottleneck &b : bottlenecks())
-        row("bottleneck", std::to_string(rank++) + ":" + b.kind,
-            jnum(b.utilization));
+    appendCsv(out, root);
     return out;
 }
+
+ReportNode
+fieldTable(const SessionReport &r)
+{
+    const SessionResult &res = r.result;
+    const SessionReport::LatencyBreakdown lat = r.latency();
+    using F = ReportNode::Format;
+    ReportNode root("session");
+    root.object("config", "config")
+        .text("preset", r.preset)
+        .text("model", r.model)
+        .num("accelerators", r.numAccelerators)
+        .num("batch_size", r.batchSize);
+    root.object("throughput", "throughput")
+        .num("samples_per_sec", res.throughput)
+        .num("target_samples_per_sec", r.targetThroughput)
+        .num("target_fraction", r.targetFraction())
+        .num("step_time_sec", res.stepTime)
+        .num("compute_time_sec", res.computeTime)
+        .num("sync_time_sec", res.syncTime)
+        .num("prep_latency_sec", res.prepLatency)
+        .num("steps_measured", res.stepsMeasured);
+    root.object("latency_breakdown_pct", "latency_pct")
+        .num("transfer", lat.share(lat.transfer), F::Percent)
+        .num("formatting", lat.share(lat.formatting), F::Percent)
+        .num("augmentation", lat.share(lat.augmentation), F::Percent)
+        .num("compute", lat.share(lat.compute), F::Percent)
+        .num("sync", lat.share(lat.sync), F::Percent)
+        .num("prep_total", lat.prepShare(), F::Percent);
+    root.map("prep_stage_time_sec", "prep_stage_time_sec",
+             res.prepStageTime);
+    ReportNode &host = root.object("host_demand", "");
+    host.object("cpu_cores", "")
+        .num("total", r.hostCpuCores()).csvAs("host_demand", "cpu_cores")
+        .map("by_category", "cpu_by_category", res.cpuCoresByCategory);
+    host.object("mem_bw", "")
+        .num("total", r.hostMemBw()).csvAs("host_demand", "mem_bw")
+        .map("by_category", "mem_by_category", res.memBwByCategory);
+    host.object("rc_bw", "")
+        .num("total", r.hostRcBw()).csvAs("host_demand", "rc_bw")
+        .map("by_category", "rc_by_category", res.rcBwByCategory);
+    root.object("robustness", "robustness")
+        .num("efficiency", r.efficiency())
+        .num("availability", r.availability())
+        .num("faults_injected", res.faults.faultsInjected)
+        .num("checkpoints_committed", res.checkpoint.committed)
+        .num("steps_lost", res.checkpoint.stepsLost);
+    const SessionResult::ElasticityStats &el = res.elasticity;
+    root.object("elasticity", "elasticity")
+        .num("events", el.events)
+        .num("drains", el.drains)
+        .num("preemptions", el.preemptions)
+        .num("joins", el.joins)
+        .num("chains_rebalanced", el.chainsRebalanced)
+        .num("samples_lost_to_preemption", el.samplesLostToPreemption)
+        .num("samples_saved_by_drain", el.samplesSavedByDrain)
+        .num("samples_dropped_at_drain", el.samplesDroppedAtDrain)
+        .num("degraded_capacity_time_sec", el.degradedCapacityTime)
+        .num("zero_capacity_time_sec", el.zeroCapacityTime)
+        .num("rebalance_time_sec", el.rebalanceTime)
+        .num("avg_active_fraction", el.avgActiveFraction)
+        .num("capacity_availability", r.capacityAvailability())
+        .num("slo_target_samples_per_sec", el.sloTargetSamplesPerSec)
+        .num("slo_attainment", r.sloAttainment())
+        .object("ledger", "sample_ledger")
+        .num("prepared", el.samplesPrepared)
+        .num("consumed", el.samplesConsumed)
+        .num("cached_at_end", el.samplesCachedAtEnd)
+        .num("discarded", el.samplesDiscarded);
+    root.object("ingest", "ingest")
+        .num("arrival_events", res.ingest.arrivalEvents)
+        .num("overload_trips", res.ingest.overloadTrips)
+        .num("stalls", res.ingest.stalls)
+        .num("write_flows", res.ingest.writeFlows)
+        .num("write_retries", res.ingest.writeRetries)
+        .num("write_failures", res.ingest.writeFailures)
+        .num("admit_rate", r.ingestAdmitRate())
+        .num("shed_rate", r.ingestShedRate())
+        .num("overload_time_sec", res.ingest.overloadTime)
+        .num("stall_time_sec", res.ingest.stallTime)
+        .num("peak_buffer_level", res.ingest.peakBufferLevel)
+        .num("samples_echoed", res.ingest.samplesEchoed)
+        .num("echo_effective_factor", r.echoEffectiveFactor())
+        .num("avg_staleness_sec", r.avgIngestStaleness())
+        .num("max_staleness_sec", res.ingest.stalenessMax)
+        .num("staleness_slo_sec", res.ingest.stalenessSloSec)
+        .num("freshness_slo_attainment", r.freshnessSloAttainment())
+        .object("ledger", "ingest_ledger")
+        .num("arrived", res.ingest.samplesArrived)
+        .num("admitted", res.ingest.samplesAdmitted)
+        .num("shed", res.ingest.samplesShed)
+        .num("throttled", res.ingest.samplesThrottled)
+        .num("shed_policy", res.ingest.samplesShedPolicy)
+        .num("overflow_dropped", res.ingest.samplesOverflowDropped)
+        .num("abandoned_writes", res.ingest.samplesAbandonedWrites)
+        .num("in_flight_at_end", res.ingest.samplesInFlightAtEnd);
+    ReportNode &by_kind = root.object("integrity", "integrity")
+        .num("injected", res.integrity.injected)
+        .num("detected", res.integrity.detected)
+        .num("escaped", res.integrity.escaped)
+        .num("escape_rate", res.integrity.escapeRate())
+        .num("pcie_replays", res.integrity.pcieReplays)
+        .num("recoveries", res.integrity.recoveries)
+        .num("chunks_quarantined", res.integrity.chunksQuarantined)
+        .object("by_kind", "integrity_by_kind");
+    for (std::size_t k = 0; k < kNumCorruptionKinds; ++k)
+        by_kind.num(corruptionKindName(static_cast<CorruptionKind>(k)),
+                    res.integrity.injectedByKind[k]);
+    root.object("prep_quarantine", "prep_quarantine")
+        .num("items_processed", r.prepItemsProcessed)
+        .num("quarantined", r.prepItemsQuarantined())
+        .map("by_reason", "prep_quarantine_by_reason",
+             r.prepQuarantineByReason);
+    root.flag("has_metrics", r.hasMetrics);
+    // Record arrays keep their transposed CSV rows, one per resource.
+    ReportNode &usage = root.array("utilization", "");
+    for (const ResourceUsage &u : r.resources)
+        usage.object("", "")
+            .text("resource", u.name)
+            .text("kind", u.kind)
+            .num("utilization", u.utilization).csvAs("utilization", u.name)
+            .num("peak", u.peak)
+            .num("saturated_fraction", u.saturatedFraction)
+            .csvAs("saturated_fraction", u.name)
+            .text("dominant_category", u.dominantCategory);
+    ReportNode &ranked = root.array("bottlenecks", "");
+    std::size_t rank = 1;
+    for (const Bottleneck &b : r.bottlenecks()) {
+        const std::string id = std::to_string(rank) + ":" + b.kind;
+        ranked.object("", "")
+            .num("rank", rank++)
+            .text("kind", b.kind)
+            .text("resource", b.resource)
+            .num("utilization", b.utilization).csvAs("bottleneck", id)
+            .num("saturated_fraction", b.saturatedFraction)
+            .text("dominant_category", b.dominantCategory);
+    }
+    return root;
+}
+
 
 void
 SessionReport::emitCounters(TraceWriter &trace) const

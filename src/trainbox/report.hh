@@ -10,6 +10,8 @@
  * JSON / CSV / Chrome-trace exporters. It replaces the ad-hoc
  * accounting every bench used to hand-roll, and is the one home of the
  * derived ratios (goodput(), efficiency(), the host resource totals).
+ * The JSON and CSV are both rendered from one field table (ReportNode),
+ * which FleetReport uses too.
  *
  * Utilization and bottleneck data require the run's ServerConfig to
  * have metricsEnabled set; without metrics the report still carries
@@ -23,6 +25,7 @@
 #define TRAINBOX_TRAINBOX_REPORT_HH
 
 #include <cstdio>
+#include <list>
 #include <map>
 #include <string>
 #include <vector>
@@ -74,6 +77,89 @@ struct Bottleneck
     /** Dominant accounting category on that resource (Fig 11 view). */
     std::string dominantCategory;
 };
+
+/**
+ * One entry of a report's field table: a leaf value, or an object or
+ * array of entries. Each report describes its fields once, as a tree
+ * built by its fieldTable(), and renderJson() / renderCsv() turn that
+ * tree into text, so the two exports cannot drift apart.
+ *
+ * A leaf's value is formatted when it is added, so JSON and CSV print
+ * the same digits. Each leaf is one CSV row "section,key,value": the
+ * section its block was given and the leaf's JSON key, unless csvAs()
+ * routes it elsewhere. A block with an empty section gives its leaves
+ * no row. Inside an array the JSON drops the keys; the CSV keeps them.
+ */
+struct ReportNode
+{
+    enum class Kind { Leaf, Object, Array };
+
+    /** How a leaf's value is written; the number formats come first. */
+    enum class Format
+    {
+        General, ///< %.12g
+        Percent, ///< 100 x the fraction, 4 decimals
+        Fixed,   ///< %.6f
+        Integer, ///< decimal integer (exact up to 2^53)
+        Bool,    ///< true / false in JSON, 1 / 0 in CSV
+        String,  ///< escaped in JSON, quoted in CSV where needed
+    };
+
+    /** A block (or, with Kind::Leaf, a leaf) and its CSV section. */
+    explicit ReportNode(std::string csvSection, std::string key = "",
+                        Kind kind = Kind::Object);
+
+    Kind kind;
+    Format format = Format::General;
+    std::string key;
+    std::string value;      ///< leaf: formatted number, text, true/false
+    std::string csvSection; ///< leaf: its row's section; block: default
+    std::string csvKey;     ///< leaf: its row's key
+    std::list<ReportNode> children;
+
+    // Each adds one leaf and returns this block, so entries chain.
+    /** A number in @p format (General, Percent, Fixed or Integer). */
+    ReportNode &num(const std::string &key, double v,
+                    Format format = Format::General);
+    ReportNode &flag(const std::string &key, bool v);
+    ReportNode &text(const std::string &key, const std::string &v);
+
+    /** An object of num() leaves, one per entry of @p m; returns this. */
+    template <class Map>
+    ReportNode &map(const std::string &key, const std::string &csvSection,
+                    const Map &m)
+    {
+        ReportNode &b = object(key, csvSection);
+        for (const auto &[k, v] : m)
+            b.num(k, static_cast<double>(v));
+        return *this;
+    }
+
+    /** Route the last leaf's CSV row to (@p section, @p key); "" drops it. */
+    ReportNode &csvAs(const std::string &section, const std::string &key);
+
+    /** Add a nested block and return it (entries never move). */
+    ReportNode &object(const std::string &key, const std::string &csvSection);
+    ReportNode &array(const std::string &key, const std::string &csvSection);
+
+  private:
+    ReportNode &leaf(const std::string &key, Format format,
+                     std::string value);
+};
+
+/**
+ * The JSON text of @p root. The root, and any block whose entries are
+ * all blocks, put one entry on each line; everything else is inline.
+ */
+std::string renderJson(const ReportNode &root);
+
+/** The "section,key,value" CSV of @p root, one row per routed leaf. */
+std::string renderCsv(const ReportNode &root);
+
+class SessionReport;
+
+/** The session report's fields, in export order (OBSERVABILITY.md). */
+ReportNode fieldTable(const SessionReport &report);
 
 /**
  * The consolidated, structured report of one training-session run.
@@ -249,10 +335,10 @@ class SessionReport
 
     // --- exporters ------------------------------------------------------
     /** Serialize the full report as JSON (schema in OBSERVABILITY.md). */
-    std::string toJson() const;
+    std::string toJson() const { return renderJson(fieldTable(*this)); }
 
     /** Serialize as "section,key,value" CSV rows. */
-    std::string toCsv() const;
+    std::string toCsv() const { return renderCsv(fieldTable(*this)); }
 
     /**
      * Emit utilization counter tracks and the bottleneck ranking into a

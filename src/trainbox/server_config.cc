@@ -29,6 +29,39 @@ presetName(ArchPreset p)
 }
 
 const char *
+presetKey(ArchPreset p)
+{
+    switch (p) {
+      case ArchPreset::Baseline:
+        return "baseline";
+      case ArchPreset::BaselineAccFpga:
+        return "acc";
+      case ArchPreset::BaselineAccGpu:
+        return "acc-gpu";
+      case ArchPreset::BaselineAccP2p:
+        return "p2p";
+      case ArchPreset::BaselineAccP2pGen4:
+        return "p2p-gen4";
+      case ArchPreset::TrainBoxNoPool:
+        return "no-pool";
+      case ArchPreset::TrainBox:
+        return "trainbox";
+    }
+    return "?";
+}
+
+bool
+parsePresetKey(const std::string &key, ArchPreset &out)
+{
+    for (ArchPreset p : allPresets())
+        if (key == presetKey(p)) {
+            out = p;
+            return true;
+        }
+    return false;
+}
+
+const char *
 presetDescription(ArchPreset p)
 {
     switch (p) {

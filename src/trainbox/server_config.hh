@@ -45,6 +45,12 @@ enum class ArchPreset
 /** Short display name ("B", "B+Acc", ..., "TrainBox"). */
 const char *presetName(ArchPreset p);
 
+/** Command-line key ("baseline", "acc", ..., "trainbox"). */
+const char *presetKey(ArchPreset p);
+
+/** Parse a presetKey() back to its preset; false on no match. */
+bool parsePresetKey(const std::string &key, ArchPreset &out);
+
 /** Long description of the preset. */
 const char *presetDescription(ArchPreset p);
 

@@ -2,10 +2,13 @@
  * @file
  * ServerConfig::validate() rejects nonsensical configurations with a
  * message naming the offending field; buildServer() refuses to build
- * them (fatal). A default config of every preset must validate clean.
+ * them (fatal). A default config of every preset must validate clean,
+ * and every preset's command-line key parses back to that preset.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "trainbox/server_builder.hh"
 #include "trainbox/server_config.hh"
@@ -405,6 +408,24 @@ TEST(ServerConfigValidate, RejectsBadIngestSchedule)
     cfg.ingest.schedule = {{IngestTrafficKind::Burst, 64.0, 0, 1.0},
                            {IngestTrafficKind::Steady, 32.0, 2, 4.0}};
     EXPECT_EQ(cfg.validate(), "");
+}
+
+TEST(ServerConfigPresetKeys, EveryKeyParsesBackToItsPreset)
+{
+    std::set<std::string> keys;
+    for (ArchPreset p : allPresets()) {
+        const std::string key = presetKey(p);
+        EXPECT_TRUE(keys.insert(key).second) << "duplicate key " << key;
+        ArchPreset parsed = p == ArchPreset::Baseline ? ArchPreset::TrainBox
+                                                      : ArchPreset::Baseline;
+        ASSERT_TRUE(parsePresetKey(key, parsed)) << key;
+        EXPECT_EQ(parsed, p) << key << " labels " << presetName(p);
+    }
+    EXPECT_EQ(keys.size(), 7u);
+    ArchPreset untouched = ArchPreset::TrainBox;
+    EXPECT_FALSE(parsePresetKey("TrainBox", untouched));
+    EXPECT_FALSE(parsePresetKey("", untouched));
+    EXPECT_EQ(untouched, ArchPreset::TrainBox);
 }
 
 TEST(ServerConfigValidate, BuilderRefusesInvalidConfig)

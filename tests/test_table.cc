@@ -55,5 +55,18 @@ TEST(Table, PrintsCsv)
     EXPECT_EQ(std::string(buf), "a,b\n1,2\n");
 }
 
+TEST(Table, PrintsCsvQuotingOnlyWhereNeeded)
+{
+    Table t({"name", "note"});
+    t.row().add("a,b").add("say \"hi\"");
+    t.row().add("two\nlines").add("plain");
+    char buf[128] = {0};
+    std::FILE *mem = fmemopen(buf, sizeof(buf), "w");
+    t.printCsv(mem);
+    std::fclose(mem);
+    EXPECT_EQ(std::string(buf), "name,note\n\"a,b\",\"say \"\"hi\"\"\"\n"
+                                "\"two\nlines\",plain\n");
+}
+
 } // namespace
 } // namespace tb

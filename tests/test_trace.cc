@@ -49,6 +49,17 @@ TEST(Trace, EscapesAndClears)
     TraceWriter trace;
     trace.complete("t", "with\"quote", 0.0, 1.0);
     EXPECT_NE(trace.toJson().find("with\\\"quote"), std::string::npos);
+    trace.complete("track\tA", "line1\nline2", 0.0, 1.0, "c\x01t");
+    trace.instant("track\tA", "back\\slash", 0.5);
+    const std::string json = trace.toJson();
+    EXPECT_NE(json.find("\"name\":\"line1\\nline2\""), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"cat\":\"c\\u0001t\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"name\":\"track\\tA\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"name\":\"back\\\\slash\""), std::string::npos)
+        << json;
+    for (char c : json)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
     trace.clear();
     EXPECT_EQ(trace.numEvents(), 0u);
     EXPECT_EQ(trace.toJson(), "{\"traceEvents\":[]}");

@@ -107,42 +107,13 @@ usage(std::FILE *out)
         "  --list           list presets and models, then exit\n");
 }
 
-bool
-parsePreset(const std::string &s, tb::ArchPreset &out)
-{
-    using tb::ArchPreset;
-    static const struct
-    {
-        const char *name;
-        ArchPreset preset;
-    } kMap[] = {
-        {"baseline", ArchPreset::Baseline},
-        {"acc", ArchPreset::BaselineAccFpga},
-        {"acc-gpu", ArchPreset::BaselineAccGpu},
-        {"p2p", ArchPreset::BaselineAccP2p},
-        {"p2p-gen4", ArchPreset::BaselineAccP2pGen4},
-        {"no-pool", ArchPreset::TrainBoxNoPool},
-        {"trainbox", ArchPreset::TrainBox},
-    };
-    for (const auto &e : kMap)
-        if (s == e.name) {
-            out = e.preset;
-            return true;
-        }
-    return false;
-}
-
 void
 listChoices()
 {
     std::printf("presets:\n");
-    static const char *const kNames[] = {"baseline", "acc",     "acc-gpu",
-                                         "p2p",      "p2p-gen4", "no-pool",
-                                         "trainbox"};
-    std::size_t i = 0;
     for (tb::ArchPreset p : tb::allPresets())
-        std::printf("  %-9s %s — %s\n", kNames[i++], tb::presetName(p),
-                    tb::presetDescription(p));
+        std::printf("  %-9s %s — %s\n", tb::presetKey(p),
+                    tb::presetName(p), tb::presetDescription(p));
     std::printf("models:\n");
     for (const auto &m : tb::workload::modelZoo())
         std::printf("  %-12s %s (batch %zu)\n", m.name.c_str(),
@@ -301,7 +272,7 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--preset") {
             const std::string v = value();
-            if (!parsePreset(v, opt.preset)) {
+            if (!tb::parsePresetKey(v, opt.preset)) {
                 std::fprintf(stderr, "tb_report: unknown preset '%s'\n",
                              v.c_str());
                 return 2;
