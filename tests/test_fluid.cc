@@ -437,6 +437,36 @@ TEST(FluidDeath, UnconstrainedFlowPanics)
     EXPECT_DEATH(net.startFlow(std::move(spec)), "neither demands");
 }
 
+TEST(FluidDeath, FlowRateInsideBatchPanics)
+{
+    // Rates are stale while a batch is open, and every completion
+    // callback runs inside one, so a rate read there is a bug.
+    EventQueue eq;
+    FluidNetwork net(eq);
+    FluidResource *link = net.addResource("l", 10.0);
+    auto start = [&](double size, std::function<void(Time)> done) {
+        FlowSpec spec;
+        spec.category = "x";
+        spec.size = size;
+        spec.demands = {{link, 1.0}};
+        spec.onComplete = std::move(done);
+        return net.startFlow(std::move(spec));
+    };
+    const FlowId peer = start(100.0, nullptr);
+    {
+        FluidNetwork::FlowBatch batch(net);
+        EXPECT_DEATH(net.flowRate(peer), "inside a FlowBatch");
+    }
+    double remaining = -1.0;
+    start(10.0, [&](Time) { remaining = net.flowRemaining(peer); });
+    eq.run(2.0);
+    // Remaining work stays exact inside the callback: 5/s until t = 2.
+    EXPECT_DOUBLE_EQ(remaining, 90.0);
+
+    start(10.0, [&](Time) { net.flowRate(peer); });
+    EXPECT_DEATH(eq.run(), "inside a FlowBatch");
+}
+
 TEST(FluidDeath, NegativeWeightPanics)
 {
     EventQueue eq;

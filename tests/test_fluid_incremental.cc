@@ -8,14 +8,17 @@
  * completion times, and the same accounting as re-solving every
  * component on every event (FullResolve). These tests replay randomized
  * scripts — random topologies x random flow arrival/departure schedules
- * — under both modes and compare the full observable trace. The same
- * harness pins metrics-on/off and FlowBatch-vs-unbatched bit-identity.
+ * — under both modes and compare the full observable trace. Some flows
+ * start a successor from their completion callback, as a session's prep
+ * chain does. The same harness pins metrics-on/off and
+ * FlowBatch-vs-unbatched bit-identity.
  * The O(touched) tests check that a mutation rebases and re-keys only
  * the flows of the component it changes.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "common/random.hh"
@@ -36,13 +39,17 @@ struct ScriptDemand
     double weight;
 };
 
+constexpr std::size_t kNoSuccessor = ~std::size_t{0};
+
 struct ScriptStart
 {
-    double at;
-    double size;
-    double cap;
-    double fairWeight;
+    double at = 0.0; ///< start time of a scripted flow
+    double size = 0.0;
+    double cap = 0.0;
+    double fairWeight = 1.0;
     std::vector<ScriptDemand> demands;
+    /** Flow this one's completion callback starts (a chained stage). */
+    std::size_t successor = kNoSuccessor;
 };
 
 struct ScriptCancel
@@ -54,9 +61,34 @@ struct ScriptCancel
 struct Script
 {
     std::vector<double> capacities;
+    /** Scripted flows first, then the chained stages they start. */
     std::vector<ScriptStart> starts;
+    std::size_t scripted = 0; ///< starts[0, scripted) start at `at`
     std::vector<ScriptCancel> cancels;
 };
+
+/** Draw a flow's size, cap, weight and demands over @p nres resources. */
+ScriptStart
+drawFlow(Rng &rng, std::size_t nres)
+{
+    ScriptStart st;
+    st.size = rng.uniform(1.0, 40.0);
+    st.cap = rng.uniform() < 0.3 ? rng.uniform(2.0, 20.0) : 0.0;
+    st.fairWeight = rng.uniform(0.5, 2.0);
+    const std::size_t ndem = static_cast<std::size_t>(rng.uniformInt(0, 3));
+    for (std::size_t d = 0; d < ndem; ++d) {
+        const std::size_t r = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(nres) - 1));
+        bool dup = false;
+        for (const auto &have : st.demands)
+            dup = dup || have.res == r;
+        if (!dup)
+            st.demands.push_back({r, rng.uniform(0.2, 2.0)});
+    }
+    if (st.demands.empty() && st.cap <= 0.0)
+        st.cap = rng.uniform(2.0, 20.0); // keep the flow constrained
+    return st;
+}
 
 Script
 makeScript(std::uint64_t seed)
@@ -72,31 +104,29 @@ makeScript(std::uint64_t seed)
     const std::size_t nstarts = 80;
     for (std::size_t i = 0; i < nstarts; ++i) {
         t += rng.uniform(0.0, 0.4);
-        ScriptStart st;
+        ScriptStart st = drawFlow(rng, nres);
         st.at = t;
-        st.size = rng.uniform(1.0, 40.0);
-        st.cap = rng.uniform() < 0.3 ? rng.uniform(2.0, 20.0) : 0.0;
-        st.fairWeight = rng.uniform(0.5, 2.0);
-        const std::size_t ndem =
-            static_cast<std::size_t>(rng.uniformInt(0, 3));
-        for (std::size_t d = 0; d < ndem; ++d) {
-            const std::size_t r = static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<std::int64_t>(nres) - 1));
-            bool dup = false;
-            for (const auto &have : st.demands)
-                dup = dup || have.res == r;
-            if (!dup)
-                st.demands.push_back({r, rng.uniform(0.2, 2.0)});
-        }
-        if (st.demands.empty() && st.cap <= 0.0)
-            st.cap = rng.uniform(2.0, 20.0); // keep the flow constrained
         s.starts.push_back(std::move(st));
     }
+    s.scripted = nstarts;
     for (std::size_t c = 0; c < 15; ++c) {
         const std::size_t idx = static_cast<std::size_t>(
             rng.uniformInt(0, static_cast<std::int64_t>(nstarts) - 1));
         s.cancels.push_back(
             {s.starts[idx].at + rng.uniform(0.05, 1.5), idx});
+    }
+    // Completion chains of one to three stages behind 40 % of the
+    // scripted flows: each stage starts from its predecessor's
+    // completion callback, inside that completion event.
+    for (std::size_t i = 0; i < nstarts; ++i) {
+        if (rng.uniform() >= 0.4)
+            continue;
+        std::size_t prev = i;
+        for (auto k = rng.uniformInt(1, 3); k > 0; --k) {
+            s.starts[prev].successor = s.starts.size();
+            prev = s.starts.size();
+            s.starts.push_back(drawFlow(rng, nres));
+        }
     }
     return s;
 }
@@ -145,27 +175,34 @@ replay(const Script &s, const RunConfig &cfg)
                 ids[i] ? net.flowRate(ids[i]) : 0.0);
     };
 
-    for (std::size_t i = 0; i < s.starts.size(); ++i) {
-        const ScriptStart &st = s.starts[i];
-        eq.schedule(st.at, [&, i] {
-            const ScriptStart &start = s.starts[i];
-            FlowSpec spec;
-            spec.category = "cat" + std::to_string(i % 5);
-            spec.size = start.size;
-            spec.rateCap = start.cap;
-            spec.fairWeight = start.fairWeight;
-            for (const auto &d : start.demands)
-                spec.demands.push_back({res[d.res], d.weight});
-            spec.onComplete = [&trace, i](Time now) {
-                trace.completionTimes.push_back(now);
-                trace.completionIdx.push_back(i);
-            };
-            if (cfg.batchStarts) {
-                FluidNetwork::FlowBatch batch(net);
-                ids[i] = net.startFlow(std::move(spec));
-            } else {
-                ids[i] = net.startFlow(std::move(spec));
-            }
+    std::function<void(std::size_t)> launch = [&](std::size_t i) {
+        const ScriptStart &start = s.starts[i];
+        FlowSpec spec;
+        spec.category = "cat" + std::to_string(i % 5);
+        spec.size = start.size;
+        spec.rateCap = start.cap;
+        spec.fairWeight = start.fairWeight;
+        for (const auto &d : start.demands)
+            spec.demands.push_back({res[d.res], d.weight});
+        spec.onComplete = [&, i](Time now) {
+            trace.completionTimes.push_back(now);
+            trace.completionIdx.push_back(i);
+            if (s.starts[i].successor != kNoSuccessor)
+                launch(s.starts[i].successor);
+            // Rates are stale until the completion batch closes; an
+            // event at now samples them after it.
+            eq.schedule(now, sampleRates);
+        };
+        if (cfg.batchStarts) {
+            FluidNetwork::FlowBatch batch(net);
+            ids[i] = net.startFlow(std::move(spec));
+        } else {
+            ids[i] = net.startFlow(std::move(spec));
+        }
+    };
+    for (std::size_t i = 0; i < s.scripted; ++i) {
+        eq.schedule(s.starts[i].at, [&, i] {
+            launch(i);
             sampleRates();
         });
     }
@@ -475,6 +512,55 @@ TEST(FluidIncremental, FinishTieAcrossComponentsCompletesInOneEvent)
         EXPECT_DOUBLE_EQ(done[i], 5.0);
     EXPECT_GT(done[5], 5.0);
     EXPECT_EQ(eq.numExecuted(), 2u);
+}
+
+TEST(FluidIncremental, CompletionChainsSolveOncePerEvent)
+{
+    // k flows finish at one instant, and each completion callback starts
+    // its chain's next stage, as a session's prep chain does. The stages
+    // start inside the completion event's batch, so the whole event
+    // costs one solve, not one per stage.
+    constexpr std::size_t kFlows = 4;
+    EventQueue eq;
+    FluidNetwork net(eq);
+    FluidResource *link = net.addResource("link", 100.0);
+    auto start = [&](double size, std::function<void(Time)> done) {
+        FlowSpec spec;
+        spec.category = "x";
+        spec.size = size;
+        spec.demands = {{link, 1.0}};
+        spec.onComplete = std::move(done);
+        return net.startFlow(std::move(spec));
+    };
+    // Five flows at 20/s each; the four short ones finish at t = 5.
+    const FlowId peer = start(1000.0, nullptr);
+    std::vector<FlowId> stages;
+    double peerRateAfter = -1.0;
+    for (std::size_t i = 0; i < kFlows; ++i) {
+        start(100.0, [&, i](Time now) {
+            stages.push_back(start(50.0 + static_cast<double>(i), nullptr));
+            // Rates are stale inside the batch; an event at now reads
+            // them after it closes, ahead of the rescheduled completion.
+            if (i == 0)
+                eq.schedule(now, [&] { peerRateAfter = net.flowRate(peer); });
+        });
+    }
+
+    const auto before = net.solverStats();
+    ASSERT_TRUE(eq.step());
+    const auto after = net.solverStats();
+    EXPECT_DOUBLE_EQ(eq.now(), 5.0);
+    ASSERT_EQ(stages.size(), kFlows);
+    EXPECT_EQ(after.solves - before.solves, 1u);
+    // Only the new stages change rate: the peer's rate goes back to 20/s
+    // within the event, so it is not re-anchored.
+    EXPECT_EQ(after.flowsRebased - before.flowsRebased, kFlows);
+    for (FlowId id : stages)
+        EXPECT_DOUBLE_EQ(net.flowRate(id), 20.0);
+
+    ASSERT_TRUE(eq.step());
+    EXPECT_DOUBLE_EQ(eq.now(), 5.0);
+    EXPECT_DOUBLE_EQ(peerRateAfter, 20.0);
 }
 
 } // namespace

@@ -6,7 +6,11 @@
 #
 # Each scenario NAME leaves NAME.json, NAME.csv and NAME.txt (the
 # printed summary); the --trace scenarios also leave NAME.trace.json.
-# Every JSON file must parse with `python3 -m json.tool`, and every CSV
+# The session JSON alone is also written for the whole grid of every
+# preset x Table I model x {8, 32, 64, 256} accelerators (196 runs,
+# grid-PRESET-MODEL-ACCS.json), so a solver change can be diffed over
+# every scale the paper's figures use.
+# Every JSON file must parse with Python's json module, and every CSV
 # file must start with the "section,key,value" header and hold exactly
 # three fields in every row (Python's csv module, so quoted fields
 # count as one). Nothing in OUT_DIR depends on where it was written, so
@@ -24,21 +28,40 @@ mkdir -p "$out"
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 
-# run NAME ARGS...: one tb_report invocation; its stderr (which names
-# the output paths) is shown only when it fails.
-run() {
-    local name=$1
-    shift
-    if ! "$tb_report" "$@" --json "$out/$name.json" \
-            --csv "$out/$name.csv" > "$out/$name.txt" 2> "$log"; then
+# invoke NAME STDOUT ARGS...: one tb_report invocation printing to
+# STDOUT; its stderr (which names the output paths) is shown only when
+# it fails.
+invoke() {
+    local name=$1 stdout=$2
+    shift 2
+    if ! "$tb_report" "$@" > "$stdout" 2> "$log"; then
         echo "report_scenarios: $name failed: $tb_report $*" >&2
         cat "$log" >&2
         exit 1
     fi
 }
 
-for preset in baseline acc acc-gpu p2p p2p-gen4 no-pool trainbox; do
+# run NAME ARGS...: NAME.json, NAME.csv and the summary in NAME.txt.
+run() {
+    local name=$1
+    shift
+    invoke "$name" "$out/$name.txt" "$@" --json "$out/$name.json" \
+        --csv "$out/$name.csv"
+}
+
+presets=(baseline acc acc-gpu p2p p2p-gen4 no-pool trainbox)
+models=(VGG-19 Resnet-50 Inception-v4 RNN-S RNN-L Transformer-SR
+        Transformer-AA)
+
+for preset in "${presets[@]}"; do
     run "$preset-256" --preset "$preset" --accs 256
+    for model in "${models[@]}"; do
+        for accs in 8 32 64 256; do
+            name="grid-$preset-$model-$accs"
+            invoke "$name" /dev/null --preset "$preset" --model "$model" \
+                --accs "$accs" --json "$out/$name.json"
+        done
+    done
 done
 
 b32=(--preset baseline --accs 32)
@@ -60,17 +83,21 @@ run trace-trainbox-32 --preset trainbox --accs 32 \
 run trace-baseline-16 --preset baseline --accs 16 \
     --trace "$out/trace-baseline-16.trace.json"
 
-for f in "$out"/*.json; do
-    python3 -m json.tool "$f" > /dev/null ||
-        { echo "report_scenarios: $f is not valid JSON" >&2; exit 1; }
-done
-
 python3 - "$out" <<'EOF'
 import csv
+import json
 import pathlib
 import sys
 
 bad = 0
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
+    try:
+        with open(path) as f:
+            json.load(f)
+    except ValueError as e:
+        print(f"report_scenarios: {path} is not valid JSON: {e}",
+              file=sys.stderr)
+        bad += 1
 for path in sorted(pathlib.Path(sys.argv[1]).glob("*.csv")):
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
