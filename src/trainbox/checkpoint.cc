@@ -130,6 +130,9 @@ Checkpointer::maybeBegin(std::size_t step, std::function<void()> on_resume)
                              end - captureTime_, "checkpoint");
         lastResume_ = end;
         drainStart_ = end;
+        // The drain shards and the prep the resumed training launches
+        // share one solve.
+        FluidNetwork::FlowBatch batch(server_.core().fluid());
         launchDrain();
         auto resume = std::move(onResume_);
         onResume_ = nullptr;
@@ -142,6 +145,7 @@ void
 Checkpointer::launchDrain()
 {
     panic_if(outstanding_ != 0, "checkpoint drain already in flight");
+    FluidNetwork::FlowBatch batch(server_.core().fluid());
     for (std::size_t g = 0; g < server_.groups.size(); ++g) {
         if (shardBytes_[g] <= 0.0)
             continue;
@@ -222,9 +226,15 @@ void
 Checkpointer::abortCapture()
 {
     server_.core().events().cancel(snapshotEv_);
-    for (FlowId f : drainFlows_)
-        if (f != 0)
-            server_.core().fluid().cancelFlow(f);
+    // Batch only a drain in flight: its list then holds a live shard
+    // flow (the last to finish clears it), and a batch closed on no
+    // change would still reschedule the completion event.
+    if (!drainFlows_.empty()) {
+        FluidNetwork::FlowBatch batch(server_.core().fluid());
+        for (FlowId f : drainFlows_)
+            if (f != 0)
+                server_.core().fluid().cancelFlow(f);
+    }
     drainFlows_.clear();
     outstanding_ = 0;
     draining_ = false;

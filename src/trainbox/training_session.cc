@@ -56,8 +56,9 @@ TrainingSession::launchPrep(std::size_t g)
     // offloaded streams are independent producers of prepared samples,
     // so a slow prep-pool round-trip never stalls completed local work.
     // A crashed or departed FPGA's share shifts onto the prep pool.
-    // All chains launch at one timestamp: batch them so the solver runs
-    // once for the whole window instead of once per flow.
+    // All of the group's chains launch at one timestamp: batch them so
+    // the solver runs once for the group's window instead of once per
+    // flow (forEachGroup() widens the batch to every group).
     FluidNetwork::FlowBatch launchBatch(net_);
     while (gs.readySamples + gs.inFlightSamples < window - 1e-6) {
         gs.inFlightSamples += chunk;
@@ -88,6 +89,23 @@ TrainingSession::onChainDone(std::size_t g, double samples,
     }
     tryStartCompute(g);
     launchPrep(g);
+}
+
+/**
+ * Run @p step on every group inside one FlowBatch. The handlers that
+ * touch all groups at one instant (start, a step boundary, a checkpoint
+ * resume, a crash restart, a stall release) then cost one fluid solve,
+ * not one per group. Like every session batch it wraps only code that
+ * changes flows, and the caller schedules nothing inside it: closing a
+ * batch reschedules the completion event, which moves that event's
+ * place among same-time events (docs/PERFORMANCE.md).
+ */
+void
+TrainingSession::forEachGroup(void (TrainingSession::*step)(std::size_t))
+{
+    FluidNetwork::FlowBatch batch(net_);
+    for (std::size_t g = 0; g < groups_.size(); ++g)
+        (this->*step)(g);
 }
 
 // --- prep chains ---------------------------------------------------------
@@ -402,6 +420,7 @@ std::size_t
 TrainingSession::redispatchLocalChains(std::size_t g)
 {
     std::size_t redispatched = 0;
+    FluidNetwork::FlowBatch batch(net_);
     for (auto &[cid, run] : chains_) {
         if (run.group != g || run.offload)
             continue;
@@ -432,6 +451,8 @@ TrainingSession::onFault(const FaultEvent &ev)
         GroupState &gs = groups_[ev.target];
         if (gs.spec->preps.empty())
             break;
+        // The capacity drop and the re-dispatch share one solve.
+        FluidNetwork::FlowBatch batch(net_);
         gs.spec->preps.back()->setFailed(true);
         gs.prepDegraded = true;
         if (fault_->config().poolFailover) {
@@ -511,11 +532,16 @@ TrainingSession::onFatalCrash(const FaultEvent &)
         return;
     const Time now = eq_.now();
     const std::size_t at_step = syncedSteps_;
-    const std::size_t durable = ckpt_->crash(now, at_step);
-
-    // Everything volatile dies with the process: in-flight prep chains,
-    // buffered prepared samples, running compute, the pending sync.
-    cancelChains();
+    // Everything volatile dies with the process: the capture in flight,
+    // in-flight prep chains, buffered prepared samples, running compute,
+    // the pending sync. The flows go in one batch, closed before the
+    // restart event is scheduled.
+    std::size_t durable = 0;
+    {
+        FluidNetwork::FlowBatch batch(net_);
+        durable = ckpt_->crash(now, at_step);
+        cancelChains();
+    }
     for (GroupState &gs : groups_) {
         if (gs.computeEv.valid())
             eq_.cancel(gs.computeEv);
@@ -541,8 +567,7 @@ TrainingSession::onFatalCrash(const FaultEvent &)
         if (trace_)
             trace_->complete("faults", "rollback", now,
                              eq_.now() - now, "fault");
-        for (std::size_t g = 0; g < groups_.size(); ++g)
-            launchPrep(g);
+        forEachGroup(&TrainingSession::launchPrep);
     });
 }
 
@@ -798,6 +823,7 @@ TrainingSession::onPrepLeave(std::size_t g, bool planned)
                 gs.membership == Membership::Detached ||
                 gs.membership == Membership::Joining)
                 return;
+            FluidNetwork::FlowBatch batch(net_);
             gs.spec->preps.back()->setFailed(true);
             elasticStats_.chainsRebalanced += redispatchLocalChains(g);
         });
@@ -808,6 +834,7 @@ TrainingSession::onPrepLeave(std::size_t g, bool planned)
     ++gs.prepEpoch; // stales a pending drain detach, if any
     gs.prepElasticOut = true;
     ++elasticStats_.preemptions;
+    FluidNetwork::FlowBatch batch(net_);
     gs.spec->preps.back()->setFailed(true);
     elasticStats_.chainsRebalanced += redispatchLocalChains(g);
 }
@@ -887,8 +914,7 @@ TrainingSession::updateIngestOverload()
         if (ingestStalled_) {
             ingestStalled_ = false;
             ingestStats_.stallTime += now - ingestStallStart_;
-            for (std::size_t g = 0; g < groups_.size(); ++g)
-                tryStartCompute(g);
+            forEachGroup(&TrainingSession::tryStartCompute);
         }
         return;
     }
@@ -1225,8 +1251,7 @@ TrainingSession::onSyncDone()
         pausedForCkpt_ = true;
         return;
     }
-    for (std::size_t g = 0; g < groups_.size(); ++g)
-        tryStartCompute(g);
+    forEachGroup(&TrainingSession::tryStartCompute);
 }
 
 void
@@ -1235,8 +1260,7 @@ TrainingSession::onCheckpointResume()
     pausedForCkpt_ = false;
     if (done_ || down_)
         return;
-    for (std::size_t g = 0; g < groups_.size(); ++g)
-        tryStartCompute(g);
+    forEachGroup(&TrainingSession::tryStartCompute);
     // A membership change during the pause may have already completed
     // the step (no-op with fixed membership: some group is computing).
     stepComplete();
@@ -1324,8 +1348,7 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
         });
     }
 
-    for (std::size_t g = 0; g < groups_.size(); ++g)
-        launchPrep(g);
+    forEachGroup(&TrainingSession::launchPrep);
 }
 
 SessionResult

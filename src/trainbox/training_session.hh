@@ -426,6 +426,7 @@ class TrainingSession
     };
 
     void launchPrep(std::size_t g);
+    void forEachGroup(void (TrainingSession::*step)(std::size_t));
     void onChainDone(std::size_t g, double samples, Time chain_start);
     bool measuring() const;
     std::size_t chunksPerBatch() const;

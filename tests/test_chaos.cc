@@ -20,9 +20,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "sim/elastic_schedule.hh"
+#include "solve_budget.hh"
 #include "trainbox/report.hh"
 #include "trainbox/server_builder.hh"
 #include "trainbox/training_session.hh"
@@ -337,6 +339,15 @@ TEST(ChaosSweep, RandomizedSchedulesHoldInvariants)
     EXPECT_GT(fault_windows, 0u);
     EXPECT_GT(ingest_arrivals, 0u);
     EXPECT_GT(overload_trips, 0u);
+}
+
+TEST(ChaosSweep, EveryEventCostsAtMostOneSolve)
+{
+    // Every fault, membership, checkpoint and ingest handler changes
+    // its flows in one batch: no event may cost two fluid solves.
+    for (std::uint64_t seed = 1; seed <= 24; ++seed)
+        runWithinSolveBudget(chaosScenario(seed), 3, 6,
+                             "seed " + std::to_string(seed));
 }
 
 // --- zero-capacity liveness ------------------------------------------

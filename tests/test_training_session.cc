@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "solve_budget.hh"
+#include "trainbox/checkpoint.hh"
 #include "trainbox/report.hh"
 #include "trainbox/server_builder.hh"
 #include "trainbox/training_session.hh"
+#include "workload/model_zoo.hh"
 
 namespace tb {
 namespace {
@@ -276,6 +281,102 @@ TEST(Session, BatchSizeSweepFavorsTrainBox)
                              run(ArchPreset::Baseline, 8192);
     EXPECT_GT(gap_small, 1.5);
     EXPECT_GT(gap_large, gap_small);
+}
+
+TEST(Session, EveryEventCostsAtMostOneSolve)
+{
+    // A handler that changes many flows at one instant (a step boundary
+    // restarting every group, a crash, a checkpoint drain) batches them
+    // into one fluid solve. Fig 19's presets, every model:
+    for (ArchPreset preset :
+         {ArchPreset::Baseline, ArchPreset::BaselineAccFpga,
+          ArchPreset::BaselineAccP2p, ArchPreset::BaselineAccP2pGen4,
+          ArchPreset::TrainBox}) {
+        for (const workload::ModelInfo &m : workload::modelZoo())
+            runWithinSolveBudget(
+                ServerConfig().withPreset(preset).withModel(m.id)
+                    .withAccelerators(64),
+                4, 8, std::string(presetName(preset)) + " " + m.name);
+    }
+
+    // Checkpoint drains, snapshots and fatal-crash rollbacks.
+    for (ArchPreset preset : {ArchPreset::Baseline, ArchPreset::TrainBox}) {
+        for (CheckpointMode mode :
+             {CheckpointMode::Sync, CheckpointMode::Async}) {
+            ServerConfig cfg = ServerConfig()
+                                   .withPreset(preset)
+                                   .withModel(workload::ModelId::Vgg19)
+                                   .withAccelerators(32)
+                                   .withPrepPoolFpgas(8);
+            cfg.checkpoint.enabled = true;
+            cfg.checkpoint.mode = mode;
+            cfg.checkpoint.interval = 3.0;
+            cfg.checkpoint.restartLatency = 5.0;
+            cfg.faults.enabled = true;
+            cfg.faults.fatalCrash.ratePerSec = 0.02;
+            const SessionResult res = runWithinSolveBudget(
+                cfg, 4, 40,
+                std::string(presetName(preset)) + " " +
+                    checkpointModeName(mode) + " checkpoints");
+            EXPECT_GT(res.checkpoint.committed, 0u);
+            EXPECT_GT(res.checkpoint.fatalCrashes, 0u);
+        }
+    }
+
+    auto trainBox = [](std::size_t accs, int pool) {
+        return ServerConfig()
+            .withPreset(ArchPreset::TrainBox)
+            .withModel(workload::ModelId::Resnet50)
+            .withAccelerators(accs)
+            .withPrepPoolFpgas(pool);
+    };
+
+    // Prep-FPGA crashes re-dispatched onto the pool.
+    ServerConfig crash = trainBox(32, 8);
+    crash.faults.enabled = true;
+    crash.faults.poolFailover = true;
+    crash.faults.prepCrash.ratePerSec = 0.5;
+    crash.faults.prepCrash.duration = 1.0;
+    EXPECT_GT(runWithinSolveBudget(crash, 4, 8, "prep crash failover")
+                  .faults.prepFailovers,
+              0u);
+
+    // Elastic prep and group drains and preemptions.
+    ServerConfig elastic = trainBox(16, 4);
+    elastic.elasticity.enabled = true;
+    elastic.elasticity.graceWindow = 0.2;
+    elastic.elasticity.prepDrain = {0.4, 0.5};
+    elastic.elasticity.prepPreempt = {0.4, 0.5};
+    elastic.elasticity.groupDrain = {0.2, 1.0};
+    elastic.elasticity.groupPreempt = {0.2, 1.0};
+    const SessionResult leaves =
+        runWithinSolveBudget(elastic, 3, 10, "elastic leaves");
+    EXPECT_GT(leaves.elasticity.drains, 0u);
+    EXPECT_GT(leaves.elasticity.preemptions, 0u);
+    EXPECT_GT(leaves.elasticity.chainsRebalanced, 0u);
+
+    // An ingest stall released while a group drains
+    // (ChaosIngest.StallDuringDrainStaysLive).
+    ServerConfig stall = trainBox(16, 4);
+    stall.ingest.enabled = true;
+    stall.ingest.policyChain = {IngestPolicy::Throttle, IngestPolicy::Shed,
+                                IngestPolicy::Echo, IngestPolicy::Stall};
+    stall.ingest.bufferCapacity = 65536.0;
+    stall.ingest.highWatermark = 8192.0;
+    stall.ingest.lowWatermark = 4096.0;
+    stall.ingest.throttleFactor = 0.9;
+    for (int i = 0; i < 24; ++i)
+        stall.ingest.schedule.push_back(
+            {IngestTrafficKind::Burst, 4096.0, 3, 1.0 + 2e-4 * i});
+    stall.elasticity.enabled = true;
+    stall.elasticity.graceWindow = 0.3;
+    stall.elasticity.schedule = {
+        {ElasticTargetKind::Group, ElasticAction::Drain, 0, 1.0},
+        {ElasticTargetKind::Group, ElasticAction::Join, 0, 4.0},
+    };
+    EXPECT_GE(runWithinSolveBudget(stall, 3, 6, "ingest stall during drain")
+                  .ingest.stalls,
+              1u);
 }
 
 } // namespace
