@@ -5,6 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "trainbox/server_builder.hh"
 
 namespace tb {
@@ -130,6 +139,109 @@ TEST(Builder, StagesHaveDemands)
                 EXPECT_FALSE(st.category.empty());
             }
         }
+    }
+}
+
+/** FNV-1a over the bytes of @p text, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const std::string &text)
+{
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Exact text of @p v, so a one-ulp move changes the digest. */
+std::string
+hexFloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/** Every field of @p st; demands sorted by resource name. */
+std::string
+dumpTemplate(const StageTemplate &st)
+{
+    std::string out = st.name + " " + st.category + " " +
+                      hexFloat(st.rateCap) + " " +
+                      hexFloat(st.fairWeight) + " " +
+                      std::to_string(st.corruptionHops) +
+                      (st.verifiesIntegrity ? " verifies\n" : "\n");
+    std::vector<std::pair<std::string, double>> demands;
+    for (const auto &d : st.demandsPerSample)
+        demands.emplace_back(d.resource->name(), d.weight);
+    std::sort(demands.begin(), demands.end());
+    for (const auto &[name, weight] : demands)
+        out += "  " + name + " " + hexFloat(weight) + "\n";
+    return out;
+}
+
+/** Every template of @p g, recovery chains included. */
+std::string
+dumpGroup(const PrepGroup &g)
+{
+    std::string out = g.name + " " + std::to_string(g.numAccelerators) +
+                      " " + hexFloat(g.offloadFraction) + " " +
+                      std::to_string(g.preps.size()) + "\n";
+    const std::pair<const char *, const std::vector<StageTemplate> *>
+        chains[] = {{"stages", &g.stages},
+                    {"offload", &g.offloadStages},
+                    {"degraded", &g.degradedStages},
+                    {"degraded_offload", &g.degradedOffloadStages},
+                    {"host_path", &g.hostPathStages}};
+    for (const auto &[label, stages] : chains) {
+        out += std::string(label) + "\n";
+        for (const auto &st : *stages)
+            out += dumpTemplate(st);
+    }
+    out += "checkpoint\n" + dumpTemplate(g.checkpointWrite);
+    out += "ingest\n" + dumpTemplate(g.ingestWrite);
+    return out;
+}
+
+// One digest per preset over every template of every group, across
+// models, scales, integrity checks, ingest and pool sizes. The report
+// scenarios only reach the templates a run uses; this also pins the
+// recovery chains (degraded, host path) directly. A builder refactor
+// must leave every digest as it is. The GPU and Gen4 presets differ
+// from their siblings only in device capacities, which no template
+// holds, so they share their siblings' digests.
+TEST(Builder, EveryTemplateMatchesItsPin)
+{
+    const std::map<ArchPreset, std::uint64_t> pins = {
+        {ArchPreset::Baseline, 0x2e18d7467fd70757ull},
+        {ArchPreset::BaselineAccFpga, 0xa749fb10df1c5b61ull},
+        {ArchPreset::BaselineAccGpu, 0xa749fb10df1c5b61ull},
+        {ArchPreset::BaselineAccP2p, 0x6622f0b125a4f007ull},
+        {ArchPreset::BaselineAccP2pGen4, 0x6622f0b125a4f007ull},
+        {ArchPreset::TrainBoxNoPool, 0x3296cde89b0461a9ull},
+        {ArchPreset::TrainBox, 0x0ddedec3c81bfd87ull},
+    };
+    for (ArchPreset p : allPresets()) {
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (const auto &m : workload::modelZoo())
+            for (std::size_t n : {1, 8, 12, 64})
+                for (bool integrity : {false, true})
+                    for (bool ingest : {false, true})
+                        for (int pool : {-1, 0, 3}) {
+                            ServerConfig cfg = baseConfig(p, m.id, n);
+                            cfg.faults.enabled = integrity;
+                            cfg.faults.integrityChecks = integrity;
+                            cfg.ingest.enabled = ingest;
+                            cfg.prepPoolFpgas = pool;
+                            auto server = buildServer(cfg);
+                            h = fnv1a(h, m.name + " " +
+                                             std::to_string(n) + "\n");
+                            for (const auto &g : server->groups)
+                                h = fnv1a(h, dumpGroup(g));
+                        }
+        char got[32];
+        std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", h);
+        EXPECT_EQ(h, pins.at(p)) << presetKey(p) << ": digest " << got;
     }
 }
 
