@@ -19,13 +19,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/table.hh"
 #include "prep/audio/wave_gen.hh"
 #include "prep/executor/prep_executor.hh"
 #include "prep/pipeline.hh"
-#include "sim/stats.hh"
 
 namespace {
 
@@ -37,7 +37,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** Run both chains through the executor and dump throughput + stats. */
+/** Run both chains through the executor; print throughput + counters. */
 void
 runExecutorDemo(int items, std::size_t threads)
 {
@@ -77,11 +77,24 @@ runExecutorDemo(int items, std::size_t threads)
     std::printf("audio batch: %d items in %.1f ms -> %.1f samples/s\n",
                 items, audio_wall * 1e3, items / audio_wall);
 
-    stats::StatGroup group("prep_executor");
-    executor.registerStats(group);
     executor.shutdown();
+    const prep::ExecutorStatsSnapshot st = executor.statsSnapshot();
+    const std::pair<const char *, double> counters[] = {
+        {"items_prepared", st.itemsPrepared},
+        {"image_items", st.imageItems},
+        {"audio_items", st.audioItems},
+        {"items_failed", st.itemsFailed},
+        {"items_retried", st.itemsRetried},
+        {"items_quarantined", st.itemsQuarantined},
+        {"bytes_in", st.bytesIn},
+        {"bytes_out", st.bytesOut},
+        {"image_prep_seconds", st.imagePrepSeconds},
+        {"audio_prep_seconds", st.audioPrepSeconds},
+        {"queue_wait_seconds", st.queueWaitSeconds},
+    };
     std::printf("\n");
-    group.dump();
+    for (const auto &[name, value] : counters)
+        std::printf("prep_executor.%s %.6g\n", name, value);
 }
 
 } // namespace

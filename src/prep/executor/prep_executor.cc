@@ -87,7 +87,7 @@ PrepExecutor::workerLoop(std::size_t)
         const double waited = nowSeconds() - task.submitSeconds;
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
-            queueWaitSeconds_ += waited;
+            stats_.queueWaitSeconds += waited;
         }
         task.run();
     }
@@ -133,22 +133,21 @@ PrepExecutor::submitImageBatch(
                 const double dt = nowSeconds() - t0;
                 {
                     std::lock_guard<std::mutex> lock(statsMutex_);
-                    itemsRetried_ += static_cast<double>(retries);
+                    stats_.itemsRetried += static_cast<double>(retries);
                     if (out.ok) {
-                        ++itemsPrepared_;
-                        ++imageItems_;
-                        bytesIn_ += static_cast<double>(bytes.size());
+                        ++stats_.itemsPrepared;
+                        ++stats_.imageItems;
+                        stats_.bytesIn += static_cast<double>(bytes.size());
                         // Tensor values are bf16-rounded; count 2 B each
                         // (the prepared-item size the datapath carries).
-                        bytesOut_ +=
+                        stats_.bytesOut +=
                             static_cast<double>(out.tensor.size() * 2);
                     } else {
-                        ++itemsFailed_;
-                        ++itemsQuarantined_;
+                        ++stats_.itemsFailed;
+                        ++stats_.itemsQuarantined;
                         quarantine_.push_back({index, out.error});
                     }
-                    imagePrepSeconds_ += dt;
-                    imagePrepMs_.sample(dt * 1e3);
+                    stats_.imagePrepSeconds += dt;
                 }
                 done(i, std::move(out));
             });
@@ -204,23 +203,22 @@ PrepExecutor::submitAudioBatch(
                 const double dt = nowSeconds() - t0;
                 {
                     std::lock_guard<std::mutex> lock(statsMutex_);
-                    itemsRetried_ += static_cast<double>(retries);
+                    stats_.itemsRetried += static_cast<double>(retries);
                     if (out.ok) {
-                        ++itemsPrepared_;
-                        ++audioItems_;
-                        bytesIn_ += static_cast<double>(pcm_bytes);
-                        bytesOut_ += static_cast<double>(
+                        ++stats_.itemsPrepared;
+                        ++stats_.audioItems;
+                        stats_.bytesIn += static_cast<double>(pcm_bytes);
+                        stats_.bytesOut += static_cast<double>(
                             out.features.frames * out.features.bins * 4);
                     } else {
-                        ++itemsFailed_;
-                        ++itemsQuarantined_;
+                        ++stats_.itemsFailed;
+                        ++stats_.itemsQuarantined;
                         quarantine_.push_back(
                             {index, out.error.empty()
                                         ? "audio chain failed"
                                         : out.error});
                     }
-                    audioPrepSeconds_ += dt;
-                    audioPrepMs_.sample(dt * 1e3);
+                    stats_.audioPrepSeconds += dt;
                 }
                 done(i, std::move(out));
             });
@@ -262,19 +260,7 @@ ExecutorStatsSnapshot
 PrepExecutor::statsSnapshot() const
 {
     std::lock_guard<std::mutex> lock(statsMutex_);
-    ExecutorStatsSnapshot s;
-    s.itemsPrepared = itemsPrepared_.value();
-    s.imageItems = imageItems_.value();
-    s.audioItems = audioItems_.value();
-    s.itemsFailed = itemsFailed_.value();
-    s.itemsRetried = itemsRetried_.value();
-    s.itemsQuarantined = itemsQuarantined_.value();
-    s.bytesIn = bytesIn_.value();
-    s.bytesOut = bytesOut_.value();
-    s.imagePrepSeconds = imagePrepSeconds_.value();
-    s.audioPrepSeconds = audioPrepSeconds_.value();
-    s.queueWaitSeconds = queueWaitSeconds_.value();
-    return s;
+    return stats_;
 }
 
 std::vector<QuarantinedItem>
@@ -282,37 +268,6 @@ PrepExecutor::quarantined() const
 {
     std::lock_guard<std::mutex> lock(statsMutex_);
     return quarantine_;
-}
-
-void
-PrepExecutor::registerStats(stats::StatGroup &group)
-{
-    group.registerScalar("items_prepared", &itemsPrepared_,
-                         "items prepared successfully");
-    group.registerScalar("image_items", &imageItems_,
-                         "image items prepared");
-    group.registerScalar("audio_items", &audioItems_,
-                         "audio items prepared");
-    group.registerScalar("items_failed", &itemsFailed_,
-                         "items whose chain reported an error");
-    group.registerScalar("items_retried", &itemsRetried_,
-                         "in-task retry attempts performed");
-    group.registerScalar("items_quarantined", &itemsQuarantined_,
-                         "poison items that exhausted every retry");
-    group.registerScalar("bytes_in", &bytesIn_,
-                         "stored/compressed bytes consumed");
-    group.registerScalar("bytes_out", &bytesOut_,
-                         "prepared tensor bytes produced");
-    group.registerScalar("image_prep_seconds", &imagePrepSeconds_,
-                         "summed image-chain wall time (core-seconds)");
-    group.registerScalar("audio_prep_seconds", &audioPrepSeconds_,
-                         "summed audio-chain wall time (core-seconds)");
-    group.registerScalar("queue_wait_seconds", &queueWaitSeconds_,
-                         "summed submit-to-start wait");
-    group.registerDistribution("image_prep_ms", &imagePrepMs_,
-                               "per-item image chain latency");
-    group.registerDistribution("audio_prep_ms", &audioPrepMs_,
-                               "per-item audio chain latency");
 }
 
 } // namespace prep

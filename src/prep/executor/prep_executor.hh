@@ -37,7 +37,6 @@
 
 #include "prep/executor/work_queue.hh"
 #include "prep/pipeline.hh"
-#include "sim/stats.hh"
 
 namespace tb {
 namespace prep {
@@ -95,7 +94,10 @@ struct QuarantinedItem
     std::string error;
 };
 
-/** Consistent copy of the executor's counters (taken under the lock). */
+/**
+ * The executor's counters. PrepExecutor keeps one under its stats lock;
+ * statsSnapshot() returns a consistent copy.
+ */
 struct ExecutorStatsSnapshot
 {
     double itemsPrepared = 0.0;
@@ -180,12 +182,6 @@ class PrepExecutor
      */
     std::vector<QuarantinedItem> quarantined() const;
 
-    /**
-     * Register the counters into a sim/stats.hh group (dump after the
-     * workers are quiesced; the group must not outlive the executor).
-     */
-    void registerStats(stats::StatGroup &group);
-
   private:
     struct Task
     {
@@ -216,21 +212,9 @@ class PrepExecutor
     /** Global item counter; drives per-item RNG stream derivation. */
     std::atomic<std::uint64_t> nextItemIndex_{0};
 
-    /** All counters below are guarded by statsMutex_. */
+    /** Every counter; guarded by statsMutex_. */
     mutable std::mutex statsMutex_;
-    stats::Scalar itemsPrepared_;
-    stats::Scalar imageItems_;
-    stats::Scalar audioItems_;
-    stats::Scalar itemsFailed_;
-    stats::Scalar itemsRetried_;
-    stats::Scalar itemsQuarantined_;
-    stats::Scalar bytesIn_;
-    stats::Scalar bytesOut_;
-    stats::Scalar imagePrepSeconds_;
-    stats::Scalar audioPrepSeconds_;
-    stats::Scalar queueWaitSeconds_;
-    stats::Distribution imagePrepMs_;
-    stats::Distribution audioPrepMs_;
+    ExecutorStatsSnapshot stats_;
 
     /** Poison items, in completion order; guarded by statsMutex_. */
     std::vector<QuarantinedItem> quarantine_;
