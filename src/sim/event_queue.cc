@@ -25,31 +25,6 @@ EventQueue::scheduleIn(Time delay, Callback cb, int priority)
     return schedule(now_ + delay, std::move(cb), priority);
 }
 
-std::vector<EventId>
-EventQueue::scheduleBatch(std::vector<std::pair<Time, Callback>> items,
-                          int priority)
-{
-    std::vector<EventId> ids;
-    ids.reserve(items.size());
-    // A batch larger than the live set re-heapifies once; smaller
-    // batches sift entries in individually.
-    const bool rebuild = items.size() > heap_.size();
-    heap_.reserve(heap_.size() + items.size());
-    for (auto &[when, cb] : items) {
-        panic_if(when < now_, "scheduling event in the past (%g < %g)",
-                 when, now_);
-        const Key key{when, priority, nextSeq_++};
-        heap_.push_back(Entry{key, std::move(cb)});
-        if (!rebuild)
-            std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
-        pending_.insert(key.seq);
-        ids.push_back(EventId{key.seq});
-    }
-    if (rebuild)
-        std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    return ids;
-}
-
 bool
 EventQueue::cancel(EventId &id)
 {

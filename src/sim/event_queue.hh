@@ -10,7 +10,7 @@
  * the event's sequence number from the pending set (O(1)); the heap entry
  * becomes a tombstone that is discarded when it surfaces at the top, or
  * swept out when tombstones outnumber live events (see docs/PERFORMANCE.md,
- * "Event-queue batching"). Execution order is the same strict total order
+ * "Event-queue lazy cancel"). Execution order is the same strict total order
  * as before — (when, priority, seq) — so a heap rebuild never reorders
  * live events.
  */
@@ -67,18 +67,6 @@ class EventQueue
     /** Schedule @p cb to run @p delay seconds from now. */
     EventId scheduleIn(Time delay, Callback cb,
                        int priority = defaultPriority);
-
-    /**
-     * Bulk insert: schedule every (when, callback) pair of @p items at
-     * @p priority. Handles are returned in input order, and ties between
-     * batch members keep input order (each entry draws the next sequence
-     * number, exactly as repeated schedule() calls would). When the batch
-     * is large relative to the pending set the heap is rebuilt in one
-     * O(n + k) pass instead of k O(log n) sifts.
-     */
-    std::vector<EventId>
-    scheduleBatch(std::vector<std::pair<Time, Callback>> items,
-                  int priority = defaultPriority);
 
     /** Cancel a pending event. Returns false if already fired/cancelled. */
     bool cancel(EventId &id);

@@ -134,16 +134,15 @@ struct PrepGroup
 };
 
 /**
- * A fully assembled simulated server.
+ * A fully assembled simulated server; only buildServer() makes one.
  *
  * A server is a *client* of a SimulationCore: the core owns the event
  * queue, clock, fluid network, and metrics registry; the server owns
- * the devices, topology, and stage templates wired onto them. The
- * single-argument constructor creates a private core (the historical
+ * the devices, topology, and stage templates wired onto them. Built
+ * without a core, a server creates a private one (the historical
  * one-server-one-timeline shape, bit-identical to when the queue and
- * network were value members); the core-taking constructor attaches to
- * a shared core so N servers simulate on one timeline (see
- * docs/FLEET.md).
+ * network were value members); built onto a shared core, N servers
+ * simulate on one timeline (see docs/FLEET.md).
  */
 class Server
 {
@@ -155,17 +154,6 @@ class Server
     std::string prefix_;
 
   public:
-    /** Standalone server with a private simulation core. */
-    explicit Server(const ServerConfig &cfg);
-
-    /**
-     * Server attached to a shared @p core. Every fluid resource the
-     * builder creates is namespaced under @p resourcePrefix
-     * ("job0." ...); pass "" only when no other server shares the core.
-     */
-    Server(const ServerConfig &cfg, SimulationCore &core,
-           std::string resourcePrefix);
-
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
@@ -228,7 +216,12 @@ class Server
                                                SimulationCore *,
                                                const std::string &);
 
-    /** Common tail of both public constructors (nullptr = own a core). */
+    /**
+     * Server on @p core (nullptr = a private core). Every fluid
+     * resource the builder creates is namespaced under @p
+     * resourcePrefix ("job0." ...); pass "" only when no other server
+     * shares the core.
+     */
     Server(const ServerConfig &cfg, SimulationCore *core,
            std::string resourcePrefix);
 

@@ -157,59 +157,6 @@ TEST(EventQueue, CancelRescheduleChurn)
     EXPECT_EQ(fired, 1);
 }
 
-TEST(EventQueue, ScheduleBatchOrderingSmall)
-{
-    // Small batch (sift-in path): ties between batch members keep input
-    // order, interleaved correctly with individually scheduled events.
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(2.0, [&] { order.push_back(100); });
-    std::vector<std::pair<Time, EventQueue::Callback>> items;
-    items.emplace_back(2.0, [&] { order.push_back(0); });
-    items.emplace_back(1.0, [&] { order.push_back(1); });
-    items.emplace_back(2.0, [&] { order.push_back(2); });
-    auto ids = eq.scheduleBatch(std::move(items));
-    ASSERT_EQ(ids.size(), 3u);
-    eq.run();
-    // t=1: event 1; t=2: individual (earlier seq), then 0, then 2.
-    ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(order[0], 1);
-    EXPECT_EQ(order[1], 100);
-    EXPECT_EQ(order[2], 0);
-    EXPECT_EQ(order[3], 2);
-}
-
-TEST(EventQueue, ScheduleBatchRebuildPath)
-{
-    // Batch larger than the live heap takes the make_heap rebuild path;
-    // execution order must still be (when, priority, seq).
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(0.5, [&] { order.push_back(-1); });
-    std::vector<std::pair<Time, EventQueue::Callback>> items;
-    constexpr int kBatch = 500;
-    for (int i = 0; i < kBatch; ++i) {
-        const Time when = static_cast<Time>((i * 7919) % kBatch);
-        items.emplace_back(when, [&order, i] { order.push_back(i); });
-    }
-    auto ids = eq.scheduleBatch(std::move(items));
-    ASSERT_EQ(ids.size(), static_cast<std::size_t>(kBatch));
-    // Cancel a slice of the batch through the returned handles.
-    for (int i = 0; i < kBatch; i += 10)
-        EXPECT_TRUE(eq.cancel(ids[i]));
-    eq.run();
-    ASSERT_EQ(order.size(), static_cast<std::size_t>(kBatch - kBatch / 10 + 1));
-    // Survivors must come out sorted by (when, seq): reconstruct keys.
-    Time prev = -1.0;
-    for (std::size_t k = 0; k < order.size(); ++k) {
-        const int i = order[k];
-        const Time when =
-            i < 0 ? 0.5 : static_cast<Time>((i * 7919) % kBatch);
-        EXPECT_GE(when, prev) << "out of order at " << k;
-        prev = when;
-    }
-}
-
 TEST(EventQueue, SizeAndEmptyIgnoreTombstones)
 {
     EventQueue eq;
