@@ -439,8 +439,9 @@ expectMutationsTouchOneComponent(Mode mode)
     auto before = net.solverStats();
     start(3, 5000.0);
     auto after = net.solverStats();
-    if (mode == Mode::Incremental)
+    if (mode == Mode::Incremental) {
         EXPECT_EQ(after.flowsSolved - before.flowsSolved, 4u);
+    }
     EXPECT_EQ(after.flowsRebased - before.flowsRebased, 4u);
     // One insert for the new flow, one re-key per rebased flow.
     EXPECT_EQ(after.heapUpdates - before.heapUpdates, 5u);

@@ -54,10 +54,11 @@ TEST(Session, CategoryMapsIgnoreMetricsSwitch)
         EXPECT_EQ(res[0].throughput, res[1].throughput);
         // Baseline saturates the 48 host cores for the whole window, so
         // maps charged up to the window end sum to the full pool.
-        if (preset == ArchPreset::Baseline)
+        if (preset == ArchPreset::Baseline) {
             EXPECT_NEAR(
                 SessionReport::sumCategories(res[0].cpuCoresByCategory),
                 48.0, 1e-9);
+        }
     }
 }
 
