@@ -82,6 +82,8 @@ run trace-trainbox-32 --preset trainbox --accs 32 \
     --trace "$out/trace-trainbox-32.trace.json"
 run trace-baseline-16 --preset baseline --accs 16 \
     --trace "$out/trace-baseline-16.trace.json"
+run trace-baseline-32-ingest "${b32[@]}" --ingest \
+    --trace "$out/trace-baseline-32-ingest.trace.json"
 
 python3 - "$out" <<'EOF'
 import csv
