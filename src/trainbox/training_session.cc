@@ -858,260 +858,24 @@ TrainingSession::onPrepJoin(std::size_t g)
     // the healthy templates again.
 }
 
-// --- streaming-ingest path -----------------------------------------------
-//
-// Arrivals from the IngestScheduler land in a bounded host-DRAM buffer
-// and drain onto the dataset shards through the per-group ingest_write
-// template (round-robin over the groups), contending with prep reads
-// via the SSD write→read interference. The overload policy chain
-// engages in escalation order as the buffer level crosses its
-// watermarks and disengages (all at once) at the low watermark. The
-// ingest tier lives outside the training process: arrivals and shard
-// writes keep flowing through fatal crashes and checkpoint pauses, and
-// the write pump never depends on training progress — which is what
-// makes the stall policy deadlock-free. None of this is reached when
-// ingest is disabled (ingest_ stays null).
-
-bool
-TrainingSession::ingestPolicyEngaged(IngestPolicy p) const
-{
-    const auto &chain = server_.cfg.ingest.policyChain;
-    for (std::size_t i = 0; i < chain.size(); ++i)
-        if (chain[i] == p && (ingestEngaged_ & (std::uint64_t{1} << i)))
-            return true;
-    return false;
-}
-
-/** Buffer occupancy in samples (the in-flight chunk is still in DRAM). */
-double
-TrainingSession::ingestLevel() const
-{
-    return ingestBuffered_ + ingestWriting_;
-}
-
-/**
- * Recompute the engaged policy set from the buffer level. With a chain
- * of n policies, policy i engages once the level reaches
- *
- *   highWatermark + i * (bufferCapacity - highWatermark) / n
- *
- * (so a burst landing exactly at the high watermark trips policy 0),
- * and all engaged policies disengage together when the level falls back
- * to the low watermark — classic hysteresis, so policies never flap on
- * a level hovering at a threshold.
- */
-void
-TrainingSession::updateIngestOverload()
-{
-    const IngestConfig &ic = server_.cfg.ingest;
-    const double level = ingestLevel();
-    const Time now = eq_.now();
-    if (ingestEngaged_ != 0 && level <= ic.lowWatermark + 1e-9) {
-        ingestEngaged_ = 0;
-        ingestStats_.overloadTime += now - ingestOverloadStart_;
-        if (trace_)
-            trace_->instant("ingest", "overload_clear", now, "ingest");
-        if (ingestStalled_) {
-            ingestStalled_ = false;
-            ingestStats_.stallTime += now - ingestStallStart_;
-            forEachGroup(&TrainingSession::tryStartCompute);
-        }
-        return;
-    }
-    const std::size_t n = ic.policyChain.size();
-    if (n == 0 || level + 1e-9 < ic.highWatermark)
-        return;
-    const double span =
-        std::max(0.0, ic.bufferCapacity - ic.highWatermark);
-    const bool first_trip = ingestEngaged_ == 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double threshold = ic.highWatermark +
-            span * static_cast<double>(i) / static_cast<double>(n);
-        const std::uint64_t bit = std::uint64_t{1} << i;
-        if (level + 1e-9 < threshold || (ingestEngaged_ & bit))
-            continue;
-        ingestEngaged_ |= bit;
-        if (trace_)
-            trace_->instant("ingest",
-                            std::string("engage_") +
-                                ingestPolicyName(ic.policyChain[i]),
-                            now, "ingest");
-        if (ic.policyChain[i] == IngestPolicy::Stall && !ingestStalled_) {
-            ingestStalled_ = true;
-            ++ingestStats_.stalls;
-            ingestStallStart_ = now;
-        }
-    }
-    if (first_trip && ingestEngaged_ != 0) {
-        ++ingestStats_.overloadTrips;
-        ingestOverloadStart_ = now;
-    }
-}
-
-void
-TrainingSession::onIngestArrival(const IngestArrival &ev)
-{
-    if (done_)
-        return;
-    const IngestConfig &ic = server_.cfg.ingest;
-    ++ingestStats_.arrivalEvents;
-    ingestStats_.samplesArrived += ev.samples;
-    double remaining = ev.samples;
-    // Admission control, in escalation order: shed drops the whole
-    // batch for the low-priority classes; throttle admits only a
-    // fraction of everything else; the capacity clamp is uncondition-
-    // ally last — arrivals beyond a full buffer always overflow.
-    if (ingestPolicyEngaged(IngestPolicy::Shed) &&
-        ev.priority <= ic.shedPriorityCutoff) {
-        ingestStats_.samplesShedPolicy += remaining;
-        remaining = 0.0;
-    } else if (ingestPolicyEngaged(IngestPolicy::Throttle)) {
-        const double rejected = remaining * (1.0 - ic.throttleFactor);
-        ingestStats_.samplesThrottled += rejected;
-        remaining -= rejected;
-    }
-    const double space = std::max(0.0, ic.bufferCapacity - ingestLevel());
-    const double admit = std::min(remaining, space);
-    ingestStats_.samplesOverflowDropped += remaining - admit;
-    if (admit > 0.0) {
-        ingestBuffered_ += admit;
-        ingestQueue_.push_back({admit, eq_.now()});
-        ingestStats_.peakBufferLevel =
-            std::max(ingestStats_.peakBufferLevel, ingestLevel());
-    }
-    updateIngestOverload();
-    pumpIngestWrites();
-}
-
-/**
- * Start the next shard-write chunk if the writer is idle. One chunk is
- * in flight at a time (the ingest tier's writer is a serial appender);
- * the cohorts making up the chunk are popped FIFO so freshness
- * accounting sees every sample's true arrival time.
- */
-void
-TrainingSession::pumpIngestWrites()
-{
-    if (done_ || ingestWriting_ > 0.0 || ingestBuffered_ <= 1e-9)
-        return;
-    const double chunk =
-        std::min(ingestBuffered_, server_.cfg.ingest.writeChunkSamples);
-    ingestBuffered_ -= chunk;
-    ingestWriting_ = chunk;
-    ingestWritingCohorts_.clear();
-    double need = chunk;
-    while (need > 1e-9 && !ingestQueue_.empty()) {
-        IngestCohort &front = ingestQueue_.front();
-        const double take = std::min(front.samples, need);
-        ingestWritingCohorts_.push_back({take, front.arrivedAt});
-        front.samples -= take;
-        need -= take;
-        if (front.samples <= 1e-9)
-            ingestQueue_.pop_front();
-    }
-    startIngestWrite(0);
-}
-
-void
-TrainingSession::startIngestWrite(std::size_t attempt)
-{
-    const StageTemplate &st =
-        server_.groups[ingestWriteGroup_].ingestWrite;
-    ++ingestStats_.writeFlows;
-    const Time start = eq_.now();
-    const std::uint64_t epoch = ingestWriteEpoch_;
-    ingestWriteFlow_ = net_.startFlow(st.flow(
-        ingestWriting_, [this, attempt, epoch, start](Time now) {
-            if (epoch != ingestWriteEpoch_)
-                return;
-            ingestWriteFlow_ = 0;
-            if (trace_)
-                trace_->complete("ingest", "ingest_write", start,
-                                 now - start, "ingest");
-            onIngestWriteDone(attempt);
-        }));
-}
-
-/**
- * A write chunk finished transferring. The failure draw happens here —
- * a failed attempt paid its full bandwidth (like a failed SSD read) —
- * and retries back off exponentially on the *same* shard target; once
- * the budget is out the chunk is abandoned (the arrival tier re-
- * requests it out of band) so a sick shard can never wedge the buffer.
- */
-void
-TrainingSession::onIngestWriteDone(std::size_t attempt)
-{
-    // A shard write in flight at completion lands after the ingest
-    // ledger froze; ignore it (unreachable on a private core).
-    if (done_)
-        return;
-    const IngestConfig &ic = server_.cfg.ingest;
-    const Time now = eq_.now();
-    if (ingest_->writeAttemptFails()) {
-        if (attempt < ic.maxWriteRetries) {
-            ++ingestStats_.writeRetries;
-            if (trace_)
-                trace_->instant("ingest", "write_retry", now, "ingest");
-            const Time backoff = ic.writeRetryBackoff *
-                static_cast<double>(std::uint64_t{1} << attempt);
-            const std::uint64_t epoch = ingestWriteEpoch_;
-            eq_.scheduleIn(backoff, [this, attempt, epoch] {
-                if (done_ || epoch != ingestWriteEpoch_)
-                    return;
-                startIngestWrite(attempt + 1);
-            });
-            return;
-        }
-        ++ingestStats_.writeFailures;
-        ingestStats_.samplesAbandonedWrites += ingestWriting_;
-        if (trace_)
-            trace_->instant("ingest", "write_abandoned", now, "ingest");
-    } else {
-        // Landed durably: commit the chunk and its freshness ledger.
-        ingestStats_.samplesAdmitted += ingestWriting_;
-        for (const IngestCohort &c : ingestWritingCohorts_) {
-            const Time stale = now - c.arrivedAt;
-            ingestStats_.stalenessSum += c.samples * stale;
-            ingestStats_.stalenessMax =
-                std::max(ingestStats_.stalenessMax, stale);
-            if (ic.stalenessSlo <= 0.0 || stale <= ic.stalenessSlo)
-                ingestStats_.samplesWithinSlo += c.samples;
-        }
-    }
-    ingestWriting_ = 0.0;
-    ingestWritingCohorts_.clear();
-    ++ingestWriteEpoch_;
-    ingestWriteGroup_ = (ingestWriteGroup_ + 1) % server_.groups.size();
-    updateIngestOverload();
-    pumpIngestWrites();
-}
-
 void
 TrainingSession::tryStartCompute(std::size_t g)
 {
     GroupState &gs = groups_[g];
-    if (done_ || down_ || pausedForCkpt_ || ingestStalled_ ||
-        gs.computing ||
+    if (done_ || down_ || pausedForCkpt_ ||
+        (ingest_ && ingest_->stalled()) || gs.computing ||
         gs.membership == Membership::Detached ||
         gs.membership == Membership::Joining ||
         gs.stepsComputed != syncedSteps_)
         return;
-    // Echo policy: under overload part of the batch reuses previously
-    // prepped (stale) samples, so only the fresh fraction is consumed
-    // from the ready window — cutting prep-side SSD read pressure while
-    // the shard writes drain. The statistical-efficiency cost is
-    // reported, not folded into throughput (steps still process full
-    // hardware batches).
-    double fresh = groupBatchSamples(g);
-    if (ingest_ && ingestPolicyEngaged(IngestPolicy::Echo))
-        fresh /= server_.cfg.ingest.echoFactor;
+    const double batch = groupBatchSamples(g);
+    const double fresh = ingest_ ? ingest_->freshSamples(batch) : batch;
     if (gs.readySamples + 1e-6 < fresh)
         return;
     gs.readySamples -= fresh;
     samplesConsumed_ += fresh;
     if (ingest_)
-        ingestStats_.samplesEchoed += groupBatchSamples(g) - fresh;
+        ingest_->countEchoed(batch - fresh);
     gs.computing = true;
     const Time start = eq_.now();
     Time duration = server_.computeTime();
@@ -1340,12 +1104,12 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
     }
 
     if (server_.cfg.ingest.enabled) {
-        ingest_ = std::make_unique<IngestScheduler>(server_.cfg.ingest);
-        ingestStats_.stalenessSloSec = server_.cfg.ingest.stalenessSlo;
-        ingestStats_.echoEfficiency = server_.cfg.ingest.echoEfficiency;
-        ingest_->arm(eq_, [this](const IngestArrival &ev) {
-            onIngestArrival(ev);
-        });
+        std::vector<StageTemplate> writes;
+        for (const PrepGroup &g : server_.groups)
+            writes.push_back(g.ingestWrite);
+        ingest_ = std::make_unique<IngestTier>(
+            eq_, net_, server_.cfg.ingest, std::move(writes), trace_,
+            [this] { forEachGroup(&TrainingSession::tryStartCompute); });
     }
 
     forEachGroup(&TrainingSession::launchPrep);
@@ -1384,15 +1148,11 @@ TrainingSession::finalizeResult(bool partial)
         fault_->disarm();
     if (elastic_)
         elastic_->disarm();
-    if (ingest_)
-        ingest_->disarm();
     {
         FluidNetwork::FlowBatch batch(net_);
         cancelChains();
-        if (ingestWriteFlow_ != 0) {
-            net_.cancelFlow(ingestWriteFlow_);
-            ingestWriteFlow_ = 0;
-        }
+        if (ingest_)
+            ingest_->stop();
         if (ckpt_)
             ckpt_->abortCapture();
     }
@@ -1508,32 +1268,8 @@ TrainingSession::finalizeResult(bool partial)
     }
     res.elasticity = elasticStats_;
 
-    if (ingest_) {
-        // Close windows still open at run end, then check conservation:
-        // every offered sample must be accounted for exactly once.
-        const Time end = eq_.now();
-        if (ingestEngaged_ != 0)
-            ingestStats_.overloadTime += end - ingestOverloadStart_;
-        if (ingestStalled_)
-            ingestStats_.stallTime += end - ingestStallStart_;
-        ingestStats_.samplesInFlightAtEnd =
-            ingestBuffered_ + ingestWriting_;
-        ingestStats_.samplesShed = ingestStats_.samplesThrottled +
-                                   ingestStats_.samplesShedPolicy +
-                                   ingestStats_.samplesOverflowDropped +
-                                   ingestStats_.samplesAbandonedWrites;
-        const double ingest_gap = ingestStats_.samplesArrived -
-            (ingestStats_.samplesAdmitted + ingestStats_.samplesShed +
-             ingestStats_.samplesInFlightAtEnd);
-        panic_if(std::fabs(ingest_gap) >
-                     1e-6 * std::max(1.0, ingestStats_.samplesArrived),
-                 "ingest ledger violated: arrived %g != admitted %g + "
-                 "shed %g + in-flight %g",
-                 ingestStats_.samplesArrived,
-                 ingestStats_.samplesAdmitted, ingestStats_.samplesShed,
-                 ingestStats_.samplesInFlightAtEnd);
-        res.ingest = ingestStats_;
-    }
+    if (ingest_)
+        res.ingest = ingest_->stats();
 
     result_ = std::move(res);
 }
