@@ -411,6 +411,45 @@ TEST(FleetFaultKinds, BoxLossEvictsNewestJob)
     EXPECT_NEAR(newbie.replacementLatency, 0.2 * w, 1e-9 * w);
 }
 
+// Jobs know their host by index, not by name: with two hosts that share
+// a name, an outage on the second kills only the job placed there, and
+// that job's boxes go back to the host it ran on, so it re-admits only
+// when that host is repaired.
+TEST(FleetFaultKinds, DuplicateHostNamesKeepJobsApart)
+{
+    const ServerConfig cfg = plainConfig();
+    const Time w = bareWall(cfg, 2, 4);
+    ASSERT_GT(w, 0.0);
+
+    FleetConfig fleet;
+    fleet.hosts.push_back({"h", 2});
+    fleet.hosts.push_back({"h", 2});
+    fleet.faults.enabled = true;
+    fleet.faults.maxRetries = 1;
+    fleet.faults.retryBackoffBase = 0.05 * w;
+    fleet.faults.schedule.push_back(
+        {FleetFaultKind::HostOutage, 1, 0.5 * w, 0.1 * w});
+    for (const char *name : {"first", "second"}) {
+        FleetJobSpec job;
+        job.name = name;
+        job.config = cfg;
+        job.warmupSteps = 2;
+        job.measureSteps = 4;
+        fleet.jobs.push_back(job);
+    }
+    ASSERT_EQ(fleet.validate(), "");
+
+    const FleetReport r = runFleet(fleet);
+    ASSERT_EQ(r.jobsCompleted, 2u);
+    EXPECT_EQ(r.restartsTotal, 1u);
+    EXPECT_EQ(r.jobs[0].restarts, 0u); // first fit: host 0
+    EXPECT_EQ(r.jobs[1].restarts, 1u); // host 1
+    // Killed at 0.5w; host 0 stays full, so the retry waits past its
+    // 0.05w backoff for host 1's repair at 0.6w.
+    EXPECT_NEAR(r.jobs[1].replacementLatency, 0.1 * w, 1e-9 * w);
+    EXPECT_EQ(r.jobs[1].host, "h");
+}
+
 // A pool partition fences *free* FPGAs only: the grant already held
 // rides the window out, while a job admitted during the window gets
 // the depleted residue and is flagged constrained.
