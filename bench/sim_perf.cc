@@ -284,11 +284,11 @@ runFleetSessions(std::size_t jobs, Mode mode, std::size_t warmup,
         job.measureSteps = measure;
         cfg.jobs.push_back(job);
     }
-    cfg.overrideSolverMode = true;
-    cfg.solverMode = mode;
 
     const auto t0 = Clock::now();
-    const FleetReport report = runFleet(std::move(cfg));
+    FleetSimulation fleet(std::move(cfg));
+    fleet.core().fluid().setSolverMode(mode);
+    const FleetReport report = fleet.run();
     Sample s;
     s.wallS = secondsSince(t0);
     s.events = report.eventsExecuted;

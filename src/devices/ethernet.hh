@@ -54,9 +54,6 @@ class PrepPool
      */
     void setFabricBandwidthScale(double scale);
 
-    /** Current fabric scale (1.0 = healthy). */
-    double fabricBandwidthScale() const { return fabricScale_; }
-
   private:
     FluidNetwork &net_;
     std::string name_;

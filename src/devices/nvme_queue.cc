@@ -72,12 +72,6 @@ QueuePair::submissionsPending() const
     return sqTail_ - sqHead_;
 }
 
-std::size_t
-QueuePair::completionsPending() const
-{
-    return cqTail_ - cqHead_;
-}
-
 SsdCommandExecutor::SsdCommandExecutor(QueuePair &qp,
                                        std::vector<std::uint8_t> media)
     : qp_(qp), media_(std::move(media))

@@ -82,7 +82,6 @@ class QueuePair
 
     std::size_t depth() const { return depth_; }
     std::size_t submissionsPending() const;
-    std::size_t completionsPending() const;
     bool sqFull() const;
 
   private:

@@ -111,9 +111,6 @@ class NvmeSsd
      */
     void setReadBandwidthScale(double scale);
 
-    /** Current read-path scale (1.0 = healthy). */
-    double readBandwidthScale() const { return readScale_; }
-
   private:
     FluidNetwork &net_;
     std::string name_;

@@ -384,9 +384,6 @@ class FluidNetwork
      */
     void setNamePrefix(std::string prefix) { namePrefix_ = std::move(prefix); }
 
-    /** Current resource-name prefix ("" when unset). */
-    const std::string &namePrefix() const { return namePrefix_; }
-
     /** Look up a resource by name (nullptr when absent). */
     FluidResource *findResource(const std::string &name) const;
 

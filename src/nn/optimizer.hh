@@ -34,7 +34,6 @@ class SgdOptimizer
     void step();
 
     const Config &config() const { return cfg_; }
-    void setLearningRate(double lr) { cfg_.learningRate = lr; }
 
   private:
     struct Slot

@@ -136,16 +136,6 @@ struct ElasticityConfig
      * match to a detached member are ignored.
      */
     std::vector<ElasticEvent> schedule;
-
-    /** True when any event source is live. */
-    bool anyEvents() const
-    {
-        return groupDrain.ratePerSec > 0.0 ||
-               groupPreempt.ratePerSec > 0.0 ||
-               prepDrain.ratePerSec > 0.0 ||
-               prepPreempt.ratePerSec > 0.0 ||
-               deferredJoinGroups > 0 || !schedule.empty();
-    }
 };
 
 /** Target-space size the scheduler picks victims from. */

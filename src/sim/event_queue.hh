@@ -104,9 +104,6 @@ class EventQueue
         compactMinHeap_ = minHeap;
     }
 
-    /** Current compaction threshold (heap entries, tombstones included). */
-    std::size_t compactionThreshold() const { return compactMinHeap_; }
-
   private:
     struct Key
     {

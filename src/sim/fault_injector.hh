@@ -272,13 +272,6 @@ class FaultInjector
     /** Total corruptions injected so far, across all kinds. */
     std::size_t corruptionsInjected() const;
 
-    /** Corruptions injected so far, per kind. */
-    const std::array<std::size_t, kNumCorruptionKinds> &
-    corruptionsByKind() const
-    {
-        return corruptions_;
-    }
-
     /**
      * Compute-time multiplier for (group, step); 1.0 = healthy.
      * Pure hash of (seed, group, step) — order-independent.

@@ -136,27 +136,9 @@ ServerConfig::baseline()
 }
 
 ServerConfig
-ServerConfig::accelerated()
-{
-    return forPreset(ArchPreset::BaselineAccFpga);
-}
-
-ServerConfig
-ServerConfig::acceleratedGpu()
-{
-    return forPreset(ArchPreset::BaselineAccGpu);
-}
-
-ServerConfig
 ServerConfig::p2p()
 {
     return forPreset(ArchPreset::BaselineAccP2p);
-}
-
-ServerConfig
-ServerConfig::p2pGen4()
-{
-    return forPreset(ArchPreset::BaselineAccP2pGen4);
 }
 
 ServerConfig
@@ -214,51 +196,9 @@ ServerConfig::withPrefetchDepth(std::size_t depth)
 }
 
 ServerConfig &
-ServerConfig::withPrepChunks(std::size_t chunks)
-{
-    prepChunks = chunks;
-    return *this;
-}
-
-ServerConfig &
 ServerConfig::withPrepPoolFpgas(int fpgas)
 {
     prepPoolFpgas = fpgas;
-    return *this;
-}
-
-ServerConfig &
-ServerConfig::withHost(const HostConfig &h)
-{
-    host = h;
-    return *this;
-}
-
-ServerConfig &
-ServerConfig::withBox(const BoxConfig &b)
-{
-    box = b;
-    return *this;
-}
-
-ServerConfig &
-ServerConfig::withSync(const sync::SyncConfig &s)
-{
-    sync = s;
-    return *this;
-}
-
-ServerConfig &
-ServerConfig::withFaults(const FaultConfig &f)
-{
-    faults = f;
-    return *this;
-}
-
-ServerConfig &
-ServerConfig::withCheckpoint(const CheckpointConfig &c)
-{
-    checkpoint = c;
     return *this;
 }
 

@@ -199,17 +199,8 @@ struct ServerConfig
     /** Fig 12 baseline: CPU prep, host-DRAM staging. */
     static ServerConfig baseline();
 
-    /** Step 1 (Fig 13): FPGA prep boxes, host-DRAM staging. */
-    static ServerConfig accelerated();
-
-    /** Step 1 with GPUs running DALI-style prep instead of FPGAs. */
-    static ServerConfig acceleratedGpu();
-
     /** Steps 1-2 (Fig 14): FPGA prep + peer-to-peer DMA. */
     static ServerConfig p2p();
-
-    /** Steps 1-2 with doubled (Gen4-class) PCIe link bandwidth. */
-    static ServerConfig p2pGen4();
 
     /** Step 3 without the Ethernet prep-pool (Fig 15 minus pool). */
     static ServerConfig clustered();
@@ -226,13 +217,7 @@ struct ServerConfig
     ServerConfig &withAccelerators(std::size_t n);
     ServerConfig &withBatchSize(std::size_t batch);
     ServerConfig &withPrefetchDepth(std::size_t depth);
-    ServerConfig &withPrepChunks(std::size_t chunks);
     ServerConfig &withPrepPoolFpgas(int fpgas);
-    ServerConfig &withHost(const HostConfig &h);
-    ServerConfig &withBox(const BoxConfig &b);
-    ServerConfig &withSync(const sync::SyncConfig &s);
-    ServerConfig &withFaults(const FaultConfig &f);
-    ServerConfig &withCheckpoint(const CheckpointConfig &c);
     ServerConfig &withElasticity(const ElasticityConfig &e);
     ServerConfig &withIngest(const IngestConfig &i);
     ServerConfig &withMetrics(bool on = true);
