@@ -115,7 +115,6 @@ IngestScheduler::IngestScheduler(const IngestConfig &cfg)
 void
 IngestScheduler::deliver(const IngestArrival &ev)
 {
-    ++delivered_;
     if (handler_)
         handler_(ev);
 }

@@ -20,8 +20,8 @@
  *
  * The overload *policy* — watermarks, admission control, the
  * throttle→shed→echo→stall chain, the conservation ledger — lives in
- * TrainingSession; see docs/ROBUSTNESS.md, "Streaming ingest &
- * overload".
+ * IngestTier (trainbox/ingest_tier.hh); see docs/ROBUSTNESS.md,
+ * "Streaming ingest & overload".
  */
 
 #ifndef TRAINBOX_SIM_INGEST_HH
@@ -227,9 +227,6 @@ class IngestScheduler
     static std::vector<IngestArrival> schedule(const IngestConfig &cfg,
                                                Time horizon);
 
-    /** Arrival events delivered so far (after arm()). */
-    std::size_t eventsDelivered() const { return delivered_; }
-
     /** Does the next shard-write attempt fail? (consumes the stream) */
     bool writeAttemptFails();
 
@@ -240,7 +237,6 @@ class IngestScheduler
     WindowStream windows_;
     Rng writeFailRng_;
     Handler handler_;
-    std::size_t delivered_ = 0;
 };
 
 } // namespace tb
