@@ -62,8 +62,9 @@ dueKey(const FluidFlow &flow)
 
 } // namespace
 
-FluidResource::FluidResource(std::string name, Rate capacity)
-    : name_(std::move(name)), capacity_(capacity)
+FluidResource::FluidResource(std::string name, Rate capacity,
+                             std::uint32_t index)
+    : name_(std::move(name)), capacity_(capacity), index_(index)
 {
     panic_if(capacity <= 0.0, "resource %s with non-positive capacity %g",
              name_.c_str(), capacity);
@@ -201,23 +202,28 @@ DemandSet::add(FluidResource *resource, double weight)
     panic_if(resource == nullptr, "DemandSet::add null resource");
     if (weight <= 0.0)
         return;
-    weights_[resource] += weight;
-}
-
-void
-DemandSet::add(const std::vector<FlowDemand> &demands, double scale)
-{
-    for (const auto &d : demands)
-        add(d.resource, d.weight * scale);
+    const std::uint32_t i = resource->index();
+    if (i >= pos_.size())
+        pos_.resize(i + 1, 0);
+    if (pos_[i] == 0) {
+        demands_.push_back({resource, weight});
+        pos_[i] = static_cast<std::uint32_t>(demands_.size());
+        return;
+    }
+    FlowDemand &d = demands_[pos_[i] - 1];
+    panic_if(d.resource != resource,
+             "DemandSet mixes resources of two networks (%s, %s)",
+             d.resource->name().c_str(), resource->name().c_str());
+    d.weight += weight;
 }
 
 std::vector<FlowDemand>
-DemandSet::build() const
+DemandSet::build()
 {
-    std::vector<FlowDemand> out;
-    out.reserve(weights_.size());
-    for (const auto &[res, w] : weights_)
-        out.push_back({res, w});
+    std::vector<FlowDemand> out(demands_.begin(), demands_.end());
+    for (const FlowDemand &d : demands_)
+        pos_[d.resource->index()] = 0;
+    demands_.clear();
     return out;
 }
 
@@ -231,8 +237,9 @@ FluidNetwork::~FluidNetwork()
 FluidResource *
 FluidNetwork::addResource(const std::string &name, Rate capacity)
 {
-    resources_.push_back(
-        std::make_unique<FluidResource>(namePrefix_ + name, capacity));
+    resources_.push_back(std::unique_ptr<FluidResource>(new FluidResource(
+        namePrefix_ + name, capacity,
+        static_cast<std::uint32_t>(resources_.size()))));
     FluidResource *r = resources_.back().get();
     r->categoryNames_ = &categoryNames_;
     if (metrics_)
@@ -446,14 +453,6 @@ FluidNetwork::flowRemaining(FlowId id) const
 {
     const FluidFlow *flow = findFlow(id);
     return flow ? flow->remaining(eq_.now()) : 0.0;
-}
-
-void
-FluidNetwork::capacityChanged()
-{
-    for (auto &r : resources_)
-        markDirty(r.get());
-    afterMutation();
 }
 
 void

@@ -60,18 +60,22 @@ class MetricCounter;
 class MetricGauge;
 class TimeWeightedHistogram;
 
-/** A capacity-limited shared resource (link, memory, core pool, ...). */
+/**
+ * A capacity-limited shared resource (link, memory, core pool, ...).
+ * Only FluidNetwork::addResource() makes one.
+ */
 class FluidResource
 {
   public:
-    FluidResource(std::string name, Rate capacity);
-
     const std::string &name() const { return name_; }
     Rate capacity() const { return capacity_; }
 
+    /** Dense creation index in the owning network (0, 1, 2, ...). */
+    std::uint32_t index() const { return index_; }
+
     /**
      * Change capacity (e.g., Gen3 -> Gen4 sweep); caller must notify the
-     * network via capacityChanged(). Zero is legal — active flows
+     * network via capacityChanged(this). Zero is legal — active flows
      * demanding a zero-capacity resource are parked at rate 0 (no
      * divide-by-zero, no NaN rates) until a later setCapacity +
      * capacityChanged restores them. Negative or non-finite panics.
@@ -112,6 +116,8 @@ class FluidResource
   private:
     friend class FluidNetwork;
 
+    FluidResource(std::string name, Rate capacity, std::uint32_t index);
+
     /** Charge @p units to the interned category @p category. */
     void
     account(std::uint32_t category, double units)
@@ -140,6 +146,7 @@ class FluidResource
 
     // incremental-solver state
     bool dirty_ = false;     ///< queued in the network's dirty set
+    std::uint32_t index_;    ///< see index(); fills the padding
     std::uint64_t mark_ = 0; ///< component BFS visit epoch
     /** Flows demanding this resource, as (flow slot, demand index). */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> members_;
@@ -271,26 +278,34 @@ class SlotHeap
 };
 
 /**
- * Accumulates (resource, weight) pairs, merging duplicates — convenient
- * when a flow's route shares links with other parts of its path (e.g.,
- * reads spread over many SSDs behind common switches).
+ * Accumulates (resource, weight) pairs into one flow's demands, merging
+ * duplicates — convenient when a flow's route shares links with other
+ * parts of its path (e.g., reads spread over many SSDs behind common
+ * switches). A flat table keyed by FluidResource::index(), so every
+ * resource added must come from one network. A duplicate's weights sum
+ * in add order, and demands come out in the order their resources were
+ * first added, so a template's demand order follows its construction,
+ * never the allocator.
  */
 class DemandSet
 {
   public:
-    /** Add @p weight on @p resource (merged if already present). */
+    /**
+     * Add @p weight on @p resource (summed onto an earlier add of the
+     * same resource). A non-positive weight adds nothing.
+     */
     void add(FluidResource *resource, double weight);
 
-    /** Add a list of demands, each scaled by @p scale. */
-    void add(const std::vector<FlowDemand> &demands, double scale = 1.0);
-
-    /** Materialize the merged demand vector. */
-    std::vector<FlowDemand> build() const;
-
-    bool empty() const { return weights_.empty(); }
+    /**
+     * The merged demands in first-add order, as an exact-size vector.
+     * Leaves the set empty, ready for the next flow.
+     */
+    std::vector<FlowDemand> build();
 
   private:
-    std::map<FluidResource *, double> weights_;
+    std::vector<FlowDemand> demands_; ///< first-add order
+    /** Resource index -> 1 + its position in demands_ (0 = absent). */
+    std::vector<std::uint32_t> pos_;
 };
 
 /**
@@ -414,14 +429,10 @@ class FluidNetwork
     /** Number of in-flight flows. */
     std::size_t numActive() const { return slotOf_.size(); }
 
-    /** Notify the network that any resource capacity may have changed. */
-    void capacityChanged();
-
     /**
      * Notify the network that one resource's capacity changed. Only the
      * component containing @p resource is re-solved (in Incremental
-     * mode), so prefer this over the global overload for single-device
-     * degradation/repair events.
+     * mode); several changes inside one FlowBatch cost one solve.
      */
     void capacityChanged(FluidResource *resource);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstring>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
@@ -110,14 +111,34 @@ FleetConfig::validate() const
         if (spec.measureSteps == 0)
             return fmt("job %s has zero measured steps",
                        spec.name.c_str());
-        for (std::size_t k = 0; k < i; ++k)
-            if (jobs[k].name == spec.name)
-                return fmt("duplicate job name %s", spec.name.c_str());
         const std::size_t need = boxesFor(spec);
         if (need > max_boxes)
             return fmt("job %s needs %zu boxes but the largest host "
                        "has %zu",
                        spec.name.c_str(), need, max_boxes);
+    }
+
+    // A job's resources and metrics live under "<name>." and a retry's
+    // under "<name>.r<k>.", so a name may neither repeat nor extend
+    // another job's name past a '.' ("a.b" would share a's namespace,
+    // "a.r1" that of a's first retry). Sorted, a duplicate sits beside
+    // its twin, and only a dotted name needs its prefixes looked up.
+    std::vector<std::string_view> names;
+    names.reserve(jobs.size());
+    for (const FleetJobSpec &spec : jobs)
+        names.emplace_back(spec.name);
+    std::sort(names.begin(), names.end());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const std::string_view name = names[i];
+        if (i > 0 && name == names[i - 1])
+            return fmt("duplicate job name %s", std::string(name).c_str());
+        for (std::size_t dot = name.find('.'); dot != name.npos;
+             dot = name.find('.', dot + 1))
+            if (std::binary_search(names.begin(), names.end(),
+                                   name.substr(0, dot)))
+                return fmt("job name %s extends job name %s past a '.'",
+                           std::string(name).c_str(),
+                           std::string(name.substr(0, dot)).c_str());
     }
 
     if (!faults.enabled)

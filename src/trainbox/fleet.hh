@@ -83,7 +83,11 @@ struct FleetHostSpec
 /** One job of the arrival trace. */
 struct FleetJobSpec
 {
-    /** Unique job name; prefixes the job's resources ("<name>."). */
+    /**
+     * Unique job name; prefixes the job's resources ("<name>."). It
+     * must not be another job's name followed by '.' and more, which
+     * would share that job's (or its retries') namespace.
+     */
     std::string name;
 
     /** Arrival time on the fleet clock (seconds). */
@@ -330,7 +334,7 @@ struct FleetReport
 /**
  * A fleet run in progress. Construction validates the config and
  * fatal()s on an impossible scenario (a job too large for every host,
- * duplicate job names, an empty trace).
+ * duplicate or colliding job names, an empty trace).
  */
 class FleetSimulation
 {

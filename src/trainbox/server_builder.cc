@@ -123,6 +123,9 @@ struct Builder
     std::vector<PrepVec> groupPreps;
     std::vector<std::vector<NvmeSsd *>> groupSsds;
 
+    /** Every template's demands, each emptied by its build(). */
+    DemandSet ds;
+
     explicit Builder(Server &server)
         : s(server), cfg(server.cfg), d(server.demand), topo(*server.topo)
     {
@@ -175,11 +178,10 @@ struct Builder
 
     /** Checksum stage streamed through prep engines (P2P chains). */
     StageTemplate
-    engineIntegrityStage(const PrepVec &preps) const
+    engineIntegrityStage(const PrepVec &preps)
     {
         StageTemplate st = stage("integrity_src", "integrity");
         st.verifiesIntegrity = true;
-        DemandSet ds;
         for (auto *prep : preps)
             ds.add(prep->engine(), share(preps.size()) * kIntegrityEngineTax);
         ds.add(s.cpu->resource(), kP2pControlCpu);
@@ -190,12 +192,11 @@ struct Builder
     /** Checksum stage run by the host CPU over @p bytes per sample. */
     StageTemplate
     hostIntegrityStage(const char *name, double bytes,
-                       bool fairCpu) const
+                       bool fairCpu)
     {
         StageTemplate st = stage(name, "integrity");
         st.verifiesIntegrity = true;
         const double cpu = bytes * kCrcCpuPerByte;
-        DemandSet ds;
         ds.add(s.cpu->resource(), cpu);
         ds.add(s.hostMem->resource(), bytes);
         st.demandsPerSample = ds.build();
@@ -208,11 +209,10 @@ struct Builder
 
     /** Accelerator-ingest verify on P2P delivery (control CPU only). */
     StageTemplate
-    p2pSinkIntegrityStage() const
+    p2pSinkIntegrityStage()
     {
         StageTemplate st = stage("integrity_sink", "integrity");
         st.verifiesIntegrity = true;
-        DemandSet ds;
         ds.add(s.cpu->resource(), kP2pControlCpu);
         st.demandsPerSample = ds.build();
         return st;
@@ -224,22 +224,21 @@ struct Builder
      */
     StageTemplate
     ssdRead(std::size_t g, const PrepVec &preps, bool p2p,
-            double cpu) const
+            double cpu)
     {
         const auto &ssds = groupSsds[g];
         StageTemplate st = stage(
             PrepStage::SsdRead,
             corruptionBit(CorruptionKind::SsdBitFlip) | kPcieHop);
-        DemandSet ds;
         for (auto *ssd : ssds) {
             const double bytes = d.ssdBytes * share(ssds.size());
             ds.add(ssd->readDemand(bytes).resource, bytes);
             if (p2p) {
                 for (auto *prep : preps)
-                    ds.add(topo.routeDemands(ssd->node(), prep->node(),
-                                             bytes * share(preps.size())));
+                    topo.addRoute(ds, ssd->node(), prep->node(),
+                                  bytes * share(preps.size()));
             } else {
-                ds.add(topo.hostRouteDemands(ssd->node(), false, bytes));
+                topo.addHostRoute(ds, ssd->node(), false, bytes);
             }
         }
         if (!p2p) {
@@ -254,26 +253,24 @@ struct Builder
     /** Staged copy of @p bytes between host DRAM and @p preps. */
     StageTemplate
     hostCopy(const char *name, double bytes, const PrepVec &preps,
-             bool toPreps) const
+             bool toPreps)
     {
         StageTemplate st = stage(name, "data_copy", kPcieHop | kDramHop);
-        DemandSet ds;
         ds.add(s.hostMem->resource(), bytes);
         ds.add(s.cpu->resource(), kDmaSetupCpu);
         for (auto *prep : preps)
-            ds.add(topo.hostRouteDemands(prep->node(), toPreps,
-                                         bytes * share(preps.size())));
+            topo.addHostRoute(ds, prep->node(), toPreps,
+                              bytes * share(preps.size()));
         st.demandsPerSample = ds.build();
         return st;
     }
 
     /** Ethernet hop of @p bytes between @p preps and the prep pool. */
     StageTemplate
-    poolHop(const char *name, double bytes, const PrepVec &preps) const
+    poolHop(const char *name, double bytes, const PrepVec &preps)
     {
         const auto &pool = s.pool->fpgas();
         StageTemplate st = stage(name, "data_copy");
-        DemandSet ds;
         for (auto *prep : preps)
             ds.add(prep->ethernetPort(), bytes * share(preps.size()));
         ds.add(s.pool->fabric(), bytes);
@@ -285,11 +282,10 @@ struct Builder
 
     /** Formatting + augmentation striped over @p preps or the pool. */
     StageTemplate
-    engineFormatting(const PrepVec &preps, bool onPool) const
+    engineFormatting(const PrepVec &preps, bool onPool)
     {
         StageTemplate st = stage(PrepStage::Formatting,
                                  corruptionBit(CorruptionKind::FpgaUpset));
-        DemandSet ds;
         if (onPool) {
             const auto &pool = s.pool->fpgas();
             for (const auto &f : pool)
@@ -304,10 +300,9 @@ struct Builder
 
     /** Baseline stage @p ps run by the host CPU out of host DRAM. */
     StageTemplate
-    cpuStage(PrepStage ps) const
+    cpuStage(PrepStage ps)
     {
         StageTemplate st = stage(ps, kDramHop);
-        DemandSet ds;
         ds.add(s.cpu->resource(), stageCpu(ps));
         ds.add(s.hostMem->resource(), stageMem(ps));
         st.demandsPerSample = ds.build();
@@ -322,24 +317,21 @@ struct Builder
      */
     StageTemplate
     dataLoad(std::size_t g, const PrepVec &preps, bool p2p,
-             double cpu) const
+             double cpu)
     {
         const auto &accs = groupAccs[g];
         StageTemplate st = stage(PrepStage::DataLoad, kPcieHop);
-        DemandSet ds;
         if (p2p) {
             for (auto *prep : preps)
                 for (auto *acc : accs)
-                    ds.add(topo.routeDemands(prep->node(), acc->node(),
-                                             d.preparedBytes *
-                                                 share(preps.size()) *
-                                                 share(accs.size())));
+                    topo.addRoute(ds, prep->node(), acc->node(),
+                                  d.preparedBytes * share(preps.size()) *
+                                      share(accs.size()));
         } else {
             ds.add(s.hostMem->resource(), d.preparedBytes);
             for (auto *acc : accs)
-                ds.add(topo.hostRouteDemands(acc->node(), true,
-                                             d.preparedBytes *
-                                                 share(accs.size())));
+                topo.addHostRoute(ds, acc->node(), true,
+                                  d.preparedBytes * share(accs.size()));
             st.corruptionHops |= kDramHop;
         }
         ds.add(s.cpu->resource(), cpu);
@@ -349,10 +341,9 @@ struct Builder
 
     /** Framework overheads on the host CPU. */
     StageTemplate
-    othersStage(double cpu, bool fairCpu) const
+    othersStage(double cpu, bool fairCpu)
     {
         StageTemplate st = stage(PrepStage::Others);
-        DemandSet ds;
         ds.add(s.cpu->resource(), cpu);
         st.demandsPerSample = ds.build();
         st.rateCap = cpuCap(cpu);
@@ -369,19 +360,19 @@ struct Builder
      * augmentation.
      */
     std::vector<StageTemplate> chain(std::size_t g, const PrepVec &preps,
-                                     const ChainSpec &c) const;
+                                     const ChainSpec &c);
 
     /** Checkpoint drain into group @p g's SSDs (base unit: one byte). */
-    StageTemplate checkpointWrite(std::size_t g) const;
+    StageTemplate checkpointWrite(std::size_t g);
 
     /** Ingest shard append into group @p g's SSDs (unit: one sample). */
-    StageTemplate ingestWrite(std::size_t g) const;
+    StageTemplate ingestWrite(std::size_t g);
 
     /**
      * Group @p g with its devices and its checkpoint and ingest writes;
      * the caller adds the prep chains.
      */
-    PrepGroup newGroup(const char *prefix, std::size_t g) const;
+    PrepGroup newGroup(const char *prefix, std::size_t g);
 
     /** Build the non-clustered presets (Figs 12-14 + Gen4 + GPU). */
     void buildCentral();
@@ -395,7 +386,7 @@ struct Builder
 
 std::vector<StageTemplate>
 Builder::chain(std::size_t g, const PrepVec &preps,
-               const ChainSpec &c) const
+               const ChainSpec &c)
 {
     const bool staged = c.path == Path::Host;
     const bool onPool = c.path == Path::Pool;
@@ -450,7 +441,7 @@ Builder::chain(std::size_t g, const PrepVec &preps,
 }
 
 StageTemplate
-Builder::checkpointWrite(std::size_t g) const
+Builder::checkpointWrite(std::size_t g)
 {
     // Central presets stage the snapshot through host DRAM and funnel
     // it through the RC to the shared SSD boxes — the same RC the prep
@@ -469,7 +460,6 @@ Builder::checkpointWrite(std::size_t g) const
     // weight by one sample's bytes to give the drain the fair share
     // of one prep stream on every contended resource.
     st.fairWeight = d.ssdBytes;
-    DemandSet ds;
     if (central) {
         ds.add(s.hostMem->resource(), 1.0);
         ds.add(s.cpu->resource(), kCkptSerializeCpu);
@@ -479,11 +469,11 @@ Builder::checkpointWrite(std::size_t g) const
         ds.add(ssd->writeReadInterference(ssd_share).resource,
                ssd_share * NvmeSsd::kWriteReadInterference);
         if (central) {
-            ds.add(topo.hostRouteDemands(ssd->node(), true, ssd_share));
+            topo.addHostRoute(ds, ssd->node(), true, ssd_share);
         } else {
             for (auto *prep : preps)
-                ds.add(topo.routeDemands(prep->node(), ssd->node(),
-                                         ssd_share * share(preps.size())));
+                topo.addRoute(ds, prep->node(), ssd->node(),
+                              ssd_share * share(preps.size()));
         }
     }
     st.demandsPerSample = ds.build();
@@ -491,7 +481,7 @@ Builder::checkpointWrite(std::size_t g) const
 }
 
 StageTemplate
-Builder::ingestWrite(std::size_t g) const
+Builder::ingestWrite(std::size_t g)
 {
     // Arrivals land in host DRAM (the ingest buffer fills from the host
     // NIC) and cross the RC to the group's SSDs: the shared SSD boxes
@@ -502,7 +492,6 @@ Builder::ingestWrite(std::size_t g) const
     const auto &ssds = groupSsds[g];
     const double bytes = d.ssdBytes * share(ssds.size());
     StageTemplate st = stage("ingest_write", "ingest");
-    DemandSet ds;
     ds.add(s.hostMem->resource(), d.ssdBytes);
     ds.add(s.cpu->resource(), kDmaSetupCpu + d.ssdBytes * kCrcCpuPerByte);
     for (auto *ssd : ssds) {
@@ -510,14 +499,14 @@ Builder::ingestWrite(std::size_t g) const
         const FlowDemand rd = ssd->shardWriteReadInterference(bytes);
         ds.add(wr.resource, wr.weight);
         ds.add(rd.resource, rd.weight);
-        ds.add(topo.hostRouteDemands(ssd->node(), true, bytes));
+        topo.addHostRoute(ds, ssd->node(), true, bytes);
     }
     st.demandsPerSample = ds.build();
     return st;
 }
 
 PrepGroup
-Builder::newGroup(const char *prefix, std::size_t g) const
+Builder::newGroup(const char *prefix, std::size_t g)
 {
     PrepGroup group;
     group.name = prefix + std::to_string(g);

@@ -255,6 +255,32 @@ TEST(FleetTwoJobs, LedgersHoldUnderChaos)
                   r.jobs[1].report.faults().faultsInjected);
 }
 
+// Job names prefix resource and metric names ("a." and, for a retry,
+// "a.r1."), so a name that extends another past a '.' would share its
+// namespace: job a's report would also list job a.b's resources.
+TEST(FleetValidate, RejectsJobNamesThatCollide)
+{
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.numAccelerators = 8;
+    auto fleetOf = [&](const std::vector<std::string> &names) {
+        FleetConfig fleet = singleJobFleet(cfg, names.front());
+        for (std::size_t i = 1; i < names.size(); ++i) {
+            fleet.jobs.push_back(fleet.jobs.front());
+            fleet.jobs.back().name = names[i];
+        }
+        return fleet.validate();
+    };
+    EXPECT_EQ(fleetOf({"a", "ab", "a-b", "b.a", "a_r1"}), "");
+    EXPECT_EQ(fleetOf({"a", "x", "a"}), "duplicate job name a");
+    EXPECT_EQ(fleetOf({"a.b", "a"}),
+              "job name a.b extends job name a past a '.'");
+    EXPECT_EQ(fleetOf({"a", "a.r1"}),
+              "job name a.r1 extends job name a past a '.'");
+    EXPECT_EQ(fleetOf({"x", "a.b.c", "a.b"}),
+              "job name a.b.c extends job name a.b past a '.'");
+}
+
 // One two-box host, two two-box jobs: the second waits for the first
 // to finish and its wait is reported as queueing delay.
 TEST(FleetQueueing, OversubscribedHostReportsDelay)

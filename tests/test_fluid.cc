@@ -285,7 +285,7 @@ TEST_F(FluidTest, CapacityChangeTakesEffect)
     net.startFlow(std::move(spec));
     eq.schedule(0.5, [&] {
         link->setCapacity(200.0); // double speed halfway through
-        net.capacityChanged();
+        net.capacityChanged(link);
     });
     eq.run();
     // 50 served in 0.5 s, remaining 50 at 200/s -> 0.25 s more.
@@ -388,19 +388,44 @@ TEST_F(FluidTest, DemandSetMergesDuplicates)
 {
     FluidResource *a = net.addResource("a", 1.0);
     FluidResource *b = net.addResource("b", 1.0);
+    FluidResource *c = net.addResource("c", 1.0);
     DemandSet ds;
+    // First-add order, not creation order: c, then a, then b.
+    ds.add(c, 0.1);
+    ds.add(a, 1.0);
+    ds.add(b, 5.0);
+    ds.add(c, 0.2);
+    ds.add(a, 3.0);
+    ds.add(b, 0.0);  // non-positive weights add nothing
+    ds.add(a, -2.0);
+    ds.add(c, 0.3);
+    const auto demands = ds.build();
+    ASSERT_EQ(demands.size(), 3u);
+    EXPECT_EQ(demands[0].resource, c);
+    EXPECT_EQ(demands[1].resource, a);
+    EXPECT_EQ(demands[2].resource, b);
+    // A duplicate sums in add order, bit for bit.
+    EXPECT_EQ(demands[0].weight, (0.1 + 0.2) + 0.3);
+    EXPECT_EQ(demands[1].weight, 4.0);
+    EXPECT_EQ(demands[2].weight, 5.0);
+
+    // build() leaves the set empty and ready for the next flow.
+    EXPECT_TRUE(ds.build().empty());
+    ds.add(b, 2.0);
     ds.add(a, 1.0);
     ds.add(b, 2.0);
-    ds.add(a, 3.0);
-    ds.add({{b, 1.0}}, 2.0);
-    const auto demands = ds.build();
-    ASSERT_EQ(demands.size(), 2u);
-    for (const auto &d : demands) {
-        if (d.resource == a)
-            EXPECT_DOUBLE_EQ(d.weight, 4.0);
-        else
-            EXPECT_DOUBLE_EQ(d.weight, 4.0);
-    }
+    const auto again = ds.build();
+    ASSERT_EQ(again.size(), 2u);
+    EXPECT_EQ(again[0].resource, b);
+    EXPECT_EQ(again[0].weight, 4.0);
+    EXPECT_EQ(again[1].resource, a);
+    EXPECT_EQ(again[1].weight, 1.0);
+}
+
+TEST_F(FluidTest, ResourcesCarryTheirCreationIndex)
+{
+    for (std::uint32_t i = 0; i < 4; ++i)
+        EXPECT_EQ(net.addResource("r" + std::to_string(i), 1.0)->index(), i);
 }
 
 TEST_F(FluidTest, ChainedFlowsViaCompletions)

@@ -380,11 +380,6 @@ TEST(FluidIncremental, TargetedCapacityChangeResolvesOneComponent)
     EXPECT_DOUBLE_EQ(net.flowRate(flowA), 40.0);
     EXPECT_DOUBLE_EQ(net.flowRate(flowB), 100.0);
     EXPECT_EQ(after.flowsSolved, before.flowsSolved + 1);
-
-    // The global overload still re-solves everything.
-    net.capacityChanged();
-    EXPECT_DOUBLE_EQ(net.flowRate(flowA), 40.0);
-    EXPECT_DOUBLE_EQ(net.flowRate(flowB), 100.0);
 }
 
 TEST(FluidIncremental, FullResolveModeStillSolvesEverything)

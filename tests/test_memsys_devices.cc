@@ -105,7 +105,7 @@ TEST_F(DevicesTest, SsdReadLimitedByFlashNotLink)
     double done = -1.0;
     DemandSet ds;
     ds.add(ssd.readDemand(1.0).resource, 1.0);
-    ds.add(topo.hostRouteDemands(ssd.node(), false, 1.0));
+    topo.addHostRoute(ds, ssd.node(), false, 1.0);
     FlowSpec spec;
     spec.category = "read";
     spec.size = NvmeSsd::defaultReadBandwidth; // 1 s at flash speed

@@ -19,6 +19,24 @@ struct PcieTest : public ::testing::Test
     FluidNetwork net{eq};
     Topology topo{net, "rc", 64e9};
 
+    /** The demands Topology::addRoute writes for src -> dst. */
+    std::vector<FlowDemand>
+    route(NodeId src, NodeId dst, double bytesPerUnit)
+    {
+        DemandSet ds;
+        topo.addRoute(ds, src, dst, bytesPerUnit);
+        return ds.build();
+    }
+
+    /** The demands Topology::addHostRoute writes for @p node. */
+    std::vector<FlowDemand>
+    hostRoute(NodeId node, bool toDevice, double bytesPerUnit)
+    {
+        DemandSet ds;
+        topo.addHostRoute(ds, node, toDevice, bytesPerUnit);
+        return ds.build();
+    }
+
     double
     weightOn(const std::vector<FlowDemand> &demands,
              const FluidResource *res)
@@ -28,6 +46,15 @@ struct PcieTest : public ::testing::Test
             if (d.resource == res)
                 w += d.weight;
         return w;
+    }
+
+    static std::vector<const FluidResource *>
+    resourcesOf(const std::vector<FlowDemand> &demands)
+    {
+        std::vector<const FluidResource *> out;
+        for (const auto &d : demands)
+            out.push_back(d.resource);
+        return out;
     }
 };
 
@@ -73,7 +100,7 @@ TEST_F(PcieTest, LocalRouteAvoidsRootComplex)
     const NodeId sw = topo.addSwitch("sw", topo.root(), 16e9);
     const NodeId a = topo.addDevice("a", sw, 16e9);
     const NodeId b = topo.addDevice("b", sw, 16e9);
-    const auto demands = topo.routeDemands(a, b, 10.0);
+    const auto demands = route(a, b, 10.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.rcResource()), 0.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(a).up), 10.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(b).down), 10.0);
@@ -88,25 +115,30 @@ TEST_F(PcieTest, CrossTreeP2pChargesRootComplexTwice)
     const NodeId sw1 = topo.addSwitch("sw1", topo.root(), 16e9);
     const NodeId a = topo.addDevice("a", sw0, 16e9);
     const NodeId c = topo.addDevice("c", sw1, 16e9);
-    const auto demands = topo.routeDemands(a, c, 1.0);
+    const auto demands = route(a, c, 1.0);
     // Up-and-over: both root ports plus 2x RC (§IV-D).
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.rcResource()), 2.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(a).up), 1.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(sw0).up), 1.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(sw1).down), 1.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(c).down), 1.0);
+    // In route order: up to the root, down to c, then the RC.
+    const std::vector<const FluidResource *> order = {
+        topo.node(a).up, topo.node(sw0).up, topo.node(sw1).down,
+        topo.node(c).down, topo.rcResource()};
+    EXPECT_EQ(resourcesOf(demands), order);
 }
 
 TEST_F(PcieTest, HostRouteChargesRootComplexOnce)
 {
     const NodeId sw = topo.addSwitch("sw", topo.root(), 16e9);
     const NodeId a = topo.addDevice("a", sw, 16e9);
-    const auto to_dev = topo.hostRouteDemands(a, true, 3.0);
+    const auto to_dev = hostRoute(a, true, 3.0);
     EXPECT_DOUBLE_EQ(weightOn(to_dev, topo.rcResource()), 3.0);
     EXPECT_DOUBLE_EQ(weightOn(to_dev, topo.node(a).down), 3.0);
     EXPECT_DOUBLE_EQ(weightOn(to_dev, topo.node(a).up), 0.0);
 
-    const auto from_dev = topo.hostRouteDemands(a, false, 3.0);
+    const auto from_dev = hostRoute(a, false, 3.0);
     EXPECT_DOUBLE_EQ(weightOn(from_dev, topo.rcResource()), 3.0);
     EXPECT_DOUBLE_EQ(weightOn(from_dev, topo.node(a).up), 3.0);
     EXPECT_DOUBLE_EQ(weightOn(from_dev, topo.node(a).down), 0.0);
@@ -116,7 +148,7 @@ TEST_F(PcieTest, SelfRouteIsEmpty)
 {
     const NodeId sw = topo.addSwitch("sw", topo.root(), 16e9);
     const NodeId a = topo.addDevice("a", sw, 16e9);
-    EXPECT_TRUE(topo.routeDemands(a, a).empty());
+    EXPECT_TRUE(route(a, a, 1.0).empty());
 }
 
 TEST_F(PcieTest, LinkScalingDoublesEverything)
@@ -136,11 +168,15 @@ TEST_F(PcieTest, DeepRouteTraversesAllLevels)
     const NodeId top = topo.addSwitch("top", topo.root(), 16e9);
     const NodeId mid = topo.addSwitch("mid", top, 16e9);
     const NodeId dev = topo.addDevice("dev", mid, 16e9);
-    const auto demands = topo.hostRouteDemands(dev, true, 1.0);
+    const auto demands = hostRoute(dev, true, 1.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(top).down), 1.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(mid).down), 1.0);
     EXPECT_DOUBLE_EQ(weightOn(demands, topo.node(dev).down), 1.0);
-    EXPECT_EQ(demands.size(), 4u); // 3 links + RC
+    // From the device up to the root, then the RC, in either direction.
+    const std::vector<const FluidResource *> order = {
+        topo.node(dev).down, topo.node(mid).down, topo.node(top).down,
+        topo.rcResource()};
+    EXPECT_EQ(resourcesOf(demands), order);
 }
 
 // Malformed attachments are recoverable build errors, not aborts: the

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "trainbox/server_builder.hh"
+#include "trainbox/training_session.hh"
 
 namespace tb {
 namespace {
@@ -111,6 +112,28 @@ TEST(Builder, Gen4DoublesFabricBandwidth)
                                        workload::ModelId::Resnet50, 32));
     EXPECT_DOUBLE_EQ(gen4->topo->rcResource()->capacity(),
                      2.0 * gen3->topo->rcResource()->capacity());
+}
+
+// Gen4 scales only the new server's fabric: a co-resident session's
+// flows stay clean, so building it beside them solves nothing.
+TEST(Builder, Gen4BuildSolvesNoOtherServersFlows)
+{
+    SimulationCore core;
+    auto base = buildServer(baseConfig(ArchPreset::Baseline,
+                                       workload::ModelId::Resnet50, 256),
+                            &core, "base.");
+    TrainingSession session(*base);
+    session.start();
+    ASSERT_GT(core.fluid().numActive(), 0u);
+    const auto before = core.fluid().solverStats();
+    auto gen4 = buildServer(baseConfig(ArchPreset::BaselineAccP2pGen4,
+                                       workload::ModelId::Resnet50, 32),
+                            &core, "gen4.");
+    const auto after = core.fluid().solverStats();
+    EXPECT_EQ(after.componentsSolved, before.componentsSolved);
+    EXPECT_EQ(after.flowsSolved, before.flowsSolved);
+    EXPECT_DOUBLE_EQ(gen4->topo->rcResource()->capacity(),
+                     2.0 * base->topo->rcResource()->capacity());
 }
 
 TEST(Builder, SmallScaleSingleGroup)
@@ -243,6 +266,84 @@ TEST(Builder, EveryTemplateMatchesItsPin)
         std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", h);
         EXPECT_EQ(h, pins.at(p)) << presetKey(p) << ": digest " << got;
     }
+}
+
+/** Every template of @p g, recovery, checkpoint and ingest included. */
+std::vector<const StageTemplate *>
+allTemplates(const PrepGroup &g)
+{
+    std::vector<const StageTemplate *> out;
+    for (const auto *chain : {&g.stages, &g.offloadStages,
+                              &g.degradedStages, &g.degradedOffloadStages,
+                              &g.hostPathStages})
+        for (const auto &st : *chain)
+            out.push_back(&st);
+    out.push_back(&g.checkpointWrite);
+    out.push_back(&g.ingestWrite);
+    return out;
+}
+
+/** The first @p n resource names @p st demands, in demand order. */
+std::vector<std::string>
+leadingNames(const StageTemplate &st, std::size_t n)
+{
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < std::min(n, st.demandsPerSample.size()); ++i)
+        out.push_back(st.demandsPerSample[i].resource->name());
+    return out;
+}
+
+const StageTemplate &
+stageNamed(const PrepGroup &g, const std::string &name)
+{
+    for (const auto &st : g.stages)
+        if (st.name == name)
+            return st;
+    ADD_FAILURE() << "no stage " << name << " in " << g.name;
+    return g.stages.front();
+}
+
+// A template names each resource once, with a positive weight, in the
+// order the builder adds them: its routes run source to destination.
+// Address order would make the leading names depend on the allocator.
+TEST(Builder, TemplateDemandsAreMergedAndInAddOrder)
+{
+    for (ArchPreset p : allPresets())
+        for (const auto &m : workload::modelZoo())
+            for (std::size_t n : {8, 256})
+                for (bool integrity : {false, true}) {
+                    ServerConfig cfg = baseConfig(p, m.id, n);
+                    cfg.faults.enabled = integrity;
+                    cfg.faults.integrityChecks = integrity;
+                    cfg.ingest.enabled = true;
+                    auto server = buildServer(cfg);
+                    for (const auto &g : server->groups)
+                        for (const StageTemplate *st : allTemplates(g)) {
+                            std::vector<const FluidResource *> seen;
+                            for (const auto &d : st->demandsPerSample) {
+                                EXPECT_GT(d.weight, 0.0);
+                                seen.push_back(d.resource);
+                            }
+                            std::sort(seen.begin(), seen.end());
+                            EXPECT_EQ(std::adjacent_find(seen.begin(),
+                                                         seen.end()),
+                                      seen.end())
+                                << presetKey(p) << " " << m.name << " "
+                                << n << " " << g.name << "/" << st->name;
+                        }
+                }
+
+    auto baseline = buildServer(baseConfig(ArchPreset::Baseline,
+                                           workload::ModelId::Resnet50, 8));
+    EXPECT_EQ(leadingNames(stageNamed(baseline->groups[0], "ssd_read"), 4),
+              (std::vector<std::string>{"ssdbox0.ssd0.flash",
+                                        "ssdbox0.ssd0.up", "ssdbox0.up",
+                                        "pcie.rc"}));
+    auto trainbox = buildServer(baseConfig(ArchPreset::TrainBox,
+                                           workload::ModelId::Resnet50, 8));
+    EXPECT_EQ(leadingNames(stageNamed(trainbox->groups[0], "data_load"), 4),
+              (std::vector<std::string>{"tbox0.fpga0.up", "tbox0.acc0.down",
+                                        "tbox0.sw0.up", "tbox0.sw1.down"}));
 }
 
 TEST(Initializer, InceptionNeedsNoPool)
