@@ -14,17 +14,9 @@
  *     samples into saved ones, at the price of a longer degraded tail.
  *  3. Scale-up — groups held back at start and joined mid-run: the
  *     rebalance cost and the throughput recovered per joined group.
- *
- * --smoke runs the CI chaos assertion instead: a batch of randomized
- * fault+elastic schedules checked against the global invariants
- * (sample conservation, corruption accounting, liveness, planned
- * drains >= preemptions in goodput, disabled == baseline
- * bit-identical). Exits non-zero on violation.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "bench/bench_util.hh"
 #include "trainbox/report.hh"
@@ -34,108 +26,22 @@
 namespace {
 
 tb::ServerConfig
-baseConfig(std::size_t n_acc = 32)
+baseConfig()
 {
     tb::ServerConfig cfg;
     cfg.preset = tb::ArchPreset::TrainBox;
     cfg.model = tb::workload::ModelId::Resnet50;
-    cfg.numAccelerators = n_acc;
+    cfg.numAccelerators = 32;
     cfg.prepPoolFpgas = 8;
     return cfg;
 }
 
 tb::SessionResult
-run(const tb::ServerConfig &cfg, std::size_t warmup = 4,
-    std::size_t measure = 12)
+run(const tb::ServerConfig &cfg)
 {
     auto server = tb::buildServer(cfg);
     tb::TrainingSession session(*server);
-    return session.run(warmup, measure);
-}
-
-bool
-ledgerHolds(const tb::SessionResult &res)
-{
-    const auto &e = res.elasticity;
-    const double gap = e.samplesPrepared -
-                       (e.samplesConsumed + e.samplesCachedAtEnd +
-                        e.samplesDiscarded);
-    return std::fabs(gap) <= 1e-6 * std::max(1.0, e.samplesPrepared);
-}
-
-/** CI mode: randomized schedules against the global invariants. */
-int
-smoke()
-{
-    using namespace tb;
-    int failures = 0;
-    auto fail = [&](const char *what, std::uint64_t seed) {
-        std::printf("FAIL: %s (seed %llu)\n", what,
-                    static_cast<unsigned long long>(seed));
-        ++failures;
-    };
-
-    // Disabled elasticity must not perturb the simulation at all.
-    const SessionResult base = run(baseConfig(16), 3, 6);
-    {
-        ServerConfig cfg = baseConfig(16);
-        cfg.elasticity.enabled = false;
-        cfg.elasticity.groupDrain.ratePerSec = 10.0; // ignored when off
-        const SessionResult again = run(cfg, 3, 6);
-        if (again.throughput != base.throughput ||
-            again.wallTime != base.wallTime)
-            fail("disabled elasticity perturbed the baseline", 0);
-    }
-
-    double drain_goodput_sum = 0.0, preempt_goodput_sum = 0.0;
-    std::size_t events = 0;
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        for (const bool planned : {true, false}) {
-            ServerConfig cfg = baseConfig(16);
-            cfg.faults.enabled = true;
-            cfg.faults.seed = seed;
-            cfg.faults.ssdReadFailureProb = 0.005;
-            cfg.faults.corruption.ssdBitFlipProb = 0.002;
-            cfg.faults.integrityChecks = (seed % 2) == 0;
-            cfg.checkpoint.enabled = (seed % 2) == 1;
-            cfg.checkpoint.interval = 2.0;
-            cfg.elasticity.enabled = true;
-            cfg.elasticity.seed = seed;
-            cfg.elasticity.graceWindow = 0.4;
-            cfg.elasticity.rejoinLatency = 0.2;
-            auto &cls = planned ? cfg.elasticity.groupDrain
-                                : cfg.elasticity.groupPreempt;
-            cls.ratePerSec = 0.25;
-            cls.absence = 1.0;
-
-            const SessionResult res = run(cfg, 3, 6);
-            events += res.elasticity.events;
-            if (res.stepsMeasured != 6)
-                fail("run did not complete all steps", seed);
-            if (!ledgerHolds(res))
-                fail("sample conservation violated", seed);
-            if (res.integrity.detected + res.integrity.escaped !=
-                res.integrity.injected)
-                fail("corruption accounting violated", seed);
-            if (!std::isfinite(res.throughput) || res.throughput <= 0.0)
-                fail("degenerate throughput", seed);
-            const double g = SessionReport::computeGoodput(
-                res.throughput, base.throughput);
-            (planned ? drain_goodput_sum : preempt_goodput_sum) += g;
-        }
-    }
-    if (events == 0)
-        fail("no elastic events delivered across the sweep", 0);
-    std::printf("elastic smoke: %zu events, drain goodput %.4f, "
-                "preempt goodput %.4f\n",
-                events, drain_goodput_sum / 8.0,
-                preempt_goodput_sum / 8.0);
-    // Graceful degradation must not lose more work than spot kills.
-    if (drain_goodput_sum < preempt_goodput_sum - 1e-9)
-        fail("planned drains underperformed preemptions", 0);
-
-    std::printf(failures == 0 ? "PASS\n" : "%d failures\n", failures);
-    return failures == 0 ? 0 : 1;
+    return session.run(4, 12);
 }
 
 } // namespace
@@ -144,9 +50,6 @@ int
 main(int argc, char **argv)
 {
     using namespace tb;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            return smoke();
     const bool csv = bench::wantCsv(argc, argv);
 
     const SessionResult healthy = run(baseConfig());

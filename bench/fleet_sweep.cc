@@ -3,32 +3,21 @@
  * Fleet sweep: multi-job scheduling on one shared simulation core
  * (src/trainbox/fleet.hh, docs/FLEET.md).
  *
- * Full mode sweeps job count × placement policy × shared-pool share
+ * Sweeps job count × placement policy × shared-pool share
  * (the pool sized as a fraction of the trace's aggregate FPGA
  * request) on a mixed vision + audio arrival trace, reporting
  * makespan, queueing delay, pool fairness, and aggregate throughput —
  * the fleet-level view of the paper's §V-D multi-job sharing argument:
  * pool-aware placement holds fairness (and throughput) as the pool
  * share shrinks, where naive first-fit fragments the grants.
- *
- * --smoke runs the CI assertion mode instead: one-job fleet ==
- * bare-session bit-identity, two-job determinism, concurrent grants
- * summing exactly to the pool, nonzero queueing under an
- * oversubscribed host, and per-job conservation ledgers under a
- * chaos (faults + elasticity + ingest) trace. Exits non-zero on any
- * violation.
  */
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.hh"
 #include "trainbox/fleet.hh"
-#include "trainbox/server_builder.hh"
-#include "trainbox/training_session.hh"
 
 namespace {
 
@@ -36,7 +25,7 @@ using namespace tb;
 
 /** One 16-accelerator (2-box) TrainBox job, vision or audio. */
 FleetJobSpec
-makeJob(std::size_t idx, bool disturbed)
+makeJob(std::size_t idx)
 {
     FleetJobSpec job;
     const bool audio = idx % 2 == 1;
@@ -49,29 +38,6 @@ makeJob(std::size_t idx, bool disturbed)
     job.config.prepPoolFpgas = 4;
     job.warmupSteps = 2;
     job.measureSteps = 4;
-    if (disturbed) {
-        job.config.faults.enabled = true;
-        job.config.faults.seed = 17 + idx;
-        job.config.faults.ssdReadFailureProb = 0.01;
-        job.config.faults.prepCrash.ratePerSec = 0.03;
-        job.config.faults.prepCrash.duration = 0.8;
-        job.config.faults.corruption.ssdBitFlipProb = 0.004;
-        job.config.faults.integrityChecks = true;
-        job.config.elasticity.enabled = true;
-        job.config.elasticity.seed = 31 + idx;
-        job.config.elasticity.groupDrain.ratePerSec = 0.05;
-        job.config.elasticity.groupDrain.absence = 0.8;
-        job.config.elasticity.prepPreempt.ratePerSec = 0.05;
-        job.config.elasticity.prepPreempt.absence = 0.8;
-        job.config.ingest.enabled = true;
-        job.config.ingest.seed = 47 + idx;
-        job.config.ingest.steady = {12000.0, 256.0, 2};
-        job.config.ingest.bufferCapacity = 8192.0;
-        job.config.ingest.highWatermark = 6144.0;
-        job.config.ingest.lowWatermark = 2048.0;
-        job.config.ingest.policyChain = {IngestPolicy::Shed,
-                                         IngestPolicy::Echo};
-    }
     return job;
 }
 
@@ -82,24 +48,20 @@ makeJob(std::size_t idx, bool disturbed)
  */
 FleetConfig
 makeFleet(std::size_t jobs, std::size_t hostCount,
-          PlacementPolicy policy, double poolShare, bool disturbed)
+          PlacementPolicy policy, double poolShare)
 {
     FleetConfig fleet;
     for (std::size_t h = 0; h < hostCount; ++h)
         fleet.hosts.push_back({"host" + std::to_string(h), 2});
     fleet.policy = policy;
     for (std::size_t j = 0; j < jobs; ++j)
-        fleet.jobs.push_back(makeJob(j, disturbed));
+        fleet.jobs.push_back(makeJob(j));
     // Pool share is relative to the trace's aggregate request
-    // (4 FPGAs/job); negative share = uncapped.
-    fleet.sharedPoolFpgas = poolShare < 0.0
-        ? -1
-        : static_cast<int>(std::ceil(poolShare * 4.0 *
-                                     static_cast<double>(jobs)));
+    // (4 FPGAs/job).
+    fleet.sharedPoolFpgas = static_cast<int>(
+        std::ceil(poolShare * 4.0 * static_cast<double>(jobs)));
     return fleet;
 }
-
-// --- full sweep ----------------------------------------------------------
 
 int
 sweep(bool csv)
@@ -123,8 +85,7 @@ sweep(bool csv)
             for (double share : poolShares) {
                 // Hosts for half the trace: overlapping arrivals queue.
                 const FleetReport r = runFleet(
-                    makeFleet(jobs, (jobs + 1) / 2, policy, share,
-                              /*disturbed=*/false));
+                    makeFleet(jobs, (jobs + 1) / 2, policy, share));
                 if (csv)
                     std::printf("%zu,%s,%zu,%.4f,%.4f,%.4f,%zu,%.1f\n",
                                 jobs, r.policy.c_str(), r.poolFpgasTotal,
@@ -144,116 +105,10 @@ sweep(bool csv)
     return 0;
 }
 
-// --- CI smoke assertions -------------------------------------------------
-
-int failures = 0;
-
-void
-check(bool ok, const char *what)
-{
-    if (!ok) {
-        std::printf("FAIL: %s\n", what);
-        ++failures;
-    }
-}
-
-int
-smoke()
-{
-    // 1. One-job fleet reproduces the bare session to the double.
-    {
-        ServerConfig cfg;
-        cfg.preset = ArchPreset::TrainBox;
-        cfg.model = workload::ModelId::Resnet50;
-        cfg.numAccelerators = 16;
-        auto server = buildServer(cfg);
-        TrainingSession session(*server);
-        const SessionResult bare = session.run(2, 4);
-
-        FleetConfig solo;
-        solo.hosts.push_back({"host0", 2});
-        FleetJobSpec job;
-        job.name = "solo";
-        job.config = cfg;
-        job.warmupSteps = 2;
-        job.measureSteps = 4;
-        solo.jobs.push_back(job);
-        const FleetReport r = runFleet(solo);
-        check(r.jobsCompleted == 1, "solo fleet completes");
-        check(r.jobs[0].report.result.throughput == bare.throughput,
-              "solo fleet throughput bit-identical to bare session");
-        check(r.jobs[0].report.result.wallTime == bare.wallTime,
-              "solo fleet wall time bit-identical to bare session");
-    }
-
-    // 2. Two-job co-resident disturbed fleet replays identically.
-    {
-        const FleetReport a = runFleet(makeFleet(
-            2, 2, PlacementPolicy::Packed, 0.75, /*disturbed=*/true));
-        const FleetReport b = runFleet(makeFleet(
-            2, 2, PlacementPolicy::Packed, 0.75, /*disturbed=*/true));
-        check(a.toJson() == b.toJson(),
-              "two-job disturbed fleet is deterministic");
-        check(a.eventsExecuted == b.eventsExecuted,
-              "deterministic event count");
-
-        // 3. Conservation ledgers hold per job (the sessions also
-        // panic-check internally — completing at all is the real test).
-        check(a.jobsCompleted == 2, "disturbed fleet completes");
-        for (const FleetJobResult &j : a.jobs) {
-            const auto &e = j.report.result.elasticity;
-            check(std::fabs(e.samplesPrepared -
-                            (e.samplesConsumed + e.samplesCachedAtEnd +
-                             e.samplesDiscarded)) <=
-                      1e-6 * std::max(1.0, e.samplesPrepared),
-                  "per-job sample ledger");
-            const auto &in = j.report.result.ingest;
-            check(std::fabs(in.samplesArrived -
-                            (in.samplesAdmitted + in.samplesShed +
-                             in.samplesInFlightAtEnd)) <=
-                      1e-6 * std::max(1.0, in.samplesArrived),
-                  "per-job ingest ledger");
-            const auto &ig = j.report.result.integrity;
-            check(ig.injected == ig.detected + ig.escaped,
-                  "per-job integrity accounting");
-        }
-    }
-
-    // 4. Concurrent grants sum exactly to an oversubscribed pool:
-    // both jobs co-resident, pool = 6 vs 8 requested.
-    {
-        const FleetReport r = runFleet(makeFleet(
-            2, 2, PlacementPolicy::Packed, 0.75, /*disturbed=*/false));
-        check(r.poolFpgasGrantedTotal == r.poolFpgasTotal,
-              "concurrent grants sum to the pool");
-        check(r.jobsPoolConstrained == 1, "latecomer pool-constrained");
-        check(r.poolFairness > 0.0 && r.poolFairness < 1.0,
-              "fairness index reflects the uneven split");
-    }
-
-    // 5. An oversubscribed host produces queueing delay: one two-box
-    // host serializes four two-box jobs.
-    {
-        const FleetReport r = runFleet(makeFleet(
-            4, 1, PlacementPolicy::FirstFit, -1.0, /*disturbed=*/false));
-        check(r.jobsCompleted == 4, "queued trace completes");
-        check(r.jobsQueued >= 3, "tail jobs queued");
-        check(r.maxQueueingDelay > 0.0, "nonzero queueing delay");
-    }
-
-    std::printf(failures == 0 ? "fleet smoke: all checks passed\n"
-                              : "fleet smoke: %d FAILURES\n",
-                failures);
-    return failures == 0 ? 0 : 1;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            return smoke();
     return sweep(bench::wantCsv(argc, argv));
 }

@@ -200,9 +200,12 @@ void
 DemandSet::add(FluidResource *resource, double weight)
 {
     panic_if(resource == nullptr, "DemandSet::add null resource");
+    panic_if(resource->index() < first_,
+             "DemandSet from index %u given %s at index %u", first_,
+             resource->name().c_str(), resource->index());
     if (weight <= 0.0)
         return;
-    const std::uint32_t i = resource->index();
+    const std::uint32_t i = resource->index() - first_;
     if (i >= pos_.size())
         pos_.resize(i + 1, 0);
     if (pos_[i] == 0) {
@@ -222,7 +225,7 @@ DemandSet::build()
 {
     std::vector<FlowDemand> out(demands_.begin(), demands_.end());
     for (const FlowDemand &d : demands_)
-        pos_[d.resource->index()] = 0;
+        pos_[d.resource->index() - first_] = 0;
     demands_.clear();
     return out;
 }
@@ -258,7 +261,9 @@ FluidNetwork::instrumentResource(FluidResource *r)
 void
 FluidNetwork::attachMetrics(MetricsRegistry *metrics)
 {
-    if (metrics == nullptr || !metrics->enabled())
+    // Each server on a shared core attaches it again: re-instrumenting
+    // would drop every resource's open utilization interval.
+    if (metrics == nullptr || !metrics->enabled() || metrics == metrics_)
         return;
     metrics_ = metrics;
     flowsStartedCtr_ = metrics_->counter("fluid.flows_started",
@@ -304,15 +309,6 @@ FluidNetwork::refreshUtil(FluidResource &r)
         r.utilHist_->record(r.util_, now - r.utilSince_);
     r.utilSince_ = now;
     r.util_ = util;
-}
-
-FluidResource *
-FluidNetwork::findResource(const std::string &name) const
-{
-    for (const auto &r : resources_)
-        if (r->name() == name)
-            return r.get();
-    return nullptr;
 }
 
 const FluidFlow *

@@ -281,15 +281,20 @@ class SlotHeap
  * Accumulates (resource, weight) pairs into one flow's demands, merging
  * duplicates — convenient when a flow's route shares links with other
  * parts of its path (e.g., reads spread over many SSDs behind common
- * switches). A flat table keyed by FluidResource::index(), so every
- * resource added must come from one network. A duplicate's weights sum
- * in add order, and demands come out in the order their resources were
- * first added, so a template's demand order follows its construction,
- * never the allocator.
+ * switches). A flat table keyed by FluidResource::index() minus the
+ * set's first index, so every resource added must come from one network
+ * and lie at or past that index: a server built onto a shared network
+ * keys only its own resources. A duplicate's weights sum in add order,
+ * and demands come out in the order their resources were first added,
+ * so a template's demand order follows its construction, never the
+ * allocator.
  */
 class DemandSet
 {
   public:
+    /** A set for resources whose index() is at least @p firstIndex. */
+    explicit DemandSet(std::uint32_t firstIndex = 0) : first_(firstIndex) {}
+
     /**
      * Add @p weight on @p resource (summed onto an earlier add of the
      * same resource). A non-positive weight adds nothing.
@@ -303,8 +308,9 @@ class DemandSet
     std::vector<FlowDemand> build();
 
   private:
+    std::uint32_t first_;
     std::vector<FlowDemand> demands_; ///< first-add order
-    /** Resource index -> 1 + its position in demands_ (0 = absent). */
+    /** index() - first_ -> 1 + its position in demands_ (0 = absent). */
     std::vector<std::uint32_t> pos_;
 };
 
@@ -399,9 +405,6 @@ class FluidNetwork
      */
     void setNamePrefix(std::string prefix) { namePrefix_ = std::move(prefix); }
 
-    /** Look up a resource by name (nullptr when absent). */
-    FluidResource *findResource(const std::string &name) const;
-
     /** All resources, in creation order. */
     const std::vector<std::unique_ptr<FluidResource>> &resources() const
     {
@@ -474,9 +477,9 @@ class FluidNetwork
      * resource ("util.<resource>") — rates are piecewise constant
      * between flow events, so every interval between two load changes
      * of a resource becomes one exact histogram sample — plus flow
-     * lifecycle counters. A
-     * disabled registry (or nullptr) leaves the network exactly on the
-     * uninstrumented path. Must be attached before flows start.
+     * lifecycle counters. A disabled registry (or nullptr) leaves the
+     * network exactly on the uninstrumented path, and attaching the
+     * registry already attached is a no-op. Attach before flows start.
      */
     void attachMetrics(MetricsRegistry *metrics);
 

@@ -7,11 +7,11 @@
 namespace tb {
 
 EventId
-EventQueue::schedule(Time when, Callback cb, int priority)
+EventQueue::schedule(Time when, Callback cb)
 {
     panic_if(when < now_, "scheduling event in the past (%g < %g)",
              when, now_);
-    const Key key{when, priority, nextSeq_++};
+    const Key key{when, nextSeq_++};
     heap_.push_back(Entry{key, std::move(cb)});
     std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
     pending_.insert(key.seq);
@@ -19,10 +19,10 @@ EventQueue::schedule(Time when, Callback cb, int priority)
 }
 
 EventId
-EventQueue::scheduleIn(Time delay, Callback cb, int priority)
+EventQueue::scheduleIn(Time delay, Callback cb)
 {
     panic_if(delay < 0.0, "negative event delay %g", delay);
-    return schedule(now_ + delay, std::move(cb), priority);
+    return schedule(now_ + delay, std::move(cb));
 }
 
 bool

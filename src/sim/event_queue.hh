@@ -2,17 +2,16 @@
  * @file
  * Discrete-event simulation core.
  *
- * The queue holds (time, priority, sequence) ordered callbacks. Components
- * schedule std::function callbacks; scheduled events can be cancelled via
- * the EventId handle. Time is continuous (seconds, double).
+ * The queue holds (time, sequence) ordered callbacks. Components schedule
+ * std::function callbacks; scheduled events can be cancelled via the
+ * EventId handle. Time is continuous (seconds, double).
  *
  * Storage is a binary min-heap with *lazy deletion*: cancel() only drops
  * the event's sequence number from the pending set (O(1)); the heap entry
  * becomes a tombstone that is discarded when it surfaces at the top, or
  * swept out when tombstones outnumber live events (see docs/PERFORMANCE.md,
  * "Event-queue lazy cancel"). Execution order is the same strict total order
- * as before — (when, priority, seq) — so a heap rebuild never reorders
- * live events.
+ * as before — (when, seq) — so a heap rebuild never reorders live events.
  */
 
 #ifndef TRAINBOX_SIM_EVENT_QUEUE_HH
@@ -40,16 +39,12 @@ struct EventId
 /**
  * The event queue / simulation clock.
  *
- * Events at equal timestamps run in (priority, insertion) order; lower
- * priority values run first.
+ * Events at equal timestamps run in insertion order.
  */
 class EventQueue
 {
   public:
     using Callback = std::function<void()>;
-
-    /** Default priority for ordinary events. */
-    static constexpr int defaultPriority = 100;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -62,11 +57,10 @@ class EventQueue
      * Schedule @p cb to run at absolute time @p when.
      * @return a handle usable with cancel().
      */
-    EventId schedule(Time when, Callback cb, int priority = defaultPriority);
+    EventId schedule(Time when, Callback cb);
 
     /** Schedule @p cb to run @p delay seconds from now. */
-    EventId scheduleIn(Time delay, Callback cb,
-                       int priority = defaultPriority);
+    EventId scheduleIn(Time delay, Callback cb);
 
     /** Cancel a pending event. Returns false if already fired/cancelled. */
     bool cancel(EventId &id);
@@ -108,7 +102,6 @@ class EventQueue
     struct Key
     {
         Time when;
-        int priority;
         std::uint64_t seq;
 
         bool
@@ -116,8 +109,6 @@ class EventQueue
         {
             if (when != o.when)
                 return when < o.when;
-            if (priority != o.priority)
-                return priority < o.priority;
             return seq < o.seq;
         }
     };

@@ -122,31 +122,26 @@ SessionReport::build(const Server &server, const SessionResult &res)
         return r;
     r.hasMetrics = true;
 
-    // On a shared core the registry holds every co-resident server's
-    // instruments; this server's are the ones under its resource prefix
-    // ("" standalone — then the filter passes everything, as before).
-    // Classification and display use the *unprefixed* name, so a report
-    // for "job0." reads identically to a standalone one.
-    const std::string kPrefix = "util." + server.resourcePrefix();
-    const std::size_t prefix_len = kPrefix.size();
-    for (const auto &entry : m.histograms()) {
-        if (entry.name.rfind(kPrefix, 0) != 0)
+    // This server's own resources in creation order — on a shared core
+    // the network also holds every co-resident server's. Classification
+    // and display use the *unprefixed* name, so a report for "job0."
+    // reads identically to a standalone one.
+    const std::size_t prefix_len = server.resourcePrefix().size();
+    for (const auto &fr : server.resources()) {
+        const TimeWeightedHistogram *util = fr->utilizationHistory();
+        if (util == nullptr)
             continue;
-        const std::string res_name = entry.name.substr(prefix_len);
         ResourceUsage u;
-        u.name = res_name;
-        u.kind = classifyResource(res_name);
-        u.utilization = entry.metric->timeAverage();
-        u.peak = entry.metric->peak();
-        u.saturatedFraction = entry.metric->saturatedFraction();
-        if (const FluidResource *fr = server.core().fluid().findResource(
-                server.resourcePrefix() + res_name)) {
-            for (const auto &[cat, units] : fr->servedByCategory()) {
-                if (units > u.dominantShare * fr->totalServed()) {
-                    u.dominantCategory = cat;
-                    u.dominantShare = fr->totalServed() > 0.0
-                        ? units / fr->totalServed() : 0.0;
-                }
+        u.name = fr->name().substr(prefix_len);
+        u.kind = classifyResource(u.name);
+        u.utilization = util->timeAverage();
+        u.peak = util->peak();
+        u.saturatedFraction = util->saturatedFraction();
+        for (const auto &[cat, units] : fr->servedByCategory()) {
+            if (units > u.dominantShare * fr->totalServed()) {
+                u.dominantCategory = cat;
+                u.dominantShare = fr->totalServed() > 0.0
+                    ? units / fr->totalServed() : 0.0;
             }
         }
         r.resources.push_back(std::move(u));

@@ -123,11 +123,12 @@ struct Builder
     std::vector<PrepVec> groupPreps;
     std::vector<std::vector<NvmeSsd *>> groupSsds;
 
-    /** Every template's demands, each emptied by its build(). */
+    /** Every template's demands, keyed from the server's first resource. */
     DemandSet ds;
 
-    explicit Builder(Server &server)
-        : s(server), cfg(server.cfg), d(server.demand), topo(*server.topo)
+    Builder(Server &server, std::size_t firstResource)
+        : s(server), cfg(server.cfg), d(server.demand), topo(*server.topo),
+          ds(static_cast<std::uint32_t>(firstResource))
     {
         nAcc = cfg.numAccelerators;
         accPerGroup = std::min<std::size_t>(cfg.box.accPerBox, nAcc);
@@ -724,6 +725,13 @@ Server::settleAccounting()
     core_.fluid().settleAccounting(resBegin_, resEnd_);
 }
 
+std::span<const std::unique_ptr<FluidResource>>
+Server::resources() const
+{
+    return std::span(core_.fluid().resources())
+        .subspan(resBegin_, resEnd_ - resBegin_);
+}
+
 Time
 Server::computeTime() const
 {
@@ -766,7 +774,7 @@ buildServer(const ServerConfig &cfg, SimulationCore *core,
         std::make_unique<HostMemory>(net, cfg.host.memBandwidth);
     server->cpu = std::make_unique<CpuPool>(net, cfg.host.cpuCores);
 
-    Builder builder(*server);
+    Builder builder(*server, server->resBegin_);
     if (presetUsesClustering(cfg.preset))
         builder.buildClustered();
     else

@@ -14,6 +14,7 @@
 #define TRAINBOX_TRAINBOX_SERVER_BUILDER_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,9 @@ class Server
      * servers did last (FluidNetwork::settleAccounting).
      */
     void settleAccounting();
+
+    /** This server's slice of core().fluid().resources(). */
+    std::span<const std::unique_ptr<FluidResource>> resources() const;
 
     /**
      * Observability instruments (docs/OBSERVABILITY.md), owned by the

@@ -10,11 +10,12 @@
  *  - liveness: every run completes all measured steps, even through
  *    windows of zero attached capacity (park, don't deadlock);
  *  - determinism: identical configs replay identical histories;
- *  - with every knob off, throughput is bit-identical to the goldens
- *    pinned before any robustness subsystem existed.
+ *  - with every subsystem off, throughput is bit-identical to the
+ *    goldens pinned before any robustness subsystem existed, whatever
+ *    knobs are set behind the off switches;
+ *  - planned drains lose no more goodput than spot preemptions.
  *
- * bench/elastic_sweep.cc reuses the same invariants in its --smoke
- * mode; docs/ROBUSTNESS.md documents the membership state machine.
+ * docs/ROBUSTNESS.md documents the membership state machine.
  */
 
 #include <gtest/gtest.h>
@@ -230,8 +231,9 @@ TEST(ChaosDisabled, PresetThroughputsBitIdentical)
 {
     // The pinned pre-robustness goldens (ResNet-50, 32 accelerators,
     // run(4, 8), default config). With faults, checkpoints, corruption,
-    // AND elasticity all disabled, no new resource, flow, or event may
-    // perturb the simulation.
+    // elasticity AND ingest all disabled, no new resource, flow, or
+    // event may perturb the simulation — also when elasticity and
+    // ingest knobs are set behind their off switches.
     const struct
     {
         ArchPreset preset;
@@ -245,33 +247,46 @@ TEST(ChaosDisabled, PresetThroughputsBitIdentical)
         { ArchPreset::TrainBox, 237516.29284407894 },
         { ArchPreset::BaselineAccGpu, 31966.593052101314 },
     };
+    ServerConfig knobs;
+    knobs.elasticity.groupDrain = {10.0, 1.0};
+    knobs.elasticity.groupPreempt = {10.0, 1.0};
+    knobs.elasticity.prepPreempt = {10.0, 1.0};
+    knobs.elasticity.enabled = false;
+    knobs.ingest.steady = {1.0e5, 256.0, 2};
+    knobs.ingest.burst = {1.0e4, 512.0, 0};
+    knobs.ingest.policyChain = {IngestPolicy::Stall};
+    knobs.ingest.enabled = false;
     for (const auto &g : golden) {
-        ServerConfig cfg;
-        cfg.preset = g.preset;
-        cfg.model = workload::ModelId::Resnet50;
-        cfg.numAccelerators = 32;
-        const SessionResult res = runSession(cfg, 4, 8);
-        EXPECT_DOUBLE_EQ(res.throughput, g.throughput)
-            << presetName(g.preset);
-        EXPECT_EQ(res.elasticity.events, 0u) << presetName(g.preset);
-        EXPECT_EQ(res.elasticity.joins, 0u) << presetName(g.preset);
-        EXPECT_DOUBLE_EQ(res.elasticity.degradedCapacityTime, 0.0)
-            << presetName(g.preset);
-        EXPECT_DOUBLE_EQ(res.elasticity.avgActiveFraction, 1.0)
-            << presetName(g.preset);
-        // The ledger is live even with everything off.
-        EXPECT_GT(res.elasticity.samplesPrepared, 0.0)
-            << presetName(g.preset);
-        EXPECT_DOUBLE_EQ(res.elasticity.samplesDiscarded, 0.0)
-            << presetName(g.preset);
-        // Disabled ingest is a true zero: no arrivals, no writes, no
-        // overload accounting may exist on the golden path.
-        EXPECT_EQ(res.ingest.arrivalEvents, 0u) << presetName(g.preset);
-        EXPECT_EQ(res.ingest.writeFlows, 0u) << presetName(g.preset);
-        EXPECT_DOUBLE_EQ(res.ingest.samplesArrived, 0.0)
-            << presetName(g.preset);
-        EXPECT_DOUBLE_EQ(res.ingest.overloadTime, 0.0)
-            << presetName(g.preset);
+        SessionResult plain;
+        for (const bool with_knobs : {false, true}) {
+            SCOPED_TRACE(std::string(presetName(g.preset)) +
+                         (with_knobs ? ", disabled knobs set" : ""));
+            ServerConfig cfg = with_knobs ? knobs : ServerConfig{};
+            cfg.preset = g.preset;
+            cfg.model = workload::ModelId::Resnet50;
+            cfg.numAccelerators = 32;
+            const SessionResult res = runSession(cfg, 4, 8);
+            EXPECT_DOUBLE_EQ(res.throughput, g.throughput);
+            if (with_knobs) {
+                EXPECT_EQ(res.throughput, plain.throughput);
+                EXPECT_EQ(res.wallTime, plain.wallTime);
+            } else {
+                plain = res;
+            }
+            EXPECT_EQ(res.elasticity.events, 0u);
+            EXPECT_EQ(res.elasticity.joins, 0u);
+            EXPECT_DOUBLE_EQ(res.elasticity.degradedCapacityTime, 0.0);
+            EXPECT_DOUBLE_EQ(res.elasticity.avgActiveFraction, 1.0);
+            // The ledger is live even with everything off.
+            EXPECT_GT(res.elasticity.samplesPrepared, 0.0);
+            EXPECT_DOUBLE_EQ(res.elasticity.samplesDiscarded, 0.0);
+            // Disabled ingest is a true zero: no arrivals, no writes, no
+            // overload accounting may exist on the golden path.
+            EXPECT_EQ(res.ingest.arrivalEvents, 0u);
+            EXPECT_EQ(res.ingest.writeFlows, 0u);
+            EXPECT_DOUBLE_EQ(res.ingest.samplesArrived, 0.0);
+            EXPECT_DOUBLE_EQ(res.ingest.overloadTime, 0.0);
+        }
     }
 }
 
@@ -397,6 +412,50 @@ TEST(ChaosSemantics, DrainsSaveSamplesPreemptionsLoseThem)
     ASSERT_GT(preempted.elasticity.preemptions, 0u);
     EXPECT_EQ(preempted.elasticity.samplesSavedByDrain, 0.0);
     EXPECT_EQ(preempted.elasticity.samplesDroppedAtDrain, 0.0);
+}
+
+TEST(ChaosSemantics, DrainsLoseNoMoreGoodputThanPreemptions)
+{
+    // Graceful degradation must not lose more work than spot kills.
+    // Each seed runs one leave class at a time, mixed with SSD faults,
+    // silent corruption (checks on every other seed) and checkpoints
+    // (on the others); summed over the seeds, drains keep at least the
+    // goodput preemptions at the same rate keep.
+    ServerConfig healthy = chaosConfig();
+    healthy.prepPoolFpgas = 8;
+    const double base = runSession(healthy, 3, 6).throughput;
+    double drain_goodput = 0.0, preempt_goodput = 0.0;
+    std::size_t drains = 0, preemptions = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        for (const bool planned : {true, false}) {
+            ServerConfig cfg = healthy;
+            cfg.faults.enabled = true;
+            cfg.faults.seed = seed;
+            cfg.faults.ssdReadFailureProb = 0.005;
+            cfg.faults.corruption.ssdBitFlipProb = 0.002;
+            cfg.faults.integrityChecks = seed % 2 == 0;
+            cfg.checkpoint.enabled = seed % 2 == 1;
+            cfg.checkpoint.interval = 2.0;
+            cfg.elasticity.enabled = true;
+            cfg.elasticity.seed = seed;
+            cfg.elasticity.graceWindow = 0.4;
+            cfg.elasticity.rejoinLatency = 0.2;
+            (planned ? cfg.elasticity.groupDrain
+                     : cfg.elasticity.groupPreempt) = {0.25, 1.0};
+            const std::string what = "seed " + std::to_string(seed) +
+                                     (planned ? " drain" : " preempt");
+            const SessionResult res = runSession(cfg, 3, 6);
+            checkInvariants(res, 6, what.c_str());
+            EXPECT_GT(res.throughput, 0.0) << what;
+            drains += res.elasticity.drains;
+            preemptions += res.elasticity.preemptions;
+            (planned ? drain_goodput : preempt_goodput) +=
+                SessionReport::computeGoodput(res.throughput, base);
+        }
+    }
+    EXPECT_GT(drains, 0u);
+    EXPECT_GT(preemptions, 0u);
+    EXPECT_GE(drain_goodput, preempt_goodput - 1e-9);
 }
 
 TEST(ChaosSemantics, DrainCoordinatesACheckpoint)

@@ -24,15 +24,15 @@ TEST(EventQueue, RunsInTimeOrder)
     EXPECT_DOUBLE_EQ(eq.now(), 3.0);
 }
 
-TEST(EventQueue, TieBrokenByPriorityThenInsertion)
+TEST(EventQueue, TieBrokenByInsertion)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(1.0, [&] { order.push_back(0); }, 50);
-    eq.schedule(1.0, [&] { order.push_back(1); }, 10);
-    eq.schedule(1.0, [&] { order.push_back(2); }, 50);
+    eq.schedule(1.0, [&] { order.push_back(0); });
+    eq.schedule(1.0, [&] { order.push_back(1); });
+    eq.schedule(1.0, [&] { order.push_back(2); });
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventQueue, ScheduleInUsesRelativeTime)

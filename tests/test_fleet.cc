@@ -394,7 +394,10 @@ TEST(FleetFaults, HostDeathReclaimsGrantForQueuedJob)
                                      /*host=*/0, /*start=*/0.0,
                                      /*duration=*/0.03});
 
-    const FleetReport r = runFleet(fleet);
+    FleetSimulation sim(fleet);
+    const FleetReport r = sim.run();
+    // The killed attempt and both finished jobs own no flow.
+    EXPECT_EQ(sim.core().fluid().numActive(), 0u);
     ASSERT_EQ(r.jobsCompleted, 2u);
     EXPECT_EQ(r.jobsAbandoned, 0u);
     EXPECT_EQ(r.restartsTotal, 1u);

@@ -377,13 +377,6 @@ TEST_F(FluidTest, ManyFlowsAggregateCapacity)
     EXPECT_DOUBLE_EQ(eq.now(), 1.0); // 100 units at 100/s total
 }
 
-TEST_F(FluidTest, FindResourceByName)
-{
-    FluidResource *link = net.addResource("pcie.rc", 1.0);
-    EXPECT_EQ(net.findResource("pcie.rc"), link);
-    EXPECT_EQ(net.findResource("nope"), nullptr);
-}
-
 TEST_F(FluidTest, DemandSetMergesDuplicates)
 {
     FluidResource *a = net.addResource("a", 1.0);
@@ -420,6 +413,27 @@ TEST_F(FluidTest, DemandSetMergesDuplicates)
     EXPECT_EQ(again[0].weight, 4.0);
     EXPECT_EQ(again[1].resource, a);
     EXPECT_EQ(again[1].weight, 1.0);
+}
+
+// A server built onto a shared network keys its set from its first
+// resource: the set merges and orders as one keyed from 0 does, and a
+// resource below its first index panics.
+TEST_F(FluidTest, DemandSetKeysFromItsFirstIndex)
+{
+    FluidResource *earlier = net.addResource("earlier", 1.0);
+    FluidResource *a = net.addResource("a", 1.0);
+    FluidResource *b = net.addResource("b", 1.0);
+    DemandSet ds(a->index());
+    ds.add(b, 1.0);
+    ds.add(a, 2.0);
+    ds.add(b, 3.0);
+    const auto demands = ds.build();
+    ASSERT_EQ(demands.size(), 2u);
+    EXPECT_EQ(demands[0].resource, b);
+    EXPECT_EQ(demands[0].weight, 4.0);
+    EXPECT_EQ(demands[1].resource, a);
+    EXPECT_EQ(demands[1].weight, 2.0);
+    EXPECT_DEATH(ds.add(earlier, 1.0), "given earlier at index 0");
 }
 
 TEST_F(FluidTest, ResourcesCarryTheirCreationIndex)

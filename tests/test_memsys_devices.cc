@@ -25,7 +25,7 @@ TEST_F(MemsysTest, HostMemoryIsABandwidthServer)
 {
     HostMemory mem(net, 239e9);
     EXPECT_DOUBLE_EQ(mem.bandwidth(), 239e9);
-    EXPECT_EQ(net.findResource("host.dram"), mem.resource());
+    EXPECT_EQ(mem.resource()->name(), "host.dram");
 
     double done = -1.0;
     FlowSpec spec;

@@ -201,6 +201,32 @@ TEST_F(FluidMetricsTest, ResourcesAddedBeforeAttachAreInstrumented)
     EXPECT_NE(late->utilizationHistory(), nullptr);
 }
 
+// Every server built on a shared core attaches the core's registry
+// again, mid-run for all but the first. That must not restart the open
+// utilization interval of a resource already instrumented.
+TEST_F(FluidMetricsTest, ReattachMidFlowKeepsTheWholeHistory)
+{
+    metrics.enable();
+    net.attachMetrics(&metrics);
+    FluidResource *link = net.addResource("link", 100.0);
+
+    FlowSpec spec;
+    spec.category = "x";
+    spec.size = 500.0;
+    spec.rateCap = 50.0; // utilization 0.5 for 10 s
+    spec.demands = {{link, 1.0}};
+    spec.onComplete = [](Time) {};
+    net.startFlow(std::move(spec));
+    eq.run(4.0);
+    net.attachMetrics(&metrics);
+    eq.run();
+
+    const TimeWeightedHistogram *h = link->utilizationHistory();
+    ASSERT_NE(h, nullptr);
+    EXPECT_DOUBLE_EQ(h->totalTime(), 10.0);
+    EXPECT_DOUBLE_EQ(h->timeAverage(), 0.5);
+}
+
 TEST_F(FluidMetricsTest, DisabledRegistryLeavesNetworkUninstrumented)
 {
     net.attachMetrics(&metrics); // still disabled: attach is a no-op

@@ -3,7 +3,8 @@
  * Tests for the consolidated SessionReport and the report exporters:
  * golden-JSON pin of the Fig 9 latency breakdown (Resnet-50, 32
  * accelerators, baseline), bit-identical throughput with metrics on vs
- * off, bottleneck attribution on the paper presets, exporter
+ * off, a report left intact by a server built beside it mid-run,
+ * bottleneck attribution on the paper presets, exporter
  * well-formedness, CSV rows carrying the JSON's values for hand-filled
  * session and fleet reports, and string escaping in both formats.
  */
@@ -112,6 +113,45 @@ TEST(SessionReport, MetricsDoNotPerturbThroughput)
     EXPECT_DOUBLE_EQ(on.prepLatency(), off.prepLatency());
     EXPECT_FALSE(off.hasMetrics);
     EXPECT_TRUE(on.hasMetrics);
+}
+
+// Every server built on a shared core attaches the core's registry
+// again. Building one while another runs must leave the running
+// server's utilization histories whole: its report reads exactly as it
+// does when the server runs alone.
+TEST(SessionReport, ServerBuiltMidRunLeavesCoResidentReportIntact)
+{
+    const ServerConfig cfg =
+        ServerConfig::trainBox().withAccelerators(16).withMetrics();
+    const SessionReport solo = runReport(cfg);
+
+    SimulationCore core;
+    auto first = buildServer(cfg, &core, "a.");
+    TrainingSession session(*first);
+    session.start(4, 8);
+    EventQueue &eq = core.events();
+    while (session.stepsSynced() < 6 && eq.step()) {
+    }
+    ASSERT_EQ(session.stepsSynced(), 6u);
+    auto second = buildServer(cfg, &core, "b.");
+    while (!session.done() && eq.step()) {
+    }
+    ASSERT_TRUE(session.done());
+    const SessionReport shared =
+        SessionReport::build(*first, session.collect());
+
+    ASSERT_EQ(shared.resources.size(), solo.resources.size());
+    for (std::size_t i = 0; i < solo.resources.size(); ++i) {
+        const ResourceUsage &got = shared.resources[i];
+        const ResourceUsage &want = solo.resources[i];
+        SCOPED_TRACE(want.name);
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.utilization, want.utilization);
+        EXPECT_EQ(got.peak, want.peak);
+        EXPECT_EQ(got.saturatedFraction, want.saturatedFraction);
+        EXPECT_EQ(got.dominantCategory, want.dominantCategory);
+        EXPECT_EQ(got.dominantShare, want.dominantShare);
+    }
 }
 
 TEST(SessionReport, GoldenFig9BreakdownResnet50At32)

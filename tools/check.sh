@@ -40,45 +40,9 @@ cmake -B "$build_dir" -S "$repo_root" \
 cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "$@"
 
-# Integrity smoke: with checksum stages enabled, no injected flip may
-# escape (docs/ROBUSTNESS.md, "Data integrity & silent corruption").
-# Run instrumented so the envelope/validator code is sanitizer-checked.
-"$build_dir/bench/integrity_sweep" --smoke
-
 # Simulator perf smoke: runs the incremental solver + event-queue
 # batching under the sanitizer (the bit-identity assert and the solver
 # hot path get instrumented coverage). The committed-baseline ratio gate
 # is left to the uninstrumented CI job — sanitizer instrumentation skews
 # relative costs (docs/PERFORMANCE.md).
 "$build_dir/bench/sim_perf" --smoke --out "$build_dir/BENCH_sim_perf.json"
-
-# Chaos smoke: randomized fault+elastic schedules against the global
-# invariants (sample conservation, corruption accounting, liveness,
-# drains >= preemptions in goodput), instrumented so the membership
-# state machine and zero-capacity parking run under the sanitizer
-# (docs/ROBUSTNESS.md, "Elastic capacity & graceful degradation").
-"$build_dir/bench/elastic_sweep" --smoke
-
-# Ingest smoke: streaming arrivals under overload — disabled-path
-# bit-identity, the arrived == admitted + shed + in-flight ledger over
-# randomized traffic mixes, and the policy-chain goodput ordering
-# (adaptive chains beat a hard stall under a 4x burst), instrumented so
-# the admission state machine and write-retry paths run under the
-# sanitizer (docs/ROBUSTNESS.md, "Streaming ingest & overload").
-"$build_dir/bench/ingest_sweep" --smoke
-
-# Fleet smoke: multi-job scheduling on one shared simulation core —
-# one-job fleet == bare-session bit-identity, two-job determinism,
-# concurrent pool grants summing exactly to the shared pool, and the
-# per-job conservation ledgers under a chaos trace, instrumented so
-# the admission/arbitration paths run under the sanitizer
-# (docs/FLEET.md).
-"$build_dir/bench/fleet_sweep" --smoke
-
-# Fleet fault-tolerance smoke: disabled-path bit-identity, scripted
-# host-death grant reclamation, and seeded chaos holding every
-# conservation ledger with a byte-identical same-seed replay,
-# instrumented so the kill/freeze/retry paths and the pool-ledger
-# panic checks run under the sanitizer (docs/ROBUSTNESS.md, "Fleet
-# fault tolerance").
-"$build_dir/bench/fleet_fault_sweep" --smoke
