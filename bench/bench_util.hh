@@ -13,7 +13,10 @@
 #ifndef TRAINBOX_BENCH_BENCH_UTIL_HH
 #define TRAINBOX_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -27,14 +30,55 @@
 namespace tb {
 namespace bench {
 
-/** True when argv contains --csv. */
+/**
+ * Exit 2 over @p arg, an argument program @p prog does not take, with a
+ * usage line that names it; @p usage lists the arguments it does take.
+ */
+[[noreturn]] inline void
+rejectArgument(const char *prog, const char *usage, const char *arg)
+{
+    std::fprintf(stderr, "%s: unknown argument '%s'; usage: %s %s\n", prog,
+                 arg, prog, usage);
+    std::exit(2);
+}
+
+/**
+ * The positive integer after option argv[i], which moves @p i past it.
+ * A missing or malformed value exits 2 with a usage line.
+ */
+inline std::size_t
+countArgument(int argc, char **argv, int &i, const char *usage)
+{
+    const char *option = argv[i];
+    const char *text = i + 1 < argc ? argv[++i] : "";
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || value == 0) {
+        std::fprintf(stderr,
+                     "%s: %s needs a positive integer, not '%s'; usage: %s "
+                     "%s\n",
+                     argv[0], option, text, argv[0], usage);
+        std::exit(2);
+    }
+    return static_cast<std::size_t>(value);
+}
+
+/**
+ * True when argv holds --csv, the only argument the figure and sweep
+ * binaries take; any other argument exits 2 (rejectArgument).
+ */
 inline bool
 wantCsv(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--csv") == 0)
-            return true;
-    return false;
+    bool csv = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--csv") != 0)
+            rejectArgument(argv[0], "[--csv]", argv[i]);
+        csv = true;
+    }
+    return csv;
 }
 
 /** Print a section header. */

@@ -16,7 +16,6 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -27,18 +26,21 @@ int
 main(int argc, char **argv)
 {
     using namespace tb;
-    const bool csv = bench::wantCsv(argc, argv);
-
+    const char *usage = "[--csv] [--items N] [--max-workers N]";
+    bool csv = false;
     std::size_t image_items = 24;
     std::size_t audio_items = 6;
     std::size_t max_workers = std::max(1u, std::thread::hardware_concurrency());
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--items") == 0 && i + 1 < argc) {
-            image_items = static_cast<std::size_t>(std::atoi(argv[++i]));
+        if (std::strcmp(argv[i], "--csv") == 0) {
+            csv = true;
+        } else if (std::strcmp(argv[i], "--items") == 0) {
+            image_items = bench::countArgument(argc, argv, i, usage);
             audio_items = std::max<std::size_t>(1, image_items / 4);
-        } else if (std::strcmp(argv[i], "--max-workers") == 0 &&
-                   i + 1 < argc) {
-            max_workers = static_cast<std::size_t>(std::atoi(argv[++i]));
+        } else if (std::strcmp(argv[i], "--max-workers") == 0) {
+            max_workers = bench::countArgument(argc, argv, i, usage);
+        } else {
+            bench::rejectArgument(argv[0], usage, argv[i]);
         }
     }
 

@@ -35,13 +35,14 @@
  * floor. Absolute events/sec is recorded for trend reading but never
  * gated — it varies with the host.
  *
- * Flags:
+ * Flags (any other argument exits 2):
  *   --smoke            small sizes for CI (64 accs, 1k-flow fleet)
  *   --out <path>       JSON output path (default BENCH_sim_perf.json)
  *   --baseline <path>  gate ratios against a committed JSON's floors
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -51,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "fluid/fluid.hh"
@@ -224,13 +226,19 @@ runFleet(std::size_t jobs, std::uint64_t targetEvents, Mode mode)
     // Churn: every completion launches a replacement flow in its job,
     // so component membership changes on every event. Relaunching is
     // unconditional — the run simply stops stepping at the event budget.
+    // Each job's demands are built once; a flow start copies them.
+    std::vector<std::array<FlowDemand, 2>> jobDemands;
+    jobDemands.reserve(jobs);
+    for (const Job &job : jobRes)
+        jobDemands.push_back({{{job.link, 1.0}, {job.pool, 0.8}}});
+    const std::uint32_t category = net.internCategory("fleet");
     std::function<void(std::size_t)> launch = [&](std::size_t j) {
         FlowSpec spec;
-        spec.category = "fleet";
+        spec.category = category;
         spec.size = rng.uniform(5.0, 15.0);
         if (rng.uniform() < 0.3)
             spec.rateCap = rng.uniform(3.0, 10.0); // extra filling round
-        spec.demands = {{jobRes[j].link, 1.0}, {jobRes[j].pool, 0.8}};
+        spec.demands = jobDemands[j];
         spec.onComplete = [&launch, j](Time) { launch(j); };
         net.startFlow(std::move(spec));
     };
@@ -434,8 +442,8 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             baselinePath = argv[++i];
         } else {
-            std::fprintf(stderr, "sim_perf: unknown arg %s\n", argv[i]);
-            return 1;
+            bench::rejectArgument(
+                argv[0], "[--smoke] [--out PATH] [--baseline PATH]", argv[i]);
         }
     }
 

@@ -314,8 +314,20 @@ FluidNetwork::refreshUtil(FluidResource &r)
 const FluidFlow *
 FluidNetwork::findFlow(FlowId id) const
 {
-    auto it = slotOf_.find(id);
-    return it == slotOf_.end() ? nullptr : &slots_[it->second];
+    const std::uint32_t slot = slotOf(id);
+    if (id == 0 || slot >= slots_.size() || slots_[slot].id != id)
+        return nullptr;
+    return &slots_[slot];
+}
+
+std::uint32_t
+FluidNetwork::internCategory(const std::string &name)
+{
+    auto [it, fresh] = categoryIds_.try_emplace(
+        name, static_cast<std::uint32_t>(categoryNames_.size()));
+    if (fresh)
+        categoryNames_.push_back(name);
+    return it->second;
 }
 
 void
@@ -349,22 +361,20 @@ FluidNetwork::removeMembership(FluidFlow &flow)
 FlowId
 FluidNetwork::startFlow(FlowSpec spec)
 {
+    panic_if(spec.category >= categoryNames_.size(),
+             "flow with category id %u, which this network never interned",
+             spec.category);
     panic_if(spec.size < 0.0, "flow with negative size %g", spec.size);
     panic_if(spec.fairWeight <= 0.0, "flow with fair weight %g",
              spec.fairWeight);
     panic_if(spec.demands.empty() && spec.rateCap <= 0.0 && spec.size > 0.0,
              "flow '%s' has neither demands nor a rate cap",
-             spec.category.c_str());
+             categoryNames_[spec.category].c_str());
     for (const auto &d : spec.demands) {
         panic_if(d.resource == nullptr, "flow demand with null resource");
         panic_if(d.weight <= 0.0, "flow demand with weight %g on %s",
                  d.weight, d.resource->name().c_str());
     }
-
-    auto [cat, fresh] = categoryIds_.try_emplace(
-        spec.category, static_cast<std::uint32_t>(categoryNames_.size()));
-    if (fresh)
-        categoryNames_.push_back(std::move(spec.category));
 
     std::uint32_t slot;
     if (!freeSlots_.empty()) {
@@ -372,13 +382,18 @@ FluidNetwork::startFlow(FlowSpec spec)
         freeSlots_.pop_back();
     } else {
         slot = static_cast<std::uint32_t>(slots_.size());
+        panic_if(slot >> kSlotBits != 0, "more than %u flows in flight",
+                 slot);
         slots_.emplace_back();
     }
+    panic_if(nextSeq_ >> (64 - kSlotBits) != 0, "flow sequence exhausted");
 
-    const FlowId id = nextId_++;
+    // The handle's high bits are the start sequence, so handles (and
+    // byId) order flows by start.
+    const FlowId id = (nextSeq_++ << kSlotBits) | slot;
     FluidFlow &flow = slots_[slot];
     flow.id = id;
-    flow.category = cat->second;
+    flow.category = spec.category;
     flow.r0 = spec.size;
     flow.t0 = eq_.now();
     flow.rate = 0.0;
@@ -386,9 +401,10 @@ FluidNetwork::startFlow(FlowSpec spec)
     flow.rateCap = spec.rateCap;
     flow.fairWeight = spec.fairWeight;
     flow.empty = spec.size <= 0.0;
-    flow.demands = std::move(spec.demands);
+    // Copy into the slot's recycled storage: a reused slot's vectors
+    // already have their capacity, so a start allocates nothing.
+    flow.demands.assign(spec.demands.begin(), spec.demands.end());
     flow.onComplete = std::move(spec.onComplete);
-    slotOf_.emplace(id, slot);
     addMembership(flow);
     markFlowDirty(flow);
     updateHeaps(flow);
@@ -405,9 +421,8 @@ FluidNetwork::startFlow(FlowSpec spec)
 void
 FluidNetwork::cancelFlow(FlowId id)
 {
-    auto it = slotOf_.find(id);
-    if (it != slotOf_.end()) {
-        FluidFlow &flow = slots_[it->second];
+    if (findFlow(id) != nullptr) {
+        FluidFlow &flow = slots_[slotOf(id)];
         settle(flow, eq_.now());
         removeFlow(flow);
         if (flowsCancelledCtr_) {
@@ -428,7 +443,6 @@ FluidNetwork::removeFlow(FluidFlow &flow)
     finish_.erase(slot);
     due_.erase(slot);
     ++stats_.heapUpdates;
-    slotOf_.erase(flow.id);
     flow.id = 0;
     flow.onComplete = nullptr;
     freeSlots_.push_back(slot);
@@ -572,14 +586,21 @@ FluidNetwork::solveDirty()
                 affected_.push_back(&flow);
         std::sort(affected_.begin(), affected_.end(), byId);
         for (FluidFlow *flow : affected_)
-            solveFrom(*flow, mark);
+            if (flow->mark != mark)
+                solveFrom(*flow, mark);
     } else {
-        for (const auto &[id, slot] : dirtyFlows_)
-            if (slots_[slot].id == id)
-                solveFrom(slots_[slot], mark);
-        for (FluidResource *r : dirtyResources_)
-            if (!r->members_.empty())
-                solveFrom(slots_[r->members_.front().first], mark);
+        for (FlowId id : dirtyFlows_) {
+            FluidFlow &flow = slots_[slotOf(id)];
+            if (flow.id == id && flow.mark != mark)
+                solveFrom(flow, mark);
+        }
+        for (FluidResource *r : dirtyResources_) {
+            if (r->members_.empty())
+                continue;
+            FluidFlow &flow = slots_[r->members_.front().first];
+            if (flow.mark != mark)
+                solveFrom(flow, mark);
+        }
     }
     dirtyFlows_.clear();
     for (FluidResource *r : dirtyResources_) {
@@ -597,8 +618,6 @@ FluidNetwork::solveDirty()
 void
 FluidNetwork::solveFrom(FluidFlow &seed, std::uint64_t mark)
 {
-    if (seed.mark == mark)
-        return;
     compFlows_.clear();
     compRes_.clear();
     seed.mark = mark;
@@ -753,22 +772,24 @@ FluidNetwork::completeEarliest()
     });
     std::sort(doneFlows_.begin(), doneFlows_.end(), byId);
 
-    std::vector<std::function<void(Time)>> callbacks;
-    callbacks.reserve(doneFlows_.size());
+    // The callbacks move to a member buffer first: they start flows,
+    // which may reuse the slots just freed.
+    doneCallbacks_.clear();
     for (FluidFlow *flow : doneFlows_) {
         settle(*flow, now);
-        callbacks.push_back(std::move(flow->onComplete));
+        doneCallbacks_.push_back(std::move(flow->onComplete));
         removeFlow(*flow);
     }
 
-    if (flowsCompletedCtr_ && !callbacks.empty()) {
-        flowsCompletedCtr_->add(static_cast<double>(callbacks.size()));
+    if (flowsCompletedCtr_ && !doneCallbacks_.empty()) {
+        flowsCompletedCtr_->add(static_cast<double>(doneCallbacks_.size()));
         activeFlowsGauge_->set(static_cast<double>(numActive()));
     }
 
-    for (auto &cb : callbacks)
+    for (auto &cb : doneCallbacks_)
         if (cb)
             cb(now);
+    doneCallbacks_.clear();
 }
 
 } // namespace tb

@@ -46,6 +46,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -164,14 +165,26 @@ struct FlowDemand
     double weight;
 };
 
-/** Identifier for an active flow. */
+/**
+ * Handle of a started flow: its start sequence number (1, 2, ...) above
+ * the low FluidNetwork::kSlotBits, which hold its storage slot. Handles
+ * therefore compare in start order and find their flow without a table;
+ * 0 is no flow, and the handle of a finished or cancelled flow finds
+ * nothing, even once a newer flow reuses its slot.
+ */
 using FlowId = std::uint64_t;
+
+/** A category id no network hands out (FlowSpec's default). */
+inline constexpr std::uint32_t kNoCategory = ~std::uint32_t{0};
 
 /** Everything needed to launch a flow. */
 struct FlowSpec
 {
-    /** Accounting category (e.g., "formatting", "data_load"). */
-    std::string category;
+    /**
+     * Accounting category (e.g., "formatting", "data_load"), as the id
+     * FluidNetwork::internCategory() returned for its name.
+     */
+    std::uint32_t category = kNoCategory;
 
     /** Total size in base units. */
     double size = 0.0;
@@ -189,8 +202,11 @@ struct FlowSpec
      */
     double fairWeight = 1.0;
 
-    /** Resources consumed while the flow runs. */
-    std::vector<FlowDemand> demands;
+    /**
+     * Resources consumed while the flow runs. startFlow() copies them,
+     * so the viewed storage need only outlive that call.
+     */
+    std::span<const FlowDemand> demands;
 
     /** Invoked (once) at completion time. */
     std::function<void(Time)> onComplete;
@@ -206,7 +222,7 @@ struct FlowSpec
  */
 struct FluidFlow
 {
-    FlowId id = 0; ///< 0 while the slot is free
+    FlowId id = 0; ///< the flow's handle; 0 while the slot is free
     std::uint32_t category = 0; ///< interned accounting category
     double r0 = 0.0;
     Time t0 = 0.0;
@@ -215,6 +231,7 @@ struct FluidFlow
     double rateCap = 0.0;
     double fairWeight = 1.0;
     bool empty = false; ///< started with size 0: never gets a rate
+    /** Copied from FlowSpec::demands; kept with the slot for reuse. */
     std::vector<FlowDemand> demands;
     std::function<void(Time)> onComplete;
 
@@ -412,6 +429,13 @@ class FluidNetwork
     }
 
     /**
+     * The id of accounting category @p name, interned on first use.
+     * Intern every name before its flows start: startFlow() takes ids
+     * only, so no flow start hashes a name.
+     */
+    std::uint32_t internCategory(const std::string &name);
+
+    /**
      * Launch a flow. Completion fires through the EventQueue. A flow of
      * size 0 completes via an immediate event.
      */
@@ -430,7 +454,13 @@ class FluidNetwork
     double flowRemaining(FlowId id) const;
 
     /** Number of in-flight flows. */
-    std::size_t numActive() const { return slotOf_.size(); }
+    std::size_t numActive() const
+    {
+        return slots_.size() - freeSlots_.size();
+    }
+
+    /** Low bits of a FlowId that hold the flow's slot. */
+    static constexpr unsigned kSlotBits = 24;
 
     /**
      * Notify the network that one resource's capacity changed. Only the
@@ -499,8 +529,8 @@ class FluidNetwork
     void solveDirty();
     /**
      * Gather @p seed's component into compFlows_ (sorted by id) and
-     * compRes_, solve it and rebase the flows whose rate changed; a no-op
-     * when @p seed was reached earlier in pass @p mark.
+     * compRes_, solve it and rebase the flows whose rate changed. The
+     * caller checks that pass @p mark has not reached @p seed yet.
      */
     void solveFrom(FluidFlow &seed, std::uint64_t mark);
     /** Progressive filling over compFlows_ and compRes_. */
@@ -526,6 +556,13 @@ class FluidNetwork
         return static_cast<std::uint32_t>(&flow - slots_.data());
     }
 
+    static std::uint32_t
+    slotOf(FlowId id)
+    {
+        return static_cast<std::uint32_t>(id & ((FlowId{1} << kSlotBits) - 1));
+    }
+
+    /** The live flow @p id names, or nullptr when it is stale or 0. */
     const FluidFlow *findFlow(FlowId id) const;
 
     /** Register/unregister a flow in its resources' member lists. */
@@ -547,19 +584,18 @@ class FluidNetwork
     {
         for (const auto &d : flow.demands)
             markDirty(d.resource);
-        dirtyFlows_.emplace_back(flow.id, slotOf(flow));
+        dirtyFlows_.push_back(flow.id);
     }
 
     EventQueue &eq_;
     std::vector<std::unique_ptr<FluidResource>> resources_;
     std::string namePrefix_;
-    FlowId nextId_ = 1;
+    std::uint64_t nextSeq_ = 1; ///< start sequence of the next flow
     EventId pending_{};
 
     /** Flow storage; free slots are recycled (see freeSlots_). */
     std::vector<FluidFlow> slots_;
     std::vector<std::uint32_t> freeSlots_;
-    std::unordered_map<FlowId, std::uint32_t> slotOf_; ///< live flows
     /** Finish time t0 + r0/rate per flow: the pending event's time. */
     SlotHeap finish_;
     /**
@@ -579,12 +615,12 @@ class FluidNetwork
     /** Resources touched since the last solve (dirty_ flag set). */
     std::vector<FluidResource *> dirtyResources_;
     /**
-     * Flows touched since the last solve, as (id, slot) — the id
-     * detects a flow started and cancelled within one batch (its slot
-     * freed or reused). Also covers demandless (cap-only) flows, which
-     * no resource member list reaches.
+     * Flows touched since the last solve. A stale handle finds a flow
+     * started and cancelled within one batch (its slot freed or reused).
+     * Also covers demandless (cap-only) flows, which no resource member
+     * list reaches.
      */
-    std::vector<std::pair<FlowId, std::uint32_t>> dirtyFlows_;
+    std::vector<FlowId> dirtyFlows_;
 
     // reusable solver scratch (cleared per solve; avoids per-event
     // allocation in the hot path)
@@ -592,6 +628,7 @@ class FluidNetwork
     std::vector<FluidFlow *> compFlows_;
     std::vector<FluidResource *> compRes_;
     std::vector<FluidFlow *> doneFlows_;
+    std::vector<std::function<void(Time)>> doneCallbacks_;
 
     // metrics instrumentation (all nullptr when metrics are disabled)
     MetricsRegistry *metrics_ = nullptr;

@@ -11,11 +11,21 @@ EventQueue::schedule(Time when, Callback cb)
 {
     panic_if(when < now_, "scheduling event in the past (%g < %g)",
              when, now_);
+    std::uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
     const Key key{when, nextSeq_++};
-    heap_.push_back(Entry{key, std::move(cb)});
+    slots_[slot].seq = key.seq;
+    slots_[slot].cb = std::move(cb);
+    ++live_;
+    heap_.push_back(Entry{key, slot});
     std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    pending_.insert(key.seq);
-    return EventId{key.seq};
+    return EventId{key.seq, slot};
 }
 
 EventId
@@ -25,26 +35,38 @@ EventQueue::scheduleIn(Time delay, Callback cb)
     return schedule(now_ + delay, std::move(cb));
 }
 
+void
+EventQueue::release(std::uint32_t slot)
+{
+    slots_[slot].seq = 0;
+    freeSlots_.push_back(slot);
+    --live_;
+}
+
 bool
 EventQueue::cancel(EventId &id)
 {
     if (!id.valid())
         return false;
-    const bool live = pending_.erase(id.seq) > 0;
+    const bool pending =
+        id.slot < slots_.size() && slots_[id.slot].seq == id.seq;
+    if (pending) {
+        slots_[id.slot].cb = nullptr;
+        release(id.slot);
+    }
     id.invalidate();
     // The heap entry stays behind as a tombstone; sweep when tombstones
     // dominate so cancel-heavy workloads stay O(1) amortized.
-    if (live && heap_.size() >= compactMinHeap_ &&
-        heap_.size() > 2 * pending_.size())
+    if (pending && heap_.size() >= compactMinHeap_ &&
+        heap_.size() > 2 * live_)
         compact();
-    return live;
+    return pending;
 }
 
 void
 EventQueue::purgeTop() const
 {
-    while (!heap_.empty() &&
-           pending_.find(heap_.front().key.seq) == pending_.end()) {
+    while (!heap_.empty() && !live(heap_.front())) {
         std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
         heap_.pop_back();
     }
@@ -53,16 +75,14 @@ EventQueue::purgeTop() const
 void
 EventQueue::compact()
 {
-    std::erase_if(heap_, [this](const Entry &e) {
-        return pending_.find(e.key.seq) == pending_.end();
-    });
+    std::erase_if(heap_, [this](const Entry &e) { return !live(e); });
     std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 
 Time
 EventQueue::nextTime() const
 {
-    panic_if(pending_.empty(), "nextTime() on empty event queue");
+    panic_if(live_ == 0, "nextTime() on empty event queue");
     purgeTop();
     return heap_.front().key.when;
 }
@@ -70,23 +90,24 @@ EventQueue::nextTime() const
 bool
 EventQueue::step()
 {
-    if (pending_.empty())
+    if (live_ == 0)
         return false;
     purgeTop();
     std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    Entry entry = std::move(heap_.back());
+    const Entry entry = heap_.back();
     heap_.pop_back();
-    pending_.erase(entry.key.seq);
+    Callback cb = std::move(slots_[entry.slot].cb);
+    release(entry.slot);
     now_ = entry.key.when;
     ++numExecuted_;
-    entry.cb();
+    cb();
     return true;
 }
 
 void
 EventQueue::run(Time until)
 {
-    while (!pending_.empty()) {
+    while (live_ != 0) {
         purgeTop();
         if (until >= 0.0 && heap_.front().key.when > until) {
             now_ = until;

@@ -6,12 +6,15 @@
  * std::function callbacks; scheduled events can be cancelled via the
  * EventId handle. Time is continuous (seconds, double).
  *
- * Storage is a binary min-heap with *lazy deletion*: cancel() only drops
- * the event's sequence number from the pending set (O(1)); the heap entry
- * becomes a tombstone that is discarded when it surfaces at the top, or
- * swept out when tombstones outnumber live events (see docs/PERFORMANCE.md,
- * "Event-queue lazy cancel"). Execution order is the same strict total order
- * as before — (when, seq) — so a heap rebuild never reorders live events.
+ * Each pending event owns one entry of a slot table, which holds its
+ * callback and its sequence number; free entries are reused, so the
+ * table never outgrows the heap. The binary min-heap holds only
+ * (time, sequence, slot) keys and uses *lazy deletion*: cancel() frees
+ * the event's slot (O(1)), and its heap key becomes a tombstone that is
+ * discarded when it surfaces at the top, or swept out when tombstones
+ * outnumber live events (see docs/PERFORMANCE.md, "Event-queue lazy
+ * cancel"). Execution order is the strict total order (when, seq), so a
+ * heap rebuild never reorders live events.
  */
 
 #ifndef TRAINBOX_SIM_EVENT_QUEUE_HH
@@ -19,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -27,10 +29,16 @@
 
 namespace tb {
 
-/** Handle identifying a scheduled event; usable for cancellation. */
+/**
+ * Handle identifying a scheduled event; usable for cancellation. The
+ * event is pending while its slot still holds its sequence number, so
+ * the handle of a fired or cancelled event finds nothing, even once a
+ * newer event reuses the slot.
+ */
 struct EventId
 {
-    std::uint64_t seq = 0;
+    std::uint64_t seq = 0;  ///< insertion order (1, 2, ...); 0 = none
+    std::uint32_t slot = 0; ///< the event's slot-table entry
 
     bool valid() const { return seq != 0; }
     void invalidate() { seq = 0; }
@@ -66,10 +74,10 @@ class EventQueue
     bool cancel(EventId &id);
 
     /** True when no live events remain (tombstones don't count). */
-    bool empty() const { return pending_.empty(); }
+    bool empty() const { return live_ == 0; }
 
     /** Number of pending (live) events. */
-    std::size_t size() const { return pending_.size(); }
+    std::size_t size() const { return live_; }
 
     /** Time of the next pending event; panics when empty. */
     Time nextTime() const;
@@ -113,10 +121,11 @@ class EventQueue
         }
     };
 
+    /** A heap key and the slot of the event it was scheduled for. */
     struct Entry
     {
         Key key;
-        Callback cb;
+        std::uint32_t slot;
     };
 
     /** Min-heap comparator (std heap primitives build a max-heap). */
@@ -128,6 +137,23 @@ class EventQueue
             return b.key < a.key;
         }
     };
+
+    /** A pending event's callback; seq is 0 while the slot is free. */
+    struct Slot
+    {
+        std::uint64_t seq = 0;
+        Callback cb;
+    };
+
+    /** Is @p e's event still pending (not fired or cancelled)? */
+    bool
+    live(const Entry &e) const
+    {
+        return slots_[e.slot].seq == e.key.seq;
+    }
+
+    /** Free @p slot for the next schedule(). */
+    void release(std::uint32_t slot);
 
     /** Drop cancelled entries sitting at the top of the heap. */
     void purgeTop() const;
@@ -146,7 +172,9 @@ class EventQueue
     // mutable so the const observers (nextTime) can discard tombstones;
     // purging never changes observable state.
     mutable std::vector<Entry> heap_;
-    std::unordered_set<std::uint64_t> pending_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+    std::size_t live_ = 0; ///< pending events
 };
 
 } // namespace tb

@@ -54,24 +54,6 @@ share(std::size_t n)
     return 1.0 / static_cast<double>(n);
 }
 
-/** A stage with no demands yet. */
-StageTemplate
-stage(std::string name, std::string category, unsigned hops = 0)
-{
-    StageTemplate st;
-    st.name = std::move(name);
-    st.category = std::move(category);
-    st.corruptionHops = hops;
-    return st;
-}
-
-/** One of Table I's stages (named after its category). */
-StageTemplate
-stage(PrepStage ps, unsigned hops = 0)
-{
-    return stage(stageCategory(ps), stageCategory(ps), hops);
-}
-
 /**
  * How a chain moves a sample between the SSDs, the formatting engines
  * and the accelerators (the paper's §IV steps).
@@ -138,6 +120,33 @@ struct Builder
         groupAccs.resize(nGroups);
         groupPreps.resize(nGroups);
         groupSsds.resize(nGroups);
+    }
+
+    /**
+     * A stage with no demands yet. Its name and category are interned
+     * here, so starting its flows looks nothing up.
+     */
+    StageTemplate
+    stage(std::string name, std::string category, unsigned hops = 0)
+    {
+        StageTemplate st;
+        st.stageId = s.stageId(name);
+        if (st.stageId == kNoStage) {
+            st.stageId = static_cast<std::uint32_t>(s.stageNames.size());
+            s.stageNames.push_back(name);
+        }
+        st.categoryId = s.core().fluid().internCategory(category);
+        st.name = std::move(name);
+        st.category = std::move(category);
+        st.corruptionHops = hops;
+        return st;
+    }
+
+    /** One of Table I's stages (named after its category). */
+    StageTemplate
+    stage(PrepStage ps, unsigned hops = 0)
+    {
+        return stage(stageCategory(ps), stageCategory(ps), hops);
     }
 
     double stageCpu(PrepStage st) const
@@ -723,6 +732,15 @@ void
 Server::settleAccounting()
 {
     core_.fluid().settleAccounting(resBegin_, resEnd_);
+}
+
+std::uint32_t
+Server::stageId(std::string_view name) const
+{
+    for (std::size_t i = 0; i < stageNames.size(); ++i)
+        if (stageNames[i] == name)
+            return static_cast<std::uint32_t>(i);
+    return kNoStage;
 }
 
 std::span<const std::unique_ptr<FluidResource>>

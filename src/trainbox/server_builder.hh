@@ -13,9 +13,11 @@
 #ifndef TRAINBOX_TRAINBOX_SERVER_BUILDER_HH
 #define TRAINBOX_TRAINBOX_SERVER_BUILDER_HH
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "devices/ethernet.hh"
@@ -33,6 +35,9 @@
 
 namespace tb {
 
+/** A stage id no server hands out (StageTemplate's default). */
+inline constexpr std::uint32_t kNoStage = ~std::uint32_t{0};
+
 /** One serial step of a batch's journey (per prep group). */
 struct StageTemplate
 {
@@ -41,6 +46,12 @@ struct StageTemplate
 
     /** Accounting category charged on every resource the stage touches. */
     std::string category;
+
+    /** category's id in the server's fluid network, interned at build. */
+    std::uint32_t categoryId = kNoCategory;
+
+    /** name's index in Server::stageNames, assigned at build. */
+    std::uint32_t stageId = kNoStage;
 
     /** Demands per sample (bytes, core-seconds, engine-samples...). */
     std::vector<FlowDemand> demandsPerSample;
@@ -66,10 +77,13 @@ struct StageTemplate
      */
     bool verifiesIntegrity = false;
 
-    /** The flow running this stage over @p size base units. */
+    /**
+     * The flow running this stage over @p size base units. It views the
+     * template's demands, which startFlow() copies.
+     */
     FlowSpec flow(double size, std::function<void(Time)> onComplete) const
     {
-        return {.category = category, .size = size, .rateCap = rateCap,
+        return {.category = categoryId, .size = size, .rateCap = rateCap,
                 .fairWeight = fairWeight, .demands = demandsPerSample,
                 .onComplete = std::move(onComplete)};
     }
@@ -205,6 +219,12 @@ class Server
     std::unique_ptr<PrepPool> pool;
 
     std::vector<PrepGroup> groups;
+
+    /** Every template's stage name, indexed by StageTemplate::stageId. */
+    std::vector<std::string> stageNames;
+
+    /** The id of stage @p name, or kNoStage when no template has it. */
+    std::uint32_t stageId(std::string_view name) const;
 
     /** Per-accelerator batch size actually used. */
     std::size_t batchSize() const { return cfg.effectiveBatchSize(); }

@@ -16,8 +16,14 @@ TrainingSession::TrainingSession(Server &server)
       net_(server.core().fluid())
 {
     groups_.resize(server_.groups.size());
-    for (std::size_t g = 0; g < groups_.size(); ++g)
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
         groups_[g].spec = &server_.groups[g];
+        groups_[g].offloadTrack = server_.groups[g].name + ".offload";
+    }
+    readStage_ = server_.stageId(
+        workload::stageCategory(workload::PrepStage::SsdRead));
+    stageTimeSum_.assign(server_.stageNames.size(), 0.0);
+    stageTimeCount_.assign(server_.stageNames.size(), 0);
 }
 
 bool
@@ -113,8 +119,9 @@ TrainingSession::forEachGroup(void (TrainingSession::*step)(std::size_t))
 // Every prep chain is a ChainRun in chains_, so an open fault window or a
 // membership change can cancel its current flow and re-dispatch it on
 // another template, and finalizeResult() can cancel it outright. A chain
-// steps through its template one flow per stage; each scheduled
-// continuation carries the chain's epoch, which a restart bumps.
+// steps through its template one flow per stage; each flow callback and
+// scheduled continuation holds the chain's handle, whose generation a
+// restart bumps.
 
 /**
  * Is the group's last prep FPGA out of service for *routing* purposes?
@@ -168,82 +175,146 @@ TrainingSession::effectiveOffload(std::size_t g) const
 void
 TrainingSession::launchChain(std::size_t g, bool offload, double samples)
 {
-    const std::uint64_t cid = nextChainId_++;
-    ChainRun &run = chains_[cid];
+    std::uint32_t slot;
+    if (!freeChains_.empty()) {
+        slot = freeChains_.back();
+        freeChains_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(chains_.size());
+        chains_.emplace_back();
+    }
+    ChainRun &run = chains_[slot];
+    const std::uint32_t gen = run.gen;
+    run = ChainRun{};
+    run.gen = gen;
+    run.live = true;
+    run.launch = nextLaunch_++;
     run.group = g;
     run.offload = offload;
     run.samples = samples;
     run.start = eq_.now();
-    run.track = groups_[g].spec->name + (offload ? ".offload" : "");
     run.stages = &selectStages(run);
-    startChainStage(cid, 0);
+    startChainStage({slot, gen}, 0);
+}
+
+/** The live chain @p id names, or nullptr once it went stale. */
+TrainingSession::ChainRun *
+TrainingSession::findChain(ChainId id)
+{
+    if (id.slot >= chains_.size())
+        return nullptr;
+    ChainRun &run = chains_[id.slot];
+    return run.live && run.gen == id.gen ? &run : nullptr;
+}
+
+TrainingSession::ChainId
+TrainingSession::chainId(const ChainRun &run) const
+{
+    return {static_cast<std::uint32_t>(&run - chains_.data()), run.gen};
 }
 
 void
-TrainingSession::startChainStage(std::uint64_t cid, std::size_t idx)
+TrainingSession::freeChain(ChainRun &run)
 {
-    auto cit = chains_.find(cid);
-    if (cit == chains_.end())
-        return;
-    ChainRun &run = cit->second;
-    const std::vector<StageTemplate> &stages = *run.stages;
-    if (idx >= stages.size()) {
-        const std::size_t g = run.group;
-        const double samples = run.samples;
-        const Time chain_start = run.start;
-        chains_.erase(cit);
-        onChainDone(g, samples, chain_start);
-        return;
-    }
-    const Time start = eq_.now();
-    const std::uint64_t epoch = run.epoch;
-    run.flow = net_.startFlow(stages[idx].flow(
-        run.samples, [this, cid, idx, start, epoch](Time now) {
-            auto it = chains_.find(cid);
-            if (it == chains_.end() || it->second.epoch != epoch)
-                return;
-            ChainRun &run = it->second;
-            run.flow = 0;
-            const StageTemplate &done = (*run.stages)[idx];
-            if (measuring()) {
-                stageTimeSum_[done.name] += now - start;
-                ++stageTimeCount_[done.name];
-            }
-            if (trace_)
-                trace_->complete(run.track, done.name, start, now - start,
-                                 "prep");
-            if (done.name == "ssd_read" && handleReadFailure(cid, run, idx))
-                return;
-            if ((done.corruptionHops != 0 || done.verifiesIntegrity) &&
-                handleCorruption(cid, run, idx))
-                return;
-            startChainStage(cid, idx + 1);
-        }));
+    run.live = false;
+    ++run.gen;
+    freeChains_.push_back(chainId(run).slot);
 }
 
 /**
- * Start stage @p idx of chain @p cid after @p delay, unless the chain is
+ * The live chains' slots in launch order. Handlers that touch many
+ * chains visit them in this order, because the flows they start or
+ * cancel must come in the same order on every run.
+ */
+std::vector<std::uint32_t>
+TrainingSession::chainsInLaunchOrder() const
+{
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t slot = 0; slot < chains_.size(); ++slot)
+        if (chains_[slot].live)
+            order.push_back(slot);
+    std::sort(order.begin(), order.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return chains_[a].launch < chains_[b].launch;
+              });
+    return order;
+}
+
+const std::string &
+TrainingSession::chainTrack(const ChainRun &run) const
+{
+    const GroupState &gs = groups_[run.group];
+    return run.offload ? gs.offloadTrack : gs.spec->name;
+}
+
+void
+TrainingSession::startChainStage(ChainId id, std::size_t idx)
+{
+    ChainRun *run = findChain(id);
+    if (run == nullptr)
+        return;
+    if (idx >= run->stages->size()) {
+        const std::size_t g = run->group;
+        const double samples = run->samples;
+        const Time chain_start = run->start;
+        freeChain(*run);
+        onChainDone(g, samples, chain_start);
+        return;
+    }
+    run->stage = idx;
+    run->stageStart = eq_.now();
+    run->flow = net_.startFlow((*run->stages)[idx].flow(
+        run->samples, [this, id](Time now) { onStageDone(id, now); }));
+}
+
+void
+TrainingSession::onStageDone(ChainId id, Time now)
+{
+    ChainRun *found = findChain(id);
+    if (found == nullptr)
+        return;
+    ChainRun &run = *found;
+    run.flow = 0;
+    const std::size_t idx = run.stage;
+    const StageTemplate &done = (*run.stages)[idx];
+    const Time start = run.stageStart;
+    if (measuring()) {
+        stageTimeSum_[done.stageId] += now - start;
+        ++stageTimeCount_[done.stageId];
+    }
+    if (trace_)
+        trace_->complete(chainTrack(run), done.name, start, now - start,
+                         "prep");
+    if (done.stageId == readStage_ && handleReadFailure(run, idx))
+        return;
+    if ((done.corruptionHops != 0 || done.verifiesIntegrity) &&
+        handleCorruption(run, idx))
+        return;
+    startChainStage(id, idx + 1);
+}
+
+/**
+ * Start stage @p idx of @p run after @p delay, unless the chain is
  * restarted or cancelled meanwhile.
  */
 void
-TrainingSession::resumeChainIn(Time delay, std::uint64_t cid,
-                               std::size_t idx)
+TrainingSession::resumeChainIn(Time delay, ChainRun &run, std::size_t idx)
 {
-    const std::uint64_t epoch = chains_.at(cid).epoch;
-    eq_.scheduleIn(delay, [this, cid, idx, epoch] {
-        auto it = chains_.find(cid);
-        if (it != chains_.end() && it->second.epoch == epoch)
-            startChainStage(cid, idx);
+    run.stage = idx;
+    const ChainId id = chainId(run);
+    eq_.scheduleIn(delay, [this, id] {
+        if (ChainRun *run = findChain(id))
+            startChainStage(id, run->stage);
     });
 }
 
 /**
- * Restart chain @p cid at stage 0 on a freshly selected template: cancel
- * its current flow, reset the per-chunk retry state, and bump its epoch
+ * Restart @p run at stage 0 on a freshly selected template: cancel its
+ * current flow, reset the per-chunk retry state, and bump its generation
  * so pending continuations go stale.
  */
 void
-TrainingSession::restartChain(std::uint64_t cid, ChainRun &run)
+TrainingSession::restartChain(ChainRun &run)
 {
     if (run.flow != 0) {
         net_.cancelFlow(run.flow);
@@ -253,22 +324,21 @@ TrainingSession::restartChain(std::uint64_t cid, ChainRun &run)
     run.readAttempts = 0;
     run.pendingCorruptions = 0;
     run.recoveries = 0;
-    ++run.epoch;
-    startChainStage(cid, 0);
+    ++run.gen;
+    startChainStage(chainId(run), 0);
 }
 
 /** Cancel the in-flight chains of group @p g (or of every group). */
 void
 TrainingSession::cancelChains(std::size_t g)
 {
-    for (auto it = chains_.begin(); it != chains_.end();) {
-        if (g != kAllGroups && it->second.group != g) {
-            ++it;
+    for (std::uint32_t slot : chainsInLaunchOrder()) {
+        ChainRun &run = chains_[slot];
+        if (g != kAllGroups && run.group != g)
             continue;
-        }
-        if (it->second.flow != 0)
-            net_.cancelFlow(it->second.flow);
-        it = chains_.erase(it);
+        if (run.flow != 0)
+            net_.cancelFlow(run.flow);
+        freeChain(run);
     }
 }
 
@@ -280,8 +350,7 @@ TrainingSession::cancelChains(std::size_t g)
  * restart once the retry budget is exhausted).
  */
 bool
-TrainingSession::handleReadFailure(std::uint64_t cid, ChainRun &run,
-                                   std::size_t idx)
+TrainingSession::handleReadFailure(ChainRun &run, std::size_t idx)
 {
     if (!fault_) // no injector: every read succeeds
         return false;
@@ -297,16 +366,16 @@ TrainingSession::handleReadFailure(std::uint64_t cid, ChainRun &run,
         ++run.readAttempts;
         ++faultStats_.ssdRetries;
         if (trace_)
-            trace_->instant(run.track, "read_retry", now, "fault");
-        resumeChainIn(backoff, cid, idx);
+            trace_->instant(chainTrack(run), "read_retry", now, "fault");
+        resumeChainIn(backoff, run, idx);
         return true;
     }
     // Retry budget exhausted: abandon the chunk and restart the chain on
     // fresh data (the dataset is sharded; another replica serves it).
     ++faultStats_.chunksAbandoned;
     if (trace_)
-        trace_->instant(run.track, "chunk_abandoned", now, "fault");
-    restartChain(cid, run);
+        trace_->instant(chainTrack(run), "chunk_abandoned", now, "fault");
+    restartChain(run);
     return true;
 }
 
@@ -323,7 +392,7 @@ TrainingSession::chainVerifiesFrom(const ChainRun &run, std::size_t idx)
 
 /**
  * Corruption draws + detection policy, run as stage @p idx of chain
- * @p cid completes. Each hop class tagged on the stage draws once:
+ * @p run completes. Each hop class tagged on the stage draws once:
  *
  *  - PCIe link errors are always detected by the link LCRC and cost a
  *    replay stall before the next stage starts;
@@ -340,8 +409,7 @@ TrainingSession::chainVerifiesFrom(const ChainRun &run, std::size_t idx)
  * or verify-triggered recovery).
  */
 bool
-TrainingSession::handleCorruption(std::uint64_t cid, ChainRun &run,
-                                  std::size_t idx)
+TrainingSession::handleCorruption(ChainRun &run, std::size_t idx)
 {
     if (!fault_) // no injector: nothing corrupts or needs re-reading
         return false;
@@ -361,8 +429,8 @@ TrainingSession::handleCorruption(std::uint64_t cid, ChainRun &run,
             ++integrityStats_.injected;
             ++integrityStats_.injectedByKind[k];
             if (trace_)
-                trace_->instant(run.track, corruptionKindName(kind), now,
-                                "fault");
+                trace_->instant(chainTrack(run), corruptionKindName(kind),
+                                now, "fault");
             switch (kind) {
               case CorruptionKind::PcieLinkError:
                 ++integrityStats_.detected;
@@ -395,22 +463,23 @@ TrainingSession::handleCorruption(std::uint64_t cid, ChainRun &run,
             ++run.recoveries;
             ++integrityStats_.recoveries;
             if (trace_)
-                trace_->instant(run.track, "integrity_recover", now,
+                trace_->instant(chainTrack(run), "integrity_recover", now,
                                 "fault");
-            resumeChainIn(backoff, cid, 0);
+            resumeChainIn(backoff, run, 0);
             return true;
         }
         // Recovery budget exhausted: quarantine the chunk and restart
         // the chain on fresh data (chunksAbandoned semantics).
         ++integrityStats_.chunksQuarantined;
         if (trace_)
-            trace_->instant(run.track, "chunk_quarantined", now, "fault");
-        restartChain(cid, run);
+            trace_->instant(chainTrack(run), "chunk_quarantined", now,
+                            "fault");
+        restartChain(run);
         return true;
     }
 
     if (replay > 0.0) {
-        resumeChainIn(replay, cid, idx + 1);
+        resumeChainIn(replay, run, idx + 1);
         return true;
     }
     return false;
@@ -421,10 +490,11 @@ TrainingSession::redispatchLocalChains(std::size_t g)
 {
     std::size_t redispatched = 0;
     FluidNetwork::FlowBatch batch(net_);
-    for (auto &[cid, run] : chains_) {
+    for (std::uint32_t slot : chainsInLaunchOrder()) {
+        ChainRun &run = chains_[slot];
         if (run.group != g || run.offload)
             continue;
-        restartChain(cid, run);
+        restartChain(run);
         ++redispatched;
     }
     return redispatched;
@@ -900,13 +970,15 @@ TrainingSession::tryStartCompute(std::size_t g)
             }
         }
     }
-    gs.computeEv = eq_.scheduleIn(duration, [this, g, start] {
-        groups_[g].computeEv.invalidate();
+    gs.computeStart = start;
+    gs.computeEv = eq_.scheduleIn(duration, [this, g] {
+        GroupState &gs = groups_[g];
+        gs.computeEv.invalidate();
         if (computeBusyCtr_ && measuring())
-            computeBusyCtr_->add(eq_.now() - start);
+            computeBusyCtr_->add(eq_.now() - gs.computeStart);
         if (trace_)
-            trace_->complete(groups_[g].spec->name, "compute", start,
-                             eq_.now() - start, "compute");
+            trace_->complete(gs.spec->name, "compute", gs.computeStart,
+                             eq_.now() - gs.computeStart, "compute");
         onComputeDone(g);
     });
     launchPrep(g);
@@ -988,8 +1060,8 @@ TrainingSession::onSyncDone()
         // Reset only this server's slice of the (possibly shared)
         // network: co-resident sessions own their measurement windows.
         server_.resetAccounting();
-        stageTimeSum_.clear();
-        stageTimeCount_.clear();
+        std::fill(stageTimeSum_.begin(), stageTimeSum_.end(), 0.0);
+        std::fill(stageTimeCount_.begin(), stageTimeCount_.end(), 0);
         prepLatencySum_ = 0.0;
         prepLatencyCount_ = 0;
     }
@@ -1190,9 +1262,10 @@ TrainingSession::finalizeResult(bool partial)
         }
     }
 
-    for (const auto &[name, sum] : stageTimeSum_)
-        res.prepStageTime[name] =
-            sum / static_cast<double>(stageTimeCount_[name]);
+    for (std::size_t i = 0; i < stageTimeCount_.size(); ++i)
+        if (stageTimeCount_[i] > 0)
+            res.prepStageTime[server_.stageNames[i]] =
+                stageTimeSum_[i] / static_cast<double>(stageTimeCount_[i]);
     if (prepLatencyCount_ > 0)
         res.prepLatency =
             prepLatencySum_ / static_cast<double>(prepLatencyCount_);

@@ -326,9 +326,11 @@ class TrainingSession
     struct GroupState
     {
         const PrepGroup *spec;
+        std::string offloadTrack;     ///< trace track of offload chains
         double readySamples = 0.0;    ///< prepared samples buffered
         double inFlightSamples = 0.0; ///< samples in running chains
         bool computing = false;
+        Time computeStart = 0.0;      ///< start of the running compute
         std::size_t stepsComputed = 0;
         bool prepDegraded = false; ///< its prep FPGA is currently down
         bool routeLost = false;    ///< its P2P route is currently down
@@ -343,22 +345,42 @@ class TrainingSession
         EventId joinEv{};              ///< pending rejoin completion
     };
 
-    /** One in-flight prep chain (chains_, keyed in launch order). */
+    /**
+     * Handle of a chain: its slot in chains_ and that slot's generation
+     * when the handle was made. 8 bytes, so a callback capturing it and
+     * `this` fits inside std::function without a heap allocation.
+     */
+    struct ChainId
+    {
+        std::uint32_t slot = 0;
+        std::uint32_t gen = 0;
+    };
+
+    /** One in-flight prep chain (a live slot of chains_). */
     struct ChainRun
     {
+        /**
+         * Bumped when the slot is freed and when the chain is
+         * re-dispatched, so older handles (and the continuations that
+         * hold them) go stale.
+         */
+        std::uint32_t gen = 0;
+        bool live = false;
+        std::uint64_t launch = 0; ///< launch order among the chains
+
         std::size_t group = 0;
         bool offload = false;
         double samples = 0.0;
         Time start = 0.0;
-        std::string track;
 
         /** Template in use; re-selected on every (re-)dispatch. */
         const std::vector<StageTemplate> *stages = nullptr;
 
+        /** Stage running, or to run when a pending resume fires. */
+        std::size_t stage = 0;
+        Time stageStart = 0.0;        ///< when the running stage started
         FlowId flow = 0;              ///< current stage's flow (0 = none)
         std::size_t readAttempts = 0; ///< failed reads of current chunk
-        std::uint64_t epoch = 0;      ///< bumped on re-dispatch; stales
-                                      ///< pending retry events
 
         /**
          * Silent flips riding the chunk that a downstream verify stage
@@ -384,9 +406,15 @@ class TrainingSession
 
     // --- prep chains (every chain the session runs is a ChainRun) ----
     void launchChain(std::size_t g, bool offload, double samples);
-    void startChainStage(std::uint64_t cid, std::size_t idx);
-    void resumeChainIn(Time delay, std::uint64_t cid, std::size_t idx);
-    void restartChain(std::uint64_t cid, ChainRun &run);
+    ChainRun *findChain(ChainId id);
+    ChainId chainId(const ChainRun &run) const;
+    void freeChain(ChainRun &run);
+    std::vector<std::uint32_t> chainsInLaunchOrder() const;
+    const std::string &chainTrack(const ChainRun &run) const;
+    void startChainStage(ChainId id, std::size_t idx);
+    void onStageDone(ChainId id, Time now);
+    void resumeChainIn(Time delay, ChainRun &run, std::size_t idx);
+    void restartChain(ChainRun &run);
     static constexpr std::size_t kAllGroups = static_cast<std::size_t>(-1);
     void cancelChains(std::size_t g = kAllGroups);
 
@@ -413,8 +441,8 @@ class TrainingSession
     void onRepair(const FaultEvent &ev);
     void onFatalCrash(const FaultEvent &ev);
     void onCheckpointResume();
-    bool handleReadFailure(std::uint64_t cid, ChainRun &run, std::size_t idx);
-    bool handleCorruption(std::uint64_t cid, ChainRun &run, std::size_t idx);
+    bool handleReadFailure(ChainRun &run, std::size_t idx);
+    bool handleCorruption(ChainRun &run, std::size_t idx);
     static bool chainVerifiesFrom(const ChainRun &run, std::size_t idx);
 
     /**
@@ -455,8 +483,12 @@ class TrainingSession
     bool pausedForCkpt_ = false; ///< compute held for a capture
     bool down_ = false;          ///< machine restarting after a crash
     EventId syncEv_{};           ///< pending sync completion
-    std::map<std::uint64_t, ChainRun> chains_;
-    std::uint64_t nextChainId_ = 1;
+    /** Chain storage; free slots are recycled (see freeChains_). */
+    std::vector<ChainRun> chains_;
+    std::vector<std::uint32_t> freeChains_;
+    std::uint64_t nextLaunch_ = 0;
+    /** Stage id of the SSD read, whose completion may fail a read. */
+    std::uint32_t readStage_ = kNoStage;
     SessionResult::FaultStats faultStats_;
     SessionResult::IntegrityStats integrityStats_;
     std::size_t activeFaultWindows_ = 0;
@@ -501,9 +533,9 @@ class TrainingSession
     SessionResult result_;
     std::function<void()> doneCb_;
 
-    // measurement accumulators
-    std::map<std::string, Time> stageTimeSum_;
-    std::map<std::string, std::size_t> stageTimeCount_;
+    // measurement accumulators, indexed by StageTemplate::stageId
+    std::vector<Time> stageTimeSum_;
+    std::vector<std::size_t> stageTimeCount_;
     Time prepLatencySum_ = 0.0;
     std::size_t prepLatencyCount_ = 0;
 };

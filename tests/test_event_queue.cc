@@ -182,6 +182,32 @@ TEST(EventQueue, NextTimeSkipsCancelledTop)
     EXPECT_DOUBLE_EQ(eq.nextTime(), 3.0);
 }
 
+TEST(EventQueue, StaleIdAfterSlotReuseCancelsNothing)
+{
+    EventQueue eq;
+    int fired = 0;
+    // A fired event's slot goes to the next schedule.
+    EventId first = eq.schedule(1.0, [&fired] { fired += 1; });
+    ASSERT_TRUE(eq.step());
+    EventId second = eq.schedule(2.0, [&fired] { fired += 10; });
+    ASSERT_EQ(second.slot, first.slot);
+    EXPECT_FALSE(eq.cancel(first));
+    EXPECT_EQ(eq.size(), 1u);
+
+    // So does a cancelled event's.
+    const EventId cancelled = second;
+    EXPECT_TRUE(eq.cancel(second));
+    EventId third = eq.schedule(3.0, [&fired] { fired += 100; });
+    ASSERT_EQ(third.slot, cancelled.slot);
+    EventId stale = cancelled;
+    EXPECT_FALSE(eq.cancel(stale));
+    EXPECT_EQ(eq.size(), 1u);
+
+    eq.run();
+    EXPECT_EQ(fired, 101);
+    EXPECT_DOUBLE_EQ(eq.now(), 3.0);
+}
+
 TEST(EventQueueDeath, SchedulingInThePastPanics)
 {
     EventQueue eq;

@@ -23,9 +23,10 @@ TEST_F(FluidTest, SingleFlowRunsAtCapacity)
     FluidResource *link = net.addResource("link", 100.0);
     double done_at = -1.0;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 500.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done_at = t; };
     net.startFlow(std::move(spec));
     eq.run();
@@ -39,9 +40,10 @@ TEST_F(FluidTest, TwoEqualFlowsShareFairly)
     std::vector<double> done;
     for (int i = 0; i < 2; ++i) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = 100.0;
-        spec.demands = {{link, 1.0}};
+        const std::vector<FlowDemand> demands{{link, 1.0}};
+        spec.demands = demands;
         spec.onComplete = [&](Time t) { done.push_back(t); };
         net.startFlow(std::move(spec));
     }
@@ -57,16 +59,18 @@ TEST_F(FluidTest, ShortFlowReleasesBandwidth)
     FluidResource *link = net.addResource("link", 100.0);
     double long_done = -1.0, short_done = -1.0;
     FlowSpec long_flow;
-    long_flow.category = "long";
+    long_flow.category = net.internCategory("long");
     long_flow.size = 150.0;
-    long_flow.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> long_demands{{link, 1.0}};
+    long_flow.demands = long_demands;
     long_flow.onComplete = [&](Time t) { long_done = t; };
     net.startFlow(std::move(long_flow));
 
     FlowSpec short_flow;
-    short_flow.category = "short";
+    short_flow.category = net.internCategory("short");
     short_flow.size = 50.0;
-    short_flow.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> short_demands{{link, 1.0}};
+    short_flow.demands = short_demands;
     short_flow.onComplete = [&](Time t) { short_done = t; };
     net.startFlow(std::move(short_flow));
 
@@ -82,10 +86,11 @@ TEST_F(FluidTest, RateCapLimitsFlow)
     FluidResource *link = net.addResource("link", 100.0);
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
     spec.rateCap = 20.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.run();
@@ -97,17 +102,19 @@ TEST_F(FluidTest, CappedFlowLeavesBandwidthToOthers)
     FluidResource *link = net.addResource("link", 100.0);
     double capped_done = -1.0, open_done = -1.0;
     FlowSpec capped;
-    capped.category = "capped";
+    capped.category = net.internCategory("capped");
     capped.size = 100.0;
     capped.rateCap = 25.0;
-    capped.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> capped_demands{{link, 1.0}};
+    capped.demands = capped_demands;
     capped.onComplete = [&](Time t) { capped_done = t; };
     net.startFlow(std::move(capped));
 
     FlowSpec open;
-    open.category = "open";
+    open.category = net.internCategory("open");
     open.size = 150.0;
-    open.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> open_demands{{link, 1.0}};
+    open.demands = open_demands;
     open.onComplete = [&](Time t) { open_done = t; };
     net.startFlow(std::move(open));
 
@@ -123,9 +130,10 @@ TEST_F(FluidTest, WeightedDemandConsumesProportionally)
     FluidResource *link = net.addResource("link", 100.0);
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 10.0; // base units (e.g., samples)
-    spec.demands = {{link, 20.0}}; // 20 bytes per sample
+    const std::vector<FlowDemand> demands{{link, 20.0}}; // 20 bytes per sample
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.run();
@@ -140,9 +148,10 @@ TEST_F(FluidTest, MultiResourceFlowLimitedByTightest)
     FluidResource *slow = net.addResource("slow", 10.0);
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
-    spec.demands = {{fast, 1.0}, {slow, 1.0}};
+    const std::vector<FlowDemand> demands{{fast, 1.0}, {slow, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.run();
@@ -161,9 +170,9 @@ TEST_F(FluidTest, MaxMinFairnessAcrossTwoLinks)
 
     auto start = [&](std::vector<FlowDemand> demands) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = 1e9; // effectively infinite
-        spec.demands = std::move(demands);
+        spec.demands = demands;
         return net.startFlow(std::move(spec));
     };
     const FlowId a = start({{l1, 1.0}});
@@ -180,10 +189,11 @@ TEST_F(FluidTest, FairWeightSplitsProportionally)
     FluidResource *link = net.addResource("link", 90.0);
     auto start = [&](double weight) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = 1e9;
         spec.fairWeight = weight;
-        spec.demands = {{link, 1.0}};
+        const std::vector<FlowDemand> demands{{link, 1.0}};
+        spec.demands = demands;
         return net.startFlow(std::move(spec));
     };
     const FlowId light = start(1.0);
@@ -197,9 +207,10 @@ TEST_F(FluidTest, PerCategoryAccounting)
     FluidResource *link = net.addResource("link", 100.0);
     for (const char *cat : {"a", "b"}) {
         FlowSpec spec;
-        spec.category = cat;
+        spec.category = net.internCategory(cat);
         spec.size = 100.0;
-        spec.demands = {{link, 1.0}};
+        const std::vector<FlowDemand> demands{{link, 1.0}};
+        spec.demands = demands;
         net.startFlow(std::move(spec));
     }
     eq.run();
@@ -213,9 +224,10 @@ TEST_F(FluidTest, UtilizationWindow)
 {
     FluidResource *link = net.addResource("link", 100.0);
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     net.startFlow(std::move(spec));
     eq.run();
     // Busy 1 s; idle until t=2.
@@ -232,9 +244,10 @@ TEST_F(FluidTest, ZeroSizeFlowCompletesImmediately)
     FluidResource *link = net.addResource("link", 100.0);
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 0.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.run();
@@ -246,9 +259,10 @@ TEST_F(FluidTest, CancelSuppressesCompletion)
     FluidResource *link = net.addResource("link", 100.0);
     bool fired = false;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [&](Time) { fired = true; };
     const FlowId id = net.startFlow(std::move(spec));
     eq.schedule(0.5, [&] { net.cancelFlow(id); });
@@ -262,9 +276,10 @@ TEST_F(FluidTest, FlowRemainingTracksProgress)
 {
     FluidResource *link = net.addResource("link", 100.0);
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     const FlowId id = net.startFlow(std::move(spec));
     double remaining_at_half = -1.0;
     eq.schedule(0.5, [&] { remaining_at_half = net.flowRemaining(id); });
@@ -278,9 +293,10 @@ TEST_F(FluidTest, CapacityChangeTakesEffect)
     FluidResource *link = net.addResource("link", 100.0);
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.schedule(0.5, [&] {
@@ -300,9 +316,10 @@ TEST_F(FluidTest, ZeroCapacityParksFlowUntilRestored)
     FluidResource *link = net.addResource("link", 100.0);
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     const FlowId id = net.startFlow(std::move(spec));
 
@@ -337,9 +354,10 @@ TEST_F(FluidTest, ZeroCapacityNewFlowWaitsForCapacity)
 
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 50.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     const FlowId id = net.startFlow(std::move(spec));
     EXPECT_DOUBLE_EQ(net.flowRate(id), 0.0);
@@ -366,9 +384,10 @@ TEST_F(FluidTest, ManyFlowsAggregateCapacity)
     int completed = 0;
     for (int i = 0; i < 10; ++i) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = 10.0;
-        spec.demands = {{link, 1.0}};
+        const std::vector<FlowDemand> demands{{link, 1.0}};
+        spec.demands = demands;
         spec.onComplete = [&](Time) { ++completed; };
         net.startFlow(std::move(spec));
     }
@@ -450,9 +469,10 @@ TEST_F(FluidTest, ChainedFlowsViaCompletions)
     double final_done = -1.0;
     std::function<void(int)> stage = [&](int idx) {
         FlowSpec spec;
-        spec.category = "stage" + std::to_string(idx);
+        spec.category = net.internCategory("stage" + std::to_string(idx));
         spec.size = 100.0;
-        spec.demands = {{link, 1.0}};
+        const std::vector<FlowDemand> demands{{link, 1.0}};
+        spec.demands = demands;
         spec.onComplete = [&, idx](Time t) {
             if (idx == 2)
                 final_done = t;
@@ -466,12 +486,61 @@ TEST_F(FluidTest, ChainedFlowsViaCompletions)
     EXPECT_DOUBLE_EQ(final_done, 3.0);
 }
 
+TEST_F(FluidTest, StaleHandleAfterSlotReuseIsInert)
+{
+    FluidResource *link = net.addResource("link", 100.0);
+    const std::uint32_t cat = net.internCategory("x");
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    auto start = [&](double size, std::function<void(Time)> done) {
+        FlowSpec spec;
+        spec.category = cat;
+        spec.size = size;
+        spec.demands = demands;
+        spec.onComplete = std::move(done);
+        return net.startFlow(std::move(spec));
+    };
+    const auto slot = [](FlowId id) {
+        return id & ((FlowId{1} << FluidNetwork::kSlotBits) - 1);
+    };
+    // The old handle must find nothing, and touching it must leave the
+    // flow now in its slot as it was.
+    const auto expectInert = [&](FlowId stale) {
+        EXPECT_EQ(net.flowRate(stale), 0.0);
+        EXPECT_EQ(net.flowRemaining(stale), 0.0);
+        net.cancelFlow(stale);
+        EXPECT_EQ(net.numActive(), 1u);
+    };
+
+    // A cancelled flow's slot goes to the next start.
+    const FlowId cancelled = start(100.0, nullptr);
+    net.cancelFlow(cancelled);
+    double second_done = -1.0;
+    const FlowId second = start(100.0, [&](Time t) { second_done = t; });
+    ASSERT_EQ(slot(second), slot(cancelled));
+    EXPECT_LT(cancelled, second); // handles compare in start order
+    expectInert(cancelled);
+    EXPECT_DOUBLE_EQ(net.flowRate(second), 100.0);
+    EXPECT_DOUBLE_EQ(net.flowRemaining(second), 100.0);
+    eq.run();
+    EXPECT_DOUBLE_EQ(second_done, 1.0);
+
+    // So does a finished flow's.
+    double third_done = -1.0;
+    const FlowId third = start(50.0, [&](Time t) { third_done = t; });
+    ASSERT_EQ(slot(third), slot(second));
+    expectInert(second);
+    EXPECT_DOUBLE_EQ(net.flowRate(third), 100.0);
+    eq.run();
+    EXPECT_DOUBLE_EQ(third_done, 1.5);
+    EXPECT_EQ(net.numActive(), 0u);
+}
+
 TEST(FluidDeath, UnconstrainedFlowPanics)
 {
     EventQueue eq;
     FluidNetwork net(eq);
     FlowSpec spec;
-    spec.category = "bad";
+    spec.category = net.internCategory("bad");
     spec.size = 1.0;
     EXPECT_DEATH(net.startFlow(std::move(spec)), "neither demands");
 }
@@ -485,9 +554,10 @@ TEST(FluidDeath, FlowRateInsideBatchPanics)
     FluidResource *link = net.addResource("l", 10.0);
     auto start = [&](double size, std::function<void(Time)> done) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = size;
-        spec.demands = {{link, 1.0}};
+        const std::vector<FlowDemand> demands{{link, 1.0}};
+        spec.demands = demands;
         spec.onComplete = std::move(done);
         return net.startFlow(std::move(spec));
     };
@@ -512,9 +582,10 @@ TEST(FluidDeath, NegativeWeightPanics)
     FluidNetwork net(eq);
     FluidResource *link = net.addResource("l", 1.0);
     FlowSpec spec;
-    spec.category = "bad";
+    spec.category = net.internCategory("bad");
     spec.size = 1.0;
-    spec.demands = {{link, -1.0}};
+    const std::vector<FlowDemand> demands{{link, -1.0}};
+    spec.demands = demands;
     EXPECT_DEATH(net.startFlow(std::move(spec)), "weight");
 }
 

@@ -178,12 +178,14 @@ replay(const Script &s, const RunConfig &cfg)
     std::function<void(std::size_t)> launch = [&](std::size_t i) {
         const ScriptStart &start = s.starts[i];
         FlowSpec spec;
-        spec.category = "cat" + std::to_string(i % 5);
+        spec.category = net.internCategory("cat" + std::to_string(i % 5));
         spec.size = start.size;
         spec.rateCap = start.cap;
         spec.fairWeight = start.fairWeight;
+        std::vector<FlowDemand> demands;
         for (const auto &d : start.demands)
-            spec.demands.push_back({res[d.res], d.weight});
+            demands.push_back({res[d.res], d.weight});
+        spec.demands = demands;
         spec.onComplete = [&, i](Time now) {
             trace.completionTimes.push_back(now);
             trace.completionIdx.push_back(i);
@@ -294,12 +296,13 @@ TEST(FluidIncremental, BatchedGroupLaunchMatchesSequential)
         auto launchAll = [&] {
             for (int i = 0; i < 6; ++i) {
                 FlowSpec spec;
-                spec.category = "g";
+                spec.category = net.internCategory("g");
                 spec.size = 100.0 + i;
                 spec.fairWeight = 1.0 + 0.25 * i;
-                spec.demands = {{a, 1.0}};
+                std::vector<FlowDemand> demands{{a, 1.0}};
                 if (i % 2)
-                    spec.demands.push_back({b, 0.5});
+                    demands.push_back({b, 0.5});
+                spec.demands = demands;
                 ids.push_back(net.startFlow(std::move(spec)));
             }
         };
@@ -331,9 +334,10 @@ TEST(FluidIncremental, CleanComponentsAreSkipped)
 
     auto start = [&](FluidResource *r, double size) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = size;
-        spec.demands = {{r, 1.0}};
+        const std::vector<FlowDemand> demands{{r, 1.0}};
+        spec.demands = demands;
         return net.startFlow(std::move(spec));
     };
 
@@ -361,15 +365,17 @@ TEST(FluidIncremental, TargetedCapacityChangeResolvesOneComponent)
     FluidResource *b = net.addResource("b", 100.0);
 
     FlowSpec fa;
-    fa.category = "x";
+    fa.category = net.internCategory("x");
     fa.size = 1000.0;
-    fa.demands = {{a, 1.0}};
+    const std::vector<FlowDemand> fa_demands{{a, 1.0}};
+    fa.demands = fa_demands;
     const FlowId flowA = net.startFlow(std::move(fa));
 
     FlowSpec fb;
-    fb.category = "x";
+    fb.category = net.internCategory("x");
     fb.size = 1000.0;
-    fb.demands = {{b, 1.0}};
+    const std::vector<FlowDemand> fb_demands{{b, 1.0}};
+    fb.demands = fb_demands;
     const FlowId flowB = net.startFlow(std::move(fb));
 
     const auto before = net.solverStats();
@@ -392,9 +398,10 @@ TEST(FluidIncremental, FullResolveModeStillSolvesEverything)
 
     auto start = [&](FluidResource *r) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = 500.0;
-        spec.demands = {{r, 1.0}};
+        const std::vector<FlowDemand> demands{{r, 1.0}};
+        spec.demands = demands;
         return net.startFlow(std::move(spec));
     };
     start(a);
@@ -418,9 +425,10 @@ expectMutationsTouchOneComponent(Mode mode)
     std::vector<std::vector<FlowId>> flows(kComponents);
     auto start = [&](std::size_t c, double size) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = size;
-        spec.demands = {{links[c], 1.0}};
+        const std::vector<FlowDemand> demands{{links[c], 1.0}};
+        spec.demands = demands;
         flows[c].push_back(net.startFlow(std::move(spec)));
     };
     for (std::size_t c = 0; c < kComponents; ++c) {
@@ -489,9 +497,10 @@ TEST(FluidIncremental, FinishTieAcrossComponentsCompletesInOneEvent)
         FluidResource *r = net.addResource(
             "r" + std::to_string(net.resources().size()), capacity);
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = size;
-        spec.demands = {{r, 1.0}};
+        const std::vector<FlowDemand> demands{{r, 1.0}};
+        spec.demands = demands;
         spec.onComplete = [&done](Time t) { done.push_back(t); };
         net.startFlow(std::move(spec));
     };
@@ -522,9 +531,10 @@ TEST(FluidIncremental, CompletionChainsSolveOncePerEvent)
     FluidResource *link = net.addResource("link", 100.0);
     auto start = [&](double size, std::function<void(Time)> done) {
         FlowSpec spec;
-        spec.category = "x";
+        spec.category = net.internCategory("x");
         spec.size = size;
-        spec.demands = {{link, 1.0}};
+        const std::vector<FlowDemand> demands{{link, 1.0}};
+        spec.demands = demands;
         spec.onComplete = std::move(done);
         return net.startFlow(std::move(spec));
     };

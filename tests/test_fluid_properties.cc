@@ -69,7 +69,7 @@ startRandomFlow(Scenario &s, Rng &rng,
 
     const std::size_t idx = s.flows.size();
     FlowSpec spec;
-    spec.category = "flow" + std::to_string(idx);
+    spec.category = s.net.internCategory("flow" + std::to_string(idx));
     spec.size = info.size;
     spec.rateCap = info.rateCap;
     spec.fairWeight = info.fairWeight;

@@ -234,6 +234,7 @@ struct TierRig
         StageTemplate write;
         write.name = "ingest_write";
         write.category = "ingest_write";
+        write.categoryId = net.internCategory(write.category);
         write.demandsPerSample = {{net.addResource("disk", diskRate), 1.0}};
         tier = std::make_unique<IngestTier>(
             eq, net, cfg, std::vector<StageTemplate>{write}, nullptr,

@@ -29,9 +29,10 @@ TEST_F(MemsysTest, HostMemoryIsABandwidthServer)
 
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "copy";
+    spec.category = net.internCategory("copy");
     spec.size = 239e9; // one second of traffic
-    spec.demands = {mem.demand(1.0)};
+    const std::vector<FlowDemand> demands{mem.demand(1.0)};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.run();
@@ -48,10 +49,11 @@ TEST_F(MemsysTest, CpuPoolParallelismCap)
 
     double done = -1.0;
     FlowSpec spec;
-    spec.category = "prep";
+    spec.category = net.internCategory("prep");
     spec.size = 8000.0; // samples
     spec.rateCap = CpuPool::parallelismCap(4.0, 1e-3);
-    spec.demands = {cpu.demand(1e-3)};
+    const std::vector<FlowDemand> demands{cpu.demand(1e-3)};
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.run();
@@ -66,9 +68,10 @@ TEST_F(MemsysTest, CpuPoolSharedByManyTasks)
     int completed = 0;
     for (int i = 0; i < 16; ++i) {
         FlowSpec spec;
-        spec.category = "prep";
+        spec.category = net.internCategory("prep");
         spec.size = 1000.0;
-        spec.demands = {cpu.demand(1e-3)};
+        const std::vector<FlowDemand> demands{cpu.demand(1e-3)};
+        spec.demands = demands;
         spec.onComplete = [&](Time) { ++completed; };
         net.startFlow(std::move(spec));
     }
@@ -107,9 +110,10 @@ TEST_F(DevicesTest, SsdReadLimitedByFlashNotLink)
     ds.add(ssd.readDemand(1.0).resource, 1.0);
     topo.addHostRoute(ds, ssd.node(), false, 1.0);
     FlowSpec spec;
-    spec.category = "read";
+    spec.category = net.internCategory("read");
     spec.size = NvmeSsd::defaultReadBandwidth; // 1 s at flash speed
-    spec.demands = ds.build();
+    const std::vector<FlowDemand> demands = ds.build();
+    spec.demands = demands;
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.run();

@@ -147,10 +147,11 @@ TEST_F(FluidMetricsTest, UtilizationHistoryIsExact)
     // Rate-capped at half capacity: utilization is exactly 0.5 for the
     // flow's 10-second lifetime.
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 500.0;
     spec.rateCap = 50.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [](Time) {};
     net.startFlow(std::move(spec));
     eq.run();
@@ -178,9 +179,10 @@ TEST_F(FluidMetricsTest, SaturatedResourceIsDetected)
     FluidResource *link = net.addResource("link", 100.0);
 
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 300.0; // uncapped: runs at full capacity for 3 s
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [](Time) {};
     net.startFlow(std::move(spec));
     eq.run();
@@ -211,10 +213,11 @@ TEST_F(FluidMetricsTest, ReattachMidFlowKeepsTheWholeHistory)
     FluidResource *link = net.addResource("link", 100.0);
 
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 500.0;
     spec.rateCap = 50.0; // utilization 0.5 for 10 s
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [](Time) {};
     net.startFlow(std::move(spec));
     eq.run(4.0);
@@ -233,9 +236,10 @@ TEST_F(FluidMetricsTest, DisabledRegistryLeavesNetworkUninstrumented)
     FluidResource *link = net.addResource("link", 100.0);
 
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [](Time) {};
     net.startFlow(std::move(spec));
     eq.run();
@@ -256,9 +260,10 @@ TEST_F(FluidMetricsTest, ResetAccountingRestartsHistories)
     FluidResource *link = net.addResource("link", 100.0);
 
     FlowSpec spec;
-    spec.category = "x";
+    spec.category = net.internCategory("x");
     spec.size = 100.0;
-    spec.demands = {{link, 1.0}};
+    const std::vector<FlowDemand> demands{{link, 1.0}};
+    spec.demands = demands;
     spec.onComplete = [](Time) {};
     net.startFlow(std::move(spec));
     eq.run();
