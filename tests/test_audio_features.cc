@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.hh"
 #include "prep/audio/audio_ops.hh"
 #include "prep/audio/mel.hh"
 #include "prep/audio/stft.hh"
@@ -71,6 +72,42 @@ TEST(Stft, SilenceIsZero)
     const Spectrogram spec = stft(silence);
     for (double p : spec.power)
         EXPECT_DOUBLE_EQ(p, 0.0);
+}
+
+std::uint32_t
+powerDigest(const Spectrogram &spec)
+{
+    const std::size_t head[2] = {spec.frames, spec.bins};
+    return crc32c(spec.power.data(), spec.power.size() * sizeof(double),
+                  crc32c(head, sizeof head));
+}
+
+// Pinned from the FFT that rebuilt its twiddles per butterfly block
+// and multiplied through std::complex: every FFT size from 1 to 1024,
+// windows shorter than the FFT (zero padding) and equal to it.
+TEST(Stft, PowerMatchesItsPins)
+{
+    Rng rng(4401);
+    WaveGenConfig wcfg;
+    wcfg.durationSec = 0.5;
+    const std::vector<double> wave = generateUtterance(wcfg, rng);
+    const struct
+    {
+        StftConfig cfg;
+        std::uint32_t digest;
+    } cases[] = {
+        {{400, 160, 512}, 0x6d36c054}, {{256, 100, 256}, 0xcef5298a},
+        {{1000, 333, 1024}, 0x1b1a9455}, {{100, 37, 128}, 0x1896a1a5},
+        {{50, 20, 64}, 0x1d7c286b},     {{32, 11, 32}, 0xf9bbe46e},
+        {{9, 5, 16}, 0x203b9f20},       {{8, 3, 8}, 0x053b65ec},
+        {{3, 2, 4}, 0x907c125f},        {{2, 1, 2}, 0xf76d70f4},
+        {{1, 1, 1}, 0xf3796c9f},
+    };
+    for (const auto &c : cases) {
+        const std::uint32_t got = powerDigest(stft(wave, c.cfg));
+        EXPECT_EQ(got, c.digest) << "fft " << c.cfg.fftSize << ": 0x"
+                                 << std::hex << got;
+    }
 }
 
 TEST(Mel, HzMelRoundTrip)
@@ -312,6 +349,22 @@ TEST(AudioPipeline, EndToEndShape)
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.features.frames, 694u);
     EXPECT_EQ(out.features.bins, 80u);
+}
+
+// The whole chain, as a prep worker runs it, on two utterances.
+TEST(AudioPipeline, PreparedFeaturesMatchTheirPin)
+{
+    Rng rng(4402);
+    const prep::AudioPrepPipeline pipe;
+    std::uint32_t crc = 0;
+    for (int i = 0; i < 2; ++i) {
+        const auto wave = generateUtterance(WaveGenConfig{}, rng);
+        const prep::PreparedAudio out = pipe.prepare(wave, rng);
+        ASSERT_TRUE(out.ok) << out.error;
+        crc = crc32c(out.features.power.data(),
+                     out.features.power.size() * sizeof(double), crc);
+    }
+    EXPECT_EQ(crc, 0x1d72e697u) << "0x" << std::hex << crc;
 }
 
 TEST(AudioPipeline, TooShortSignalFails)

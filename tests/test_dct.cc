@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +90,69 @@ TEST(Dct, HorizontalCosineHitsSingleCoefficient)
             else
                 EXPECT_NEAR(coeff[v * 8 + u], 0.0f, 1e-3);
         }
+}
+
+/**
+ * The inverse DCT as first written, the oracle for the fast one: each
+ * output is one sum, started from 0 and taken over the term index in
+ * ascending order, and each term is (alpha * coefficient) * cosine.
+ */
+void
+textbookInverseDct(const float in[64], float out[64])
+{
+    float cosTab[8][8];
+    float alpha[8];
+    for (int u = 0; u < 8; ++u) {
+        alpha[u] = u == 0 ? std::sqrt(1.0f / 8.0f) : std::sqrt(2.0f / 8.0f);
+        for (int x = 0; x < 8; ++x)
+            cosTab[u][x] = std::cos((2.0f * x + 1.0f) * u *
+                                    static_cast<float>(M_PI) / 16.0f);
+    }
+    float tmp[64];
+    for (int u = 0; u < 8; ++u) {
+        for (int y = 0; y < 8; ++y) {
+            float acc = 0.0f;
+            for (int v = 0; v < 8; ++v)
+                acc += alpha[v] * in[v * 8 + u] * cosTab[v][y];
+            tmp[y * 8 + u] = acc;
+        }
+    }
+    for (int y = 0; y < 8; ++y) {
+        for (int x = 0; x < 8; ++x) {
+            float acc = 0.0f;
+            for (int u = 0; u < 8; ++u)
+                acc += alpha[u] * tmp[y * 8 + u] * cosTab[u][x];
+            out[y * 8 + x] = acc;
+        }
+    }
+}
+
+// Bit for bit, signed zeros included: blocks as the decoder builds
+// them (quantized integers, mostly zero), dense random floats, and
+// an all-zero block.
+TEST(Dct, InverseMatchesTextbookSumsBitwise)
+{
+    Rng rng(4501);
+    for (int trial = 0; trial < 3000; ++trial) {
+        float in[64] = {};
+        if (trial % 3 == 0) {
+            const int nonzero = static_cast<int>(rng.uniformInt(0, 64));
+            for (int i = 0; i < nonzero; ++i)
+                in[rng.uniformInt(0, 63)] = static_cast<float>(
+                    rng.uniformInt(-2047, 2047) * rng.uniformInt(1, 255));
+        } else if (trial % 3 == 1) {
+            for (auto &v : in)
+                v = static_cast<float>(rng.uniform(-1024.0, 1024.0));
+        } else if (trial > 2) {
+            for (auto &v : in)
+                v = static_cast<float>(rng.gaussian() * 1e-3);
+        }
+        float want[64], got[64];
+        textbookInverseDct(in, want);
+        inverseDct8x8(in, got);
+        ASSERT_EQ(std::memcmp(want, got, sizeof want), 0) << "trial "
+                                                          << trial;
+    }
 }
 
 TEST(ZigZag, IsAPermutation)

@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +124,69 @@ TEST(Fft, RealInputHasConjugateSymmetry)
     for (std::size_t k = 1; k < n / 2; ++k) {
         ASSERT_NEAR(spec[k].real(), spec[n - k].real(), 1e-9);
         ASSERT_NEAR(spec[k].imag(), -spec[n - k].imag(), 1e-9);
+    }
+}
+
+/**
+ * The FFT as first written, the oracle for the fast one: each
+ * butterfly block rebuilds its twiddles by repeated multiplication,
+ * and every product goes through std::complex.
+ */
+void
+perBlockTwiddleFft(std::vector<Complex> &a, bool inverse)
+{
+    const std::size_t n = a.size();
+    for (std::size_t i = 1, j = 0; i < n; ++i) {
+        std::size_t bit = n >> 1;
+        for (; j & bit; bit >>= 1)
+            j ^= bit;
+        j ^= bit;
+        if (i < j)
+            std::swap(a[i], a[j]);
+    }
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+        const double angle =
+            2.0 * M_PI / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
+        const Complex wlen(std::cos(angle), std::sin(angle));
+        for (std::size_t i = 0; i < n; i += len) {
+            Complex w(1.0, 0.0);
+            for (std::size_t k = 0; k < len / 2; ++k) {
+                const Complex u = a[i + k];
+                const Complex v = a[i + k + len / 2] * w;
+                a[i + k] = u + v;
+                a[i + k + len / 2] = u - v;
+                w *= wlen;
+            }
+        }
+    }
+    if (inverse)
+        for (auto &x : a)
+            x /= static_cast<double>(n);
+}
+
+// Bit for bit on every size from 1 to 4096, forward and inverse, on
+// complex input and on zero-padded real input as stft() passes it.
+TEST(Fft, MatchesPerBlockTwiddleFftBitwise)
+{
+    for (std::size_t n = 1; n <= 4096; n *= 2) {
+        Rng rng(4600 + n);
+        std::vector<Complex> complexIn(n), realIn(n, Complex(0.0, 0.0));
+        for (auto &c : complexIn)
+            c = {rng.gaussian() * 100.0, rng.uniform(-1.0, 1.0)};
+        for (std::size_t i = 0; i < n - n / 4; ++i)
+            realIn[i] = Complex(rng.uniform(-1.0, 1.0), 0.0);
+        for (const auto *data : {&complexIn, &realIn}) {
+            for (bool inverse : {false, true}) {
+                std::vector<Complex> want = *data, got = *data;
+                perBlockTwiddleFft(want, inverse);
+                inverse ? ifft(got) : fft(got);
+                ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                      n * sizeof(Complex)),
+                          0)
+                    << "n " << n << (inverse ? " inverse" : " forward")
+                    << (data == &realIn ? " real" : " complex");
+            }
+        }
     }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.hh"
 #include "common/random.hh"
 #include "prep/jpeg/jpeg_decoder.hh"
 #include "prep/jpeg/jpeg_encoder.hh"
@@ -219,6 +220,111 @@ TEST(Jpeg, FuzzRandomCorruptionNeverCrashes)
             EXPECT_GT(dec.image.width, 0);
             EXPECT_GT(dec.image.height, 0);
         }
+    }
+}
+
+/** CRC32C over a decode's verdict, shape, error text and pixels. */
+std::uint32_t
+decodeDigest(const DecodeResult &d)
+{
+    const int head[4] = {d.ok ? 1 : 0, d.image.width, d.image.height,
+                         d.image.channels};
+    std::uint32_t crc = crc32c(head, sizeof head);
+    crc = crc32c(d.error.data(), d.error.size(), crc);
+    return crc32c(d.image.pixels.data(), d.image.pixels.size(), crc);
+}
+
+/** One seeded encode and the digest of its decode. */
+struct PinCase
+{
+    int width, height, channels, quality, restartInterval;
+    std::uint32_t digest;
+};
+
+/** The case's encoded synthetic image; 1 channel keeps the first. */
+std::vector<std::uint8_t>
+pinJpeg(const PinCase &c, Rng &rng)
+{
+    const Image rgb = prep::makeSyntheticImage(c.width, c.height, rng);
+    EncoderOptions opts;
+    opts.quality = c.quality;
+    opts.restartInterval = c.restartInterval;
+    if (c.channels == 3)
+        return encodeJpeg(rgb, opts);
+    Image gray(c.width, c.height, 1);
+    for (std::size_t i = 0; i < gray.pixels.size(); ++i)
+        gray.pixels[i] = rgb.pixels[3 * i];
+    return encodeJpeg(gray, opts);
+}
+
+// The digests were taken from the textbook decoder (one IDCT output at
+// a time, per-pixel Image::at, std::lround), so any change to the
+// decoder's arithmetic or rounding fails here.
+TEST(JpegPins, DecodesMatchTheirPins)
+{
+    const PinCase cases[] = {
+        // RGB, 4:2:0: odd sizes, qualities from 1 (every quantizer
+        // 255) to 100 (every quantizer 1), restart intervals.
+        {256, 256, 3, 85, 0, 0xe9622d14},
+        {224, 200, 3, 75, 0, 0xed12f817},
+        {37, 23, 3, 50, 0, 0x1fbdd5fe},
+        {255, 33, 3, 95, 0, 0xa4792337},
+        {17, 16, 3, 30, 0, 0x08befe50},
+        {1, 1, 3, 85, 0, 0x0994429c},
+        {64, 128, 3, 100, 0, 0x7d168a8b},
+        {40, 24, 3, 1, 0, 0xd515ed74},
+        {96, 96, 3, 85, 3, 0x71c81e41},
+        {61, 45, 3, 70, 7, 0x46cc453d},
+        // Grayscale.
+        {64, 48, 1, 85, 0, 0x4cf57ad3},
+        {33, 17, 1, 100, 0, 0xe364134c},
+        {80, 72, 1, 60, 1, 0xb9a304d5},
+        {47, 39, 1, 90, 4, 0xaa86ea7a},
+    };
+    Rng rng(4101);
+    for (const PinCase &c : cases) {
+        const DecodeResult d = decodeJpeg(pinJpeg(c, rng));
+        EXPECT_TRUE(d.ok) << d.error;
+        const std::uint32_t got = decodeDigest(d);
+        EXPECT_EQ(got, c.digest)
+            << c.width << "x" << c.height << "x" << c.channels << " q"
+            << c.quality << " rst" << c.restartInterval << ": 0x"
+            << std::hex << got;
+    }
+}
+
+// Seeded corruptions of three streams: each trial overwrites one to
+// eight bytes, and the digest folds every trial's verdict, error text
+// and pixels, so a changed outcome on any corrupt input fails here.
+TEST(JpegPins, CorruptDecodesMatchTheirPins)
+{
+    const PinCase bases[] = {
+        {48, 48, 3, 85, 0, 0x0bca6330},
+        {40, 32, 3, 100, 2, 0x32a8138c},
+        {32, 24, 1, 75, 1, 0x7ca91fe0},
+    };
+    const int okPins[] = {207, 149, 100};
+    Rng rng(4102);
+    for (std::size_t b = 0; b < std::size(bases); ++b) {
+        const PinCase &c = bases[b];
+        const std::vector<std::uint8_t> base = pinJpeg(c, rng);
+        std::uint32_t crc = 0;
+        int ok = 0;
+        for (int trial = 0; trial < 300; ++trial) {
+            auto bytes = base;
+            const int writes = static_cast<int>(rng.uniformInt(1, 8));
+            for (int i = 0; i < writes; ++i)
+                bytes[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(bytes.size()) - 1))] =
+                    static_cast<std::uint8_t>(rng());
+            const DecodeResult d = decodeJpeg(bytes);
+            ok += d.ok;
+            const std::uint32_t one = decodeDigest(d);
+            crc = crc32c(&one, sizeof one, crc);
+        }
+        EXPECT_EQ(ok, okPins[b]) << "base " << b;
+        EXPECT_EQ(crc, c.digest) << "base " << b << ": 0x" << std::hex
+                                 << crc;
     }
 }
 
