@@ -22,6 +22,27 @@ clamp(T v, T lo, T hi)
     return std::min(std::max(v, lo), hi);
 }
 
+/**
+ * Round @p v half away from zero into a byte, saturating: the value of
+ * `clamp(static_cast<int>(std::lround(v)), 0, 255)` wherever lround's
+ * result fits an int, without the libm call.
+ *
+ * On [0.5, 254.5) the sum v + 0.5 is exact or rounds onto a
+ * non-integer, so truncating it rounds v. Below 0.5 the test is on v,
+ * not on the sum: 0.5 - 2^-54 plus 0.5 rounds up to 1. From 254.5 up
+ * the sum is at least 255, so the min saturates it, +inf included; so
+ * does |v| >= 2^31, which lround's long wrapped through int. NaN gives
+ * 0. A float converts to double exactly, so it rounds as lroundf does.
+ */
+inline std::uint8_t
+roundToByte(double v)
+{
+    if (!(v >= 0.5))
+        return 0;
+    return static_cast<std::uint8_t>(
+        static_cast<int>(std::min(v + 0.5, 255.0)));
+}
+
 /** True when |a - b| <= tol * max(1, |a|, |b|). */
 inline bool
 approxEqual(double a, double b, double tol = 1e-9)

@@ -26,18 +26,32 @@ fftCore(std::vector<Complex> &a, bool inverse)
             std::swap(a[i], a[j]);
     }
 
+    // Stage len's twiddles are w_k = wlen^k, built by the recurrence
+    // w *= wlen from 1; every block of the stage uses the same ones, so
+    // each stage builds them once.
+    std::vector<Complex> twiddle(n / 2);
     for (std::size_t len = 2; len <= n; len <<= 1) {
+        const std::size_t half = len / 2;
         const double angle =
             2.0 * M_PI / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
         const Complex wlen(std::cos(angle), std::sin(angle));
+        Complex w(1.0, 0.0);
+        for (std::size_t k = 0; k < half; ++k) {
+            twiddle[k] = w;
+            w *= wlen;
+        }
         for (std::size_t i = 0; i < n; i += len) {
-            Complex w(1.0, 0.0);
-            for (std::size_t k = 0; k < len / 2; ++k) {
-                const Complex u = a[i + k];
-                const Complex v = a[i + k + len / 2] * w;
-                a[i + k] = u + v;
-                a[i + k + len / 2] = u - v;
-                w *= wlen;
+            Complex *lo = &a[i];
+            Complex *hi = &a[i + half];
+            for (std::size_t k = 0; k < half; ++k) {
+                // hi[k] * twiddle[k], written out: for finite operands
+                // std::complex's product is exactly (ac - bd, ad + bc).
+                const double c = twiddle[k].real(), d = twiddle[k].imag();
+                const Complex v(hi[k].real() * c - hi[k].imag() * d,
+                                hi[k].real() * d + hi[k].imag() * c);
+                const Complex u = lo[k];
+                lo[k] = u + v;
+                hi[k] = u - v;
             }
         }
     }

@@ -17,7 +17,17 @@ namespace audio {
 
 using Complex = std::complex<double>;
 
-/** In-place radix-2 FFT. Size must be a power of two; fatal() otherwise. */
+/**
+ * In-place radix-2 FFT. Size must be a power of two; fatal() otherwise.
+ *
+ * Each butterfly multiplies by its twiddle as (ac - bd, ad + bc),
+ * written out. For finite operands that is exactly std::complex's
+ * product; std::complex differs only where both parts come out NaN,
+ * when it recomputes to recover infinities. So the output is the
+ * std::complex FFT's, bit for bit, for finite input, which is all
+ * stft() gets: the audio chain screens out non-finite and out-of-range
+ * samples first (prep/pipeline.cc).
+ */
 void fft(std::vector<Complex> &data);
 
 /** In-place inverse FFT (scaled by 1/N). */

@@ -23,7 +23,7 @@ struct Image
     Image() = default;
     Image(int w, int h, int c);
 
-    /** Pixel accessors (bounds-checked in debug via panic). */
+    /** Pixel accessors; an out-of-range access panics in every build. */
     std::uint8_t at(int x, int y, int c) const;
     std::uint8_t &at(int x, int y, int c);
 

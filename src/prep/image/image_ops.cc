@@ -68,11 +68,8 @@ Image
 addGaussianNoise(const Image &src, double stddev, Rng &rng)
 {
     Image out = src;
-    for (auto &p : out.pixels) {
-        const double v = p + rng.gaussian(0.0, stddev);
-        p = static_cast<std::uint8_t>(
-            clamp(static_cast<int>(std::lround(v)), 0, 255));
-    }
+    for (auto &p : out.pixels)
+        p = roundToByte(p + rng.gaussian(0.0, stddev));
     return out;
 }
 
@@ -100,10 +97,7 @@ resizeBilinear(const Image &src, int w, int h)
                                    wx * src.at(x1, y0, c);
                 const double bot = (1.0 - wx) * src.at(x0, y1, c) +
                                    wx * src.at(x1, y1, c);
-                out.at(x, y, c) = static_cast<std::uint8_t>(clamp(
-                    static_cast<int>(
-                        std::lround((1.0 - wy) * top + wy * bot)),
-                    0, 255));
+                out.at(x, y, c) = roundToByte((1.0 - wy) * top + wy * bot);
             }
         }
     }

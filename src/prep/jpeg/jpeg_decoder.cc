@@ -1,7 +1,6 @@
 #include "prep/jpeg/jpeg_decoder.hh"
 
 #include <array>
-#include <cmath>
 #include <map>
 #include <memory>
 
@@ -23,6 +22,16 @@ namespace {
  */
 constexpr std::uint64_t kMaxPixels = 1ull << 26;
 
+/**
+ * Largest magnitude of a quantized DC coefficient. At 8-bit precision
+ * T.81's DC difference categories stop at 11 bits (Table F.1), because
+ * a coefficient lies in [-1024, 1023] (libjpeg's MAX_COEF_BITS = 10)
+ * and the difference of two spans 11 bits. The bound here is the
+ * 11-bit one, so every conforming stream passes, and it keeps the
+ * dequantizing product (|pred| * 255 < 2^20) far inside an int.
+ */
+constexpr int kMaxDcCoefficient = 2047;
+
 /** EXTEND: map magnitude bits back to a signed value (T.81 F.2.2.1). */
 int
 extend(int v, int cat)
@@ -41,6 +50,10 @@ struct ComponentState
     int planeW = 0, planeH = 0;
     std::vector<float> plane;
     int pred = 0;
+    /** The scan's tables, looked up once per scan. */
+    const std::array<std::uint16_t, 64> *quant = nullptr;
+    const HuffmanDecoder *dc = nullptr;
+    const HuffmanDecoder *ac = nullptr;
 };
 
 struct DecoderState
@@ -221,10 +234,16 @@ decodeScan(DecoderState &st)
         c.planeH = mcus_y * c.v * 8;
         c.plane.assign(static_cast<std::size_t>(c.planeW) * c.planeH,
                        0.0f);
-        if (!st.quant.count(c.quantTable))
+        const auto quant = st.quant.find(c.quantTable);
+        if (quant == st.quant.end())
             return st.fail("missing quant table");
-        if (!st.dcTables.count(c.dcTable) || !st.acTables.count(c.acTable))
+        const auto dc = st.dcTables.find(c.dcTable);
+        const auto ac = st.acTables.find(c.acTable);
+        if (dc == st.dcTables.end() || ac == st.acTables.end())
             return st.fail("missing huffman table");
+        c.quant = &quant->second;
+        c.dc = dc->second.get();
+        c.ac = ac->second.get();
     }
 
     auto reader = std::make_unique<BitReader>(st.data + st.pos,
@@ -253,9 +272,9 @@ decodeScan(DecoderState &st)
                 mcus_since_restart = 0;
             }
             for (auto &c : st.comps) {
-                const auto &quant = st.quant[c.quantTable];
-                const HuffmanDecoder &dc = *st.dcTables[c.dcTable];
-                const HuffmanDecoder &ac = *st.acTables[c.acTable];
+                const auto &quant = *c.quant;
+                const HuffmanDecoder &dc = *c.dc;
+                const HuffmanDecoder &ac = *c.ac;
                 for (int by = 0; by < c.v; ++by) {
                     for (int bx = 0; bx < c.h; ++bx) {
                         // --- Huffman-decode one block ---
@@ -267,6 +286,10 @@ decodeScan(DecoderState &st)
                         if (dc_cat > 0 && dc_bits < 0)
                             return st.fail("truncated DC bits");
                         c.pred += extend(dc_bits, dc_cat);
+                        if (c.pred < -kMaxDcCoefficient ||
+                            c.pred > kMaxDcCoefficient)
+                            return st.fail("DC coefficient outside the "
+                                           "baseline range");
                         coeff[0] = static_cast<float>(c.pred * quant[0]);
                         int k = 1;
                         while (k < 64) {
@@ -317,54 +340,52 @@ decodeScan(DecoderState &st)
 }
 
 Image
-assembleImage(DecoderState &st)
+assembleImage(const DecoderState &st)
 {
     const int nc = static_cast<int>(st.comps.size());
     Image img(st.width, st.height, nc);
+    std::uint8_t *out = img.pixels.data();
+    if (nc == 1) {
+        const auto &c = st.comps[0];
+        for (int y = 0; y < st.height; ++y) {
+            const float *row =
+                c.plane.data() + static_cast<std::size_t>(y) * c.planeW;
+            for (int x = 0; x < st.width; ++x)
+                *out++ = roundToByte(row[x]);
+        }
+        return img;
+    }
+    // YCbCr -> RGB with (nearest) upsampling. Every component is
+    // indexed through its own sampling factors: planes only cover
+    // width * h / hmax samples, so a plane subsampled relative to
+    // another (legal per the syntax, luma included) must not be read
+    // at full resolution. Factors are 1 or 2, so x * h / hmax is x, or
+    // x / 2 for a plane subsampled against the frame.
     int hmax = 1, vmax = 1;
     for (const auto &c : st.comps) {
         hmax = std::max(hmax, c.h);
         vmax = std::max(vmax, c.v);
     }
-    if (nc == 1) {
-        const auto &c = st.comps[0];
-        for (int y = 0; y < st.height; ++y)
-            for (int x = 0; x < st.width; ++x)
-                img.at(x, y, 0) = static_cast<std::uint8_t>(clamp(
-                    static_cast<int>(std::lround(
-                        c.plane[static_cast<std::size_t>(y) * c.planeW +
-                                x])),
-                    0, 255));
-        return img;
-    }
-    // YCbCr -> RGB with (nearest) upsampling. Every component is
-    // indexed through its own sampling factors: planes only cover
-    // width * h / hmax samples, so a luma plane subsampled relative to
-    // chroma (legal per the syntax) must not be read at full resolution.
     const auto &cy = st.comps[0];
     const auto &cb = st.comps[1];
     const auto &cr = st.comps[2];
+    const auto row = [&](const ComponentState &c, int y) {
+        return c.plane.data() +
+               static_cast<std::size_t>(c.v < vmax ? y / 2 : y) * c.planeW;
+    };
+    const int yShift = cy.h < hmax, bShift = cb.h < hmax,
+              rShift = cr.h < hmax;
     for (int y = 0; y < st.height; ++y) {
+        const float *yRow = row(cy, y);
+        const float *bRow = row(cb, y);
+        const float *rRow = row(cr, y);
         for (int x = 0; x < st.width; ++x) {
-            const int yx = x * cy.h / hmax;
-            const int yy = y * cy.v / vmax;
-            const float Y =
-                cy.plane[static_cast<std::size_t>(yy) * cy.planeW + yx];
-            const int bx = x * cb.h / hmax;
-            const int by = y * cb.v / vmax;
-            const float Cb =
-                cb.plane[static_cast<std::size_t>(by) * cb.planeW + bx] -
-                128.0f;
-            const float Cr =
-                cr.plane[static_cast<std::size_t>(by) * cr.planeW + bx] -
-                128.0f;
-            auto to8 = [](float v) {
-                return static_cast<std::uint8_t>(
-                    clamp(static_cast<int>(std::lround(v)), 0, 255));
-            };
-            img.at(x, y, 0) = to8(Y + 1.402f * Cr);
-            img.at(x, y, 1) = to8(Y - 0.344136f * Cb - 0.714136f * Cr);
-            img.at(x, y, 2) = to8(Y + 1.772f * Cb);
+            const float Y = yRow[x >> yShift];
+            const float Cb = bRow[x >> bShift] - 128.0f;
+            const float Cr = rRow[x >> rShift] - 128.0f;
+            *out++ = roundToByte(Y + 1.402f * Cr);
+            *out++ = roundToByte(Y - 0.344136f * Cb - 0.714136f * Cr);
+            *out++ = roundToByte(Y + 1.772f * Cb);
         }
     }
     return img;

@@ -92,8 +92,7 @@ makeSyntheticImage(int width, int height, Rng &rng)
                                       (v - b.cy) * (v - b.cy);
                     val += b.amp * std::exp(-d2 / (b.r * b.r));
                 }
-                img.at(x, y, c) = static_cast<std::uint8_t>(
-                    clamp(static_cast<int>(std::lround(val)), 0, 255));
+                img.at(x, y, c) = roundToByte(val);
             }
         }
     }

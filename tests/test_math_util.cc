@@ -3,6 +3,10 @@
  * Tests for the numeric helpers.
  */
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/math_util.hh"
@@ -16,6 +20,70 @@ TEST(MathUtil, Clamp)
     EXPECT_EQ(clamp(-1, 0, 10), 0);
     EXPECT_EQ(clamp(11, 0, 10), 10);
     EXPECT_DOUBLE_EQ(clamp(0.5, 0.0, 1.0), 0.5);
+}
+
+/** The expression roundToByte replaced, where lround's value fits an int. */
+int
+lroundByte(double v)
+{
+    return clamp(static_cast<int>(std::lround(v)), 0, 255);
+}
+
+// Every float in [0.5, 254.5), about 75M values, against lroundf: on
+// this range the helper's v + 0.5 must never round onto an integer.
+TEST(MathUtil, RoundToByteMatchesLroundOnEveryFloatInRange)
+{
+    std::uint32_t lo, hi;
+    const float loF = 0.5f, hiF = 254.5f;
+    std::memcpy(&lo, &loF, sizeof lo);
+    std::memcpy(&hi, &hiF, sizeof hi);
+    std::uint64_t mismatches = 0;
+    float first = 0.0f;
+    for (std::uint32_t bits = lo; bits < hi; ++bits) {
+        float f;
+        std::memcpy(&f, &bits, sizeof f);
+        const int want = clamp(static_cast<int>(std::lround(f)), 0, 255);
+        if (roundToByte(f) != want && mismatches++ == 0)
+            first = f;
+    }
+    EXPECT_EQ(hi - lo, 75399168u);
+    EXPECT_EQ(mismatches, 0u) << "first at " << first;
+}
+
+// Doubles within 4 ulps of every rounding boundary k + 0.5, from -0.5
+// to 255.5, and of the ends of the range.
+TEST(MathUtil, RoundToByteMatchesLroundAroundEveryHalf)
+{
+    std::vector<double> centers = {0.0, 0.5, 254.5, 255.0};
+    for (int k = -1; k <= 255; ++k)
+        centers.push_back(k + 0.5);
+    for (double c : centers) {
+        double v = c;
+        for (int i = 0; i < 4; ++i)
+            v = std::nextafter(v, -1e9);
+        for (int i = 0; i <= 8; ++i, v = std::nextafter(v, 1e9))
+            ASSERT_EQ(roundToByte(v), lroundByte(v)) << std::hexfloat << v;
+    }
+}
+
+// Where lround's long does not fit an int, or lround has no value, the
+// helper saturates: toward 255 for +inf and huge values, 0 for -inf,
+// huge negatives and NaN. The old expression wrapped 2^32 + 5 to 5 and
+// took +inf to 0.
+TEST(MathUtil, RoundToByteSaturatesOutsideInt)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(roundToByte(0.0), 0);
+    EXPECT_EQ(roundToByte(-0.0), 0);
+    EXPECT_EQ(roundToByte(std::numeric_limits<double>::quiet_NaN()), 0);
+    EXPECT_EQ(roundToByte(inf), 255);
+    EXPECT_EQ(roundToByte(-inf), 0);
+    EXPECT_EQ(roundToByte(std::ldexp(1.0, 31)), 255);
+    EXPECT_EQ(roundToByte(std::ldexp(1.0, 32) + 5.0), 255);
+    EXPECT_EQ(roundToByte(-std::ldexp(1.0, 32) - 5.0), 0);
+    EXPECT_EQ(roundToByte(1e300), 255);
+    EXPECT_EQ(roundToByte(-1e300), 0);
+    EXPECT_EQ(roundToByte(std::numeric_limits<float>::max()), 255);
 }
 
 TEST(MathUtil, ApproxEqual)
