@@ -3,14 +3,16 @@
  * Checkpoint sweep: interval tuning and drain contention
  * (docs/ROBUSTNESS.md, "Checkpoint & restore").
  *
- * Two experiments:
+ * Two experiments, whose claims ctest checks
+ * (YoungDaly.SimulatedOptimumNearAnalytic and
+ * CheckpointContention.ClusteringShieldsPrepFromDrains):
  *
  *  1. Young–Daly validation — a 32-accelerator TrainBox training VGG-19
  *     under Poisson fatal crashes (MTBF 100 s), sync checkpointing
  *     swept across intervals. The simulated efficiency (useful time /
- *     wall time, averaged over independent crash schedules) must peak
- *     within 20% of the analytic optimum W* = sqrt(2 C M), where C is
- *     the measured crash-free checkpoint cost.
+ *     wall time, averaged over independent crash schedules) peaks
+ *     near the analytic optimum W* = sqrt(2 C M), where C is the
+ *     measured crash-free checkpoint cost.
  *
  *  2. Drain contention by architecture — async checkpointing with a
  *     negligible snapshot pause, so any throughput loss is the
@@ -123,9 +125,8 @@ main(int argc, char **argv)
     const double deviation =
         std::fabs(best_interval - analytic) / analytic;
     std::printf("\nsimulated optimum %.2f s vs analytic %.2f s "
-                "-> deviation %.0f%% [%s]\n",
-                best_interval, analytic, 100.0 * deviation,
-                deviation <= 0.20 ? "PASS" : "FAIL");
+                "-> deviation %.0f%%\n",
+                best_interval, analytic, 100.0 * deviation);
 
     // --- 2. Drain contention by architecture -------------------------
     bench::banner(
@@ -170,11 +171,7 @@ main(int argc, char **argv)
     }
     bench::emit(t2, csv);
 
-    std::printf("\nBaseline penalty %.2f%%, clustered penalty %.2f%% "
-                "[%s]\n",
-                100.0 * base_penalty, 100.0 * clustered_penalty,
-                base_penalty > 0.0 && clustered_penalty < base_penalty
-                    ? "PASS"
-                    : "FAIL");
+    std::printf("\nBaseline penalty %.2f%%, clustered penalty %.2f%%\n",
+                100.0 * base_penalty, 100.0 * clustered_penalty);
     return 0;
 }

@@ -345,8 +345,8 @@ class FluidNetwork
      * per-component progressive filling, and a re-solve of a clean
      * component reproduces its rates bitwise (so it rebases nothing),
      * which makes the two bit-identical — FullResolve exists as the
-     * reference baseline for equivalence tests and for perf
-     * comparisons in bench/sim_perf.
+     * reference for the equivalence tests, whose whole-run pins also
+     * count each mode's solver work.
      */
     enum class SolverMode
     {

@@ -4,12 +4,14 @@
  * bit-identical to a build without the subsystem, the enabled path must
  * show the modeled costs (sync pause > async pause, nonzero prep
  * contention on central presets), crash rollback must be deterministic,
- * and the Young–Daly helpers must match their closed forms.
+ * the Young–Daly helpers must match their closed forms, and a simulated
+ * interval sweep must peak near the first-order optimum.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "trainbox/checkpoint.hh"
 #include "trainbox/report.hh"
@@ -304,6 +306,47 @@ TEST(YoungDaly, EfficiencyModelPeaksAtOptimum)
     // Degenerate inputs clamp to zero.
     EXPECT_DOUBLE_EQ(checkpointEfficiencyModel(0.0, c, m, r), 0.0);
     EXPECT_DOUBLE_EQ(checkpointEfficiencyModel(w, c, 0.0, r), 0.0);
+}
+
+TEST(YoungDaly, SimulatedOptimumNearAnalytic)
+{
+    // bench/checkpoint_sweep's first table: VGG-19 on a 32-accelerator
+    // TrainBox under Poisson fatal crashes (MTBF 100 s, 5 s restart),
+    // sync checkpoints at nine intervals around sqrt(2CM), each run
+    // over eight crash schedules of 2,000 steps. C is the checkpoint
+    // cost of a crash-free run. The interval with the best mean
+    // efficiency must lie within 20 % of sqrt(2CM).
+    constexpr Time kMtbf = 100.0;
+    constexpr std::uint64_t kSeeds = 8;
+    ServerConfig cfg = vggConfig(ArchPreset::TrainBox);
+    cfg.checkpoint.enabled = true;
+    cfg.checkpoint.mode = CheckpointMode::Sync;
+    cfg.checkpoint.interval = 5.0;
+    cfg.checkpoint.restartLatency = 5.0;
+    const Time cost = runSession(cfg, 4, 200).checkpoint.avgCost;
+    ASSERT_GT(cost, 0.0);
+    const Time analytic = youngDalyInterval(cost, kMtbf);
+
+    cfg.faults.enabled = true;
+    cfg.faults.fatalCrash.ratePerSec = 1.0 / kMtbf;
+    Time best = 0.0;
+    double bestEfficiency = -1.0;
+    for (double f : {0.25, 0.35, 0.5, 0.71, 1.0, 1.41, 2.0, 2.83, 4.0}) {
+        cfg.checkpoint.interval = f * analytic;
+        double sum = 0.0;
+        for (std::uint64_t s = 0; s < kSeeds; ++s) {
+            cfg.faults.seed = 0x59440000u + s;
+            const SessionResult res = runSession(cfg, 4, 2000);
+            sum += SessionReport::computeEfficiency(res.checkpoint,
+                                                    res.wallTime);
+        }
+        const double efficiency = sum / kSeeds;
+        if (efficiency > bestEfficiency) {
+            bestEfficiency = efficiency;
+            best = cfg.checkpoint.interval;
+        }
+    }
+    EXPECT_NEAR(best, analytic, 0.20 * analytic);
 }
 
 } // namespace

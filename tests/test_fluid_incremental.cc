@@ -13,18 +13,28 @@
  * chain does. The same harness pins metrics-on/off and
  * FlowBatch-vs-unbatched bit-identity.
  * The O(touched) tests check that a mutation rebases and re-keys only
- * the flows of the component it changes.
+ * the flows of the component it changes. The whole-run tests take the
+ * same equivalence to a session, a fleet of sessions and a churn of
+ * disjoint components, and pin each mode's solver work exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
 #include "fluid/fluid.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
+#include "trainbox/fleet.hh"
+#include "trainbox/report.hh"
+#include "trainbox/server_builder.hh"
+#include "trainbox/training_session.hh"
+#include "workload/model_zoo.hh"
 
 namespace tb {
 namespace {
@@ -567,6 +577,170 @@ TEST(FluidIncremental, CompletionChainsSolveOncePerEvent)
     ASSERT_TRUE(eq.step());
     EXPECT_DOUBLE_EQ(eq.now(), 5.0);
     EXPECT_DOUBLE_EQ(peerRateAfter, 20.0);
+}
+
+// --- whole runs under both modes -----------------------------------------
+
+/** What one whole run leaves behind. */
+struct WholeRun
+{
+    double metric = 0.0; ///< the run's result, equal in both modes
+    std::uint64_t events = 0;
+    std::string json; ///< the full report, where the run has one
+    std::uint64_t components = 0; ///< components solved
+    std::uint64_t flows = 0;      ///< flows solved
+};
+
+/** A TrainBox Resnet-50 session at 64 accelerators, runReport(1, 2). */
+WholeRun
+runSession(Mode mode)
+{
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.model = workload::ModelId::Resnet50;
+    cfg.numAccelerators = 64;
+    auto server = buildServer(cfg);
+    server->core().fluid().setSolverMode(mode);
+    TrainingSession session(*server);
+    const SessionReport report = session.runReport(1, 2);
+    const auto &work = server->core().fluid().solverStats();
+    return {report.throughput(), server->core().events().numExecuted(),
+            report.toJson(), work.componentsSolved, work.flowsSolved};
+}
+
+/** Four co-resident TrainBox jobs, vision and audio in turn, run(1, 2). */
+WholeRun
+runFleet(Mode mode)
+{
+    FleetConfig cfg;
+    for (std::size_t j = 0; j < 4; ++j) {
+        const bool audio = j % 2 == 1;
+        cfg.hosts.push_back({"host" + std::to_string(j), 2});
+        FleetJobSpec job;
+        job.name = (audio ? "audio" : "vision") + std::to_string(j);
+        job.arrival = 0.01 * static_cast<double>(j);
+        job.config.preset = ArchPreset::TrainBox;
+        job.config.model =
+            audio ? workload::ModelId::TfSr : workload::ModelId::Resnet50;
+        job.config.numAccelerators = 16;
+        job.config.prepPoolFpgas = 4;
+        job.warmupSteps = 1;
+        job.measureSteps = 2;
+        cfg.jobs.push_back(job);
+    }
+    FleetSimulation fleet(std::move(cfg));
+    fleet.core().fluid().setSolverMode(mode);
+    const FleetReport report = fleet.run();
+    const auto &work = fleet.core().fluid().solverStats();
+    return {report.aggregateThroughput, report.eventsExecuted,
+            report.toJson(), work.componentsSolved, work.flowsSolved};
+}
+
+/**
+ * 250 jobs of two private resources each, with randomized capacities,
+ * flow counts, sizes and rate caps: 250 disjoint components. Every
+ * completion starts a replacement flow in its job, so each event
+ * changes one component. The run counts the 2,000 events after the
+ * initial batch, and the simulated end time is its result.
+ */
+WholeRun
+runChurn(Mode mode)
+{
+    constexpr std::size_t kJobs = 250;
+    constexpr std::uint64_t kEvents = 2000;
+    EventQueue eq;
+    FluidNetwork net(eq);
+    net.setSolverMode(mode);
+    Rng rng(0x7fee7);
+    std::vector<std::array<FlowDemand, 2>> demands;
+    std::vector<std::size_t> initialFlows;
+    for (std::size_t j = 0; j < kJobs; ++j) {
+        const std::string name = "job" + std::to_string(j);
+        FluidResource *link =
+            net.addResource(name + ".link", rng.uniform(60.0, 140.0));
+        FluidResource *pool =
+            net.addResource(name + ".pool", rng.uniform(50.0, 110.0));
+        demands.push_back({{{link, 1.0}, {pool, 0.8}}});
+        initialFlows.push_back(
+            static_cast<std::size_t>(rng.uniformInt(2, 6)));
+    }
+    const std::uint32_t category = net.internCategory("churn");
+    std::function<void(std::size_t)> launch = [&](std::size_t j) {
+        FlowSpec spec;
+        spec.category = category;
+        spec.size = rng.uniform(5.0, 15.0);
+        if (rng.uniform() < 0.3)
+            spec.rateCap = rng.uniform(3.0, 10.0); // extra filling round
+        spec.demands = demands[j];
+        spec.onComplete = [&launch, j](Time) { launch(j); };
+        net.startFlow(std::move(spec));
+    };
+    {
+        FluidNetwork::FlowBatch batch(net);
+        for (std::size_t j = 0; j < kJobs; ++j)
+            for (std::size_t k = 0; k < initialFlows[j]; ++k)
+                launch(j);
+    }
+
+    const FluidNetwork::SolverStats before = net.solverStats();
+    const std::uint64_t start = eq.numExecuted();
+    while (eq.numExecuted() < start + kEvents && eq.step()) {
+    }
+    const FluidNetwork::SolverStats &after = net.solverStats();
+    return {eq.now(), eq.numExecuted() - start, "",
+            after.componentsSolved - before.componentsSolved,
+            after.flowsSolved - before.flowsSolved};
+}
+
+/** Components and flows solved over a whole run. */
+struct WorkPin
+{
+    std::uint64_t components;
+    std::uint64_t flows;
+};
+
+/**
+ * Run @p run under both modes. The results must agree bit for bit, and
+ * the metric, the event count and each mode's solver work must equal
+ * their pins, so a run that does extra solver work, or strays from the
+ * pinned run, fails every time. Re-pin only with a change meant to move
+ * the simulation, and say so in it.
+ */
+void
+expectPinnedRun(const std::function<WholeRun(Mode)> &run, double metric,
+                std::uint64_t events, WorkPin incremental, WorkPin full)
+{
+    const WholeRun inc = run(Mode::Incremental);
+    const WholeRun ref = run(Mode::FullResolve);
+    EXPECT_EQ(inc.metric, ref.metric);
+    EXPECT_EQ(inc.events, ref.events);
+    EXPECT_EQ(inc.json, ref.json);
+
+    EXPECT_DOUBLE_EQ(inc.metric, metric);
+    EXPECT_EQ(inc.events, events);
+    EXPECT_EQ(inc.components, incremental.components);
+    EXPECT_EQ(inc.flows, incremental.flows);
+    EXPECT_EQ(ref.components, full.components);
+    EXPECT_EQ(ref.flows, full.flows);
+}
+
+TEST(FluidIncremental, SessionMatchesFullResolveWithPinnedWork)
+{
+    expectPinnedRun(runSession, 475014.82780444622, 40, {65, 240},
+                    {113, 288});
+}
+
+TEST(FluidIncremental, FleetMatchesFullResolveWithPinnedWork)
+{
+    expectPinnedRun(runFleet, 271093.53114833159, 128, {142, 444},
+                    {734, 2622});
+}
+
+TEST(FluidIncremental, ChurnSolvesOneComponentPerEvent)
+{
+    // FullResolve re-solves all 250 components on every event.
+    expectPinnedRun(runChurn, 1.4448329016534107, 2000, {2000, 8641},
+                    {500000, 2030000});
 }
 
 } // namespace

@@ -39,10 +39,3 @@ cmake -B "$build_dir" -S "$repo_root" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "$@"
-
-# Simulator perf smoke: runs the incremental solver + event-queue
-# batching under the sanitizer (the bit-identity assert and the solver
-# hot path get instrumented coverage). The committed-baseline ratio gate
-# is left to the uninstrumented CI job — sanitizer instrumentation skews
-# relative costs (docs/PERFORMANCE.md).
-"$build_dir/bench/sim_perf" --smoke --out "$build_dir/BENCH_sim_perf.json"
