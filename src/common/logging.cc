@@ -18,6 +18,22 @@ vemit(const char *prefix, const char *file, int line, const char *fmt,
 }
 } // namespace
 
+std::string
+stringPrintf(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    va_list again;
+    va_copy(again, args);
+    const int n = std::vsnprintf(nullptr, 0, fmt, args);
+    va_end(args);
+    std::string out(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
+    if (n > 0)
+        std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+    va_end(again);
+    return out;
+}
+
 void
 setQuiet(bool quiet)
 {

@@ -37,6 +37,10 @@ void logFatal(const char *file, int line, const char *fmt, ...);
 
 } // namespace detail
 
+/** printf into a std::string as long as the output needs. */
+[[gnu::format(printf, 1, 2)]]
+std::string stringPrintf(const char *fmt, ...);
+
 /** Suppress / restore inform() output (tests use this to keep logs quiet). */
 void setQuiet(bool quiet);
 

@@ -120,83 +120,6 @@ FluidResource::resetAccounting(Time now)
 }
 
 void
-SlotHeap::place(std::size_t i, Node node)
-{
-    nodes_[i] = node;
-    pos_[node.slot] = static_cast<std::uint32_t>(i);
-}
-
-void
-SlotHeap::siftUp(std::size_t i)
-{
-    const Node node = nodes_[i];
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!(node.key < nodes_[parent].key))
-            break;
-        place(i, nodes_[parent]);
-        i = parent;
-    }
-    place(i, node);
-}
-
-void
-SlotHeap::siftDown(std::size_t i)
-{
-    const Node node = nodes_[i];
-    const std::size_t n = nodes_.size();
-    for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && nodes_[child + 1].key < nodes_[child].key)
-            ++child;
-        if (!(nodes_[child].key < node.key))
-            break;
-        place(i, nodes_[child]);
-        i = child;
-    }
-    place(i, node);
-}
-
-void
-SlotHeap::set(std::uint32_t slot, double key)
-{
-    if (slot >= pos_.size())
-        pos_.resize(slot + 1, kAbsent);
-    std::size_t i = pos_[slot];
-    if (i == kAbsent) {
-        i = nodes_.size();
-        nodes_.push_back({key, slot});
-        pos_[slot] = static_cast<std::uint32_t>(i);
-        siftUp(i);
-        return;
-    }
-    const double old = nodes_[i].key;
-    nodes_[i].key = key;
-    if (key < old)
-        siftUp(i);
-    else
-        siftDown(i);
-}
-
-void
-SlotHeap::erase(std::uint32_t slot)
-{
-    if (slot >= pos_.size() || pos_[slot] == kAbsent)
-        return;
-    const std::size_t i = pos_[slot];
-    pos_[slot] = kAbsent;
-    const Node last = nodes_.back();
-    nodes_.pop_back();
-    if (i == nodes_.size())
-        return;
-    place(i, last);
-    siftUp(i);
-    siftDown(pos_[last.slot]);
-}
-
-void
 DemandSet::add(FluidResource *resource, double weight)
 {
     panic_if(resource == nullptr, "DemandSet::add null resource");

@@ -52,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/slot_heap.hh"
 #include "sim/event_queue.hh"
 
 namespace tb {
@@ -245,53 +246,6 @@ struct FluidFlow
 
     double served(Time now) const { return std::min(r0, rate * (now - t0)); }
     double remaining(Time now) const { return r0 - served(now); }
-};
-
-/**
- * Binary min-heap of (key, slot) pairs that knows where each slot sits,
- * so a slot's key can be changed or removed in O(log n).
- */
-class SlotHeap
-{
-  public:
-    /** Insert @p slot with @p key, or move it to @p key. */
-    void set(std::uint32_t slot, double key);
-
-    /** Remove @p slot (no-op when absent). */
-    void erase(std::uint32_t slot);
-
-    bool empty() const { return nodes_.empty(); }
-
-    /** Smallest key; the heap must not be empty. */
-    double topKey() const { return nodes_.front().key; }
-
-    /** Call @p fn(slot) for every slot whose key is <= @p bound. */
-    template <typename Fn>
-    void
-    forEachAtMost(double bound, Fn &&fn, std::size_t i = 0) const
-    {
-        if (i >= nodes_.size() || nodes_[i].key > bound)
-            return;
-        fn(nodes_[i].slot);
-        forEachAtMost(bound, fn, 2 * i + 1);
-        forEachAtMost(bound, fn, 2 * i + 2);
-    }
-
-  private:
-    struct Node
-    {
-        double key;
-        std::uint32_t slot;
-    };
-
-    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
-
-    void place(std::size_t i, Node node);
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
-
-    std::vector<Node> nodes_;
-    std::vector<std::uint32_t> pos_; ///< slot -> index in nodes_
 };
 
 /**
@@ -597,12 +551,12 @@ class FluidNetwork
     std::vector<FluidFlow> slots_;
     std::vector<std::uint32_t> freeSlots_;
     /** Finish time t0 + r0/rate per flow: the pending event's time. */
-    SlotHeap finish_;
+    SlotHeap<double> finish_;
     /**
      * Earliest time each flow can pass the completion test (a safe
      * lower bound): completeEarliest() walks this heap, not all flows.
      */
-    SlotHeap due_;
+    SlotHeap<double> due_;
 
     std::unordered_map<std::string, std::uint32_t> categoryIds_;
     std::vector<std::string> categoryNames_;

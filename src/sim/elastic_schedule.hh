@@ -110,13 +110,6 @@ struct ElasticityConfig
     double sloTargetSamplesPerSec = 0.0;
 
     /**
-     * Re-plan prep lending through multi_job on every group membership
-     * change: the offload fraction of each active group is recomputed
-     * for the surviving box count (replanOffloadFraction()).
-     */
-    bool replanOffload = true;
-
-    /**
      * Mid-session scale-up: this many groups (taken from the end of
      * the group list) start detached and receive a Join at
      * scaleUpTime. Must leave at least one group active at the start.

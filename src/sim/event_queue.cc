@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -9,6 +10,8 @@ namespace tb {
 EventId
 EventQueue::schedule(Time when, Callback cb)
 {
+    // NaN compares false both ways, which would break the heap's order.
+    panic_if(std::isnan(when), "scheduling event at NaN time");
     panic_if(when < now_, "scheduling event in the past (%g < %g)",
              when, now_);
     std::uint32_t slot;
@@ -22,9 +25,7 @@ EventQueue::schedule(Time when, Callback cb)
     const Key key{when, nextSeq_++};
     slots_[slot].seq = key.seq;
     slots_[slot].cb = std::move(cb);
-    ++live_;
-    heap_.push_back(Entry{key, slot});
-    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+    heap_.set(slot, key);
     return EventId{key.seq, slot};
 }
 
@@ -38,9 +39,9 @@ EventQueue::scheduleIn(Time delay, Callback cb)
 void
 EventQueue::release(std::uint32_t slot)
 {
+    heap_.erase(slot);
     slots_[slot].seq = 0;
     freeSlots_.push_back(slot);
-    --live_;
 }
 
 bool
@@ -55,50 +56,25 @@ EventQueue::cancel(EventId &id)
         release(id.slot);
     }
     id.invalidate();
-    // The heap entry stays behind as a tombstone; sweep when tombstones
-    // dominate so cancel-heavy workloads stay O(1) amortized.
-    if (pending && heap_.size() >= compactMinHeap_ &&
-        heap_.size() > 2 * live_)
-        compact();
     return pending;
-}
-
-void
-EventQueue::purgeTop() const
-{
-    while (!heap_.empty() && !live(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-        heap_.pop_back();
-    }
-}
-
-void
-EventQueue::compact()
-{
-    std::erase_if(heap_, [this](const Entry &e) { return !live(e); });
-    std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 
 Time
 EventQueue::nextTime() const
 {
-    panic_if(live_ == 0, "nextTime() on empty event queue");
-    purgeTop();
-    return heap_.front().key.when;
+    panic_if(heap_.empty(), "nextTime() on empty event queue");
+    return heap_.topKey().when;
 }
 
 bool
 EventQueue::step()
 {
-    if (live_ == 0)
+    if (heap_.empty())
         return false;
-    purgeTop();
-    std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    const Entry entry = heap_.back();
-    heap_.pop_back();
-    Callback cb = std::move(slots_[entry.slot].cb);
-    release(entry.slot);
-    now_ = entry.key.when;
+    const std::uint32_t slot = heap_.topSlot();
+    now_ = heap_.topKey().when;
+    Callback cb = std::move(slots_[slot].cb);
+    release(slot);
     ++numExecuted_;
     cb();
     return true;
@@ -107,9 +83,8 @@ EventQueue::step()
 void
 EventQueue::run(Time until)
 {
-    while (live_ != 0) {
-        purgeTop();
-        if (until >= 0.0 && heap_.front().key.when > until) {
+    while (!heap_.empty()) {
+        if (until >= 0.0 && heap_.topKey().when > until) {
             now_ = until;
             return;
         }

@@ -8,13 +8,11 @@
  *
  * Each pending event owns one entry of a slot table, which holds its
  * callback and its sequence number; free entries are reused, so the
- * table never outgrows the heap. The binary min-heap holds only
- * (time, sequence, slot) keys and uses *lazy deletion*: cancel() frees
- * the event's slot (O(1)), and its heap key becomes a tombstone that is
- * discarded when it surfaces at the top, or swept out when tombstones
- * outnumber live events (see docs/PERFORMANCE.md, "Event-queue lazy
- * cancel"). Execution order is the strict total order (when, seq), so a
- * heap rebuild never reorders live events.
+ * table never outgrows the most events pending at once. An indexed
+ * min-heap (common/slot_heap.hh) orders the slots by (time, sequence),
+ * so cancel() removes the event's heap entry at once. Execution order
+ * is the strict total order (when, seq): events at equal times run in
+ * the order they were scheduled.
  */
 
 #ifndef TRAINBOX_SIM_EVENT_QUEUE_HH
@@ -22,9 +20,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
+#include "common/slot_heap.hh"
 #include "common/units.hh"
 
 namespace tb {
@@ -62,7 +60,8 @@ class EventQueue
     Time now() const { return now_; }
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p cb to run at absolute time @p when, which must be a
+     * number no earlier than now(); a NaN or past time panics.
      * @return a handle usable with cancel().
      */
     EventId schedule(Time when, Callback cb);
@@ -73,11 +72,11 @@ class EventQueue
     /** Cancel a pending event. Returns false if already fired/cancelled. */
     bool cancel(EventId &id);
 
-    /** True when no live events remain (tombstones don't count). */
-    bool empty() const { return live_ == 0; }
+    /** True when no event is pending. */
+    bool empty() const { return heap_.empty(); }
 
-    /** Number of pending (live) events. */
-    std::size_t size() const { return live_; }
+    /** Number of pending events. */
+    std::size_t size() const { return heap_.size(); }
 
     /** Time of the next pending event; panics when empty. */
     Time nextTime() const;
@@ -90,21 +89,6 @@ class EventQueue
 
     /** Total number of events executed so far. */
     std::uint64_t numExecuted() const { return numExecuted_; }
-
-    /**
-     * Minimum heap size before cancel() considers a tombstone sweep.
-     * Below the threshold compaction is skipped entirely; above it a
-     * sweep still requires tombstones to outnumber live events 2:1.
-     * Compaction never reorders live events, so retuning the threshold
-     * at any point is behavior-neutral — it only shifts when the
-     * amortized O(n) sweeps happen. Long-lived multi-session cores size
-     * this from the live-event count (see SimulationCore) so fleet-scale
-     * churn doesn't thrash rebuilds.
-     */
-    void setCompactionThreshold(std::size_t minHeap)
-    {
-        compactMinHeap_ = minHeap;
-    }
 
   private:
     struct Key
@@ -121,23 +105,6 @@ class EventQueue
         }
     };
 
-    /** A heap key and the slot of the event it was scheduled for. */
-    struct Entry
-    {
-        Key key;
-        std::uint32_t slot;
-    };
-
-    /** Min-heap comparator (std heap primitives build a max-heap). */
-    struct EntryAfter
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            return b.key < a.key;
-        }
-    };
-
     /** A pending event's callback; seq is 0 while the slot is free. */
     struct Slot
     {
@@ -145,36 +112,16 @@ class EventQueue
         Callback cb;
     };
 
-    /** Is @p e's event still pending (not fired or cancelled)? */
-    bool
-    live(const Entry &e) const
-    {
-        return slots_[e.slot].seq == e.key.seq;
-    }
-
-    /** Free @p slot for the next schedule(). */
+    /** Remove @p slot's event from the heap and free the slot. */
     void release(std::uint32_t slot);
 
-    /** Drop cancelled entries sitting at the top of the heap. */
-    void purgeTop() const;
-
-    /** Sweep all tombstones and re-heapify (amortized by cancel()). */
-    void compact();
-
-    /** Default compaction threshold; small queues never sweep. */
-    static constexpr std::size_t kDefaultCompactMinHeap = 64;
-
     Time now_ = 0.0;
-    std::size_t compactMinHeap_ = kDefaultCompactMinHeap;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t numExecuted_ = 0;
 
-    // mutable so the const observers (nextTime) can discard tombstones;
-    // purging never changes observable state.
-    mutable std::vector<Entry> heap_;
+    SlotHeap<Key> heap_; ///< pending events' slots by (when, seq)
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
-    std::size_t live_ = 0; ///< pending events
 };
 
 } // namespace tb

@@ -136,9 +136,6 @@ FaultInjector::FaultInjector(const FaultConfig &cfg,
                  corruptionKindName(kind), p);
         corruptionRngs_[k] = Rng(mix64(cfg.seed ^ corruptionStreamTag(kind)));
     }
-    panic_if(cfg_.corruption.pcieReplayLatency < 0.0,
-             "pcieReplayLatency must be >= 0, got %g",
-             cfg_.corruption.pcieReplayLatency);
 }
 
 bool

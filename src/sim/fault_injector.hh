@@ -100,9 +100,6 @@ struct CorruptionConfig
     double fpgaUpsetProb = 0.0;
     double hostDramFlipProb = 0.0;
 
-    /** Link stall paid per detected PCIe error (LCRC replay). */
-    Time pcieReplayLatency = 2.0e-6;
-
     /** The probability for one kind. */
     double probFor(CorruptionKind kind) const
     {
@@ -206,9 +203,6 @@ struct FaultConfig
 
     // --- recovery policy --------------------------------------------
 
-    /** Read retries per chunk before it is abandoned and re-dispatched. */
-    std::size_t maxReadRetries = 3;
-
     /** First retry backoff; doubles per subsequent attempt. */
     Time retryBackoffBase = 50e-6;
 
@@ -222,9 +216,6 @@ struct FaultConfig
 
     /** Fail a dead FPGA's load over to survivors / the prep-pool. */
     bool poolFailover = true;
-
-    /** Fall back to the host-memory path on P2P route loss. */
-    bool hostFallback = true;
 };
 
 /** Target-space sizes the injector picks victims from. */

@@ -25,8 +25,6 @@
 #ifndef TRAINBOX_SIM_SIMULATION_CORE_HH
 #define TRAINBOX_SIM_SIMULATION_CORE_HH
 
-#include <algorithm>
-
 #include "fluid/fluid.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
@@ -59,21 +57,6 @@ class SimulationCore
 
     /** Current simulated time in seconds. */
     Time now() const { return eq_.now(); }
-
-    /**
-     * Resize the event queue's tombstone-compaction threshold from the
-     * current live-event count. One session keeps the stock threshold;
-     * a fleet calls this after each job starts so compaction sweeps
-     * stay amortized against the (much larger) live set instead of
-     * thrashing at the single-session default. Behavior-neutral: sweeps
-     * never reorder live events.
-     */
-    void
-    autosizeCompaction()
-    {
-        eq_.setCompactionThreshold(
-            std::max<std::size_t>(64, 4 * eq_.size()));
-    }
 
   private:
     EventQueue eq_;

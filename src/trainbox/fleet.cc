@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstring>
 #include <string_view>
 
@@ -13,17 +12,6 @@
 namespace tb {
 
 namespace {
-
-std::string
-fmt(const char *f, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, f);
-    std::vsnprintf(buf, sizeof(buf), f, ap);
-    va_end(ap);
-    return std::string(buf);
-}
 
 /** Train-box slots a job's accelerators occupy (preset-independent). */
 std::size_t
@@ -87,35 +75,38 @@ fleetJobStateName(FleetJobState s)
 std::string
 FleetConfig::validate() const
 {
+    // The numeric checks are written so that NaN fails them.
     if (hosts.empty())
         return "no hosts configured";
     if (jobs.empty())
         return "empty job trace";
-    if (horizon < 0.0)
-        return fmt("negative horizon %g", horizon);
+    if (!std::isfinite(horizon) || horizon < 0.0)
+        return stringPrintf("horizon must be finite and >= 0, got %g",
+                            horizon);
 
     std::size_t max_boxes = 0;
     for (const FleetHostSpec &h : hosts) {
         if (h.boxCapacity == 0)
-            return fmt("host %s has zero capacity", h.name.c_str());
+            return stringPrintf("host %s has zero capacity", h.name.c_str());
         max_boxes = std::max(max_boxes, h.boxCapacity);
     }
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const FleetJobSpec &spec = jobs[i];
         if (spec.name.empty())
-            return fmt("job %zu has no name", i);
-        if (spec.arrival < 0.0)
-            return fmt("job %s arrives at %g < 0", spec.name.c_str(),
-                       spec.arrival);
+            return stringPrintf("job %zu has no name", i);
+        if (!std::isfinite(spec.arrival) || spec.arrival < 0.0)
+            return stringPrintf("job %s must arrive at a finite time >= 0, "
+                                "got %g",
+                                spec.name.c_str(), spec.arrival);
         if (spec.measureSteps == 0)
-            return fmt("job %s has zero measured steps",
-                       spec.name.c_str());
+            return stringPrintf("job %s has zero measured steps",
+                                spec.name.c_str());
         const std::size_t need = boxesFor(spec);
         if (need > max_boxes)
-            return fmt("job %s needs %zu boxes but the largest host "
-                       "has %zu",
-                       spec.name.c_str(), need, max_boxes);
+            return stringPrintf("job %s needs %zu boxes but the largest "
+                                "host has %zu",
+                                spec.name.c_str(), need, max_boxes);
     }
 
     // A job's resources and metrics live under "<name>." and a retry's
@@ -131,14 +122,16 @@ FleetConfig::validate() const
     for (std::size_t i = 0; i < names.size(); ++i) {
         const std::string_view name = names[i];
         if (i > 0 && name == names[i - 1])
-            return fmt("duplicate job name %s", std::string(name).c_str());
+            return stringPrintf("duplicate job name %s",
+                                std::string(name).c_str());
         for (std::size_t dot = name.find('.'); dot != name.npos;
              dot = name.find('.', dot + 1))
             if (std::binary_search(names.begin(), names.end(),
                                    name.substr(0, dot)))
-                return fmt("job name %s extends job name %s past a '.'",
-                           std::string(name).c_str(),
-                           std::string(name.substr(0, dot)).c_str());
+                return stringPrintf(
+                    "job name %s extends job name %s past a '.'",
+                    std::string(name).c_str(),
+                    std::string(name.substr(0, dot)).c_str());
     }
 
     if (!faults.enabled)
@@ -147,14 +140,15 @@ FleetConfig::validate() const
     // --- retry policy ---------------------------------------------------
     constexpr std::size_t kMaxRetries = 64;
     if (faults.maxRetries > kMaxRetries)
-        return fmt("faults.maxRetries %zu exceeds the cap %zu",
-                   faults.maxRetries, kMaxRetries);
-    if (faults.retryBackoffBase < 0.0)
-        return fmt("faults.retryBackoffBase must be >= 0, got %g",
-                   faults.retryBackoffBase);
-    if (faults.retryBackoffFactor < 1.0)
-        return fmt("faults.retryBackoffFactor must be >= 1, got %g",
-                   faults.retryBackoffFactor);
+        return stringPrintf("faults.maxRetries %zu exceeds the cap %zu",
+                            faults.maxRetries, kMaxRetries);
+    if (!(faults.retryBackoffBase >= 0.0))
+        return stringPrintf("faults.retryBackoffBase must be >= 0, got %g",
+                            faults.retryBackoffBase);
+    if (!(faults.retryBackoffFactor >= 1.0))
+        return stringPrintf("faults.retryBackoffFactor must be >= 1, "
+                            "got %g",
+                            faults.retryBackoffFactor);
 
     // --- seeded classes -------------------------------------------------
     struct NamedClass
@@ -168,16 +162,17 @@ FleetConfig::validate() const
         {"poolPartition", &faults.poolPartition},
     };
     for (const NamedClass &nc : classes) {
-        if (nc.cc->mtbf < 0.0)
-            return fmt("faults.%s.mtbf must be >= 0, got %g", nc.name,
-                       nc.cc->mtbf);
-        if (nc.cc->mttr < 0.0)
-            return fmt("faults.%s.mttr must be >= 0, got %g", nc.name,
-                       nc.cc->mttr);
+        if (!(nc.cc->mtbf >= 0.0))
+            return stringPrintf("faults.%s.mtbf must be >= 0, got %g",
+                                nc.name, nc.cc->mtbf);
+        if (!(nc.cc->mttr >= 0.0))
+            return stringPrintf("faults.%s.mttr must be >= 0, got %g",
+                                nc.name, nc.cc->mttr);
         if (nc.cc->mtbf > 0.0 && horizon <= 0.0)
-            return fmt("faults.%s.mtbf %g needs a positive horizon "
-                       "(seeded streams are enumerated over it)",
-                       nc.name, nc.cc->mtbf);
+            return stringPrintf("faults.%s.mtbf %g needs a positive "
+                                "horizon (seeded streams are enumerated "
+                                "over it)",
+                                nc.name, nc.cc->mtbf);
     }
     if (faults.boxLoss.mtbf > 0.0 && faults.boxLossUnits == 0)
         return "faults.boxLossUnits must be >= 1 when boxLoss is active";
@@ -188,25 +183,30 @@ FleetConfig::validate() const
     // --- scripted schedule ----------------------------------------------
     for (std::size_t i = 0; i < faults.schedule.size(); ++i) {
         const FleetFaultEvent &ev = faults.schedule[i];
+        if (!std::isfinite(ev.start))
+            return stringPrintf("faults.schedule[%zu] starts at %g, not a "
+                                "finite time",
+                                i, ev.start);
         if (ev.start < 0.0)
-            return fmt("faults.schedule[%zu] starts at %g < 0", i,
-                       ev.start);
-        if (ev.duration < 0.0)
-            return fmt("faults.schedule[%zu] has negative duration %g",
-                       i, ev.duration);
+            return stringPrintf("faults.schedule[%zu] starts at %g < 0", i,
+                                ev.start);
+        if (!(ev.duration >= 0.0))
+            return stringPrintf("faults.schedule[%zu] has negative "
+                                "duration %g",
+                                i, ev.duration);
         if (i > 0 && ev.start < faults.schedule[i - 1].start)
-            return fmt("faults.schedule[%zu] starts at %g, before "
-                       "schedule[%zu] at %g (must be sorted)",
-                       i, ev.start, i - 1,
-                       faults.schedule[i - 1].start);
+            return stringPrintf("faults.schedule[%zu] starts at %g, before "
+                                "schedule[%zu] at %g (must be sorted)",
+                                i, ev.start, i - 1,
+                                faults.schedule[i - 1].start);
         if (ev.kind != FleetFaultKind::PoolPartition &&
             ev.host >= hosts.size())
-            return fmt("faults.schedule[%zu] targets host %zu but the "
-                       "fleet has only %zu hosts",
-                       i, ev.host, hosts.size());
+            return stringPrintf("faults.schedule[%zu] targets host %zu but "
+                                "the fleet has only %zu hosts",
+                                i, ev.host, hosts.size());
         if (ev.kind != FleetFaultKind::HostOutage && ev.units == 0)
-            return fmt("faults.schedule[%zu] (%s) has zero units", i,
-                       fleetFaultKindName(ev.kind));
+            return stringPrintf("faults.schedule[%zu] (%s) has zero units",
+                                i, fleetFaultKindName(ev.kind));
     }
     return "";
 }
@@ -328,10 +328,6 @@ FleetSimulation::admit(std::size_t j, std::size_t host)
     job.session = std::make_unique<TrainingSession>(*job.server);
     job.session->onDone([this, j] { onJobDone(j); });
     job.session->start(job.spec.warmupSteps, measure);
-    // A new job multiplies the live-event population; retune the
-    // queue's tombstone-compaction threshold to match (behavior-neutral
-    // — compaction never reorders live events).
-    core_.autosizeCompaction();
     job.admitStamp = ++admitSeq_;
     ++job.attempts;
     job.running = true;

@@ -1,7 +1,5 @@
 #include "trainbox/server_config.hh"
 
-#include <cstdio>
-
 #include "common/logging.hh"
 
 namespace tb {
@@ -233,26 +231,20 @@ ServerConfig::effectiveBatchSize() const
 
 namespace {
 
-/** snprintf into a std::string (validation messages only). */
-template <typename... Args>
-std::string
-fmt(const char *format, Args... args)
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), format, args...);
-    return buf;
-}
+// Every numeric check below is written so that NaN fails it: NaN
+// compares false both ways, so `x < 0.0` would let it through.
 
 /** Elastic leave classes: sane arrival rate and time-away length. */
 std::string
 checkElasticClass(const char *name, const ElasticClassConfig &cc)
 {
-    if (cc.ratePerSec < 0.0)
-        return fmt("elasticity.%s.ratePerSec must be >= 0, got %g", name,
-                   cc.ratePerSec);
-    if (cc.ratePerSec > 0.0 && cc.absence < 0.0)
-        return fmt("elasticity.%s.absence must be >= 0, got %g", name,
-                   cc.absence);
+    if (!(cc.ratePerSec >= 0.0))
+        return stringPrintf("elasticity.%s.ratePerSec must be >= 0, "
+                            "got %g",
+                            name, cc.ratePerSec);
+    if (cc.ratePerSec > 0.0 && !(cc.absence >= 0.0))
+        return stringPrintf("elasticity.%s.absence must be >= 0, got %g",
+                            name, cc.absence);
     return "";
 }
 
@@ -260,12 +252,13 @@ checkElasticClass(const char *name, const ElasticClassConfig &cc)
 std::string
 checkIngestClass(const char *name, const IngestClassConfig &cc)
 {
-    if (cc.ratePerSec < 0.0)
-        return fmt("ingest.%s.ratePerSec must be >= 0, got %g", name,
-                   cc.ratePerSec);
-    if (cc.ratePerSec > 0.0 && cc.samplesPerEvent <= 0.0)
-        return fmt("ingest.%s.samplesPerEvent must be > 0, got %g", name,
-                   cc.samplesPerEvent);
+    if (!(cc.ratePerSec >= 0.0))
+        return stringPrintf("ingest.%s.ratePerSec must be >= 0, got %g",
+                            name, cc.ratePerSec);
+    if (cc.ratePerSec > 0.0 && !(cc.samplesPerEvent > 0.0))
+        return stringPrintf("ingest.%s.samplesPerEvent must be > 0, "
+                            "got %g",
+                            name, cc.samplesPerEvent);
     return "";
 }
 
@@ -273,16 +266,16 @@ checkIngestClass(const char *name, const IngestClassConfig &cc)
 std::string
 checkFaultClass(const char *name, const FaultClassConfig &cc)
 {
-    if (cc.ratePerSec < 0.0)
-        return fmt("faults.%s.ratePerSec must be >= 0, got %g", name,
-                   cc.ratePerSec);
-    if (cc.ratePerSec > 0.0 && cc.duration <= 0.0)
-        return fmt("faults.%s window ends at or before it starts "
-                   "(duration %g <= 0)",
-                   name, cc.duration);
-    if (cc.magnitude < 0.0)
-        return fmt("faults.%s.magnitude must be >= 0, got %g", name,
-                   cc.magnitude);
+    if (!(cc.ratePerSec >= 0.0))
+        return stringPrintf("faults.%s.ratePerSec must be >= 0, got %g",
+                            name, cc.ratePerSec);
+    if (cc.ratePerSec > 0.0 && !(cc.duration > 0.0))
+        return stringPrintf("faults.%s window ends at or before it starts "
+                            "(duration %g <= 0)",
+                            name, cc.duration);
+    if (!(cc.magnitude >= 0.0))
+        return stringPrintf("faults.%s.magnitude must be >= 0, got %g",
+                            name, cc.magnitude);
     return "";
 }
 
@@ -295,14 +288,14 @@ ServerConfig::validate() const
         return "a server needs at least one accelerator "
                "(numAccelerators == 0)";
     if (prefetchDepth < 2)
-        return fmt("prefetchDepth must be >= 2 (next-batch prefetch), "
-                   "got %zu",
-                   prefetchDepth);
+        return stringPrintf("prefetchDepth must be >= 2 (next-batch "
+                            "prefetch), got %zu",
+                            prefetchDepth);
     if (prepChunks == 0)
         return "prepChunks must be > 0";
-    if (maxPrepParallelism <= 0.0)
-        return fmt("maxPrepParallelism must be > 0, got %g",
-                   maxPrepParallelism);
+    if (!(maxPrepParallelism > 0.0))
+        return stringPrintf("maxPrepParallelism must be > 0, got %g",
+                            maxPrepParallelism);
 
     if (box.accPerBox == 0)
         return "box.accPerBox must be > 0";
@@ -313,25 +306,43 @@ ServerConfig::validate() const
     if (box.ssdsPerSsdBox == 0)
         return "box.ssdsPerSsdBox must be > 0";
 
-    if (host.cpuCores <= 0.0)
-        return fmt("host.cpuCores must be > 0, got %g", host.cpuCores);
-    if (host.memBandwidth <= 0.0)
-        return fmt("host.memBandwidth must be > 0, got %g",
-                   host.memBandwidth);
-    if (host.rcBandwidth <= 0.0)
-        return fmt("host.rcBandwidth must be > 0, got %g",
-                   host.rcBandwidth);
+    if (!(host.cpuCores > 0.0))
+        return stringPrintf("host.cpuCores must be > 0, got %g",
+                            host.cpuCores);
+    if (!(host.memBandwidth > 0.0))
+        return stringPrintf("host.memBandwidth must be > 0, got %g",
+                            host.memBandwidth);
+    if (!(host.rcBandwidth > 0.0))
+        return stringPrintf("host.rcBandwidth must be > 0, got %g",
+                            host.rcBandwidth);
 
-    if (faults.ssdReadFailureProb < 0.0 ||
-        faults.ssdReadFailureProb >= 1.0)
-        return fmt("faults.ssdReadFailureProb must be in [0, 1), got %g",
-                   faults.ssdReadFailureProb);
-    if (faults.stragglerProb < 0.0 || faults.stragglerProb > 1.0)
-        return fmt("faults.stragglerProb must be in [0, 1], got %g",
-                   faults.stragglerProb);
-    if (faults.stragglerFactor < 1.0)
-        return fmt("faults.stragglerFactor must be >= 1, got %g",
-                   faults.stragglerFactor);
+    if (!(sync.linkBandwidth > 0.0))
+        return stringPrintf("sync.linkBandwidth must be > 0, got %g",
+                            sync.linkBandwidth);
+    if (!(sync.hopLatency >= 0.0))
+        return stringPrintf("sync.hopLatency must be >= 0, got %g",
+                            sync.hopLatency);
+    if (!(sync.chunkBytes > 0.0))
+        return stringPrintf("sync.chunkBytes must be > 0, got %g",
+                            sync.chunkBytes);
+
+    if (!(faults.ssdReadFailureProb >= 0.0 &&
+          faults.ssdReadFailureProb < 1.0))
+        return stringPrintf("faults.ssdReadFailureProb must be in [0, 1), "
+                            "got %g",
+                            faults.ssdReadFailureProb);
+    if (!(faults.stragglerProb >= 0.0 && faults.stragglerProb <= 1.0))
+        return stringPrintf("faults.stragglerProb must be in [0, 1], got %g",
+                            faults.stragglerProb);
+    if (!(faults.stragglerFactor >= 1.0))
+        return stringPrintf("faults.stragglerFactor must be >= 1, got %g",
+                            faults.stragglerFactor);
+    if (!(faults.retryBackoffBase >= 0.0))
+        return stringPrintf("faults.retryBackoffBase must be >= 0, got %g",
+                            faults.retryBackoffBase);
+    if (!(faults.stepTimeoutFactor >= 0.0))
+        return stringPrintf("faults.stepTimeoutFactor must be >= 0, got %g",
+                            faults.stepTimeoutFactor);
     std::string err;
     if (!(err = checkFaultClass("ssdDegrade", faults.ssdDegrade)).empty())
         return err;
@@ -343,52 +354,51 @@ ServerConfig::validate() const
         return err;
     // fatalCrash is a point event: duration is ignored, only the rate
     // must be sane.
-    if (faults.fatalCrash.ratePerSec < 0.0)
-        return fmt("faults.fatalCrash.ratePerSec must be >= 0, got %g",
-                   faults.fatalCrash.ratePerSec);
+    if (!(faults.fatalCrash.ratePerSec >= 0.0))
+        return stringPrintf("faults.fatalCrash.ratePerSec must be >= 0, "
+                            "got %g",
+                            faults.fatalCrash.ratePerSec);
 
     const CorruptionConfig &corr = faults.corruption;
     for (std::size_t k = 0; k < kNumCorruptionKinds; ++k) {
         const auto kind = static_cast<CorruptionKind>(k);
         const double p = corr.probFor(kind);
-        if (p < 0.0 || p >= 1.0)
-            return fmt("faults.corruption probability for %s must be in "
-                       "[0, 1), got %g",
-                       corruptionKindName(kind), p);
+        if (!(p >= 0.0 && p < 1.0))
+            return stringPrintf("faults.corruption probability for %s "
+                                "must be in [0, 1), got %g",
+                                corruptionKindName(kind), p);
     }
-    if (corr.pcieReplayLatency < 0.0)
-        return fmt("faults.corruption.pcieReplayLatency must be >= 0, "
-                   "got %g",
-                   corr.pcieReplayLatency);
 
-    if (checkpoint.restartLatency < 0.0)
-        return fmt("checkpoint.restartLatency must be >= 0, got %g",
-                   checkpoint.restartLatency);
+    if (!(checkpoint.restartLatency >= 0.0))
+        return stringPrintf("checkpoint.restartLatency must be >= 0, got %g",
+                            checkpoint.restartLatency);
     if (checkpoint.enabled) {
-        if (checkpoint.interval <= 0.0)
-            return fmt("checkpoint.interval must be > 0, got %g",
-                       checkpoint.interval);
-        if (checkpoint.optimizerSlots < 0.0)
-            return fmt("checkpoint.optimizerSlots must be >= 0, got %g",
-                       checkpoint.optimizerSlots);
-        if (checkpoint.snapshotBandwidth <= 0.0)
-            return fmt("checkpoint.snapshotBandwidth must be > 0, got %g",
-                       checkpoint.snapshotBandwidth);
+        if (!(checkpoint.interval > 0.0))
+            return stringPrintf("checkpoint.interval must be > 0, got %g",
+                                checkpoint.interval);
+        if (!(checkpoint.optimizerSlots >= 0.0))
+            return stringPrintf("checkpoint.optimizerSlots must be >= 0, "
+                                "got %g",
+                                checkpoint.optimizerSlots);
+        if (!(checkpoint.snapshotBandwidth > 0.0))
+            return stringPrintf("checkpoint.snapshotBandwidth must be > 0, "
+                                "got %g",
+                                checkpoint.snapshotBandwidth);
     }
 
-    if (elasticity.graceWindow < 0.0)
-        return fmt("elasticity.graceWindow must be >= 0, got %g",
-                   elasticity.graceWindow);
-    if (elasticity.rejoinLatency < 0.0)
-        return fmt("elasticity.rejoinLatency must be >= 0, got %g",
-                   elasticity.rejoinLatency);
-    if (elasticity.sloTargetSamplesPerSec < 0.0)
-        return fmt("elasticity.sloTargetSamplesPerSec must be >= 0, "
-                   "got %g",
-                   elasticity.sloTargetSamplesPerSec);
-    if (elasticity.scaleUpTime < 0.0)
-        return fmt("elasticity.scaleUpTime must be >= 0, got %g",
-                   elasticity.scaleUpTime);
+    if (!(elasticity.graceWindow >= 0.0))
+        return stringPrintf("elasticity.graceWindow must be >= 0, got %g",
+                            elasticity.graceWindow);
+    if (!(elasticity.rejoinLatency >= 0.0))
+        return stringPrintf("elasticity.rejoinLatency must be >= 0, got %g",
+                            elasticity.rejoinLatency);
+    if (!(elasticity.sloTargetSamplesPerSec >= 0.0))
+        return stringPrintf("elasticity.sloTargetSamplesPerSec must be "
+                            ">= 0, got %g",
+                            elasticity.sloTargetSamplesPerSec);
+    if (!(elasticity.scaleUpTime >= 0.0))
+        return stringPrintf("elasticity.scaleUpTime must be >= 0, got %g",
+                            elasticity.scaleUpTime);
     if (!(err = checkElasticClass("groupDrain", elasticity.groupDrain))
              .empty())
         return err;
@@ -406,25 +416,28 @@ ServerConfig::validate() const
         (numAccelerators + box.accPerBox - 1) / box.accPerBox;
     if (elasticity.deferredJoinGroups > 0 &&
         elasticity.deferredJoinGroups >= numGroups)
-        return fmt("elasticity.deferredJoinGroups (%zu) must leave at "
-                   "least one of the %zu groups active at start",
-                   elasticity.deferredJoinGroups, numGroups);
+        return stringPrintf("elasticity.deferredJoinGroups (%zu) must "
+                            "leave at least one of the %zu groups active "
+                            "at start",
+                            elasticity.deferredJoinGroups, numGroups);
     Time prevAt = 0.0;
     for (std::size_t i = 0; i < elasticity.schedule.size(); ++i) {
         const ElasticEvent &ev = elasticity.schedule[i];
-        if (ev.at < 0.0)
-            return fmt("elasticity.schedule[%zu].at must be >= 0, got %g",
-                       i, ev.at);
+        if (!(ev.at >= 0.0))
+            return stringPrintf("elasticity.schedule[%zu].at must be >= 0, "
+                                "got %g",
+                                i, ev.at);
         if (ev.at < prevAt)
-            return fmt("elasticity.schedule must be ordered by time: "
-                       "event %zu at %g precedes event %zu at %g",
-                       i, ev.at, i - 1, prevAt);
+            return stringPrintf("elasticity.schedule must be ordered by "
+                                "time: event %zu at %g precedes event %zu "
+                                "at %g",
+                                i, ev.at, i - 1, prevAt);
         prevAt = ev.at;
         if (ev.index >= numGroups)
-            return fmt("elasticity.schedule[%zu] targets %s %zu but the "
-                       "topology has only %zu groups",
-                       i, elasticTargetKindName(ev.target), ev.index,
-                       numGroups);
+            return stringPrintf("elasticity.schedule[%zu] targets %s %zu "
+                                "but the topology has only %zu groups",
+                                i, elasticTargetKindName(ev.target),
+                                ev.index, numGroups);
     }
 
     if (ingest.enabled) {
@@ -434,70 +447,82 @@ ServerConfig::validate() const
             return err;
         if (!(err = checkIngestClass("burst", ingest.burst)).empty())
             return err;
-        if (ingest.diurnalAmplitude < 0.0 || ingest.diurnalAmplitude > 1.0)
-            return fmt("ingest.diurnalAmplitude must be in [0, 1], got %g",
-                       ingest.diurnalAmplitude);
-        if (ingest.diurnal.ratePerSec > 0.0 && ingest.diurnalPeriod <= 0.0)
-            return fmt("ingest.diurnalPeriod must be > 0, got %g",
-                       ingest.diurnalPeriod);
-        if (ingest.bufferCapacity <= 0.0)
-            return fmt("ingest.bufferCapacity must be > 0 samples, got %g",
-                       ingest.bufferCapacity);
-        if (ingest.lowWatermark < 0.0)
-            return fmt("ingest.lowWatermark must be >= 0, got %g",
-                       ingest.lowWatermark);
+        if (!(ingest.diurnalAmplitude >= 0.0 &&
+              ingest.diurnalAmplitude <= 1.0))
+            return stringPrintf("ingest.diurnalAmplitude must be in "
+                                "[0, 1], got %g",
+                                ingest.diurnalAmplitude);
+        if (ingest.diurnal.ratePerSec > 0.0 && !(ingest.diurnalPeriod > 0.0))
+            return stringPrintf("ingest.diurnalPeriod must be > 0, got %g",
+                                ingest.diurnalPeriod);
+        if (!(ingest.bufferCapacity > 0.0))
+            return stringPrintf("ingest.bufferCapacity must be > 0 "
+                                "samples, got %g",
+                                ingest.bufferCapacity);
+        if (!(ingest.lowWatermark >= 0.0))
+            return stringPrintf("ingest.lowWatermark must be >= 0, got %g",
+                                ingest.lowWatermark);
         if (!(ingest.lowWatermark < ingest.highWatermark &&
               ingest.highWatermark <= ingest.bufferCapacity))
-            return fmt("ingest watermarks must be ordered low < high <= "
-                       "capacity, got low %g, high %g, capacity %g",
-                       ingest.lowWatermark, ingest.highWatermark,
-                       ingest.bufferCapacity);
+            return stringPrintf("ingest watermarks must be ordered low < "
+                                "high <= capacity, got low %g, high %g, "
+                                "capacity %g",
+                                ingest.lowWatermark, ingest.highWatermark,
+                                ingest.bufferCapacity);
         if (ingest.policyChain.empty())
             return "ingest.policyChain must name at least one overload "
                    "policy";
         for (std::size_t i = 0; i < ingest.policyChain.size(); ++i)
             for (std::size_t j = i + 1; j < ingest.policyChain.size(); ++j)
                 if (ingest.policyChain[i] == ingest.policyChain[j])
-                    return fmt("ingest.policyChain lists %s twice "
-                               "(positions %zu and %zu)",
-                               ingestPolicyName(ingest.policyChain[i]), i,
-                               j);
-        if (ingest.throttleFactor < 0.0 || ingest.throttleFactor >= 1.0)
-            return fmt("ingest.throttleFactor must be in [0, 1), got %g",
-                       ingest.throttleFactor);
-        if (ingest.echoFactor < 1.0)
-            return fmt("ingest.echoFactor must be >= 1, got %g",
-                       ingest.echoFactor);
-        if (ingest.echoEfficiency < 0.0 || ingest.echoEfficiency > 1.0)
-            return fmt("ingest.echoEfficiency must be in [0, 1], got %g",
-                       ingest.echoEfficiency);
-        if (ingest.stalenessSlo < 0.0)
-            return fmt("ingest.stalenessSlo must be >= 0, got %g",
-                       ingest.stalenessSlo);
-        if (ingest.writeChunkSamples <= 0.0)
-            return fmt("ingest.writeChunkSamples must be > 0, got %g",
-                       ingest.writeChunkSamples);
-        if (ingest.writeFailureProb < 0.0 || ingest.writeFailureProb >= 1.0)
-            return fmt("ingest.writeFailureProb must be in [0, 1), got %g",
-                       ingest.writeFailureProb);
-        if (ingest.writeRetryBackoff < 0.0)
-            return fmt("ingest.writeRetryBackoff must be >= 0, got %g",
-                       ingest.writeRetryBackoff);
+                    return stringPrintf(
+                        "ingest.policyChain lists %s twice (positions %zu "
+                        "and %zu)",
+                        ingestPolicyName(ingest.policyChain[i]), i, j);
+        if (!(ingest.throttleFactor >= 0.0 && ingest.throttleFactor < 1.0))
+            return stringPrintf("ingest.throttleFactor must be in [0, 1), "
+                                "got %g",
+                                ingest.throttleFactor);
+        if (!(ingest.echoFactor >= 1.0))
+            return stringPrintf("ingest.echoFactor must be >= 1, got %g",
+                                ingest.echoFactor);
+        if (!(ingest.echoEfficiency >= 0.0 && ingest.echoEfficiency <= 1.0))
+            return stringPrintf("ingest.echoEfficiency must be in [0, 1], "
+                                "got %g",
+                                ingest.echoEfficiency);
+        if (!(ingest.stalenessSlo >= 0.0))
+            return stringPrintf("ingest.stalenessSlo must be >= 0, got %g",
+                                ingest.stalenessSlo);
+        if (!(ingest.writeChunkSamples > 0.0))
+            return stringPrintf("ingest.writeChunkSamples must be > 0, "
+                                "got %g",
+                                ingest.writeChunkSamples);
+        if (!(ingest.writeFailureProb >= 0.0 &&
+              ingest.writeFailureProb < 1.0))
+            return stringPrintf("ingest.writeFailureProb must be in "
+                                "[0, 1), got %g",
+                                ingest.writeFailureProb);
+        if (!(ingest.writeRetryBackoff >= 0.0))
+            return stringPrintf("ingest.writeRetryBackoff must be >= 0, "
+                                "got %g",
+                                ingest.writeRetryBackoff);
         prevAt = 0.0;
         for (std::size_t i = 0; i < ingest.schedule.size(); ++i) {
             const IngestArrival &ev = ingest.schedule[i];
-            if (ev.at < 0.0)
-                return fmt("ingest.schedule[%zu].at must be >= 0, got %g",
-                           i, ev.at);
+            if (!(ev.at >= 0.0))
+                return stringPrintf("ingest.schedule[%zu].at must be "
+                                    ">= 0, got %g",
+                                    i, ev.at);
             if (ev.at < prevAt)
-                return fmt("ingest.schedule must be ordered by time: "
-                           "event %zu at %g precedes event %zu at %g",
-                           i, ev.at, i - 1, prevAt);
+                return stringPrintf("ingest.schedule must be ordered by "
+                                    "time: event %zu at %g precedes event "
+                                    "%zu at %g",
+                                    i, ev.at, i - 1, prevAt);
             prevAt = ev.at;
-            if (ev.samples < 0.0)
-                return fmt("ingest.schedule[%zu].samples must be >= 0, "
-                           "got %g",
-                           i, ev.samples);
+            if (!(ev.samples >= 0.0))
+                return stringPrintf("ingest.schedule[%zu].samples must be "
+                                    ">= 0, got %g",
+                                    i, ev.samples);
         }
     }
     return "";

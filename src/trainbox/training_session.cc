@@ -146,8 +146,7 @@ TrainingSession::selectStages(const ChainRun &run) const
             return spec.degradedOffloadStages;
         return spec.offloadStages;
     }
-    if (gs.routeLost && fault_ && fault_->config().hostFallback &&
-        !spec.hostPathStages.empty())
+    if (gs.routeLost && !spec.hostPathStages.empty())
         return spec.hostPathStages;
     if (prepOut(gs) && !spec.degradedStages.empty())
         return spec.degradedStages;
@@ -344,6 +343,16 @@ TrainingSession::cancelChains(std::size_t g)
 
 // --- fault-injection path (inert when fault_ is null) --------------------
 
+namespace {
+
+/** Read retries per chunk before it is abandoned and re-dispatched. */
+constexpr std::size_t kMaxReadRetries = 3;
+
+/** Link stall paid per detected PCIe error (LCRC replay). */
+constexpr Time kPcieReplayLatency = 2.0e-6;
+
+} // namespace
+
 /**
  * Bounded-retry policy for SSD reads. Returns true when the read failed
  * and this function took over scheduling (retry after backoff, or chain
@@ -360,7 +369,7 @@ TrainingSession::handleReadFailure(ChainRun &run, std::size_t idx)
         return false;
     }
     const Time now = eq_.now();
-    if (run.readAttempts < fc.maxReadRetries) {
+    if (run.readAttempts < kMaxReadRetries) {
         const Time backoff = fc.retryBackoffBase *
             static_cast<double>(std::uint64_t{1} << run.readAttempts);
         ++run.readAttempts;
@@ -435,7 +444,7 @@ TrainingSession::handleCorruption(ChainRun &run, std::size_t idx)
               case CorruptionKind::PcieLinkError:
                 ++integrityStats_.detected;
                 ++integrityStats_.pcieReplays;
-                replay += cc.pcieReplayLatency;
+                replay += kPcieReplayLatency;
                 break;
               case CorruptionKind::HostDramFlip:
                 ++integrityStats_.detected;
@@ -538,8 +547,7 @@ TrainingSession::onFault(const FaultEvent &ev)
       case FaultKind::RouteLoss: {
         GroupState &gs = groups_[ev.target];
         gs.routeLost = true;
-        if (fault_->config().hostFallback &&
-            !gs.spec->hostPathStages.empty())
+        if (!gs.spec->hostPathStages.empty())
             redispatchLocalChains(ev.target);
         break;
       }
@@ -671,8 +679,7 @@ TrainingSession::accrueCapacity()
 void
 TrainingSession::replanOffload()
 {
-    if (!elastic_ || !server_.cfg.elasticity.replanOffload ||
-        !server_.pool)
+    if (!elastic_ || !server_.pool)
         return;
     // Re-run the multi-job lending math for the surviving membership:
     // each attached group is one train box worth of local FPGA capacity.

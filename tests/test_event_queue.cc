@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/random.hh"
 #include "sim/event_queue.hh"
 
 namespace tb {
@@ -111,8 +118,8 @@ TEST(EventQueue, CancelUnderLoad)
 {
     // Regression for the O(n)-per-cancel removal path: thousands of
     // cancels against a large pending set, interleaved with execution.
-    // With lazy tombstones this is O(1) amortized per cancel; the test
-    // asserts the survivors run in exactly the right order and count.
+    // Each cancel is O(log n); the test asserts the survivors run in
+    // exactly the right order and count.
     EventQueue eq;
     constexpr int kEvents = 20000;
     std::vector<EventId> ids;
@@ -124,12 +131,12 @@ TEST(EventQueue, CancelUnderLoad)
     }
     EXPECT_EQ(eq.size(), static_cast<std::size_t>(kEvents));
 
-    // Cancel every odd event (half the set, forcing compaction sweeps).
+    // Cancel every odd event (half the set).
     for (int i = 1; i < kEvents; i += 2)
         EXPECT_TRUE(eq.cancel(ids[i]));
     EXPECT_EQ(eq.size(), static_cast<std::size_t>(kEvents / 2));
 
-    // A second cancel of an already-tombstoned event reports false.
+    // A second cancel of an already-cancelled event reports false.
     for (int i = 1; i < 100; i += 2)
         EXPECT_FALSE(eq.cancel(ids[i]));
 
@@ -151,7 +158,7 @@ TEST(EventQueue, CancelRescheduleChurn)
         eq.cancel(pending);
         pending = eq.scheduleIn(1.0 + i * 1e-6, [&fired] { ++fired; });
     }
-    // Tombstone sweeps must have bounded the heap: the live set is 1.
+    // Every cancel removed its event: one stays pending.
     EXPECT_EQ(eq.size(), 1u);
     eq.run();
     EXPECT_EQ(fired, 1);
@@ -208,12 +215,134 @@ TEST(EventQueue, StaleIdAfterSlotReuseCancelsNothing)
     EXPECT_DOUBLE_EQ(eq.now(), 3.0);
 }
 
+// A seeded script of schedules at colliding times, cancels of pending,
+// fired, stale and top-of-heap events, callbacks that schedule and
+// cancel other events, single steps and run(until) stops. A std::set
+// of (time, schedule order) pairs is the reference: every event must
+// fire as its smallest element, and after every operation the queue's
+// size(), empty() and nextTime() must match it.
+TEST(EventQueue, RandomizedScriptMatchesOrderedSetReference)
+{
+    struct Ev
+    {
+        Time when;
+        EventId id; ///< a copy: cancel() clears only the one it is given
+    };
+
+    EventQueue eq;
+    Rng rng(20261019);
+    std::vector<Ev> evs; ///< every event ever scheduled, by order
+    std::set<std::pair<Time, std::size_t>> pending; ///< (when, order)
+    std::size_t fired = 0;
+    std::size_t cancelled = 0;
+    std::size_t staleCancels = 0;
+    std::size_t maxPending = 0;
+
+    // Times are multiples of 1/8 up to @p steps eighths ahead of now(),
+    // so they collide often and exactly.
+    auto pickTime = [&](std::int64_t steps) {
+        return eq.now() +
+            0.125 * static_cast<double>(rng.uniformInt(0, steps));
+    };
+
+    std::function<void()> scheduleOne;
+    auto cancelOne = [&](bool top) {
+        if (evs.empty())
+            return;
+        // A random pick from the 256 newest events finds pending, fired
+        // and cancelled ones alike.
+        const auto n = static_cast<std::int64_t>(evs.size());
+        const std::size_t i = top && !pending.empty()
+            ? pending.begin()->second
+            : static_cast<std::size_t>(
+                  rng.uniformInt(std::max<std::int64_t>(0, n - 256), n - 1));
+        const bool live = pending.erase({evs[i].when, i}) == 1;
+        EventId id = evs[i].id;
+        EXPECT_EQ(eq.cancel(id), live) << "event " << i;
+        EXPECT_FALSE(id.valid());
+        if (live)
+            ++cancelled;
+        else
+            ++staleCancels;
+    };
+    auto onFire = [&](std::size_t i) {
+        ASSERT_FALSE(pending.empty()) << "event " << i;
+        EXPECT_EQ(pending.begin()->second, i) << "out of order";
+        EXPECT_EQ(eq.now(), evs[i].when);
+        pending.erase({evs[i].when, i});
+        ++fired;
+        // One in four callbacks schedules another event, one in five
+        // cancels one.
+        if (rng.uniformInt(0, 3) == 0)
+            scheduleOne();
+        if (rng.uniformInt(0, 4) == 0)
+            cancelOne(false);
+    };
+    scheduleOne = [&] {
+        const Time when = pickTime(63);
+        const std::size_t i = evs.size();
+        evs.push_back({when, eq.schedule(when, [&onFire, i] { onFire(i); })});
+        pending.insert({when, i});
+    };
+    auto expectMatches = [&](int op) {
+        ASSERT_EQ(eq.size(), pending.size()) << "after op " << op;
+        ASSERT_EQ(eq.empty(), pending.empty()) << "after op " << op;
+        if (!pending.empty()) {
+            ASSERT_EQ(eq.nextTime(), pending.begin()->first)
+                << "after op " << op;
+        }
+    };
+
+    constexpr int kOps = 20000;
+    for (int op = 0; op < kOps && !HasFailure(); ++op) {
+        const std::int64_t r = rng.uniformInt(0, 99);
+        if (r < 45) {
+            scheduleOne();
+        } else if (r < 60) {
+            cancelOne(false);
+        } else if (r < 65) {
+            cancelOne(true);
+        } else if (r < 97) {
+            const bool any = !pending.empty();
+            EXPECT_EQ(eq.step(), any);
+        } else {
+            const Time until = pickTime(7);
+            eq.run(until);
+            EXPECT_EQ(eq.now(), until);
+            if (!pending.empty()) {
+                EXPECT_GT(pending.begin()->first, until);
+            }
+        }
+        expectMatches(op);
+        maxPending = std::max(maxPending, pending.size());
+    }
+    eq.run();
+    EXPECT_TRUE(pending.empty());
+    EXPECT_EQ(eq.numExecuted(), fired);
+    EXPECT_EQ(fired + cancelled + pending.size(), evs.size());
+    // The script reached every case it claims to.
+    EXPECT_GT(cancelled, 1000u);
+    EXPECT_GT(staleCancels, 1000u);
+    EXPECT_GT(fired, 5000u);
+    EXPECT_GT(maxPending, 64u);
+}
+
 TEST(EventQueueDeath, SchedulingInThePastPanics)
 {
     EventQueue eq;
     eq.schedule(5.0, [] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(1.0, [] {}), "past");
+}
+
+// The heap needs a strict order on its keys, and NaN compares false
+// both ways.
+TEST(EventQueueDeath, SchedulingAtNaNPanics)
+{
+    EventQueue eq;
+    eq.schedule(2.0, [] {});
+    EXPECT_DEATH(eq.schedule(std::nan(""), [] {}), "NaN");
+    EXPECT_DEATH(eq.scheduleIn(std::nan(""), [] {}), "NaN");
 }
 
 TEST(EventQueueDeath, NextTimeOnEmptyPanics)

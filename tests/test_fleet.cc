@@ -281,6 +281,19 @@ TEST(FleetValidate, RejectsJobNamesThatCollide)
               "job name a.b.c extends job name a.b past a '.'");
 }
 
+// Messages are as long as they need to be: a long job name appears
+// whole.
+TEST(FleetValidate, LongDuplicateNameAppearsWhole)
+{
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.numAccelerators = 8;
+    const std::string name(300, 'j');
+    FleetConfig fleet = singleJobFleet(cfg, name);
+    fleet.jobs.push_back(fleet.jobs.front());
+    EXPECT_EQ(fleet.validate(), "duplicate job name " + name);
+}
+
 // One two-box host, two two-box jobs: the second waits for the first
 // to finish and its wait is reported as queueing delay.
 TEST(FleetQueueing, OversubscribedHostReportsDelay)

@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "trainbox/fleet.hh"
@@ -271,6 +272,80 @@ TEST(FleetFaultValidate, RejectsBadScriptedSchedule)
     f.faults.schedule.push_back(
         {FleetFaultKind::BoxLoss, 0, 1.0, 0.1, /*units=*/0});
     expectInvalid(f, "has zero units");
+}
+
+// NaN compares false both ways, so a check written `x < 0.0` lets it
+// through, and a NaN arrival would reach the report JSON as "nan".
+// Every numeric field rejects NaN, and the job arrivals, the horizon
+// and scripted fault starts must be finite.
+TEST(FleetFaultValidate, RejectsNaNAndInfiniteTimes)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    FleetConfig base = oneJobFaultFleet(plainConfig());
+    base.horizon = 10.0;
+    base.faults.hostOutage = {5.0, 0.5};
+    base.faults.boxLoss = {8.0, 0.5};
+    base.faults.poolPartition = {6.0, 0.5};
+    base.faults.schedule.push_back(
+        {FleetFaultKind::HostOutage, 0, 1.0, 0.25});
+    ASSERT_EQ(base.validate(), "");
+
+    using Field = double &(*)(FleetConfig &);
+    struct Case
+    {
+        Field field;
+        double value;
+        const char *needle;
+    };
+    const Field horizon = [](FleetConfig &f) -> double & {
+        return f.horizon;
+    };
+    const Field arrival = [](FleetConfig &f) -> double & {
+        return f.jobs[0].arrival;
+    };
+    const Field start = [](FleetConfig &f) -> double & {
+        return f.faults.schedule[0].start;
+    };
+    const Case cases[] = {
+        {horizon, nan, "horizon must be finite and >= 0, got nan"},
+        {horizon, inf, "horizon must be finite and >= 0, got inf"},
+        {arrival, nan, "job solo must arrive at a finite time >= 0, got nan"},
+        {arrival, inf, "job solo must arrive at a finite time >= 0, got inf"},
+        {[](FleetConfig &f) -> double & { return f.faults.retryBackoffBase; },
+         nan, "faults.retryBackoffBase must be >= 0, got nan"},
+        {[](FleetConfig &f) -> double & {
+             return f.faults.retryBackoffFactor;
+         },
+         nan, "faults.retryBackoffFactor must be >= 1, got nan"},
+        {[](FleetConfig &f) -> double & { return f.faults.hostOutage.mtbf; },
+         nan, "faults.hostOutage.mtbf must be >= 0, got nan"},
+        {[](FleetConfig &f) -> double & { return f.faults.hostOutage.mttr; },
+         nan, "faults.hostOutage.mttr must be >= 0, got nan"},
+        {[](FleetConfig &f) -> double & { return f.faults.boxLoss.mtbf; },
+         nan, "faults.boxLoss.mtbf must be >= 0, got nan"},
+        {[](FleetConfig &f) -> double & { return f.faults.boxLoss.mttr; },
+         nan, "faults.boxLoss.mttr must be >= 0, got nan"},
+        {[](FleetConfig &f) -> double & {
+             return f.faults.poolPartition.mtbf;
+         },
+         nan, "faults.poolPartition.mtbf must be >= 0, got nan"},
+        {[](FleetConfig &f) -> double & {
+             return f.faults.poolPartition.mttr;
+         },
+         nan, "faults.poolPartition.mttr must be >= 0, got nan"},
+        {start, nan, "faults.schedule[0] starts at nan, not a finite time"},
+        {start, inf, "faults.schedule[0] starts at inf, not a finite time"},
+        {[](FleetConfig &f) -> double & {
+             return f.faults.schedule[0].duration;
+         },
+         nan, "faults.schedule[0] has negative duration nan"},
+    };
+    for (const Case &k : cases) {
+        FleetConfig f = base;
+        k.field(f) = k.value;
+        expectInvalid(f, k.needle);
+    }
 }
 
 // --- retry / backoff / abandonment ---------------------------------------

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "trainbox/server_builder.hh"
 #include "trainbox/server_config.hh"
@@ -408,6 +410,123 @@ TEST(ServerConfigValidate, RejectsBadIngestSchedule)
     cfg.ingest.schedule = {{IngestTrafficKind::Burst, 64.0, 0, 1.0},
                            {IngestTrafficKind::Steady, 32.0, 2, 4.0}};
     EXPECT_EQ(cfg.validate(), "");
+}
+
+// NaN compares false both ways, so a check written `x < 0.0` lets it
+// through. Every numeric field, set to NaN in a config that switches
+// on every check, gets a message that names the field and the NaN.
+TEST(ServerConfigValidate, RejectsNaNInEveryNumericField)
+{
+    ServerConfig armed = valid();
+    armed.faults.enabled = true;
+    for (FaultClassConfig *cc :
+         {&armed.faults.ssdDegrade, &armed.faults.prepCrash,
+          &armed.faults.ethDegrade, &armed.faults.routeLoss}) {
+        cc->ratePerSec = 0.1;
+        cc->duration = 0.5;
+    }
+    armed.checkpoint.enabled = true;
+    for (ElasticClassConfig *cc :
+         {&armed.elasticity.groupDrain, &armed.elasticity.groupPreempt,
+          &armed.elasticity.prepDrain, &armed.elasticity.prepPreempt})
+        cc->ratePerSec = 0.1;
+    armed.elasticity.schedule = {
+        {ElasticTargetKind::Group, ElasticAction::Drain, 0, 1.0}};
+    armed.ingest.enabled = true;
+    armed.ingest.steady.ratePerSec = 1000.0;
+    armed.ingest.diurnal.ratePerSec = 500.0;
+    armed.ingest.burst.ratePerSec = 200.0;
+    armed.ingest.schedule = {{IngestTrafficKind::Steady, 64.0, 0, 1.0}};
+    ASSERT_EQ(armed.validate(), "");
+
+    using Field = double &(*)(ServerConfig &);
+    struct Case
+    {
+        const char *needle; ///< what the message must name
+        Field field;
+    };
+#define TB_FIELD(needle, path) \
+    {needle, [](ServerConfig &c) -> double & { return c.path; }}
+#define TB_NAMED(path) TB_FIELD(#path, path)
+    const Case cases[] = {
+        TB_NAMED(maxPrepParallelism),
+        TB_NAMED(host.cpuCores),
+        TB_NAMED(host.memBandwidth),
+        TB_NAMED(host.rcBandwidth),
+        TB_NAMED(sync.linkBandwidth),
+        TB_NAMED(sync.hopLatency),
+        TB_NAMED(sync.chunkBytes),
+        TB_NAMED(faults.ssdReadFailureProb),
+        TB_NAMED(faults.stragglerProb),
+        TB_NAMED(faults.stragglerFactor),
+        TB_NAMED(faults.retryBackoffBase),
+        TB_NAMED(faults.stepTimeoutFactor),
+        TB_NAMED(faults.ssdDegrade.ratePerSec),
+        TB_FIELD("faults.ssdDegrade window", faults.ssdDegrade.duration),
+        TB_NAMED(faults.ssdDegrade.magnitude),
+        TB_NAMED(faults.prepCrash.ratePerSec),
+        TB_FIELD("faults.prepCrash window", faults.prepCrash.duration),
+        TB_NAMED(faults.prepCrash.magnitude),
+        TB_NAMED(faults.ethDegrade.ratePerSec),
+        TB_FIELD("faults.ethDegrade window", faults.ethDegrade.duration),
+        TB_NAMED(faults.ethDegrade.magnitude),
+        TB_NAMED(faults.routeLoss.ratePerSec),
+        TB_FIELD("faults.routeLoss window", faults.routeLoss.duration),
+        TB_NAMED(faults.routeLoss.magnitude),
+        TB_NAMED(faults.fatalCrash.ratePerSec),
+        TB_FIELD("ssd_bit_flip", faults.corruption.ssdBitFlipProb),
+        TB_FIELD("pcie_link_error", faults.corruption.pcieErrorProb),
+        TB_FIELD("fpga_upset", faults.corruption.fpgaUpsetProb),
+        TB_FIELD("host_dram_flip", faults.corruption.hostDramFlipProb),
+        TB_NAMED(checkpoint.interval),
+        TB_NAMED(checkpoint.optimizerSlots),
+        TB_NAMED(checkpoint.snapshotBandwidth),
+        TB_NAMED(checkpoint.restartLatency),
+        TB_NAMED(elasticity.graceWindow),
+        TB_NAMED(elasticity.rejoinLatency),
+        TB_NAMED(elasticity.sloTargetSamplesPerSec),
+        TB_NAMED(elasticity.scaleUpTime),
+        TB_NAMED(elasticity.groupDrain.ratePerSec),
+        TB_NAMED(elasticity.groupDrain.absence),
+        TB_NAMED(elasticity.groupPreempt.ratePerSec),
+        TB_NAMED(elasticity.groupPreempt.absence),
+        TB_NAMED(elasticity.prepDrain.ratePerSec),
+        TB_NAMED(elasticity.prepDrain.absence),
+        TB_NAMED(elasticity.prepPreempt.ratePerSec),
+        TB_NAMED(elasticity.prepPreempt.absence),
+        TB_NAMED(elasticity.schedule[0].at),
+        TB_NAMED(ingest.steady.ratePerSec),
+        TB_NAMED(ingest.steady.samplesPerEvent),
+        TB_NAMED(ingest.diurnal.ratePerSec),
+        TB_NAMED(ingest.diurnal.samplesPerEvent),
+        TB_NAMED(ingest.burst.ratePerSec),
+        TB_NAMED(ingest.burst.samplesPerEvent),
+        TB_NAMED(ingest.diurnalAmplitude),
+        TB_NAMED(ingest.diurnalPeriod),
+        TB_NAMED(ingest.bufferCapacity),
+        TB_NAMED(ingest.lowWatermark),
+        TB_FIELD("ingest watermarks", ingest.highWatermark),
+        TB_NAMED(ingest.throttleFactor),
+        TB_NAMED(ingest.echoFactor),
+        TB_NAMED(ingest.echoEfficiency),
+        TB_NAMED(ingest.stalenessSlo),
+        TB_NAMED(ingest.writeChunkSamples),
+        TB_NAMED(ingest.writeFailureProb),
+        TB_NAMED(ingest.writeRetryBackoff),
+        TB_NAMED(ingest.schedule[0].at),
+        TB_NAMED(ingest.schedule[0].samples),
+    };
+#undef TB_NAMED
+#undef TB_FIELD
+    for (const Case &k : cases) {
+        ServerConfig cfg = armed;
+        k.field(cfg) = std::numeric_limits<double>::quiet_NaN();
+        const std::string err = cfg.validate();
+        EXPECT_NE(err.find(k.needle), std::string::npos)
+            << k.needle << ": \"" << err << "\"";
+        EXPECT_NE(err.find("nan"), std::string::npos)
+            << k.needle << ": \"" << err << "\"";
+    }
 }
 
 TEST(ServerConfigPresetKeys, EveryKeyParsesBackToItsPreset)
