@@ -11,11 +11,37 @@
 namespace tb {
 namespace prep {
 
+namespace {
+
+/**
+ * Screen the image config, as checkAudioInput() screens the audio one,
+ * so that a bad knob quarantines the item instead of ending the process
+ * in crop()'s fatal check or silently saturating (an infinite stddev)
+ * or skipping (a NaN one) the noise. Returns an "image: ..." diagnostic,
+ * or "" when the config is fit to run.
+ */
+std::string
+checkImageConfig(const ImagePrepConfig &cfg)
+{
+    if (cfg.cropWidth <= 0 || cfg.cropHeight <= 0)
+        return "image: non-positive crop size";
+    if (!(cfg.mirrorProbability >= 0.0 && cfg.mirrorProbability <= 1.0))
+        return "image: mirror probability outside [0, 1]";
+    if (!(cfg.noiseStddev >= 0.0 && std::isfinite(cfg.noiseStddev)))
+        return "image: negative or non-finite noise stddev";
+    return "";
+}
+
+} // namespace
+
 PreparedImage
 ImagePrepPipeline::prepare(const std::vector<std::uint8_t> &jpeg_bytes,
                            Rng &rng) const
 {
     PreparedImage out;
+    out.error = checkImageConfig(cfg_);
+    if (!out.error.empty())
+        return out;
 
     jpeg::DecodeResult decoded = jpeg::decodeJpeg(jpeg_bytes);
     if (!decoded.ok) {

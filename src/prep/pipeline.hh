@@ -54,7 +54,12 @@ class ImagePrepPipeline
   public:
     explicit ImagePrepPipeline(ImagePrepConfig cfg = {}) : cfg_(cfg) {}
 
-    /** Decode + format + augment one stored JPEG item. */
+    /**
+     * Decode + format + augment one stored JPEG item. A config with a
+     * non-positive crop, a mirror probability outside [0, 1] (or NaN)
+     * or a negative or non-finite noise stddev fails every item with an
+     * "image: ..." error.
+     */
     PreparedImage prepare(const std::vector<std::uint8_t> &jpeg_bytes,
                           Rng &rng) const;
 

@@ -81,17 +81,21 @@ EventQueue::step()
 }
 
 void
+EventQueue::run()
+{
+    while (step()) {
+    }
+}
+
+void
 EventQueue::run(Time until)
 {
-    while (!heap_.empty()) {
-        if (until >= 0.0 && heap_.topKey().when > until) {
-            now_ = until;
-            return;
-        }
+    panic_if(std::isnan(until), "running the event queue to NaN time");
+    panic_if(until < now_, "running the event queue back to %g (now %g)",
+             until, now_);
+    while (!heap_.empty() && heap_.topKey().when <= until)
         step();
-    }
-    if (until >= 0.0 && now_ < until)
-        now_ = until;
+    now_ = until;
 }
 
 } // namespace tb

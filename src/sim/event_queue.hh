@@ -84,8 +84,14 @@ class EventQueue
     /** Run a single event. Returns false when the queue is empty. */
     bool step();
 
-    /** Run until the queue is empty or @p until is reached (inclusive). */
-    void run(Time until = -1.0);
+    /** Run until the queue is empty. */
+    void run();
+
+    /**
+     * Run every event due at or before @p until, then set the clock to
+     * @p until. A NaN bound or one earlier than now() panics.
+     */
+    void run(Time until);
 
     /** Total number of events executed so far. */
     std::uint64_t numExecuted() const { return numExecuted_; }

@@ -345,6 +345,28 @@ TEST(EventQueueDeath, SchedulingAtNaNPanics)
     EXPECT_DEATH(eq.scheduleIn(std::nan(""), [] {}), "NaN");
 }
 
+// run(until) sets the clock to its bound, so a bound behind the clock
+// would turn time back and let schedule() accept times before events
+// that already ran. A negative bound used to mean "no bound" and ran the
+// whole queue.
+TEST(EventQueueDeath, RunUntilBehindTheClockPanics)
+{
+    EventQueue eq;
+    int ran = 0;
+    eq.schedule(5.0, [&] { ++ran; });
+    eq.schedule(5.0, [&] { ++ran; });
+    eq.schedule(9.0, [&] { ++ran; });
+    EXPECT_DEATH(eq.run(-0.5), "back");
+    ASSERT_TRUE(eq.step());
+    eq.run(5.0); // a bound at the clock runs what is due and stays put
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(eq.now(), 5.0);
+    EXPECT_DEATH(eq.run(2.0), "back");
+    EXPECT_DEATH(eq.run(std::nan("")), "NaN");
+    eq.run();
+    EXPECT_EQ(ran, 3);
+}
+
 TEST(EventQueueDeath, NextTimeOnEmptyPanics)
 {
     EventQueue eq;

@@ -3,13 +3,16 @@
  * Tests for the image formatting/augmentation operators.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/crc32c.hh"
+#include "common/math_util.hh"
 #include "prep/image/image_ops.hh"
 #include "prep/pipeline.hh"
 
@@ -159,6 +162,145 @@ TEST(ImageOps, NoiseMatchesItsPins)
         EXPECT_EQ(got, c.digest)
             << "stddev " << c.stddev << ": 0x" << std::hex << got;
     }
+}
+
+// addGaussianNoise as one libm draw per byte, the loop the block path
+// must reproduce.
+Image
+libmNoise(const Image &src, double stddev, Rng &rng)
+{
+    Image out = src;
+    for (auto &p : out.pixels)
+        p = roundToByte(p + rng.gaussian(0.0, stddev));
+    return out;
+}
+
+// The block path against the libm loop, bit for bit: byte counts on
+// both sides of the 64-pair block edges and a full 224x224x3 item, with
+// and without a spare held on entry, stddevs of both signs up to the
+// block bound and past it (there every byte takes the libm loop), on
+// bytes that cover 0..255 so the noise reaches both clamps. The
+// generator's next two draws pin where each call leaves it.
+TEST(ImageOps, NoiseMatchesLibmLoopBitwise)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double stddevs[] = {0.0,  -0.0,  -4.0,  0.5,
+                              4.0,  40.0,  300.0, 1e3,
+                              std::nextafter(1e3, inf),
+                              1e12, inf,   std::nan("")};
+    const struct
+    {
+        int w, h, c;
+    } shapes[] = {{0, 0, 3},   {1, 1, 1},  {2, 1, 1},   {127, 1, 1},
+                  {128, 1, 1}, {43, 1, 3}, {130, 1, 1}, {224, 224, 3}};
+    bool clampedLow = false, clampedHigh = false;
+    for (const auto &shape : shapes) {
+        Image src(shape.w, shape.h, shape.c);
+        for (std::size_t i = 0; i < src.pixels.size(); ++i)
+            src.pixels[i] = static_cast<std::uint8_t>(i * 7 + 3);
+        for (bool spare : {false, true}) {
+            for (double stddev : stddevs) {
+                Rng rng(4305);
+                if (spare)
+                    rng.gaussian();
+                Rng ref = rng;
+                const Image got = addGaussianNoise(src, stddev, rng);
+                const Image want = libmNoise(src, stddev, ref);
+                const auto where = std::mismatch(
+                    want.pixels.begin(), want.pixels.end(),
+                    got.pixels.begin());
+                ASSERT_TRUE(where.first == want.pixels.end())
+                    << src.pixels.size() << " bytes, spare " << spare
+                    << ", stddev " << stddev << ": byte "
+                    << (where.first - want.pixels.begin()) << " is "
+                    << int(*where.second) << ", want "
+                    << int(*where.first);
+                for (int draw = 0; draw < 2; ++draw) {
+                    const double a = rng.gaussian(), b = ref.gaussian();
+                    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+                        << src.pixels.size() << " bytes, spare " << spare
+                        << ", stddev " << stddev << ", draw " << draw;
+                }
+                if (std::fabs(stddev) <= 1e3) {
+                    for (std::size_t i = 0; i < got.pixels.size(); ++i) {
+                        clampedLow |= got.pixels[i] == 0 &&
+                                      src.pixels[i] != 0;
+                        clampedHigh |= got.pixels[i] == 255 &&
+                                       src.pixels[i] != 255;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(clampedLow);
+    EXPECT_TRUE(clampedHigh);
+}
+
+// The exact bytes rest on evaluateNoiseBlock's normals staying within
+// 1e-13 of Rng::boxMuller's (image_ops.cc's kStepMargin). 10^7 seeded
+// pairs, then the edges: u1 at the smallest and largest values a draw
+// takes (the log reduction's extreme exponents, and f near 0), and u2
+// within a few draw steps of every eighth of a turn, where the angle
+// reduction changes quarter and the polynomials reach |a| = pi/4.
+TEST(ImageOps, NoiseBlockNormalsStayNearLibm)
+{
+    constexpr std::size_t kPairs = detail::NoiseBlock::kPairs;
+    detail::NoiseBlock b;
+    std::size_t fill = 0, pairs = 0;
+    double maxErr = 0.0;
+    auto check = [&] {
+        std::fill(b.u1 + fill, b.u1 + kPairs, 1.0);
+        std::fill(b.u2 + fill, b.u2 + kPairs, 0.0);
+        detail::evaluateNoiseBlock(b);
+        for (std::size_t j = 0; j < fill; ++j) {
+            const auto [c, s] = Rng::boxMuller(b.u1[j], b.u2[j]);
+            const double err = std::max(std::fabs(b.g[2 * j] - c),
+                                        std::fabs(b.g[2 * j + 1] - s));
+            if (!(err <= maxErr)) {
+                maxErr = err;
+                if (!(err <= 1e-13))
+                    ADD_FAILURE() << "u1 " << b.u1[j] << ", u2 " << b.u2[j]
+                                  << ": error " << err;
+            }
+        }
+        pairs += fill;
+        fill = 0;
+    };
+    auto add = [&](double u1, double u2) {
+        b.u1[fill] = u1;
+        b.u2[fill] = u2;
+        if (++fill == kPairs)
+            check();
+    };
+
+    Rng rng(4306);
+    while (pairs < 10'000'000) {
+        for (fill = 0; fill < kPairs; ++fill)
+            std::tie(b.u1[fill], b.u2[fill]) = rng.drawPairUniforms();
+        check();
+    }
+    const double step = 0x1p-53;
+    for (int j = 1; j <= 1 << 14; ++j) {
+        for (double u1 : {j * step, 1.0 - j * step}) {
+            add(u1, rng.uniform());
+            add(u1, (j % 8) / 8.0);
+        }
+    }
+    for (int k = 0; k <= 8; ++k) {
+        for (int d = -4; d <= 4; ++d) {
+            const double u2 = k / 8.0 + d * step;
+            if (u2 < 0.0 || u2 >= 1.0)
+                continue;
+            for (double u1 : {step, 0.5, 1.0 - step})
+                add(u1, u2);
+            for (int i = 0; i < 4096; ++i)
+                add(rng.drawPairUniforms().first, u2);
+        }
+    }
+    check();
+    EXPECT_GE(pairs, 10'000'000u);
+    EXPECT_LE(maxErr, 1e-13);
+    RecordProperty("max_error", ::testing::PrintToString(maxErr));
 }
 
 // Pinned from the std::lround rounding, like the noise above.
@@ -345,6 +487,52 @@ TEST(ImagePipeline, RejectsTooSmallImages)
     const auto out = pipe.prepare(bytes, rng);
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.error.find("smaller"), std::string::npos);
+}
+
+// A bad knob fails each item with an "image:" error, which the executor
+// quarantines. Before the screen, a zero crop ended the process in
+// crop()'s fatal check, an infinite stddev saturated every byte and a
+// NaN one skipped the noise.
+TEST(ImagePipeline, RejectsBadConfig)
+{
+    Rng item_rng(31);
+    const auto bytes = prep::makeSyntheticJpeg(64, 64, item_rng);
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    auto config = [](auto edit) {
+        prep::ImagePrepConfig cfg;
+        cfg.cropWidth = cfg.cropHeight = 32;
+        edit(cfg);
+        return cfg;
+    };
+    using Cfg = prep::ImagePrepConfig;
+    const Cfg bad[] = {
+        config([](Cfg &c) { c.cropWidth = 0; }),
+        config([](Cfg &c) { c.cropHeight = -1; }),
+        config([](Cfg &c) { c.mirrorProbability = nan; }),
+        config([](Cfg &c) { c.mirrorProbability = -0.1; }),
+        config([](Cfg &c) { c.mirrorProbability = 1.5; }),
+        config([](Cfg &c) { c.noiseStddev = -1.0; }),
+        config([](Cfg &c) { c.noiseStddev = inf; }),
+        config([](Cfg &c) { c.noiseStddev = nan; }),
+    };
+    for (const Cfg &cfg : bad) {
+        Rng rng(33);
+        const auto out = prep::ImagePrepPipeline(cfg).prepare(bytes, rng);
+        EXPECT_FALSE(out.ok);
+        EXPECT_EQ(out.error.rfind("image: ", 0), 0u) << out.error;
+    }
+    // The edges of each range still run.
+    const Cfg edges[] = {
+        config([](Cfg &c) { c.mirrorProbability = 0.0; }),
+        config([](Cfg &c) { c.mirrorProbability = 1.0; }),
+        config([](Cfg &c) { c.noiseStddev = 0.0; }),
+    };
+    for (const Cfg &cfg : edges) {
+        Rng rng(33);
+        const auto out = prep::ImagePrepPipeline(cfg).prepare(bytes, rng);
+        EXPECT_TRUE(out.ok) << out.error;
+    }
 }
 
 TEST(ImagePipeline, RejectsCorruptItems)

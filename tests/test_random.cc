@@ -3,6 +3,8 @@
  * Tests for the xoshiro256** RNG wrapper.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
@@ -108,6 +110,36 @@ TEST(Random, GaussianScaleAndShift)
     for (int i = 0; i < n; ++i)
         sum += rng.gaussian(10.0, 2.0);
     EXPECT_NEAR(sum / n, 10.0, 0.05);
+}
+
+// The noise kernel draws its pairs through hasSpare(),
+// drawPairUniforms() and boxMuller(); together they must give
+// gaussian()'s stream bit for bit and leave the generator where
+// gaussian() leaves it.
+TEST(Random, PairAccessorsFollowTheGaussianStream)
+{
+    Rng a(31), b(31);
+    EXPECT_FALSE(a.hasSpare());
+    for (int i = 0; i < 10000; ++i) {
+        const double c = a.gaussian();
+        EXPECT_TRUE(a.hasSpare());
+        const double s = a.gaussian();
+        EXPECT_FALSE(a.hasSpare());
+
+        const auto [u1, u2] = b.drawPairUniforms();
+        EXPECT_FALSE(b.hasSpare());
+        ASSERT_GT(u1, 0.0);
+        ASSERT_LT(u1, 1.0);
+        ASSERT_GE(u2, 0.0);
+        ASSERT_LT(u2, 1.0);
+        // Multiples of 2^-53, which the kernel's angle reduction needs.
+        ASSERT_EQ(std::ldexp(u2, 53), std::floor(std::ldexp(u2, 53)));
+        ASSERT_EQ(std::ldexp(u1, 53), std::floor(std::ldexp(u1, 53)));
+        const auto [bc, bs] = Rng::boxMuller(u1, u2);
+        ASSERT_EQ(bc, c) << "pair " << i;
+        ASSERT_EQ(bs, s) << "pair " << i;
+    }
+    EXPECT_EQ(a(), b());
 }
 
 TEST(Random, SplitStreamsAreIndependent)
