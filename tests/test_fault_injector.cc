@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+
+#include "result_digest.hh"
 #include "sim/fault_injector.hh"
 #include "trainbox/report.hh"
 #include "trainbox/server_builder.hh"
@@ -334,6 +339,250 @@ TEST(FaultSession, AllClassesTogetherCompleteAndReproduce)
     EXPECT_GT(a.throughput, 0.0);
     EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
     EXPECT_EQ(a.faults.faultsInjected, b.faults.faultsInjected);
+}
+
+// --- pinned results --------------------------------------------------
+
+/**
+ * One fault scenario, scaled to the preset's healthy step time so both
+ * presets see about as many faults per step.
+ */
+struct FaultScenario
+{
+    const char *name;
+    void (*setup)(ServerConfig &cfg, Time step);
+
+    /** The windowed class the scenario ends with a window open of. */
+    std::optional<FaultKind> openAtEnd = std::nullopt;
+};
+
+/** Corruption of one kind alone, with the checksum stages on or off. */
+template <double CorruptionConfig::*Prob, bool Checks>
+void
+corruptOneKind(ServerConfig &cfg, Time)
+{
+    cfg.faults.corruption.*Prob = 0.2;
+    cfg.faults.integrityChecks = Checks;
+}
+
+/** Fatal crashes about every ten steps, with checkpoints every step. */
+template <bool Ckpt, CheckpointMode Mode>
+void
+fatalCrashes(ServerConfig &cfg, Time step)
+{
+    cfg.faults.fatalCrash.ratePerSec = 0.1 / step;
+    cfg.checkpoint.restartLatency = step;
+    cfg.checkpoint.enabled = Ckpt;
+    cfg.checkpoint.mode = Mode;
+    cfg.checkpoint.interval = step;
+}
+
+const FaultScenario kFaultScenarios[] = {
+    {"read_fail_0.05",
+     [](ServerConfig &cfg, Time) { cfg.faults.ssdReadFailureProb = 0.05; }},
+    {"read_fail_0.6",
+     [](ServerConfig &cfg, Time) { cfg.faults.ssdReadFailureProb = 0.6; }},
+    {"ssd_bit_flip/checks_off",
+     corruptOneKind<&CorruptionConfig::ssdBitFlipProb, false>},
+    {"ssd_bit_flip/checks_on",
+     corruptOneKind<&CorruptionConfig::ssdBitFlipProb, true>},
+    {"pcie_link_error/checks_off",
+     corruptOneKind<&CorruptionConfig::pcieErrorProb, false>},
+    {"pcie_link_error/checks_on",
+     corruptOneKind<&CorruptionConfig::pcieErrorProb, true>},
+    {"fpga_upset/checks_off",
+     corruptOneKind<&CorruptionConfig::fpgaUpsetProb, false>},
+    {"fpga_upset/checks_on",
+     corruptOneKind<&CorruptionConfig::fpgaUpsetProb, true>},
+    {"host_dram_flip/checks_off",
+     corruptOneKind<&CorruptionConfig::hostDramFlipProb, false>},
+    {"host_dram_flip/checks_on",
+     corruptOneKind<&CorruptionConfig::hostDramFlipProb, true>},
+    {"all_flips_0.9/checks_on",
+     [](ServerConfig &cfg, Time) {
+         cfg.faults.corruption = {0.9, 0.9, 0.9, 0.9};
+         cfg.faults.integrityChecks = true;
+     }},
+    {"straggler/timeout_1.5",
+     [](ServerConfig &cfg, Time) {
+         cfg.faults.stragglerProb = 0.3;
+         cfg.faults.stepTimeoutFactor = 1.5;
+     }},
+    {"straggler/timeout_0",
+     [](ServerConfig &cfg, Time) {
+         cfg.faults.stragglerProb = 0.3;
+         cfg.faults.stepTimeoutFactor = 0.0;
+     }},
+    {"ssd_degrade",
+     [](ServerConfig &cfg, Time step) {
+         cfg.faults.ssdDegrade = {1.0 / step, 2.0 * step, 0.05};
+     },
+     FaultKind::SsdDegrade},
+    {"prep_crash/failover",
+     [](ServerConfig &cfg, Time step) {
+         cfg.faults.prepCrash = {1.0 / step, 2.0 * step, 0.0};
+     },
+     FaultKind::PrepCrash},
+    {"prep_crash/no_failover",
+     [](ServerConfig &cfg, Time step) {
+         cfg.faults.prepCrash = {1.0 / step, 2.0 * step, 0.0};
+         cfg.faults.poolFailover = false;
+     },
+     FaultKind::PrepCrash},
+    {"eth_degrade",
+     [](ServerConfig &cfg, Time step) {
+         cfg.faults.ethDegrade = {1.0 / step, 2.0 * step, 0.2};
+     },
+     FaultKind::EthDegrade},
+    {"route_loss",
+     [](ServerConfig &cfg, Time step) {
+         cfg.faults.routeLoss = {1.0 / step, 3.0 * step, 0.0};
+     },
+     FaultKind::RouteLoss},
+    {"fatal_crash/sync_ckpt", fatalCrashes<true, CheckpointMode::Sync>},
+    {"fatal_crash/async_ckpt", fatalCrashes<true, CheckpointMode::Async>},
+    {"fatal_crash/no_ckpt", fatalCrashes<false, CheckpointMode::Sync>},
+};
+
+/** @p preset at 32 accelerators, with a prep pool on TrainBox. */
+ServerConfig
+pinConfig(ArchPreset preset)
+{
+    ServerConfig cfg;
+    cfg.preset = preset;
+    cfg.model = workload::ModelId::Resnet50;
+    cfg.numAccelerators = 32;
+    if (preset == ArchPreset::TrainBox)
+        cfg.prepPoolFpgas = 8;
+    return cfg;
+}
+
+/** Is a window of @p kind still open at @p end (job-relative)? */
+bool
+windowOpenAt(const ServerConfig &cfg, FaultKind kind, Time end)
+{
+    auto server = buildServer(cfg);
+    FaultTargets targets;
+    targets.numSsds = server->ssds.size();
+    targets.numGroups = server->groups.size();
+    for (const FaultEvent &ev :
+         FaultInjector::schedule(cfg.faults, targets, end))
+        if (ev.kind == kind && ev.start + ev.duration > end)
+            return true;
+    return false;
+}
+
+// Every SessionResult field of every fault scenario, as one digest
+// each: the per-attempt faults (read failures, each corruption kind,
+// stragglers), each windowed class ending with a window still open,
+// fatal crashes with and without checkpoints, and a session killed
+// while a window is open. Moving the recovery policy must leave every
+// digest as it is.
+TEST(FaultSession, EveryScenarioMatchesItsPin)
+{
+    const std::map<std::string, std::string> pins = {
+        {"baseline/all_flips_0.9/checks_on", "0x75d4b63f76897291"},
+        {"baseline/eth_degrade", "0xd81b4f5bd849a0c0"},
+        {"baseline/fatal_crash/async_ckpt", "0xc921c6445c8c1be7"},
+        {"baseline/fatal_crash/no_ckpt", "0xb31a29b85bc1b685"},
+        {"baseline/fatal_crash/sync_ckpt", "0x383532209e917fc7"},
+        {"baseline/fpga_upset/checks_off", "0x258ea1060c984508"},
+        {"baseline/fpga_upset/checks_on", "0x792f01dc09d52b51"},
+        {"baseline/healthy", "0x258ea1060c984508"},
+        {"baseline/host_dram_flip/checks_off", "0x10437c6fec9e62b5"},
+        {"baseline/host_dram_flip/checks_on", "0x467b0d6cd7988e0e"},
+        {"baseline/killed/window_open", "0x2a0b58212b74acab"},
+        {"baseline/pcie_link_error/checks_off", "0xc2aaa7b01a193d90"},
+        {"baseline/pcie_link_error/checks_on", "0xf118a9cea146f402"},
+        {"baseline/prep_crash/failover", "0xcc1edcddd9fc3d12"},
+        {"baseline/prep_crash/no_failover", "0xcc1edcddd9fc3d12"},
+        {"baseline/read_fail_0.05", "0x3cb569756ff5355b"},
+        {"baseline/read_fail_0.6", "0x4045ca4a781d0c9f"},
+        {"baseline/route_loss", "0x76dbec4c23fad091"},
+        {"baseline/ssd_bit_flip/checks_off", "0xc2f92e123946b49a"},
+        {"baseline/ssd_bit_flip/checks_on", "0x9f1b530494630639"},
+        {"baseline/ssd_degrade", "0xc91acabd52c84cae"},
+        {"baseline/straggler/timeout_0", "0xf21928bc7116af7a"},
+        {"baseline/straggler/timeout_1.5", "0x9ca31179c84a508e"},
+        {"trainbox/all_flips_0.9/checks_on", "0x351c7b6745c05edf"},
+        {"trainbox/eth_degrade", "0x8ca419c07e8b0cdd"},
+        {"trainbox/fatal_crash/async_ckpt", "0xc7b75ac552396076"},
+        {"trainbox/fatal_crash/no_ckpt", "0xb13500190c976314"},
+        {"trainbox/fatal_crash/sync_ckpt", "0x9f7a0e7923f6396f"},
+        {"trainbox/fpga_upset/checks_off", "0xbd98045aada5816a"},
+        {"trainbox/fpga_upset/checks_on", "0x5756c24804d57303"},
+        {"trainbox/healthy", "0x08ff530b2d22f941"},
+        {"trainbox/host_dram_flip/checks_off", "0x08ff530b2d22f941"},
+        {"trainbox/host_dram_flip/checks_on", "0x83e6aa1956d7ce26"},
+        {"trainbox/killed/window_open", "0xd8ad9eb9cd3416c3"},
+        {"trainbox/pcie_link_error/checks_off", "0xbdb4810910b73e75"},
+        {"trainbox/pcie_link_error/checks_on", "0x0a00562423ac06cd"},
+        {"trainbox/prep_crash/failover", "0x029d95455f12a167"},
+        {"trainbox/prep_crash/no_failover", "0x9af50dd885fd0c90"},
+        {"trainbox/read_fail_0.05", "0x58f25dc7a2d8bed5"},
+        {"trainbox/read_fail_0.6", "0xa7cb1f0b01c04817"},
+        {"trainbox/route_loss", "0x2e383672443372fe"},
+        {"trainbox/ssd_bit_flip/checks_off", "0xa2d206887fb065a7"},
+        {"trainbox/ssd_bit_flip/checks_on", "0x434108fcb02cb032"},
+        {"trainbox/ssd_degrade", "0x94d458c285fb3fc1"},
+        {"trainbox/straggler/timeout_0", "0x9acb4df832db419f"},
+        {"trainbox/straggler/timeout_1.5", "0x386d63cccd105aa8"},
+    };
+    std::map<std::string, std::string> got;
+
+    for (ArchPreset preset : {ArchPreset::Baseline, ArchPreset::TrainBox}) {
+        const std::string prefix = std::string(presetKey(preset)) + "/";
+        const ServerConfig healthy_cfg = pinConfig(preset);
+        const SessionResult healthy = runSession(healthy_cfg, 2, 6);
+        got[prefix + "healthy"] = hexDigest(healthy);
+        const Time step = healthy.stepTime;
+
+        for (const FaultScenario &sc : kFaultScenarios) {
+            const std::string key = prefix + sc.name;
+            SCOPED_TRACE(key);
+            ServerConfig cfg = healthy_cfg;
+            cfg.faults.enabled = true;
+            sc.setup(cfg, step);
+            ASSERT_EQ(cfg.validate(), "");
+            const SessionResult res = runSession(cfg, 2, 6);
+            EXPECT_EQ(res.integrity.detected + res.integrity.escaped,
+                      res.integrity.injected);
+            if (sc.openAtEnd) {
+                EXPECT_TRUE(windowOpenAt(cfg, *sc.openAtEnd, res.wallTime));
+            }
+            got[key] = hexDigest(res);
+        }
+    }
+
+    // Killed while an SSD window is open: the open window's time is
+    // closed at the kill instant.
+    for (ArchPreset preset : {ArchPreset::Baseline, ArchPreset::TrainBox}) {
+        const std::string key =
+            std::string(presetKey(preset)) + "/killed/window_open";
+        SCOPED_TRACE(key);
+        ServerConfig cfg = pinConfig(preset);
+        cfg.faults.enabled = true;
+        cfg.faults.ssdDegrade = {1.0, 1000.0, 0.05};
+        auto server = buildServer(cfg);
+        TrainingSession session(*server);
+        session.start(2, 6);
+        EventQueue &eq = server->core().events();
+        while (session.stepsSynced() < 3 && eq.step()) {
+        }
+        ASSERT_FALSE(session.done());
+        EXPECT_TRUE(windowOpenAt(cfg, FaultKind::SsdDegrade, eq.now()));
+        session.kill();
+        const SessionResult res = session.collect();
+        EXPECT_GT(res.faults.degradedTime, 0.0);
+        got[key] = hexDigest(res);
+    }
+
+    for (const auto &[key, digest] : got) {
+        auto it = pins.find(key);
+        EXPECT_TRUE(it != pins.end() && it->second == digest)
+            << key << ": digest " << digest;
+    }
+    EXPECT_EQ(got.size(), pins.size());
 }
 
 } // namespace
