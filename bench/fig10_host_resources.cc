@@ -23,7 +23,7 @@ main(int argc, char **argv)
     const bool csv = bench::wantCsv(argc, argv);
 
     const std::vector<std::size_t> scales = {1, 4, 16, 64, 256};
-    const Dgx2Reference ref;
+    const HostConfig dgx2; // the DGX-2 host the figure normalizes to
     const sync::SyncConfig sync_cfg;
 
     struct Axis
@@ -35,12 +35,12 @@ main(int argc, char **argv)
     };
     const std::vector<Axis> axes = {
         {"Fig 10a: required CPU cores (normalized to DGX-2's 48)",
-         &HostDemandBreakdown::cpuCores, ref.cpuCores, "100.7x"},
+         &HostDemandBreakdown::cpuCores, dgx2.cpuCores, "100.7x"},
         {"Fig 10b: required memory bandwidth (normalized to 239 GB/s)",
-         &HostDemandBreakdown::memBw, ref.memBw, "17.9x"},
+         &HostDemandBreakdown::memBw, dgx2.memBandwidth, "17.9x"},
         {"Fig 10c: required PCIe bandwidth at the root complex "
          "(normalized to DGX-2)",
-         &HostDemandBreakdown::rcBw, ref.rcBw, "18.0x"},
+         &HostDemandBreakdown::rcBw, dgx2.rcBandwidth, "18.0x"},
     };
 
     for (const auto &axis : axes) {

@@ -90,13 +90,13 @@ main(int argc, char **argv)
     // For contrast: what the host would have needed without TrainBox.
     const HostDemandBreakdown host =
         requiredHostDemand(m, ArchPreset::Baseline, n, cfg.sync);
-    const Dgx2Reference ref;
+    const HostConfig dgx2;
     std::printf("\nBaseline host demand at the same throughput: "
                 "%.0f CPU cores (%.1fx DGX-2), %.0f GB/s DRAM (%.1fx), "
                 "%.0f GB/s PCIe RC (%.1fx)\n",
-                host.cpuCores, host.cpuCores / ref.cpuCores,
-                host.memBw / 1e9, host.memBw / ref.memBw,
-                host.rcBw / 1e9, host.rcBw / ref.rcBw);
+                host.cpuCores, host.cpuCores / dgx2.cpuCores,
+                host.memBw / 1e9, host.memBw / dgx2.memBandwidth,
+                host.rcBw / 1e9, host.rcBw / dgx2.rcBandwidth);
 
     if (calibrate) {
         // Replace the Table I prep-cost constants with a live
@@ -117,7 +117,7 @@ main(int argc, char **argv)
                     meas.numWorkers,
                     meas.imageCoreSecPerSample * 1e3,
                     meas.audioCoreSecPerSample * 1e3, live.cpuCores,
-                    live.cpuCores / ref.cpuCores);
+                    live.cpuCores / dgx2.cpuCores);
     }
     return 0;
 }

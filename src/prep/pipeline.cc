@@ -180,6 +180,9 @@ checkAudioInput(const std::vector<double> &waveform,
         return "audio: mel fMax at or below fMin";
     if (mel.fMax > mel.sampleRate / 2.0)
         return "audio: mel fMax above Nyquist";
+    if (!(cfg.waveformNoiseStddev >= 0.0 &&
+          std::isfinite(cfg.waveformNoiseStddev)))
+        return "audio: negative or non-finite noise stddev";
     return "";
 }
 

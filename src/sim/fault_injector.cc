@@ -1,12 +1,25 @@
 #include "sim/fault_injector.hh"
 
 #include <iterator>
+#include <numeric>
 
 #include "common/logging.hh"
 
 namespace tb {
 
 namespace {
+
+/** Read retries per chunk before it is abandoned. */
+constexpr std::size_t kMaxReadRetries = 3;
+
+/** Verify-triggered re-reads of one chunk before it is quarantined. */
+constexpr std::size_t kMaxIntegrityRecoveries = 3;
+
+/** First retry backoff; doubles per further attempt. */
+constexpr Time kRetryBackoffBase = 50e-6;
+
+/** Link stall paid per detected PCIe error (LCRC replay). */
+constexpr Time kPcieReplayLatency = 2.0e-6;
 
 /** Per-class stream tags (keep stable: they define the schedules). */
 constexpr std::uint64_t kReadFailStream = 0x5245414446ull;
@@ -117,8 +130,8 @@ corruptionKindName(CorruptionKind kind)
 }
 
 FaultInjector::FaultInjector(const FaultConfig &cfg,
-                             const FaultTargets &targets)
-    : cfg_(cfg),
+                             const FaultTargets &targets, TraceWriter *trace)
+    : cfg_(cfg), trace_(trace),
       readFailRng_(mix64(cfg.seed ^ kReadFailStream)),
       windows_(cfg.seed, windowClasses(cfg, targets))
 {
@@ -138,68 +151,189 @@ FaultInjector::FaultInjector(const FaultConfig &cfg,
     }
 }
 
-bool
-FaultInjector::ssdReadAttemptFails()
+struct FaultInjector::Retry
 {
-    if (cfg_.ssdReadFailureProb <= 0.0)
-        return false;
-    const bool fails = readFailRng_.uniform() < cfg_.ssdReadFailureProb;
-    if (fails)
-        ++readFailures_;
-    return fails;
+    std::size_t budget;    ///< retries before the chunk is dropped
+    std::size_t &retried;  ///< counts retries
+    std::size_t &dropped;  ///< counts dropped chunks
+    const char *retryName; ///< trace instant of a retry
+    const char *dropName;  ///< trace instant of a drop
+};
+
+ChainStep
+FaultInjector::afterStage(ChainRetryState &chain, std::size_t idx, bool read,
+                          unsigned hops, bool verifies, bool verified,
+                          const std::string &track)
+{
+    if (read) {
+        // The read stream draws only when its probability is > 0, so a
+        // failure-free scenario is unperturbed.
+        if (cfg_.ssdReadFailureProb > 0.0 &&
+            readFailRng_.uniform() < cfg_.ssdReadFailureProb)
+            return retry({kMaxReadRetries, stats_.ssdRetries,
+                          stats_.chunksAbandoned, "read_retry",
+                          "chunk_abandoned"},
+                         chain.readAttempts, idx, track);
+        chain.readAttempts = 0;
+    }
+
+    Time replay = 0.0;
+    for (std::size_t k = 0; k < kNumCorruptionKinds; ++k) {
+        // Like the read stream, a kind draws only when its probability
+        // is > 0.
+        const auto kind = static_cast<CorruptionKind>(k);
+        const double p = cfg_.corruption.probFor(kind);
+        if (!(hops & corruptionBit(kind)) || p <= 0.0 ||
+            !(corruptionRngs_[k].uniform() < p))
+            continue;
+        ++integrity_.injectedByKind[k];
+        instant(track, corruptionKindName(kind));
+        switch (kind) {
+          case CorruptionKind::PcieLinkError:
+            ++integrity_.detected;
+            ++integrity_.pcieReplays;
+            replay += kPcieReplayLatency;
+            break;
+          case CorruptionKind::HostDramFlip:
+            ++integrity_.detected;
+            break;
+          case CorruptionKind::SsdBitFlip:
+          case CorruptionKind::FpgaUpset:
+            if (verified) {
+                ++integrity_.detected;
+                ++chain.pendingCorruptions;
+            } else {
+                ++integrity_.escaped;
+            }
+            break;
+        }
+    }
+
+    if (verifies && chain.pendingCorruptions > 0) {
+        // The verify caught the pending flip(s): re-read the chunk.
+        chain.pendingCorruptions = 0;
+        return retry({kMaxIntegrityRecoveries, integrity_.recoveries,
+                      integrity_.chunksQuarantined, "integrity_recover",
+                      "chunk_quarantined"},
+                     chain.recoveries, 0, track);
+    }
+    return {.stage = idx + 1, .delay = replay};
+}
+
+/**
+ * The bounded retry failed reads and verify catches share: retry k
+ * (k = 0, 1, ...) runs @p stage again after kRetryBackoffBase·2^k, and
+ * once @p attempts reaches the budget the chunk is dropped and the
+ * chain restarts on fresh data.
+ */
+ChainStep
+FaultInjector::retry(const Retry &rule, std::size_t &attempts,
+                     std::size_t stage, const std::string &track)
+{
+    if (attempts < rule.budget) {
+        const Time backoff = kRetryBackoffBase *
+            static_cast<double>(std::uint64_t{1} << attempts);
+        ++attempts;
+        ++rule.retried;
+        instant(track, rule.retryName);
+        return {.stage = stage, .delay = backoff};
+    }
+    ++rule.dropped;
+    instant(track, rule.dropName);
+    return {.restart = true};
+}
+
+Time
+FaultInjector::computeTime(std::size_t group, std::size_t step, Time nominal,
+                           const std::string &track)
+{
+    // A pure hash of (seed, group, step): order-independent.
+    const std::uint64_t h =
+        mix64(cfg_.seed ^ kStragglerStream ^
+              mix64(group * 0x9e3779b97f4a7c15ull + step + 1));
+    const double u = static_cast<double>(h >> 11) * 0x1.0p-53; // in [0, 1)
+    if (!(u < cfg_.stragglerProb && cfg_.stragglerFactor > 1.0))
+        return nominal;
+    ++stats_.stragglerSteps;
+    const Time duration = nominal * cfg_.stragglerFactor;
+    // Straggler-tolerant barrier: if waiting the straggler out costs
+    // more than aborting at the timeout and re-running the group's
+    // compute from scratch, re-dispatch.
+    const double tf = cfg_.stepTimeoutFactor;
+    const Time timeout = nominal * tf;
+    if (!(tf > 0.0 && timeout + nominal < duration))
+        return duration;
+    ++stats_.computeRedispatches;
+    if (trace_)
+        trace_->instant(track, "compute_redispatch", eq_->now() + timeout,
+                        "fault");
+    return timeout + nominal;
 }
 
 bool
-FaultInjector::corruptionStrikes(CorruptionKind kind)
+FaultInjector::failover()
 {
-    const double p = cfg_.corruption.probFor(kind);
-    if (p <= 0.0)
-        return false;
-    const auto k = static_cast<std::size_t>(kind);
-    const bool strikes = corruptionRngs_[k].uniform() < p;
-    if (strikes)
-        ++corruptions_[k];
-    return strikes;
+    if (cfg_.poolFailover)
+        ++stats_.prepFailovers;
+    return cfg_.poolFailover;
 }
 
-std::size_t
-FaultInjector::corruptionsInjected() const
+void
+FaultInjector::instant(const std::string &track, const char *name) const
 {
-    std::size_t total = 0;
-    for (std::size_t n : corruptions_)
-        total += n;
-    return total;
-}
-
-double
-FaultInjector::stragglerFactor(std::size_t group, std::size_t step) const
-{
-    if (cfg_.stragglerProb <= 0.0)
-        return 1.0;
-    const std::uint64_t h = mix64(
-        cfg_.seed ^ kStragglerStream ^
-        mix64(group * 0x9e3779b97f4a7c15ull + step + 1));
-    const double u =
-        static_cast<double>(h >> 11) * 0x1.0p-53; // uniform in [0, 1)
-    return u < cfg_.stragglerProb ? cfg_.stragglerFactor : 1.0;
+    if (trace_)
+        trace_->instant(track, name, eq_->now(), "fault");
 }
 
 void
 FaultInjector::arm(EventQueue &eq, FaultHandler onFault,
                    FaultHandler onRepair)
 {
+    eq_ = &eq;
     onFault_ = std::move(onFault);
     onRepair_ = std::move(onRepair);
-    windows_.arm(eq, [this, &eq](const Window &w) {
+    windows_.arm(eq, [this](const Window &w) {
         const FaultEvent ev = toEvent(cfg_, w);
-        ++faultsInjected_;
+        ++stats_.faultsInjected;
+        if (openWindows_++ == 0)
+            degradedStart_ = eq_->now();
+        if (trace_)
+            trace_->complete("faults", faultKindName(ev.kind), ev.start,
+                             ev.duration, "fault");
         if (onFault_)
             onFault_(ev);
-        eq.schedule(windows_.origin() + ev.start + ev.duration, [this, ev] {
+        eq_->schedule(windows_.origin() + ev.start + ev.duration,
+                      [this, ev] {
+            if (stopped_)
+                return;
             if (onRepair_)
                 onRepair_(ev);
+            if (--openWindows_ == 0)
+                stats_.degradedTime += eq_->now() - degradedStart_;
         });
     });
+}
+
+void
+FaultInjector::stop()
+{
+    disarm();
+    stopped_ = true;
+    // Windows still open never see their repair: close them now.
+    if (openWindows_ > 0) {
+        stats_.degradedTime += eq_->now() - degradedStart_;
+        openWindows_ = 0;
+    }
+    // Every failed read was retried or abandoned, and every strike has
+    // its kind: derive the totals rather than count them twice.
+    stats_.readFailures = stats_.ssdRetries + stats_.chunksAbandoned;
+    integrity_.injected =
+        std::accumulate(integrity_.injectedByKind.begin(),
+                        integrity_.injectedByKind.end(), std::size_t{0});
+    panic_if(integrity_.detected + integrity_.escaped != integrity_.injected,
+             "integrity invariant violated: %zu detected + %zu escaped != "
+             "%zu injected",
+             integrity_.detected, integrity_.escaped, integrity_.injected);
 }
 
 std::vector<FaultEvent>

@@ -13,19 +13,23 @@
  *
  * Two kinds of faults are modeled:
  *
- *  - **per-attempt faults** queried synchronously by the training
- *    session (does this SSD read attempt fail? is this group's compute
- *    a straggler this step?);
+ *  - **per-attempt faults** drawn as a prep-chain stage finishes (does
+ *    the SSD read fail? does a corruption strike a hop?) or a compute
+ *    starts (is this group's step a straggler?);
  *  - **windowed faults** (SSD latency spike, prep-FPGA crash, Ethernet
  *    degradation, loss of a switch-local P2P route) generated as
  *    non-overlapping (per class) windows with exponential inter-arrival
  *    times by the shared WindowStream (sim/window_stream.hh) and played
  *    onto the EventQueue by arm().
  *
- * Recovery *policy* knobs (retry budgets, backoff, failover switches)
- * also live in FaultConfig so a whole scenario is one struct; the
- * policies themselves are implemented by the TrainingSession. See
- * docs/ROBUSTNESS.md.
+ * The injector also owns the recovery policy and its counters: for each
+ * finished stage it decides whether the chain goes on, runs a stage
+ * again after a delay, or restarts (bounded read retries, corruption
+ * classification and verify-triggered re-reads, PCIe replay stalls);
+ * it times each straggling compute under the step timeout, counts the
+ * time with a fault window open, and fills FaultStats and
+ * IntegrityStats. The TrainingSession applies the outcomes to its
+ * chains, groups and devices. See docs/ROBUSTNESS.md.
  */
 
 #ifndef TRAINBOX_SIM_FAULT_INJECTOR_HH
@@ -34,10 +38,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
 #include "sim/event_queue.hh"
+#include "sim/trace.hh"
 #include "sim/window_stream.hh"
 
 namespace tb {
@@ -115,13 +121,6 @@ struct CorruptionConfig
         }
         return 0.0;
     }
-
-    /** True when any class can strike. */
-    bool any() const
-    {
-        return ssdBitFlipProb > 0.0 || pcieErrorProb > 0.0 ||
-               fpgaUpsetProb > 0.0 || hostDramFlipProb > 0.0;
-    }
 };
 
 /** One windowed-fault class: arrival rate, outage length, severity. */
@@ -194,17 +193,7 @@ struct FaultConfig
      */
     bool integrityChecks = false;
 
-    /**
-     * Verify-triggered re-reads of one chunk before it is quarantined
-     * and replaced with fresh data (bounded so a hot corruption source
-     * cannot livelock a chain; backoff reuses retryBackoffBase).
-     */
-    std::size_t maxIntegrityRecoveries = 3;
-
     // --- recovery policy --------------------------------------------
-
-    /** First retry backoff; doubles per subsequent attempt. */
-    Time retryBackoffBase = 50e-6;
 
     /**
      * Straggler-tolerant barrier: when a step's compute exceeds
@@ -239,35 +228,143 @@ struct FaultEvent
 };
 
 /**
- * Draws every fault decision for one simulation run. Construct one per
- * session; per-attempt streams are consumed in simulation order, which
- * is itself deterministic, so runs reproduce exactly.
+ * Fault-injection and recovery counters (all zero when disabled).
+ * SessionResult::FaultStats is an alias.
+ */
+struct FaultStats
+{
+    std::size_t faultsInjected = 0;      ///< fault windows opened
+    std::size_t readFailures = 0;        ///< failed SSD read attempts
+    std::size_t ssdRetries = 0;          ///< reads retried after backoff
+    std::size_t chunksAbandoned = 0;     ///< chunks restarted from scratch
+    std::size_t prepFailovers = 0;       ///< crashes absorbed by failover
+    std::size_t computeRedispatches = 0; ///< straggler timeouts fired
+    std::size_t stragglerSteps = 0;      ///< group-steps that straggled
+    Time degradedTime = 0.0; ///< wall time with >=1 open fault window
+};
+
+/**
+ * Silent-corruption injection/detection counters (all zero when
+ * corruption injection is disabled; SessionResult::IntegrityStats is
+ * an alias). The accounting invariant is exact and panic-checked:
+ * injected == detected + escaped. "Detected" covers link-level (PCIe
+ * LCRC) and ECC catches, checksum-verify catches, and the baseline CPU
+ * path's software validation; "escaped" flips reached training
+ * silently.
+ */
+struct IntegrityStats
+{
+    std::size_t injected = 0; ///< corruption strikes drawn
+    std::size_t detected = 0; ///< caught before reaching training
+    std::size_t escaped = 0;  ///< reached training silently
+
+    /** Strikes per CorruptionKind (index = enum value). */
+    std::array<std::size_t, kNumCorruptionKinds> injectedByKind{};
+
+    std::size_t pcieReplays = 0;       ///< LCRC replay stalls paid
+    std::size_t recoveries = 0;        ///< verify-triggered re-reads
+    std::size_t chunksQuarantined = 0; ///< recovery budget exhausted
+
+    /** Escaped fraction of injected (0 when nothing injected). */
+    double escapeRate() const
+    {
+        return injected == 0
+            ? 0.0
+            : static_cast<double>(escaped) /
+                  static_cast<double>(injected);
+    }
+};
+
+/**
+ * A prep chain's retry state for its current chunk. The chain owns it
+ * and resets it when it restarts; FaultInjector::afterStage() updates
+ * it.
+ */
+struct ChainRetryState
+{
+    std::size_t readAttempts = 0; ///< failed reads of the current chunk
+
+    /**
+     * Silent flips riding the chunk that a downstream verify stage will
+     * catch (counted detected at draw time; this drives the re-read).
+     */
+    std::size_t pendingCorruptions = 0;
+
+    std::size_t recoveries = 0; ///< verify-triggered re-reads
+};
+
+/** What a prep chain does once a stage finishes. */
+struct ChainStep
+{
+    bool restart = false;  ///< drop the chunk; restart the chain
+    std::size_t stage = 0; ///< otherwise run this stage...
+    Time delay = 0.0;      ///< ...this long from now (0: at once)
+};
+
+/**
+ * Draws every fault decision of one simulation run and applies the
+ * recovery policy to it. Construct one per session; per-attempt streams
+ * are consumed in simulation order, which is itself deterministic, so
+ * runs reproduce exactly.
  */
 class FaultInjector
 {
   public:
-    FaultInjector(const FaultConfig &cfg, const FaultTargets &targets);
-
-    const FaultConfig &config() const { return cfg_; }
-
-    /** Does the next SSD read attempt fail? (consumes the stream) */
-    bool ssdReadAttemptFails();
+    /**
+     * @param trace optional Chrome-trace writer for the fault windows
+     *              and the recovery instants (borrowed; same contract
+     *              as TrainingSession::setTrace)
+     */
+    FaultInjector(const FaultConfig &cfg, const FaultTargets &targets,
+                  TraceWriter *trace = nullptr);
 
     /**
-     * Does a corruption of @p kind strike the hop being traversed?
-     * Consumes the kind's stream (only when its probability is > 0, so
-     * corruption-free scenarios are unperturbed) and counts strikes.
+     * The recovery policy, run as stage @p idx of a prep chain
+     * finishes; returns what the chain does next. @p stages is the
+     * chain's template (elements with `corruptionHops` and
+     * `verifiesIntegrity`), @p read marks the chunk's SSD read, and
+     * @p track is the chain's trace track.
+     *
+     *  - A failed read runs again after a bounded backoff; once that
+     *    budget is spent the chunk is abandoned and the chain restarts
+     *    on fresh data (another replica of the sharded dataset).
+     *  - Each corruption class tagged on the stage draws once. PCIe
+     *    errors are caught by the link LCRC and stall the next stage
+     *    for a replay each; ECC corrects host-DRAM flips; SSD and FPGA
+     *    flips are detected when this or a later stage verifies the
+     *    data and escape otherwise. Classifying at draw time keeps
+     *    injected == detected + escaped exact.
+     *  - A verifying stage that finds detected flips pending re-reads
+     *    the chunk from stage 0 under the same bounded backoff, then
+     *    quarantines it and restarts the chain.
      */
-    bool corruptionStrikes(CorruptionKind kind);
-
-    /** Total corruptions injected so far, across all kinds. */
-    std::size_t corruptionsInjected() const;
+    template <class Stage>
+    ChainStep afterStage(ChainRetryState &chain,
+                         const std::vector<Stage> &stages, std::size_t idx,
+                         bool read, const std::string &track)
+    {
+        bool verified = false; // does this stage or a later one verify?
+        for (std::size_t i = idx; i < stages.size() && !verified; ++i)
+            verified = stages[i].verifiesIntegrity;
+        return afterStage(chain, idx, read, stages[idx].corruptionHops,
+                          stages[idx].verifiesIntegrity, verified, track);
+    }
 
     /**
-     * Compute-time multiplier for (group, step); 1.0 = healthy.
-     * Pure hash of (seed, group, step) — order-independent.
+     * How long group @p group's compute of step @p step runs, nominally
+     * @p nominal. A straggling step (a pure hash of seed, group and
+     * step) runs stragglerFactor times longer, unless the step timeout
+     * aborts it first and re-dispatches a fresh compute: then it costs
+     * the timeout plus one nominal compute. Traced on @p track.
      */
-    double stragglerFactor(std::size_t group, std::size_t step) const;
+    Time computeTime(std::size_t group, std::size_t step, Time nominal,
+                     const std::string &track);
+
+    /**
+     * A prep FPGA crashed: does its load fail over to the survivors
+     * and the prep pool (FaultConfig::poolFailover)? Counts failovers.
+     */
+    bool failover();
 
     using FaultHandler = std::function<void(const FaultEvent &)>;
 
@@ -277,7 +374,9 @@ class FaultInjector
      * never overlap; the schedule is a pure function of (config,
      * targets) and is exactly what schedule() previews, shifted by the
      * clock reading at arm() time — a fleet job armed at t > 0 replays
-     * the same job-relative schedule on its own offset timeline.
+     * the same job-relative schedule on its own offset timeline. The
+     * wall time with at least one window open is counted once however
+     * many windows overlap.
      */
     void arm(EventQueue &eq, FaultHandler onFault, FaultHandler onRepair);
 
@@ -288,6 +387,19 @@ class FaultInjector
     void disarm() { windows_.disarm(); }
 
     /**
+     * Stop for good: disarm, close the windows still open at the
+     * current time (their repairs then do nothing), and panic unless
+     * injected == detected + escaped.
+     */
+    void stop();
+
+    /** The fault counters; final once stop() has run. */
+    const FaultStats &stats() const { return stats_; }
+
+    /** The corruption counters; final once stop() has run. */
+    const IntegrityStats &integrity() const { return integrity_; }
+
+    /**
      * Deterministically enumerate the windowed events in [0, horizon)
      * for a scenario, without an event queue — what arm() will play.
      */
@@ -295,22 +407,30 @@ class FaultInjector
                                             const FaultTargets &targets,
                                             Time horizon);
 
-    /** Windowed faults injected so far (after arm()). */
-    std::size_t faultsInjected() const { return faultsInjected_; }
-
-    /** SSD read-attempt failures injected so far. */
-    std::size_t readFailuresInjected() const { return readFailures_; }
-
   private:
+    /** A bounded retry: its budget, counters and trace names. */
+    struct Retry;
+
+    ChainStep afterStage(ChainRetryState &chain, std::size_t idx,
+                         bool read, unsigned hops, bool verifies,
+                         bool verified, const std::string &track);
+    ChainStep retry(const Retry &rule, std::size_t &attempts,
+                    std::size_t stage, const std::string &track);
+    void instant(const std::string &track, const char *name) const;
+
     FaultConfig cfg_;
+    TraceWriter *trace_;
+    EventQueue *eq_ = nullptr; ///< set by arm()
     Rng readFailRng_;
     std::array<Rng, kNumCorruptionKinds> corruptionRngs_;
-    std::array<std::size_t, kNumCorruptionKinds> corruptions_{};
     WindowStream windows_;
     FaultHandler onFault_;
     FaultHandler onRepair_;
-    std::size_t faultsInjected_ = 0;
-    std::size_t readFailures_ = 0;
+    FaultStats stats_;
+    IntegrityStats integrity_;
+    std::size_t openWindows_ = 0;
+    Time degradedStart_ = 0.0;
+    bool stopped_ = false; ///< stop() ran; repairs do nothing
 };
 
 // --- fleet-level faults -------------------------------------------------

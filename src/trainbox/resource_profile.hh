@@ -38,14 +38,6 @@ struct HostDemandBreakdown
     std::map<std::string, double> rcByCategory;
 };
 
-/** DGX-2 reference capacities used for normalization (§III-C). */
-struct Dgx2Reference
-{
-    double cpuCores = 48.0;
-    Rate memBw = 239.0e9;
-    Rate rcBw = 64.0e9;
-};
-
 /**
  * Optional live-measured per-sample prep CPU cost (core-seconds), as
  * produced by `tb::prep::measurePrepThroughput()`. A field of 0 keeps

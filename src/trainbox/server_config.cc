@@ -337,9 +337,6 @@ ServerConfig::validate() const
     if (!(faults.stragglerFactor >= 1.0))
         return stringPrintf("faults.stragglerFactor must be >= 1, got %g",
                             faults.stragglerFactor);
-    if (!(faults.retryBackoffBase >= 0.0))
-        return stringPrintf("faults.retryBackoffBase must be >= 0, got %g",
-                            faults.retryBackoffBase);
     if (!(faults.stepTimeoutFactor >= 0.0))
         return stringPrintf("faults.stepTimeoutFactor must be >= 0, got %g",
                             faults.stepTimeoutFactor);

@@ -132,7 +132,7 @@ bool
 TrainingSession::prepOut(const GroupState &gs) const
 {
     return gs.prepElasticOut ||
-           (gs.prepDegraded && fault_ && fault_->config().poolFailover);
+           (gs.prepDegraded && server_.cfg.faults.poolFailover);
 }
 
 const std::vector<StageTemplate> &
@@ -284,12 +284,17 @@ TrainingSession::onStageDone(ChainId id, Time now)
     if (trace_)
         trace_->complete(chainTrack(run), done.name, start, now - start,
                          "prep");
-    if (done.stageId == readStage_ && handleReadFailure(run, idx))
-        return;
-    if ((done.corruptionHops != 0 || done.verifiesIntegrity) &&
-        handleCorruption(run, idx))
-        return;
-    startChainStage(id, idx + 1);
+    ChainStep next{.stage = idx + 1};
+    if (fault_)
+        next = fault_->afterStage(run.retry, *run.stages, idx,
+                                  done.stageId == readStage_,
+                                  chainTrack(run));
+    if (next.restart)
+        restartChain(run);
+    else if (next.delay > 0.0)
+        resumeChainIn(next.delay, run, next.stage);
+    else
+        startChainStage(id, next.stage);
 }
 
 /**
@@ -320,9 +325,7 @@ TrainingSession::restartChain(ChainRun &run)
         run.flow = 0;
     }
     run.stages = &selectStages(run);
-    run.readAttempts = 0;
-    run.pendingCorruptions = 0;
-    run.recoveries = 0;
+    run.retry = {};
     ++run.gen;
     startChainStage(chainId(run), 0);
 }
@@ -341,158 +344,12 @@ TrainingSession::cancelChains(std::size_t g)
     }
 }
 
-// --- fault-injection path (inert when fault_ is null) --------------------
-
-namespace {
-
-/** Read retries per chunk before it is abandoned and re-dispatched. */
-constexpr std::size_t kMaxReadRetries = 3;
-
-/** Link stall paid per detected PCIe error (LCRC replay). */
-constexpr Time kPcieReplayLatency = 2.0e-6;
-
-} // namespace
-
-/**
- * Bounded-retry policy for SSD reads. Returns true when the read failed
- * and this function took over scheduling (retry after backoff, or chain
- * restart once the retry budget is exhausted).
- */
-bool
-TrainingSession::handleReadFailure(ChainRun &run, std::size_t idx)
-{
-    if (!fault_) // no injector: every read succeeds
-        return false;
-    const FaultConfig &fc = fault_->config();
-    if (fc.ssdReadFailureProb <= 0.0 || !fault_->ssdReadAttemptFails()) {
-        run.readAttempts = 0;
-        return false;
-    }
-    const Time now = eq_.now();
-    if (run.readAttempts < kMaxReadRetries) {
-        const Time backoff = fc.retryBackoffBase *
-            static_cast<double>(std::uint64_t{1} << run.readAttempts);
-        ++run.readAttempts;
-        ++faultStats_.ssdRetries;
-        if (trace_)
-            trace_->instant(chainTrack(run), "read_retry", now, "fault");
-        resumeChainIn(backoff, run, idx);
-        return true;
-    }
-    // Retry budget exhausted: abandon the chunk and restart the chain on
-    // fresh data (the dataset is sharded; another replica serves it).
-    ++faultStats_.chunksAbandoned;
-    if (trace_)
-        trace_->instant(chainTrack(run), "chunk_abandoned", now, "fault");
-    restartChain(run);
-    return true;
-}
-
-/** Does any stage at @p idx or later on the chain verify the data? */
-bool
-TrainingSession::chainVerifiesFrom(const ChainRun &run, std::size_t idx)
-{
-    const std::vector<StageTemplate> &stages = *run.stages;
-    for (std::size_t i = idx; i < stages.size(); ++i)
-        if (stages[i].verifiesIntegrity)
-            return true;
-    return false;
-}
-
-/**
- * Corruption draws + detection policy, run as stage @p idx of chain
- * @p run completes. Each hop class tagged on the stage draws once:
- *
- *  - PCIe link errors are always detected by the link LCRC and cost a
- *    replay stall before the next stage starts;
- *  - host-DRAM flips are always corrected by ECC at no modeled cost;
- *  - SSD / FPGA flips are silent: if a downstream stage verifies the
- *    data (an inserted checksum stage, or the baseline CPU formatting)
- *    the flip is *detected* and rides the chain until that stage
- *    triggers a bounded re-read; otherwise it *escapes* into training.
- *
- * Classification happens eagerly at draw time so the accounting
- * invariant injected == detected + escaped holds exactly regardless of
- * chain cancellations or chains still in flight at the end of the run.
- * Returns true when this function took over scheduling (replay stall
- * or verify-triggered recovery).
- */
-bool
-TrainingSession::handleCorruption(ChainRun &run, std::size_t idx)
-{
-    if (!fault_) // no injector: nothing corrupts or needs re-reading
-        return false;
-    const StageTemplate &st = (*run.stages)[idx];
-    const FaultConfig &fc = fault_->config();
-    const CorruptionConfig &cc = fc.corruption;
-    const Time now = eq_.now();
-
-    Time replay = 0.0;
-    if (st.corruptionHops != 0 && cc.any()) {
-        for (std::size_t k = 0; k < kNumCorruptionKinds; ++k) {
-            const auto kind = static_cast<CorruptionKind>(k);
-            if (!(st.corruptionHops & corruptionBit(kind)))
-                continue;
-            if (!fault_->corruptionStrikes(kind))
-                continue;
-            ++integrityStats_.injected;
-            ++integrityStats_.injectedByKind[k];
-            if (trace_)
-                trace_->instant(chainTrack(run), corruptionKindName(kind),
-                                now, "fault");
-            switch (kind) {
-              case CorruptionKind::PcieLinkError:
-                ++integrityStats_.detected;
-                ++integrityStats_.pcieReplays;
-                replay += kPcieReplayLatency;
-                break;
-              case CorruptionKind::HostDramFlip:
-                ++integrityStats_.detected;
-                break;
-              case CorruptionKind::SsdBitFlip:
-              case CorruptionKind::FpgaUpset:
-                if (chainVerifiesFrom(run, idx)) {
-                    ++integrityStats_.detected;
-                    ++run.pendingCorruptions;
-                } else {
-                    ++integrityStats_.escaped;
-                }
-                break;
-            }
-        }
-    }
-
-    if (st.verifiesIntegrity && run.pendingCorruptions > 0) {
-        // The verify caught the pending flip(s): re-read the chunk,
-        // bounded like the SSD retry policy, then quarantine.
-        run.pendingCorruptions = 0;
-        if (run.recoveries < fc.maxIntegrityRecoveries) {
-            const Time backoff = fc.retryBackoffBase *
-                static_cast<double>(std::uint64_t{1} << run.recoveries);
-            ++run.recoveries;
-            ++integrityStats_.recoveries;
-            if (trace_)
-                trace_->instant(chainTrack(run), "integrity_recover", now,
-                                "fault");
-            resumeChainIn(backoff, run, 0);
-            return true;
-        }
-        // Recovery budget exhausted: quarantine the chunk and restart
-        // the chain on fresh data (chunksAbandoned semantics).
-        ++integrityStats_.chunksQuarantined;
-        if (trace_)
-            trace_->instant(chainTrack(run), "chunk_quarantined", now,
-                            "fault");
-        restartChain(run);
-        return true;
-    }
-
-    if (replay > 0.0) {
-        resumeChainIn(replay, run, idx + 1);
-        return true;
-    }
-    return false;
-}
+// --- fault windows (never reached when fault_ is null) ------------------
+//
+// The FaultInjector plays the windows, counts their time and traces
+// them, and calls nothing once finalizeResult() stops it; these
+// handlers apply each window to the session's devices, groups and
+// chains.
 
 std::size_t
 TrainingSession::redispatchLocalChains(std::size_t g)
@@ -512,16 +369,6 @@ TrainingSession::redispatchLocalChains(std::size_t g)
 void
 TrainingSession::onFault(const FaultEvent &ev)
 {
-    // finalizeResult() disarms the injector, so no fault arrives once
-    // the session is done (only repairs of windows still open do; see
-    // onRepair). The guard keeps that a local invariant.
-    if (done_)
-        return;
-    if (activeFaultWindows_++ == 0)
-        degradedStart_ = eq_.now();
-    if (trace_)
-        trace_->complete("faults", faultKindName(ev.kind), ev.start,
-                         ev.duration, "fault");
     switch (ev.kind) {
       case FaultKind::SsdDegrade:
         server_.ssds[ev.target]->setReadBandwidthScale(ev.magnitude);
@@ -534,10 +381,8 @@ TrainingSession::onFault(const FaultEvent &ev)
         FluidNetwork::FlowBatch batch(net_);
         gs.spec->preps.back()->setFailed(true);
         gs.prepDegraded = true;
-        if (fault_->config().poolFailover) {
-            ++faultStats_.prepFailovers;
+        if (fault_->failover())
             redispatchLocalChains(ev.target);
-        }
         break;
       }
       case FaultKind::EthDegrade:
@@ -560,11 +405,6 @@ TrainingSession::onFault(const FaultEvent &ev)
 void
 TrainingSession::onRepair(const FaultEvent &ev)
 {
-    // See onFault: post-completion repairs on a shared core are moot
-    // (the degradation interval was closed by finalizeResult()), and
-    // letting one through would underflow activeFaultWindows_.
-    if (done_)
-        return;
     switch (ev.kind) {
       case FaultKind::SsdDegrade:
         server_.ssds[ev.target]->setReadBandwidthScale(1.0);
@@ -597,8 +437,6 @@ TrainingSession::onRepair(const FaultEvent &ev)
         // timer, not by the zero-length repair window.
         break;
     }
-    if (--activeFaultWindows_ == 0)
-        degradedTime_ += eq_.now() - degradedStart_;
 }
 
 void
@@ -954,30 +792,11 @@ TrainingSession::tryStartCompute(std::size_t g)
     if (ingest_)
         ingest_->countEchoed(batch - fresh);
     gs.computing = true;
-    const Time start = eq_.now();
     Time duration = server_.computeTime();
-    if (fault_) {
-        const double factor =
-            fault_->stragglerFactor(g, gs.stepsComputed);
-        if (factor > 1.0) {
-            ++faultStats_.stragglerSteps;
-            const Time nominal = duration;
-            duration = nominal * factor;
-            // Straggler-tolerant barrier: if waiting the straggler out
-            // costs more than aborting at the timeout and re-running the
-            // group's compute from scratch, re-dispatch.
-            const double tf = fault_->config().stepTimeoutFactor;
-            const Time timeout = nominal * tf;
-            if (tf > 0.0 && timeout + nominal < duration) {
-                duration = timeout + nominal;
-                ++faultStats_.computeRedispatches;
-                if (trace_)
-                    trace_->instant(gs.spec->name, "compute_redispatch",
-                                    start + timeout, "fault");
-            }
-        }
-    }
-    gs.computeStart = start;
+    if (fault_)
+        duration = fault_->computeTime(g, gs.stepsComputed, duration,
+                                       gs.spec->name);
+    gs.computeStart = eq_.now();
     gs.computeEv = eq_.scheduleIn(duration, [this, g] {
         GroupState &gs = groups_[g];
         gs.computeEv.invalidate();
@@ -1142,7 +961,7 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
         targets.numSsds = server_.ssds.size();
         targets.numGroups = groups_.size();
         fault_ = std::make_unique<FaultInjector>(server_.cfg.faults,
-                                                 targets);
+                                                 targets, trace_);
         fault_->arm(
             eq_, [this](const FaultEvent &ev) { onFault(ev); },
             [this](const FaultEvent &ev) { onRepair(ev); });
@@ -1224,7 +1043,7 @@ TrainingSession::finalizeResult(bool partial)
     // are already charged up to now, so cancelling them moves no
     // number; batching them costs one solve.
     if (fault_)
-        fault_->disarm();
+        fault_->stop();
     if (elastic_)
         elastic_->disarm();
     {
@@ -1289,27 +1108,8 @@ TrainingSession::finalizeResult(bool partial)
     }
 
     if (fault_) {
-        // Fault windows still open when the run ends never see their
-        // repair event; close the degradation interval at the end time.
-        if (activeFaultWindows_ > 0) {
-            degradedTime_ += eq_.now() - degradedStart_;
-            activeFaultWindows_ = 0;
-        }
-        res.faults = faultStats_;
-        res.faults.faultsInjected = fault_->faultsInjected();
-        res.faults.readFailures = fault_->readFailuresInjected();
-        res.faults.degradedTime = degradedTime_;
-        res.integrity = integrityStats_;
-        panic_if(fault_->corruptionsInjected() != integrityStats_.injected,
-                 "corruption accounting out of sync: injector %zu vs "
-                 "session %zu",
-                 fault_->corruptionsInjected(), integrityStats_.injected);
-        panic_if(res.integrity.detected + res.integrity.escaped !=
-                     res.integrity.injected,
-                 "integrity invariant violated: %zu detected + %zu "
-                 "escaped != %zu injected",
-                 res.integrity.detected, res.integrity.escaped,
-                 res.integrity.injected);
+        res.faults = fault_->stats();
+        res.integrity = fault_->integrity();
     }
 
     // Wall time is measured from when *this session* started: for the

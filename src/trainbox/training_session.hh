@@ -13,12 +13,15 @@
  * category host-resource consumption (Figs 11/22) via the fluid
  * accounting.
  *
- * When ServerConfig::faults.enabled is set the session additionally
- * drives a FaultInjector and implements the recovery policies described
- * in docs/ROBUSTNESS.md: bounded SSD read retries with exponential
- * backoff, prep-FPGA crash failover onto the survivors and the prep
- * pool, host-memory fallback on P2P route loss, and a straggler-
- * tolerant sync barrier. With injection disabled (the default) the
+ * When ServerConfig::faults.enabled is set the session owns a
+ * FaultInjector (sim/fault_injector.hh), which draws every fault and
+ * decides each recovery: it says whether a finished prep stage's chain
+ * goes on, runs a stage again after a backoff or replay, or restarts,
+ * and how long a straggling compute runs. The session applies those
+ * outcomes and the fault windows' changes to its own state: prep-FPGA
+ * crash failover onto the survivors and the prep pool, host-memory
+ * fallback on P2P route loss, and the fatal-crash rollback below
+ * (docs/ROBUSTNESS.md). With injection disabled (the default) the
  * fault path is never taken and results are bit-identical to a session
  * without the fault subsystem.
  *
@@ -49,7 +52,6 @@
 #ifndef TRAINBOX_TRAINBOX_TRAINING_SESSION_HH
 #define TRAINBOX_TRAINBOX_TRAINING_SESSION_HH
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -107,50 +109,12 @@ struct SessionResult
     /** PCIe root-complex bandwidth by category (bytes/s). */
     std::map<std::string, double> rcBwByCategory;
 
-    /** Fault-injection and recovery counters (all zero when disabled). */
-    struct FaultStats
-    {
-        std::size_t faultsInjected = 0;      ///< fault windows opened
-        std::size_t readFailures = 0;        ///< failed SSD read attempts
-        std::size_t ssdRetries = 0;          ///< reads retried after backoff
-        std::size_t chunksAbandoned = 0;     ///< chunks restarted from scratch
-        std::size_t prepFailovers = 0;       ///< crashes absorbed by failover
-        std::size_t computeRedispatches = 0; ///< straggler timeouts fired
-        std::size_t stragglerSteps = 0;      ///< group-steps that straggled
-        Time degradedTime = 0.0; ///< wall time with >=1 open fault window
-    };
+    /** Fault and recovery counters (sim/fault_injector.hh). */
+    using FaultStats = tb::FaultStats;
     FaultStats faults;
 
-    /**
-     * Silent-corruption injection/detection counters (all zero when
-     * corruption injection is disabled). The accounting invariant is
-     * exact: injected == detected + escaped. "Detected" covers
-     * link-level (PCIe LCRC) and ECC catches, checksum-verify catches,
-     * and the baseline CPU path's software validation; "escaped" flips
-     * reached training silently.
-     */
-    struct IntegrityStats
-    {
-        std::size_t injected = 0; ///< corruption strikes drawn
-        std::size_t detected = 0; ///< caught before reaching training
-        std::size_t escaped = 0;  ///< reached training silently
-
-        /** Strikes per CorruptionKind (index = enum value). */
-        std::array<std::size_t, kNumCorruptionKinds> injectedByKind{};
-
-        std::size_t pcieReplays = 0;       ///< LCRC replay stalls paid
-        std::size_t recoveries = 0;        ///< verify-triggered re-reads
-        std::size_t chunksQuarantined = 0; ///< recovery budget exhausted
-
-        /** Escaped fraction of injected (0 when nothing injected). */
-        double escapeRate() const
-        {
-            return injected == 0
-                ? 0.0
-                : static_cast<double>(escaped) /
-                      static_cast<double>(injected);
-        }
-    };
+    /** Silent-corruption counters (sim/fault_injector.hh). */
+    using IntegrityStats = tb::IntegrityStats;
     IntegrityStats integrity;
 
     /** Checkpoint/restore counters (all zero when disabled). */
@@ -378,19 +342,9 @@ class TrainingSession
 
         /** Stage running, or to run when a pending resume fires. */
         std::size_t stage = 0;
-        Time stageStart = 0.0;        ///< when the running stage started
-        FlowId flow = 0;              ///< current stage's flow (0 = none)
-        std::size_t readAttempts = 0; ///< failed reads of current chunk
-
-        /**
-         * Silent flips riding the chunk that a downstream verify stage
-         * will catch (already counted detected at draw time; this
-         * drives the recovery behavior only).
-         */
-        std::size_t pendingCorruptions = 0;
-
-        /** Verify-triggered re-reads of the current chunk. */
-        std::size_t recoveries = 0;
+        Time stageStart = 0.0; ///< when the running stage started
+        FlowId flow = 0;       ///< current stage's flow (0 = none)
+        ChainRetryState retry; ///< the current chunk's retry state
     };
 
     void launchPrep(std::size_t g);
@@ -436,14 +390,11 @@ class TrainingSession
     void replanOffload();
     void accrueCapacity();
 
-    // --- fault-injection path (inert when fault_ is null) ------------
+    // --- fault windows (never reached when fault_ is null) -----------
     void onFault(const FaultEvent &ev);
     void onRepair(const FaultEvent &ev);
     void onFatalCrash(const FaultEvent &ev);
     void onCheckpointResume();
-    bool handleReadFailure(ChainRun &run, std::size_t idx);
-    bool handleCorruption(ChainRun &run, std::size_t idx);
-    static bool chainVerifiesFrom(const ChainRun &run, std::size_t idx);
 
     /**
      * Freeze the SessionResult at the completion instant (still inside
@@ -489,11 +440,6 @@ class TrainingSession
     std::uint64_t nextLaunch_ = 0;
     /** Stage id of the SSD read, whose completion may fail a read. */
     std::uint32_t readStage_ = kNoStage;
-    SessionResult::FaultStats faultStats_;
-    SessionResult::IntegrityStats integrityStats_;
-    std::size_t activeFaultWindows_ = 0;
-    Time degradedStart_ = 0.0;
-    Time degradedTime_ = 0.0;
 
     // --- elastic capacity --------------------------------------------
     std::unique_ptr<ElasticScheduler> elastic_;

@@ -155,6 +155,27 @@ TEST(AudioCorrupt, AbsurdSampleRatesAndMelConfigsRejectedCleanly)
         AudioPrepPipeline(zero_mels).prepare(toneWaveform(), rng).ok);
 }
 
+// A negative or NaN stddev used to skip the noise silently, and an
+// infinite one returned ok with most log-Mel features non-finite.
+TEST(AudioCorrupt, BadNoiseStddevRejectedCleanly)
+{
+    for (const double stddev : {-1.0, std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()}) {
+        AudioPrepConfig cfg;
+        cfg.waveformNoiseStddev = stddev;
+        Rng rng(46);
+        const PreparedAudio out =
+            AudioPrepPipeline(cfg).prepare(toneWaveform(), rng);
+        EXPECT_FALSE(out.ok) << stddev;
+        EXPECT_EQ(out.error.rfind("audio: ", 0), 0u) << out.error;
+    }
+    // A zero stddev still turns the noise off.
+    AudioPrepConfig quiet;
+    quiet.waveformNoiseStddev = 0.0;
+    Rng rng(46);
+    EXPECT_TRUE(AudioPrepPipeline(quiet).prepare(toneWaveform(), rng).ok);
+}
+
 TEST(AudioCorrupt, SingleBitFlipsNeverCrash)
 {
     // The audio analogue of JpegCorrupt.SingleBitFlipsNeverCrash: flip

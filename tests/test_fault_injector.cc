@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <string>
@@ -145,7 +147,186 @@ TEST(FaultSchedule, DisarmInsideHandlerStopsEveryClass)
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(faults, 1u);
     EXPECT_EQ(repairs, 1u);
-    EXPECT_EQ(inj.faultsInjected(), 1u);
+    EXPECT_EQ(inj.stats().faultsInjected, 1u);
+}
+
+// --- the recovery policy on a bare injector (no server, no session) --
+
+/** A prep-chain stage as FaultInjector::afterStage() reads it. */
+struct Stage
+{
+    unsigned corruptionHops = 0;
+    bool verifiesIntegrity = false;
+};
+
+/** A probability every draw passes (uniform() < it below 1 - 2^-53). */
+const double kAlways = std::nextafter(1.0, 0.0);
+
+TEST(FaultRecoveryUnit, FailedReadsBackOffThenRestartTheChain)
+{
+    FaultConfig fc;
+    fc.enabled = true;
+    fc.ssdReadFailureProb = kAlways;
+    FaultInjector inj(fc, {});
+    const std::vector<Stage> stages(3);
+    ChainRetryState chain;
+    // Retry k re-runs the read after 50 us * 2^k, for k = 0, 1, 2.
+    for (int k = 0; k < 3; ++k) {
+        const ChainStep step = inj.afterStage(chain, stages, 1, true, "c");
+        EXPECT_FALSE(step.restart) << k;
+        EXPECT_EQ(step.stage, 1u) << k;
+        EXPECT_EQ(step.delay, 50e-6 * (1 << k)) << k;
+    }
+    // The fourth failure abandons the chunk.
+    EXPECT_TRUE(inj.afterStage(chain, stages, 1, true, "c").restart);
+    // A restarted chain starts its retries over.
+    chain = {};
+    EXPECT_EQ(inj.afterStage(chain, stages, 1, true, "c").delay, 50e-6);
+
+    inj.stop();
+    EXPECT_EQ(inj.stats().ssdRetries, 4u);
+    EXPECT_EQ(inj.stats().chunksAbandoned, 1u);
+    EXPECT_EQ(inj.stats().readFailures, 5u);
+}
+
+TEST(FaultRecoveryUnit, VerifiedFlipIsReReadThenQuarantined)
+{
+    FaultConfig fc;
+    fc.enabled = true;
+    fc.corruption.ssdBitFlipProb = kAlways;
+    FaultInjector inj(fc, {});
+    const unsigned flip = corruptionBit(CorruptionKind::SsdBitFlip);
+    const std::vector<Stage> stages = {{flip, false}, {}, {0, true}};
+    ChainRetryState chain;
+    for (int k = 0; k <= 3; ++k) {
+        // The read's flip is detected (a verify lies downstream) and
+        // rides the chunk to the verify stage.
+        ChainStep step = inj.afterStage(chain, stages, 0, true, "c");
+        EXPECT_FALSE(step.restart);
+        EXPECT_EQ(step.stage, 1u);
+        EXPECT_EQ(step.delay, 0.0);
+        EXPECT_EQ(chain.pendingCorruptions, 1u);
+        step = inj.afterStage(chain, stages, 1, false, "c");
+        EXPECT_EQ(step.stage, 2u);
+        EXPECT_EQ(step.delay, 0.0);
+        // The verify re-reads the chunk after 50 us * 2^k, three times,
+        // then quarantines it.
+        step = inj.afterStage(chain, stages, 2, false, "c");
+        EXPECT_EQ(chain.pendingCorruptions, 0u);
+        if (k < 3) {
+            EXPECT_FALSE(step.restart) << k;
+            EXPECT_EQ(step.stage, 0u) << k;
+            EXPECT_EQ(step.delay, 50e-6 * (1 << k)) << k;
+        } else {
+            EXPECT_TRUE(step.restart);
+        }
+    }
+    inj.stop();
+    const IntegrityStats &in = inj.integrity();
+    EXPECT_EQ(in.injected, 4u);
+    EXPECT_EQ(in.injectedByKind[0], 4u);
+    EXPECT_EQ(in.detected, 4u);
+    EXPECT_EQ(in.escaped, 0u);
+    EXPECT_EQ(in.recoveries, 3u);
+    EXPECT_EQ(in.chunksQuarantined, 1u);
+}
+
+TEST(FaultRecoveryUnit, FlipIsDetectedOnlyByAVerifyAtOrAfterItsStage)
+{
+    FaultConfig fc;
+    fc.enabled = true;
+    fc.corruption.fpgaUpsetProb = kAlways;
+    FaultInjector inj(fc, {});
+    const unsigned upset = corruptionBit(CorruptionKind::FpgaUpset);
+
+    // The only verify runs before the upset: it escapes into training.
+    const std::vector<Stage> late = {{0, true}, {upset, false}, {}};
+    ChainRetryState chain;
+    ChainStep step = inj.afterStage(chain, late, 1, false, "c");
+    EXPECT_FALSE(step.restart);
+    EXPECT_EQ(step.stage, 2u);
+    EXPECT_EQ(step.delay, 0.0);
+    EXPECT_EQ(chain.pendingCorruptions, 0u);
+
+    // A stage that verifies its own output catches its own upset and
+    // re-reads the chunk at once.
+    const std::vector<Stage> self = {{}, {upset, true}};
+    chain = {};
+    step = inj.afterStage(chain, self, 1, false, "c");
+    EXPECT_FALSE(step.restart);
+    EXPECT_EQ(step.stage, 0u);
+    EXPECT_EQ(step.delay, 50e-6);
+
+    inj.stop();
+    EXPECT_EQ(inj.integrity().injected, 2u);
+    EXPECT_EQ(inj.integrity().escaped, 1u);
+    EXPECT_EQ(inj.integrity().detected, 1u);
+    EXPECT_EQ(inj.integrity().recoveries, 1u);
+}
+
+TEST(FaultRecoveryUnit, PcieErrorDelaysTheNextStageByItsReplay)
+{
+    FaultConfig fc;
+    fc.enabled = true;
+    fc.corruption.pcieErrorProb = kAlways;
+    fc.corruption.hostDramFlipProb = kAlways;
+    FaultInjector inj(fc, {});
+    const unsigned pcie = corruptionBit(CorruptionKind::PcieLinkError);
+    const unsigned dram = corruptionBit(CorruptionKind::HostDramFlip);
+    const std::vector<Stage> stages = {{pcie, false}, {pcie | dram, false},
+                                       {dram, false}};
+    ChainRetryState chain;
+    // One 2 us replay per PCIe error; ECC corrects DRAM flips for free.
+    const Time delays[] = {2e-6, 2e-6, 0.0};
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        const ChainStep step = inj.afterStage(chain, stages, i, false, "c");
+        EXPECT_FALSE(step.restart) << i;
+        EXPECT_EQ(step.stage, i + 1) << i;
+        EXPECT_EQ(step.delay, delays[i]) << i;
+    }
+    inj.stop();
+    const IntegrityStats &in = inj.integrity();
+    EXPECT_EQ(in.injected, 4u);
+    EXPECT_EQ(in.pcieReplays, 2u);
+    EXPECT_EQ(in.detected, 4u);
+    EXPECT_EQ(in.escaped, 0u);
+}
+
+TEST(FaultRecoveryUnit, OverlappingWindowsCountTheirTimeOnce)
+{
+    FaultConfig fc = windowScenario();
+    fc.enabled = true;
+    FaultTargets targets;
+    targets.numSsds = 8;
+    targets.numGroups = 4;
+    constexpr Time kHorizon = 60.0;
+
+    // The union of every window, cut at the horizon, from the preview.
+    std::vector<std::pair<Time, Time>> spans;
+    for (const FaultEvent &ev :
+         FaultInjector::schedule(fc, targets, kHorizon))
+        spans.emplace_back(ev.start,
+                           std::min(ev.start + ev.duration, kHorizon));
+    std::sort(spans.begin(), spans.end());
+    Time covered = 0.0;
+    Time reach = 0.0;
+    std::size_t overlaps = 0;
+    for (const auto &[start, end] : spans) {
+        if (start < reach)
+            ++overlaps;
+        covered += std::max(0.0, end - std::max(start, reach));
+        reach = std::max(reach, end);
+    }
+    ASSERT_GT(overlaps, 3u);
+    ASSERT_GT(reach, kHorizon - 1e-9); // a window is open at the end
+
+    EventQueue eq;
+    FaultInjector inj(fc, targets);
+    inj.arm(eq, nullptr, nullptr);
+    eq.run(kHorizon);
+    inj.stop();
+    EXPECT_NEAR(inj.stats().degradedTime, covered, 1e-9);
+    EXPECT_EQ(inj.stats().faultsInjected, spans.size());
 }
 
 TEST(FleetFaultSchedule, ArmPlaysExactlyThePreview)

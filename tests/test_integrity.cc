@@ -376,7 +376,6 @@ TEST(SimIntegrity, RecoveryBudgetExhaustionQuarantinesChunk)
     ServerConfig cfg = corruptedConfig(ArchPreset::TrainBox, true);
     cfg.faults.corruption.ssdBitFlipProb = 0.9;
     cfg.faults.corruption.fpgaUpsetProb = 0.9;
-    cfg.faults.maxIntegrityRecoveries = 1;
 
     const SessionResult res = runSession(cfg);
     EXPECT_GT(res.integrity.chunksQuarantined, 0u);

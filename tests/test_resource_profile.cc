@@ -47,12 +47,12 @@ TEST(Profile, PeakCoreDemandNearPaper)
 {
     // Fig 10a: up to ~100.7x DGX-2's 48 cores at 256 accelerators.
     sync::SyncConfig sync_cfg;
-    const Dgx2Reference ref;
+    const HostConfig dgx2;
     double peak = 0.0;
     for (const auto &m : workload::modelZoo()) {
         const HostDemandBreakdown d =
             requiredHostDemand(m, ArchPreset::Baseline, 256, sync_cfg);
-        peak = std::max(peak, d.cpuCores / ref.cpuCores);
+        peak = std::max(peak, d.cpuCores / dgx2.cpuCores);
     }
     EXPECT_NEAR(peak, 100.7, 5.0);
 }

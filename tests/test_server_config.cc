@@ -459,7 +459,6 @@ TEST(ServerConfigValidate, RejectsNaNInEveryNumericField)
         TB_NAMED(faults.ssdReadFailureProb),
         TB_NAMED(faults.stragglerProb),
         TB_NAMED(faults.stragglerFactor),
-        TB_NAMED(faults.retryBackoffBase),
         TB_NAMED(faults.stepTimeoutFactor),
         TB_NAMED(faults.ssdDegrade.ratePerSec),
         TB_FIELD("faults.ssdDegrade window", faults.ssdDegrade.duration),
