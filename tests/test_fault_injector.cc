@@ -1,7 +1,9 @@
 /**
  * @file
- * Fault injection + recovery: deterministic schedules, the zero-cost
- * disabled path, reproducible degradation, and failover effectiveness.
+ * Fault injection + recovery: deterministic schedules, the recovery
+ * policy on a bare injector (FaultRecoveryUnit), the zero-cost disabled
+ * path, reproducible degradation, failover effectiveness, and one
+ * pinned digest of every SessionResult field per fault scenario.
  */
 
 #include <gtest/gtest.h>
