@@ -13,14 +13,13 @@
 #ifndef TRAINBOX_BENCH_BENCH_UTIL_HH
 #define TRAINBOX_BENCH_BENCH_UTIL_HH
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "trainbox/report.hh"
 #include "trainbox/server_builder.hh"
@@ -40,29 +39,6 @@ rejectArgument(const char *prog, const char *usage, const char *arg)
     std::fprintf(stderr, "%s: unknown argument '%s'; usage: %s %s\n", prog,
                  arg, prog, usage);
     std::exit(2);
-}
-
-/**
- * The positive integer after option argv[i], which moves @p i past it.
- * A missing or malformed value exits 2 with a usage line.
- */
-inline std::size_t
-countArgument(int argc, char **argv, int &i, const char *usage)
-{
-    const char *option = argv[i];
-    const char *text = i + 1 < argc ? argv[++i] : "";
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-        errno == ERANGE || value == 0) {
-        std::fprintf(stderr,
-                     "%s: %s needs a positive integer, not '%s'; usage: %s "
-                     "%s\n",
-                     argv[0], option, text, argv[0], usage);
-        std::exit(2);
-    }
-    return static_cast<std::size_t>(value);
 }
 
 /**

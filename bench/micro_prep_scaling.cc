@@ -60,10 +60,10 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--csv") == 0) {
             csv = true;
         } else if (std::strcmp(argv[i], "--items") == 0) {
-            image_items = bench::countArgument(argc, argv, i, usage);
+            image_items = cli::countArgument(argc, argv, i, usage);
             audio_items = std::max<std::size_t>(1, image_items / 4);
         } else if (std::strcmp(argv[i], "--max-workers") == 0) {
-            max_workers = bench::countArgument(argc, argv, i, usage);
+            max_workers = cli::countArgument(argc, argv, i, usage);
         } else {
             bench::rejectArgument(argv[0], usage, argv[i]);
         }

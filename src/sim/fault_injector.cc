@@ -68,9 +68,9 @@ windowClasses(const FaultConfig &cfg, const FaultTargets &targets)
 {
     const std::pair<FaultKind, std::size_t> kinds[] = {
         {FaultKind::SsdDegrade, targets.numSsds},
-        {FaultKind::PrepCrash, targets.numGroups},
-        {FaultKind::EthDegrade, 1},
-        {FaultKind::RouteLoss, targets.numGroups},
+        {FaultKind::PrepCrash, targets.prepGroups.size()},
+        {FaultKind::EthDegrade, targets.pool ? 1u : 0u},
+        {FaultKind::RouteLoss, targets.hostPathGroups.size()},
         {FaultKind::FatalCrash, 1},
     };
     std::vector<WindowClass> classes;
@@ -86,11 +86,17 @@ windowClasses(const FaultConfig &cfg, const FaultTargets &targets)
 }
 
 FaultEvent
-toEvent(const FaultConfig &cfg, const Window &w)
+toEvent(const FaultConfig &cfg, const FaultTargets &targets,
+        const Window &w)
 {
     const auto kind = static_cast<FaultKind>(w.kind);
     const FaultClassConfig cc = classConfig(cfg, kind);
-    return {kind, w.target, w.start, cc.duration, cc.magnitude};
+    std::size_t target = w.target;
+    if (kind == FaultKind::PrepCrash)
+        target = targets.prepGroups[target];
+    else if (kind == FaultKind::RouteLoss)
+        target = targets.hostPathGroups[target];
+    return {kind, target, w.start, cc.duration, cc.magnitude};
 }
 
 } // namespace
@@ -131,7 +137,7 @@ corruptionKindName(CorruptionKind kind)
 
 FaultInjector::FaultInjector(const FaultConfig &cfg,
                              const FaultTargets &targets, TraceWriter *trace)
-    : cfg_(cfg), trace_(trace),
+    : cfg_(cfg), targets_(targets), trace_(trace),
       readFailRng_(mix64(cfg.seed ^ kReadFailStream)),
       windows_(cfg.seed, windowClasses(cfg, targets))
 {
@@ -293,7 +299,7 @@ FaultInjector::arm(EventQueue &eq, FaultHandler onFault,
     onFault_ = std::move(onFault);
     onRepair_ = std::move(onRepair);
     windows_.arm(eq, [this](const Window &w) {
-        const FaultEvent ev = toEvent(cfg_, w);
+        const FaultEvent ev = toEvent(cfg_, targets_, w);
         ++stats_.faultsInjected;
         if (openWindows_++ == 0)
             degradedStart_ = eq_->now();
@@ -343,7 +349,7 @@ FaultInjector::schedule(const FaultConfig &cfg, const FaultTargets &targets,
     std::vector<FaultEvent> events;
     WindowStream windows(cfg.seed, windowClasses(cfg, targets));
     for (const Window &w : windows.windowsBefore(horizon))
-        events.push_back(toEvent(cfg, w));
+        events.push_back(toEvent(cfg, targets, w));
     return sortedByTime(std::move(events), &FaultEvent::start);
 }
 

@@ -207,11 +207,17 @@ struct FaultConfig
     bool poolFailover = true;
 };
 
-/** Target-space sizes the injector picks victims from. */
+/**
+ * What a server's fault windows can strike. A class draws its victims
+ * from its own targets only, and a class without targets opens no
+ * window: a Baseline server has no prep FPGA, pool or P2P route.
+ */
 struct FaultTargets
 {
     std::size_t numSsds = 0;
-    std::size_t numGroups = 0;
+    std::vector<std::size_t> prepGroups;     ///< groups with a prep FPGA
+    bool pool = false;                       ///< a prep pool exists
+    std::vector<std::size_t> hostPathGroups; ///< groups with a host path
 };
 
 /** One scheduled windowed fault. */
@@ -419,6 +425,7 @@ class FaultInjector
     void instant(const std::string &track, const char *name) const;
 
     FaultConfig cfg_;
+    FaultTargets targets_;
     TraceWriter *trace_;
     EventQueue *eq_ = nullptr; ///< set by arm()
     Rng readFailRng_;

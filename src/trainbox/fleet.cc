@@ -471,6 +471,7 @@ FleetSimulation::killJob(std::size_t j)
     const Time now = core_.now();
     const std::size_t synced = job.session->stepsSynced();
     const std::size_t durable = job.session->lastDurableStep();
+    const std::size_t banked = job.session->durableMeasuredSteps();
     // Remaining measured steps this attempt was running (its start()
     // argument) — banked progress from earlier failures is already off.
     const std::size_t attempt_measure =
@@ -484,9 +485,6 @@ FleetSimulation::killJob(std::size_t j)
     // the rollback; without checkpointing durable == 0 and the retry
     // starts from scratch). Strictly < attempt_measure — a fully
     // durable final step would have completed the job.
-    const std::size_t banked =
-        durable > job.spec.warmupSteps ? durable - job.spec.warmupSteps
-                                       : 0;
     job.measureDone += std::min(banked, attempt_measure - 1);
 
     // The dead attempt's server/session must outlive it (guarded timers

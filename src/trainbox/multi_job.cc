@@ -9,6 +9,41 @@
 
 namespace tb {
 
+namespace {
+
+/**
+ * The prep demand of @p accs accelerators at per-accelerator batch
+ * @p batch (0: Table I's) and what @p boxes train boxes' FPGAs can
+ * prepare, both in samples/s.
+ */
+struct PrepSplit
+{
+    Rate demand = 0.0;
+    Rate local = 0.0;
+
+    /** The share of the demand the boxes cannot cover. */
+    double offload() const
+    {
+        return demand > local ? (demand - local) / demand : 0.0;
+    }
+};
+
+PrepSplit
+prepSplit(const workload::ModelInfo &m, std::size_t accs, std::size_t boxes,
+          const BoxConfig &box, const sync::SyncConfig &sync_cfg,
+          std::size_t batch)
+{
+    using namespace workload;
+    const Rate per_acc = batch == 0
+        ? effectiveDeviceThroughput(m, accs, sync_cfg)
+        : effectiveDeviceThroughput(m, accs, sync_cfg, batch);
+    return {static_cast<double>(accs) * per_acc,
+            static_cast<double>(boxes) * static_cast<double>(box.prepPerBox) *
+                prepDemand(m.input).fpgaChainRate};
+}
+
+} // namespace
+
 RackPlan
 planRack(const std::vector<JobRequest> &jobs, std::size_t total_boxes,
          const BoxConfig &box, const sync::SyncConfig &sync_cfg)
@@ -26,11 +61,10 @@ planRack(const std::vector<JobRequest> &jobs, std::size_t total_boxes,
 
         const ModelInfo &m = model(req.model);
         const PrepDemand d = prepDemand(m.input);
-        alloc.demand =
-            targetThroughput(m, req.numAccelerators, sync_cfg);
-        alloc.localCapacity = static_cast<double>(alloc.boxes) *
-                              static_cast<double>(box.prepPerBox) *
-                              d.fpgaChainRate;
+        const PrepSplit split = prepSplit(m, req.numAccelerators,
+                                          alloc.boxes, box, sync_cfg, 0);
+        alloc.demand = split.demand;
+        alloc.localCapacity = split.local;
 
         // A lent/borrowed FPGA works at the *borrower's* chain rate,
         // capped by its 100 Gbps pool port.
@@ -43,7 +77,7 @@ planRack(const std::vector<JobRequest> &jobs, std::size_t total_boxes,
             const Rate shortfall = alloc.demand - alloc.localCapacity;
             alloc.deficitFpgas = static_cast<std::size_t>(
                 std::ceil(shortfall / pool_rate));
-            alloc.offloadFraction = shortfall / alloc.demand;
+            alloc.offloadFraction = split.offload();
         } else {
             // Whole FPGAs this job can give up and still meet demand.
             const Rate surplus = alloc.localCapacity - alloc.demand;
@@ -85,24 +119,16 @@ planRack(const std::vector<JobRequest> &jobs, std::size_t total_boxes,
 double
 replanOffloadFraction(workload::ModelId model_id, std::size_t active_accs,
                       std::size_t active_boxes, const BoxConfig &box,
-                      const sync::SyncConfig &sync_cfg)
+                      const sync::SyncConfig &sync_cfg,
+                      std::size_t batch_size)
 {
-    using namespace workload;
-
     if (active_accs == 0 || active_boxes == 0)
         return 0.0;
-
-    // Same math as planRack(), but the box count is the surviving
-    // membership rather than ceil(accs / accPerBox).
-    const ModelInfo &m = model(model_id);
-    const PrepDemand d = prepDemand(m.input);
-    const Rate demand = targetThroughput(m, active_accs, sync_cfg);
-    const Rate local = static_cast<double>(active_boxes) *
-                       static_cast<double>(box.prepPerBox) *
-                       d.fpgaChainRate;
-    if (demand <= local || demand <= 0.0)
-        return 0.0;
-    return (demand - local) / demand;
+    // planRack()'s split, over the surviving membership's boxes rather
+    // than ceil(accs / accPerBox).
+    return prepSplit(workload::model(model_id), active_accs, active_boxes,
+                     box, sync_cfg, batch_size)
+        .offload();
 }
 
 } // namespace tb

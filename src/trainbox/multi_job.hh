@@ -88,16 +88,19 @@ RackPlan planRack(const std::vector<JobRequest> &jobs,
 /**
  * Re-plan prep lending for one job after a membership change: the
  * offload fraction planRack() would assign a single job running
- * @p activeAccs accelerators on @p activeBoxes surviving train boxes.
- * TrainingSession calls this on every elastic group join/leave so prep
- * offload tracks the *current* box count rather than the build-time
- * one. Returns 0 for a zero-capacity interval.
+ * @p activeAccs accelerators on @p activeBoxes surviving train boxes,
+ * at per-accelerator batch @p batchSize (0: Table I's, as
+ * ServerConfig::batchSize). TrainingSession calls this on every
+ * elastic group join/leave so prep offload tracks the *current* box
+ * count rather than the build-time one. Returns 0 for a zero-capacity
+ * interval.
  */
 double replanOffloadFraction(workload::ModelId model,
                              std::size_t activeAccs,
                              std::size_t activeBoxes,
                              const BoxConfig &box = {},
-                             const sync::SyncConfig &sync_cfg = {});
+                             const sync::SyncConfig &sync_cfg = {},
+                             std::size_t batchSize = 0);
 
 } // namespace tb
 

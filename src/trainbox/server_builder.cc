@@ -734,6 +734,21 @@ Server::settleAccounting()
     core_.fluid().settleAccounting(resBegin_, resEnd_);
 }
 
+FaultTargets
+Server::faultTargets() const
+{
+    FaultTargets targets;
+    targets.numSsds = ssds.size();
+    targets.pool = pool != nullptr;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        if (!groups[g].preps.empty())
+            targets.prepGroups.push_back(g);
+        if (!groups[g].hostPathStages.empty())
+            targets.hostPathGroups.push_back(g);
+    }
+    return targets;
+}
+
 std::uint32_t
 Server::stageId(std::string_view name) const
 {

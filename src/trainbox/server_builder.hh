@@ -235,6 +235,9 @@ class Server
     /** Ring-sync time across all accelerators. */
     Time syncTime() const;
 
+    /** What this server's fault windows can strike. */
+    FaultTargets faultTargets() const;
+
   private:
     friend std::unique_ptr<Server> buildServer(const ServerConfig &,
                                                SimulationCore *,

@@ -13,7 +13,10 @@ namespace tb {
 
 TrainingSession::TrainingSession(Server &server)
     : server_(server), eq_(server.core().events()),
-      net_(server.core().fluid())
+      net_(server.core().fluid()),
+      meter_(server.stageNames,
+             {server.cpu->resource(), server.hostMem->resource(),
+              server.topo->rcResource()})
 {
     groups_.resize(server_.groups.size());
     for (std::size_t g = 0; g < groups_.size(); ++g) {
@@ -22,20 +25,6 @@ TrainingSession::TrainingSession(Server &server)
     }
     readStage_ = server_.stageId(
         workload::stageCategory(workload::PrepStage::SsdRead));
-    stageTimeSum_.assign(server_.stageNames.size(), 0.0);
-    stageTimeCount_.assign(server_.stageNames.size(), 0);
-}
-
-bool
-TrainingSession::measuring() const
-{
-    return syncedSteps_ >= warmupSteps_ && !done_;
-}
-
-std::size_t
-TrainingSession::chunksPerBatch() const
-{
-    return std::max<std::size_t>(1, server_.cfg.prepChunks);
 }
 
 double
@@ -54,7 +43,9 @@ TrainingSession::launchPrep(std::size_t g)
     if (done_ || down_ || gs.membership != Membership::Active)
         return;
     const double batch = groupBatchSamples(g);
-    const double chunk = batch / static_cast<double>(chunksPerBatch());
+    const std::size_t chunks =
+        std::max<std::size_t>(1, server_.cfg.prepChunks);
+    const double chunk = batch / static_cast<double>(chunks);
     const double window =
         static_cast<double>(server_.cfg.prefetchDepth) * batch;
 
@@ -75,26 +66,6 @@ TrainingSession::launchPrep(std::size_t g)
         if (f > 0.0)
             launchChain(g, /*offload=*/true, chunk * f);
     }
-}
-
-void
-TrainingSession::onChainDone(std::size_t g, double samples,
-                             Time chain_start)
-{
-    GroupState &gs = groups_[g];
-    gs.inFlightSamples -= samples;
-    gs.readySamples += samples;
-    samplesPrepared_ += samples;
-    if (elastic_ && gs.membership == Membership::Draining)
-        elasticStats_.samplesSavedByDrain += samples;
-    if (measuring()) {
-        prepLatencySum_ += eq_.now() - chain_start;
-        ++prepLatencyCount_;
-        if (chainsCtr_)
-            chainsCtr_->inc();
-    }
-    tryStartCompute(g);
-    launchPrep(g);
 }
 
 /**
@@ -118,7 +89,7 @@ TrainingSession::forEachGroup(void (TrainingSession::*step)(std::size_t))
 //
 // Every prep chain is a ChainRun in chains_, so an open fault window or a
 // membership change can cancel its current flow and re-dispatch it on
-// another template, and finalizeResult() can cancel it outright. A chain
+// another template, and finish() can cancel it outright. A chain
 // steps through its template one flow per stage; each flow callback and
 // scheduled continuation holds the chain's handle, whose generation a
 // restart bumps.
@@ -146,7 +117,7 @@ TrainingSession::selectStages(const ChainRun &run) const
             return spec.degradedOffloadStages;
         return spec.offloadStages;
     }
-    if (gs.routeLost && !spec.hostPathStages.empty())
+    if (gs.routeLost)
         return spec.hostPathStages;
     if (prepOut(gs) && !spec.degradedStages.empty())
         return spec.degradedStages;
@@ -184,14 +155,8 @@ TrainingSession::launchChain(std::size_t g, bool offload, double samples)
     }
     ChainRun &run = chains_[slot];
     const std::uint32_t gen = run.gen;
-    run = ChainRun{};
-    run.gen = gen;
-    run.live = true;
-    run.launch = nextLaunch_++;
-    run.group = g;
-    run.offload = offload;
-    run.samples = samples;
-    run.start = eq_.now();
+    run = {.gen = gen, .live = true, .launch = nextLaunch_++, .group = g,
+           .offload = offload, .samples = samples, .start = eq_.now()};
     run.stages = &selectStages(run);
     startChainStage({slot, gen}, 0);
 }
@@ -253,11 +218,17 @@ TrainingSession::startChainStage(ChainId id, std::size_t idx)
     if (run == nullptr)
         return;
     if (idx >= run->stages->size()) {
+        // The chunk is prepared: buffer it for compute, top up prep.
         const std::size_t g = run->group;
-        const double samples = run->samples;
-        const Time chain_start = run->start;
+        GroupState &gs = groups_[g];
+        gs.inFlightSamples -= run->samples;
+        gs.readySamples += run->samples;
+        meter_.chainDone(run->samples, eq_.now() - run->start);
+        if (gs.membership == Membership::Draining)
+            meter_.elasticity().samplesSavedByDrain += run->samples;
         freeChain(*run);
-        onChainDone(g, samples, chain_start);
+        tryStartCompute(g);
+        launchPrep(g);
         return;
     }
     run->stage = idx;
@@ -277,10 +248,7 @@ TrainingSession::onStageDone(ChainId id, Time now)
     const std::size_t idx = run.stage;
     const StageTemplate &done = (*run.stages)[idx];
     const Time start = run.stageStart;
-    if (measuring()) {
-        stageTimeSum_[done.stageId] += now - start;
-        ++stageTimeCount_[done.stageId];
-    }
+    meter_.stageDone(done.stageId, now - start);
     if (trace_)
         trace_->complete(chainTrack(run), done.name, start, now - start,
                          "prep");
@@ -291,25 +259,15 @@ TrainingSession::onStageDone(ChainId id, Time now)
                                   chainTrack(run));
     if (next.restart)
         restartChain(run);
-    else if (next.delay > 0.0)
-        resumeChainIn(next.delay, run, next.stage);
-    else
+    else if (next.delay > 0.0) {
+        // Resume after the delay unless a restart or cancel comes first.
+        run.stage = next.stage;
+        eq_.scheduleIn(next.delay, [this, id] {
+            if (ChainRun *run = findChain(id))
+                startChainStage(id, run->stage);
+        });
+    } else
         startChainStage(id, next.stage);
-}
-
-/**
- * Start stage @p idx of @p run after @p delay, unless the chain is
- * restarted or cancelled meanwhile.
- */
-void
-TrainingSession::resumeChainIn(Time delay, ChainRun &run, std::size_t idx)
-{
-    run.stage = idx;
-    const ChainId id = chainId(run);
-    eq_.scheduleIn(delay, [this, id] {
-        if (ChainRun *run = findChain(id))
-            startChainStage(id, run->stage);
-    });
 }
 
 /**
@@ -347,9 +305,9 @@ TrainingSession::cancelChains(std::size_t g)
 // --- fault windows (never reached when fault_ is null) ------------------
 //
 // The FaultInjector plays the windows, counts their time and traces
-// them, and calls nothing once finalizeResult() stops it; these
-// handlers apply each window to the session's devices, groups and
-// chains.
+// them, and calls nothing once finish() stops it; these handlers apply
+// each window to the session's devices, groups and chains. A window
+// only strikes what the server has (Server::faultTargets()).
 
 std::size_t
 TrainingSession::redispatchLocalChains(std::size_t g)
@@ -375,8 +333,6 @@ TrainingSession::onFault(const FaultEvent &ev)
         break;
       case FaultKind::PrepCrash: {
         GroupState &gs = groups_[ev.target];
-        if (gs.spec->preps.empty())
-            break;
         // The capacity drop and the re-dispatch share one solve.
         FluidNetwork::FlowBatch batch(net_);
         gs.spec->preps.back()->setFailed(true);
@@ -386,16 +342,12 @@ TrainingSession::onFault(const FaultEvent &ev)
         break;
       }
       case FaultKind::EthDegrade:
-        if (server_.pool)
-            server_.pool->setFabricBandwidthScale(ev.magnitude);
+        server_.pool->setFabricBandwidthScale(ev.magnitude);
         break;
-      case FaultKind::RouteLoss: {
-        GroupState &gs = groups_[ev.target];
-        gs.routeLost = true;
-        if (!gs.spec->hostPathStages.empty())
-            redispatchLocalChains(ev.target);
+      case FaultKind::RouteLoss:
+        groups_[ev.target].routeLost = true;
+        redispatchLocalChains(ev.target);
         break;
-      }
       case FaultKind::FatalCrash:
         onFatalCrash(ev);
         break;
@@ -411,23 +363,18 @@ TrainingSession::onRepair(const FaultEvent &ev)
         break;
       case FaultKind::PrepCrash: {
         GroupState &gs = groups_[ev.target];
-        if (gs.spec->preps.empty())
-            break;
         gs.prepDegraded = false;
         // The FPGA only powers back up when no elastic leave holds it
         // away and the group itself is attached (a detached group's
         // devices return at its join).
-        if (!gs.prepElasticOut &&
-            gs.membership != Membership::Detached &&
-            gs.membership != Membership::Joining)
+        if (!gs.prepElasticOut && gs.attached())
             gs.spec->preps.back()->setFailed(false);
         // In-flight degraded chains finish where they are; chains
         // launched from now on use the healthy templates again.
         break;
       }
       case FaultKind::EthDegrade:
-        if (server_.pool)
-            server_.pool->setFabricBandwidthScale(1.0);
+        server_.pool->setFabricBandwidthScale(1.0);
         break;
       case FaultKind::RouteLoss:
         groups_[ev.target].routeLost = false;
@@ -447,7 +394,6 @@ TrainingSession::onFatalCrash(const FaultEvent &)
     if (done_ || down_)
         return;
     const Time now = eq_.now();
-    const std::size_t at_step = syncedSteps_;
     // Everything volatile dies with the process: the capture in flight,
     // in-flight prep chains, buffered prepared samples, running compute,
     // the pending sync. The flows go in one batch, closed before the
@@ -455,29 +401,21 @@ TrainingSession::onFatalCrash(const FaultEvent &)
     std::size_t durable = 0;
     {
         FluidNetwork::FlowBatch batch(net_);
-        durable = ckpt_->crash(now, at_step);
+        durable = ckpt_->crash(now, meter_.steps());
         cancelChains();
     }
-    for (GroupState &gs : groups_) {
-        if (gs.computeEv.valid())
-            eq_.cancel(gs.computeEv);
-        gs.computing = false;
-        samplesDiscarded_ += gs.readySamples;
-        gs.readySamples = 0.0;
-        gs.inFlightSamples = 0.0;
-        gs.stepsComputed = durable;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        dropGroupWork(g);
+        groups_[g].stepsComputed = durable;
     }
-    if (syncEv_.valid())
-        eq_.cancel(syncEv_);
-    stepSamples_ = 0.0;
-    syncedSteps_ = durable;
+    eq_.cancel(syncEv_);
+    meter_.rollBack(durable);
     pausedForCkpt_ = false;
     down_ = true;
     if (trace_)
         trace_->instant("faults", "fatal_crash", now, "fault");
 
-    eq_.scheduleIn(server_.cfg.checkpoint.restartLatency,
-                          [this, now] {
+    eq_.scheduleIn(server_.cfg.checkpoint.restartLatency, [this, now] {
         down_ = false;
         ckpt_->restarted(eq_.now());
         if (trace_)
@@ -496,42 +434,45 @@ TrainingSession::onFatalCrash(const FaultEvent &)
 // setFailed -> capacityChanged inside a FlowBatch, so the fluid re-solve
 // stays component-local and runs once per transition.
 
-void
-TrainingSession::accrueCapacity()
+/**
+ * Drop group @p g's volatile work, as a crash, a detach or a kill does:
+ * its running compute and its buffered and in-flight samples (the
+ * ledger counts the buffered ones discarded). Its chains are the
+ * caller's to cancel. Returns the samples lost: those buffered, plus
+ * the batch of an aborted compute.
+ */
+double
+TrainingSession::dropGroupWork(std::size_t g)
 {
-    if (!elastic_)
-        return;
-    const Time now = eq_.now();
-    const Time dt = now - lastCapacityMark_;
-    lastCapacityMark_ = now;
-    if (dt <= 0.0 || groups_.empty())
-        return;
-    activeFractionIntegral_ += dt * static_cast<double>(activeGroups_) /
-                               static_cast<double>(groups_.size());
-    if (activeGroups_ < groups_.size())
-        elasticStats_.degradedCapacityTime += dt;
-    if (activeGroups_ == 0)
-        elasticStats_.zeroCapacityTime += dt;
+    GroupState &gs = groups_[g];
+    double lost = gs.readySamples;
+    meter_.discarded(gs.readySamples);
+    gs.readySamples = 0.0;
+    gs.inFlightSamples = 0.0;
+    if (eq_.cancel(gs.computeEv))
+        lost += groupBatchSamples(g);
+    gs.computing = false;
+    return lost;
 }
 
 void
 TrainingSession::replanOffload()
 {
-    if (!elastic_ || !server_.pool)
+    if (!server_.pool)
         return;
     // Re-run the multi-job lending math for the surviving membership:
     // each attached group is one train box worth of local FPGA capacity.
     std::size_t accs = 0;
     std::size_t boxes = 0;
     for (const GroupState &gs : groups_) {
-        if (gs.membership != Membership::Active &&
-            gs.membership != Membership::Draining)
+        if (!gs.attached())
             continue;
         accs += gs.spec->numAccelerators;
         ++boxes;
     }
-    const double f = replanOffloadFraction(
-        server_.cfg.model, accs, boxes, server_.cfg.box, server_.cfg.sync);
+    const ServerConfig &cfg = server_.cfg;
+    const double f = replanOffloadFraction(cfg.model, accs, boxes, cfg.box,
+                                           cfg.sync, cfg.batchSize);
     for (GroupState &gs : groups_)
         if (!gs.spec->offloadStages.empty())
             gs.offloadOverride = f;
@@ -547,31 +488,16 @@ TrainingSession::onElasticEvent(const ElasticEvent &ev)
                         std::string(elasticTargetKindName(ev.target)) +
                             "_" + elasticActionName(ev.action),
                         eq_.now(), "elastic");
-    if (ev.target == ElasticTargetKind::Group) {
-        switch (ev.action) {
-          case ElasticAction::Drain:
-            beginGroupDrain(ev.index);
-            break;
-          case ElasticAction::Preempt:
-            preemptGroup(ev.index);
-            break;
-          case ElasticAction::Join:
-            beginGroupJoin(ev.index);
-            break;
-        }
-    } else {
-        switch (ev.action) {
-          case ElasticAction::Drain:
-            onPrepLeave(ev.index, /*planned=*/true);
-            break;
-          case ElasticAction::Preempt:
-            onPrepLeave(ev.index, /*planned=*/false);
-            break;
-          case ElasticAction::Join:
-            onPrepJoin(ev.index);
-            break;
-        }
-    }
+    const std::size_t g = ev.index;
+    const bool group = ev.target == ElasticTargetKind::Group;
+    if (ev.action == ElasticAction::Join)
+        group ? beginGroupJoin(g) : onPrepJoin(g);
+    else if (!group)
+        onPrepLeave(g, /*planned=*/ev.action == ElasticAction::Drain);
+    else if (ev.action == ElasticAction::Drain)
+        beginGroupDrain(g);
+    else
+        preemptGroup(g);
 }
 
 void
@@ -581,7 +507,7 @@ TrainingSession::beginGroupDrain(std::size_t g)
     if (gs.membership != Membership::Active)
         return;
     gs.membership = Membership::Draining;
-    ++elasticStats_.drains;
+    ++meter_.elasticity().drains;
     // Checkpoint-coordinated drain: durable state at the next step
     // boundary, so the detach loses buffered samples but never steps.
     if (ckpt_)
@@ -603,19 +529,17 @@ TrainingSession::preemptGroup(std::size_t g)
       case Membership::Joining:
         // Preempted before the attach finished: the join is void.
         eq_.cancel(gs.joinEv);
-        gs.joinEv.invalidate();
         gs.membership = Membership::Detached;
-        ++elasticStats_.preemptions;
+        ++meter_.elasticity().preemptions;
         return;
       case Membership::Draining:
         // Escalation: the grace window is cut short.
         eq_.cancel(gs.detachEv);
-        gs.detachEv.invalidate();
         break;
       case Membership::Active:
         break;
     }
-    ++elasticStats_.preemptions;
+    ++meter_.elasticity().preemptions;
     detachGroup(g, /*preempted=*/true);
 }
 
@@ -631,30 +555,19 @@ TrainingSession::detachGroup(std::size_t g, bool preempted)
         return;
     {
         FluidNetwork::FlowBatch batch(net_);
-        // In-flight prep chains die with the member.
+        // In-flight prep chains die with the member, and its buffered
+        // samples are discarded: the data shard moves to the survivors,
+        // who re-read it from storage.
         cancelChains(g);
-        gs.inFlightSamples = 0.0;
-        // Buffered prepared samples are discarded: the data shard moves
-        // to the survivors, who re-read it from storage.
-        samplesDiscarded_ += gs.readySamples;
-        double lost = gs.readySamples;
-        gs.readySamples = 0.0;
-        if (gs.computeEv.valid()) {
-            eq_.cancel(gs.computeEv);
-            gs.computeEv.invalidate();
-            lost += groupBatchSamples(g); // aborted mid-step batch
-        }
-        gs.computing = false;
-        if (preempted)
-            elasticStats_.samplesLostToPreemption += lost;
-        else
-            elasticStats_.samplesDroppedAtDrain += lost;
+        const double lost = dropGroupWork(g);
+        SessionResult::ElasticityStats &e = meter_.elasticity();
+        (preempted ? e.samplesLostToPreemption : e.samplesDroppedAtDrain) +=
+            lost;
         for (PrepAccelerator *p : gs.spec->preps)
             p->setFailed(true);
     }
-    accrueCapacity();
+    meter_.detach(eq_.now());
     gs.membership = Membership::Detached;
-    --activeGroups_;
     replanOffload();
     // The detach may complete the step the survivors were waiting on.
     stepComplete();
@@ -668,7 +581,6 @@ TrainingSession::beginGroupJoin(std::size_t g)
         // Capacity returns before the grace window ends: cancel the
         // drain and keep the member (nothing was torn down yet).
         eq_.cancel(gs.detachEv);
-        gs.detachEv.invalidate();
         gs.membership = Membership::Active;
         launchPrep(g);
         return;
@@ -690,14 +602,14 @@ TrainingSession::completeJoin(std::size_t g)
     if (done_)
         return;
     GroupState &gs = groups_[g];
-    accrueCapacity();
+    meter_.attach(eq_.now());
     gs.membership = Membership::Active;
-    ++activeGroups_;
-    ++elasticStats_.joins;
-    elasticStats_.rebalanceTime += server_.cfg.elasticity.rejoinLatency;
+    ++meter_.elasticity().joins;
+    meter_.elasticity().rebalanceTime +=
+        server_.cfg.elasticity.rejoinLatency;
     // Data-shard rebalance: the joiner picks up at the current global
     // step (or the next one when its sync is already in flight).
-    gs.stepsComputed = syncedSteps_ + (syncEv_.valid() ? 1 : 0);
+    gs.stepsComputed = meter_.steps() + (syncEv_.valid() ? 1 : 0);
     {
         FluidNetwork::FlowBatch batch(net_);
         // Its devices power back up — except the last FPGA while a
@@ -718,15 +630,13 @@ void
 TrainingSession::onPrepLeave(std::size_t g, bool planned)
 {
     GroupState &gs = groups_[g];
-    if (gs.spec->preps.empty() ||
-        gs.membership == Membership::Detached ||
-        gs.membership == Membership::Joining)
+    if (gs.spec->preps.empty() || !gs.attached())
         return; // the whole group is away; its join restores the FPGA
     if (planned) {
         if (gs.prepElasticOut)
             return; // one elastic prep leave at a time per group
         gs.prepElasticOut = true;
-        ++elasticStats_.drains;
+        ++meter_.elasticity().drains;
         // Grace: new chains avoid the leaving FPGA immediately (the
         // degraded templates stripe over the survivors); work already
         // on it may finish until the detach instant.
@@ -735,12 +645,11 @@ TrainingSession::onPrepLeave(std::size_t g, bool planned)
                               [this, g, epoch] {
             GroupState &gs = groups_[g];
             if (done_ || gs.prepEpoch != epoch || !gs.prepElasticOut ||
-                gs.membership == Membership::Detached ||
-                gs.membership == Membership::Joining)
+                !gs.attached())
                 return;
             FluidNetwork::FlowBatch batch(net_);
             gs.spec->preps.back()->setFailed(true);
-            elasticStats_.chainsRebalanced += redispatchLocalChains(g);
+            meter_.elasticity().chainsRebalanced += redispatchLocalChains(g);
         });
         return;
     }
@@ -748,10 +657,10 @@ TrainingSession::onPrepLeave(std::size_t g, bool planned)
     // same crash path a PrepCrash fault takes).
     ++gs.prepEpoch; // stales a pending drain detach, if any
     gs.prepElasticOut = true;
-    ++elasticStats_.preemptions;
+    ++meter_.elasticity().preemptions;
     FluidNetwork::FlowBatch batch(net_);
     gs.spec->preps.back()->setFailed(true);
-    elasticStats_.chainsRebalanced += redispatchLocalChains(g);
+    meter_.elasticity().chainsRebalanced += redispatchLocalChains(g);
 }
 
 void
@@ -762,9 +671,8 @@ TrainingSession::onPrepJoin(std::size_t g)
         return;
     ++gs.prepEpoch; // stales a pending drain detach, if any
     gs.prepElasticOut = false;
-    ++elasticStats_.joins;
-    if (gs.membership == Membership::Detached ||
-        gs.membership == Membership::Joining)
+    ++meter_.elasticity().joins;
+    if (!gs.attached())
         return; // completeJoin powers the FPGA up with the group
     // Back in service unless a fault window still holds it down.
     if (!gs.prepDegraded)
@@ -779,16 +687,14 @@ TrainingSession::tryStartCompute(std::size_t g)
     GroupState &gs = groups_[g];
     if (done_ || down_ || pausedForCkpt_ ||
         (ingest_ && ingest_->stalled()) || gs.computing ||
-        gs.membership == Membership::Detached ||
-        gs.membership == Membership::Joining ||
-        gs.stepsComputed != syncedSteps_)
+        !gs.attached() || gs.stepsComputed != meter_.steps())
         return;
     const double batch = groupBatchSamples(g);
     const double fresh = ingest_ ? ingest_->freshSamples(batch) : batch;
     if (gs.readySamples + 1e-6 < fresh)
         return;
     gs.readySamples -= fresh;
-    samplesConsumed_ += fresh;
+    meter_.consumed(fresh);
     if (ingest_)
         ingest_->countEchoed(batch - fresh);
     gs.computing = true;
@@ -797,16 +703,7 @@ TrainingSession::tryStartCompute(std::size_t g)
         duration = fault_->computeTime(g, gs.stepsComputed, duration,
                                        gs.spec->name);
     gs.computeStart = eq_.now();
-    gs.computeEv = eq_.scheduleIn(duration, [this, g] {
-        GroupState &gs = groups_[g];
-        gs.computeEv.invalidate();
-        if (computeBusyCtr_ && measuring())
-            computeBusyCtr_->add(eq_.now() - gs.computeStart);
-        if (trace_)
-            trace_->complete(gs.spec->name, "compute", gs.computeStart,
-                             eq_.now() - gs.computeStart, "compute");
-        onComputeDone(g);
-    });
+    gs.computeEv = eq_.scheduleIn(duration, [this, g] { onComputeDone(g); });
     launchPrep(g);
 }
 
@@ -814,19 +711,24 @@ void
 TrainingSession::onComputeDone(std::size_t g)
 {
     GroupState &gs = groups_[g];
+    gs.computeEv.invalidate();
+    meter_.computeDone(eq_.now() - gs.computeStart);
+    if (trace_)
+        trace_->complete(gs.spec->name, "compute", gs.computeStart,
+                         eq_.now() - gs.computeStart, "compute");
     gs.computing = false;
     ++gs.stepsComputed;
     // Count the batch toward the step it synchronizes with; a joiner
     // finishing a step whose sync already fired contributes nothing
     // (it recomputes the current step with the re-sharded data).
-    if (elastic_ && gs.stepsComputed == syncedSteps_ + 1)
-        stepSamples_ += groupBatchSamples(g);
+    if (gs.stepsComputed == meter_.steps() + 1)
+        meter_.batchComputed(groupBatchSamples(g));
     stepComplete();
 }
 
 /**
  * The step barrier: fire the global sync once every attached
- * (Active/Draining) group has computed past syncedSteps_. With fixed
+ * (Active/Draining) group has computed past the synced steps. With fixed
  * membership this is exactly the classic counting barrier — the last
  * compute of the step triggers the scan that passes — so results are
  * bit-identical. Under elasticity it additionally fires when a detach
@@ -840,65 +742,38 @@ TrainingSession::stepComplete()
         return;
     std::size_t attached = 0;
     for (const GroupState &gs : groups_) {
-        if (gs.membership != Membership::Active &&
-            gs.membership != Membership::Draining)
+        if (!gs.attached())
             continue;
         ++attached;
-        if (gs.stepsComputed <= syncedSteps_)
+        if (gs.stepsComputed <= meter_.steps())
             return;
     }
     if (attached == 0)
         return; // zero capacity: park until a join restores a group
     const Time start = eq_.now();
-    syncEv_ = eq_.scheduleIn(server_.syncTime(), [this, start] {
-        syncEv_.invalidate();
-        if (syncBusyCtr_ && measuring())
-            syncBusyCtr_->add(eq_.now() - start);
-        if (trace_)
-            trace_->complete("sync", "ring_allreduce", start,
-                             eq_.now() - start, "sync");
-        onSyncDone();
-    });
+    syncEv_ = eq_.scheduleIn(server_.syncTime(),
+                             [this, start] { onSyncDone(start); });
 }
 
+/** The sync that started at @p start completes. */
 void
-TrainingSession::onSyncDone()
+TrainingSession::onSyncDone(Time start)
 {
-    ++syncedSteps_;
-    if (elastic_) {
-        // Commit each step index once: a crash rollback replays steps
-        // the ledger already counted, so recommit nothing on replay.
-        if (syncedSteps_ > maxSyncedStep_) {
-            maxSyncedStep_ = syncedSteps_;
-            if (syncedSteps_ > warmupSteps_)
-                measuredSamples_ += stepSamples_;
-        }
-        stepSamples_ = 0.0;
-    }
-    if (stepsCtr_ && syncedSteps_ > warmupSteps_)
-        stepsCtr_->inc();
-    // The window opens at the *first* warmup crossing only: a crash
-    // rollback may replay the crossing, and resetting again would
-    // discard the crash's cost from the measurement.
-    if (syncedSteps_ == warmupSteps_ && !windowOpen_) {
-        windowOpen_ = true;
-        windowStart_ = eq_.now();
-        // Reset only this server's slice of the (possibly shared)
-        // network: co-resident sessions own their measurement windows.
+    syncEv_.invalidate();
+    if (trace_)
+        trace_->complete("sync", "ring_allreduce", start, eq_.now() - start,
+                         "sync");
+    // Opening the window resets only this server's slice of the
+    // (possibly shared) network: co-resident sessions own their windows.
+    if (meter_.stepSynced(eq_.now()))
         server_.resetAccounting();
-        std::fill(stageTimeSum_.begin(), stageTimeSum_.end(), 0.0);
-        std::fill(stageTimeCount_.begin(), stageTimeCount_.end(), 0);
-        prepLatencySum_ = 0.0;
-        prepLatencyCount_ = 0;
-    }
-    if (syncedSteps_ >= totalSteps_) {
-        windowEnd_ = eq_.now();
+    if (meter_.complete()) {
         done_ = true;
         // Freeze the result and tear the session down now: on a shared
         // core other sessions keep simulating, and nothing this session
         // leaves behind may leak into its numbers. Fire the completion
         // hook last so a fleet scheduler sees a fully finalized session.
-        finalizeResult();
+        finish();
         if (doneCb_) {
             auto cb = std::move(doneCb_);
             doneCb_ = nullptr;
@@ -909,7 +784,7 @@ TrainingSession::onSyncDone()
     // Checkpoint decisions happen at step boundaries, where the model
     // is consistent across all accelerators.
     if (ckpt_ &&
-        ckpt_->maybeBegin(syncedSteps_, [this] { onCheckpointResume(); })) {
+        ckpt_->maybeBegin(meter_.steps(), [this] { onCheckpointResume(); })) {
         pausedForCkpt_ = true;
         return;
     }
@@ -933,35 +808,20 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
 {
     panic_if(started_, "session already started");
     started_ = true;
-    panic_if(measure == 0, "need at least one measured step");
-    warmupSteps_ = warmup;
-    measureSteps_ = measure;
-    totalSteps_ = warmup + measure;
-    startNow_ = eq_.now();
-
-    if (server_.metrics.enabled()) {
-        MetricsRegistry &m = server_.metrics;
-        // Session instruments share the server's resource namespace so
-        // N sessions on one registry never collide ("" standalone).
-        const std::string &p = server_.resourcePrefix();
-        computeBusyCtr_ = m.counter(
-            p + "session.compute_busy",
+    // The busy counter shares the server's resource namespace so N
+    // sessions on one registry never collide ("" standalone); it is
+    // null while metrics are off.
+    MetricCounter *busy = nullptr;
+    if (server_.metrics.enabled())
+        busy = server_.metrics.counter(
+            server_.resourcePrefix() + "session.compute_busy",
             "accelerator-group busy time over the window (group-sec)");
-        syncBusyCtr_ = m.counter(
-            p + "session.sync_busy",
-            "ring-sync busy time over the window (sec)");
-        stepsCtr_ = m.counter(p + "session.steps",
-                              "global steps synchronized in the window");
-        chainsCtr_ = m.counter(p + "session.chains_completed",
-                               "prep chains finished in the window");
-    }
+    if (meter_.start(warmup, measure, groups_.size(), eq_.now(), busy))
+        server_.resetAccounting();
 
     if (server_.cfg.faults.enabled) {
-        FaultTargets targets;
-        targets.numSsds = server_.ssds.size();
-        targets.numGroups = groups_.size();
-        fault_ = std::make_unique<FaultInjector>(server_.cfg.faults,
-                                                 targets, trace_);
+        fault_ = std::make_unique<FaultInjector>(
+            server_.cfg.faults, server_.faultTargets(), trace_);
         fault_->arm(
             eq_, [this](const FaultEvent &ev) { onFault(ev); },
             [this](const FaultEvent &ev) { onRepair(ev); });
@@ -975,12 +835,9 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
          server_.cfg.faults.fatalCrash.ratePerSec > 0.0))
         ckpt_ = std::make_unique<Checkpointer>(server_, trace_);
 
-    activeGroups_ = groups_.size();
     if (server_.cfg.elasticity.enabled) {
-        ElasticTargets etargets;
-        etargets.numGroups = groups_.size();
         elastic_ = std::make_unique<ElasticScheduler>(
-            server_.cfg.elasticity, etargets);
+            server_.cfg.elasticity, ElasticTargets{groups_.size()});
         // Mid-session scale-up: the deferred groups start detached and
         // receive a Join event at scaleUpTime.
         std::size_t defer = server_.cfg.elasticity.deferredJoinGroups;
@@ -991,9 +848,8 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
             gs.membership = Membership::Detached;
             for (PrepAccelerator *p : gs.spec->preps)
                 p->setFailed(true);
-            --activeGroups_;
+            meter_.detach(eq_.now());
         }
-        lastCapacityMark_ = eq_.now();
         if (defer > 0)
             replanOffload();
         elastic_->arm(eq_, [this](const ElasticEvent &ev) {
@@ -1019,29 +875,21 @@ TrainingSession::run(std::size_t warmup, std::size_t measure)
     start(warmup, measure);
     while (!done_ && eq_.step()) {
     }
-    panic_if(!done_,
-             "training stalled: event queue drained after %zu/%zu steps",
-             syncedSteps_, totalSteps_);
+    panic_if(!done_, "training stalled: event queue drained after %zu steps",
+             meter_.steps());
     return collect();
 }
 
 void
-TrainingSession::finalizeResult(bool partial)
+TrainingSession::finish()
 {
     // Charge this server's in-flight flows up to now, so the category
-    // maps end at the window end with or without metrics and whatever
-    // co-resident jobs did last; then extend the utilization histories
-    // (no-op without metrics).
+    // maps end at the window end whatever co-resident jobs did last,
+    // and extend the utilization histories (no-op without metrics).
+    // Cancelling the charged flows then moves no number: the prefetch
+    // chains, the shard write and a capture go in one batch.
     server_.settleAccounting();
     net_.flushMetrics();
-    // Both the done transition and kill() pass through here: stop the
-    // injector streams so a finished session stops re-arming no-op
-    // events on a shared queue (possibly from inside their handler),
-    // and cancel every flow the session started — prefetch chains for
-    // steps that will never run, the in-flight shard write, a pending
-    // checkpoint capture — so it owns no flow from here on. The flows
-    // are already charged up to now, so cancelling them moves no
-    // number; batching them costs one solve.
     if (fault_)
         fault_->stop();
     if (elastic_)
@@ -1055,103 +903,26 @@ TrainingSession::finalizeResult(bool partial)
             ckpt_->abortCapture();
     }
 
-    SessionResult res;
-    const Time elapsed = windowEnd_ - windowStart_;
-    panic_if(!partial && elapsed <= 0.0, "empty measurement window");
-
-    // A killed session may die before its measurement window opened
-    // (or before anything synchronized inside it); a completed run
-    // always has a positive window with every measured step in it.
-    const bool window_valid = !partial || (windowOpen_ && elapsed > 0.0);
-    const std::size_t measured =
-        !partial ? measureSteps_
-                 : (syncedSteps_ > warmupSteps_
-                        ? std::min(syncedSteps_ - warmupSteps_,
-                                   measureSteps_)
-                        : 0);
-
-    res.stepsMeasured = measured;
+    double cached = 0.0;
+    for (const GroupState &gs : groups_)
+        cached += gs.readySamples;
+    result_ = meter_.finish(eq_.now(), cached);
+    SessionResult &res = result_;
     res.computeTime = server_.computeTime();
     res.syncTime = server_.syncTime();
-    if (window_valid && measured > 0) {
-        res.stepTime = elapsed / static_cast<double>(measured);
-        if (elastic_) {
-            // Membership varied: count what detached-aware steps
-            // actually synchronized (equals the closed form when no
-            // event fired).
-            res.throughput = measuredSamples_ / elapsed;
-        } else {
-            res.throughput =
-                static_cast<double>(server_.cfg.numAccelerators) *
-                static_cast<double>(server_.batchSize()) *
-                static_cast<double>(measured) / elapsed;
-        }
-    }
-
-    for (std::size_t i = 0; i < stageTimeCount_.size(); ++i)
-        if (stageTimeCount_[i] > 0)
-            res.prepStageTime[server_.stageNames[i]] =
-                stageTimeSum_[i] / static_cast<double>(stageTimeCount_[i]);
-    if (prepLatencyCount_ > 0)
-        res.prepLatency =
-            prepLatencySum_ / static_cast<double>(prepLatencyCount_);
-
-    auto collect = [elapsed](const FluidResource *r,
-                             std::map<std::string, double> &out) {
-        for (const auto &[cat, units] : r->servedByCategory())
-            out[cat] = units / elapsed;
-    };
-    if (window_valid) {
-        collect(server_.cpu->resource(), res.cpuCoresByCategory);
-        collect(server_.hostMem->resource(), res.memBwByCategory);
-        collect(server_.topo->rcResource(), res.rcBwByCategory);
-    }
-
     if (fault_) {
         res.faults = fault_->stats();
         res.integrity = fault_->integrity();
     }
-
-    // Wall time is measured from when *this session* started: for the
-    // historical standalone run startNow_ == 0 so this is bit-identical
-    // to the old absolute-clock reading, while a fleet job admitted at
-    // t > 0 reports its own duration, not the fleet clock.
-    res.wallTime = windowEnd_ - startNow_;
     if (ckpt_)
         res.checkpoint = ckpt_->stats();
-
-    // The sample ledger is always tracked; its conservation identity is
-    // the chaos harness's backbone, so panic instead of misreporting.
-    double cached = 0.0;
-    for (const GroupState &gs : groups_)
-        cached += gs.readySamples;
-    elasticStats_.samplesPrepared = samplesPrepared_;
-    elasticStats_.samplesConsumed = samplesConsumed_;
-    elasticStats_.samplesCachedAtEnd = cached;
-    elasticStats_.samplesDiscarded = samplesDiscarded_;
-    const double ledger_gap =
-        samplesPrepared_ - (samplesConsumed_ + cached + samplesDiscarded_);
-    panic_if(std::fabs(ledger_gap) >
-                 1e-6 * std::max(1.0, samplesPrepared_),
-             "sample ledger violated: prepared %g != consumed %g + "
-             "cached %g + discarded %g",
-             samplesPrepared_, samplesConsumed_, cached,
-             samplesDiscarded_);
     if (elastic_) {
-        accrueCapacity();
-        elasticStats_.events = elastic_->eventsDelivered();
-        const Time total = eq_.now() - startNow_;
-        elasticStats_.avgActiveFraction =
-            total > 0.0 ? activeFractionIntegral_ / total : 1.0;
-        elasticStats_.sloTargetSamplesPerSec =
+        res.elasticity.events = elastic_->eventsDelivered();
+        res.elasticity.sloTargetSamplesPerSec =
             server_.cfg.elasticity.sloTargetSamplesPerSec;
     }
-    res.elasticity = elasticStats_;
-
     if (ingest_)
         res.ingest = ingest_->stats();
-
-    result_ = std::move(res);
 }
 
 SessionResult
@@ -1164,12 +935,6 @@ TrainingSession::collect()
     return result_;
 }
 
-std::size_t
-TrainingSession::lastDurableStep() const
-{
-    return ckpt_ ? ckpt_->lastDurableStep() : 0;
-}
-
 void
 TrainingSession::kill()
 {
@@ -1180,34 +945,24 @@ TrainingSession::kill()
     // guard (it cannot fire after completion in a normal run); cancel
     // it so a dead session never advances its step count. Every other
     // stray callback lands in a guarded no-op once done_ is set.
-    if (syncEv_.valid())
-        eq_.cancel(syncEv_);
+    eq_.cancel(syncEv_);
     // Everything volatile dies with the host, as in a fatal crash —
     // but terminally: cancel every per-group compute/membership event
-    // here, and let finalizeResult() cancel every flow, so the dead
-    // job stops loading the shared queue and solver.
-    for (GroupState &gs : groups_) {
-        if (gs.computeEv.valid())
-            eq_.cancel(gs.computeEv);
-        if (gs.detachEv.valid())
-            eq_.cancel(gs.detachEv);
-        if (gs.joinEv.valid())
-            eq_.cancel(gs.joinEv);
-        gs.computing = false;
-        // Buffered prepared samples are lost, not cached: the ledger
-        // counts them discarded, keeping conservation exact.
-        samplesDiscarded_ += gs.readySamples;
-        gs.readySamples = 0.0;
-        gs.inFlightSamples = 0.0;
+    // here, and let finish() cancel every flow, so the dead job stops
+    // loading the shared queue and solver. Buffered prepared samples
+    // are lost, not cached: the ledger counts them discarded.
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        dropGroupWork(g);
+        eq_.cancel(groups_[g].detachEv);
+        eq_.cancel(groups_[g].joinEv);
     }
-    windowEnd_ = eq_.now();
     done_ = true;
     // Termination is the caller's decision, not a completion: the
     // fleet already knows, so the completion hook must never fire.
     doneCb_ = nullptr;
-    finalizeResult(/*partial=*/true);
+    finish();
     if (trace_)
-        trace_->instant("session", "killed", windowEnd_, "fault");
+        trace_->instant("session", "killed", eq_.now(), "fault");
 }
 
 SessionReport

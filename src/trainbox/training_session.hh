@@ -8,52 +8,44 @@
  * batch is ready and the previous global step has synchronized; model
  * synchronization is a global barrier followed by the ring-sync latency.
  *
- * The session measures steady-state throughput over a measurement window
- * (after warmup), per-stage preparation latencies (Fig 9), and per-
- * category host-resource consumption (Figs 11/22) via the fluid
- * accounting.
+ * A SessionMeter (trainbox/session_meter.hh) owns the measurement
+ * window: steady-state throughput after warmup, per-stage preparation
+ * latencies (Fig 9), per-category host-resource consumption (Figs
+ * 11/22) via the fluid accounting, and the sample ledger.
  *
- * When ServerConfig::faults.enabled is set the session owns a
- * FaultInjector (sim/fault_injector.hh), which draws every fault and
- * decides each recovery: it says whether a finished prep stage's chain
- * goes on, runs a stage again after a backoff or replay, or restarts,
- * and how long a straggling compute runs. The session applies those
- * outcomes and the fault windows' changes to its own state: prep-FPGA
- * crash failover onto the survivors and the prep pool, host-memory
- * fallback on P2P route loss, and the fatal-crash rollback below
- * (docs/ROBUSTNESS.md). With injection disabled (the default) the
- * fault path is never taken and results are bit-identical to a session
- * without the fault subsystem.
+ * Each subsystem below is off by default, and then never touched, so
+ * results are bit-identical to a build without it.
  *
- * When ServerConfig::checkpoint.enabled is set a Checkpointer
- * periodically snapshots the model + optimizer state to the train-box
- * SSDs (trainbox/checkpoint.hh); fatal-crash faults then roll training
- * back to the last durable checkpoint, replay the lost steps, and pay a
- * restart latency. The same bit-identical guarantee applies: with
- * checkpointing disabled the session never touches the subsystem.
- *
- * When ServerConfig::elasticity.enabled is set an ElasticScheduler
- * (sim/elastic_schedule.hh) drives a membership state machine over the
- * prep groups: planned drains get a grace window and a checkpoint-
- * coordinated detach, spot-style preemptions kill the member (and its
- * buffered samples) at the event instant, and joins re-shard the data
- * and re-plan prep lending through multi_job. The step barrier becomes
- * a scan over attached groups, so training proceeds at degraded
- * capacity and parks (without deadlock) at zero capacity. With
- * elasticity disabled the membership never changes and results are
- * bit-identical to a build without the subsystem.
- *
- * When ServerConfig::ingest.enabled is set the session owns an
- * IngestTier (trainbox/ingest_tier.hh): streaming arrivals, their
- * shard writes and the overload policy chain. Training reads its stall
- * and echo state; with ingest disabled no tier exists.
+ * - Faults (ServerConfig::faults): a FaultInjector
+ *   (sim/fault_injector.hh) draws every fault and decides each
+ *   recovery: whether a finished prep stage's chain goes on, runs a
+ *   stage again after a backoff or replay, or restarts, and how long a
+ *   straggling compute runs. The session applies those outcomes and the
+ *   fault windows to its own state: prep-FPGA crash failover onto the
+ *   survivors and the prep pool, host-memory fallback on P2P route
+ *   loss, and the fatal-crash rollback (docs/ROBUSTNESS.md).
+ * - Checkpoints (ServerConfig::checkpoint): a Checkpointer
+ *   (trainbox/checkpoint.hh) snapshots the model + optimizer state to
+ *   the train-box SSDs; a fatal crash rolls training back to the last
+ *   durable checkpoint, replays the lost steps and pays a restart
+ *   latency.
+ * - Elasticity (ServerConfig::elasticity): an ElasticScheduler drives a
+ *   membership state machine over the prep groups: planned drains get
+ *   a grace window and a checkpoint-coordinated detach, preemptions
+ *   kill the member and its buffered samples at once, and joins
+ *   re-shard the data and re-plan prep lending through multi_job. The
+ *   step barrier scans the attached groups, so training runs at
+ *   degraded capacity and parks (without deadlock) at zero capacity.
+ * - Ingest (ServerConfig::ingest): an IngestTier
+ *   (trainbox/ingest_tier.hh) owns streaming arrivals, their shard
+ *   writes and the overload policy chain; training reads its stall and
+ *   echo state.
  */
 
 #ifndef TRAINBOX_TRAINBOX_TRAINING_SESSION_HH
 #define TRAINBOX_TRAINBOX_TRAINING_SESSION_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -64,116 +56,11 @@
 #include "trainbox/checkpoint.hh"
 #include "trainbox/ingest_tier.hh"
 #include "trainbox/server_builder.hh"
+#include "trainbox/session_meter.hh"
 
 namespace tb {
 
 class SessionReport;
-
-/**
- * Raw measurements of a session run.
- *
- * SessionReport (trainbox/report.hh) is the single documented entry
- * point for consuming a run: it wraps this struct together with the
- * config echo, per-device utilization, and the ranked bottleneck
- * attribution, and owns the canonical goodput/efficiency formulas.
- */
-struct SessionResult
-{
-    /** Aggregate training throughput (samples/s). */
-    double throughput = 0.0;
-
-    /** Average time per global training step. */
-    Time stepTime = 0.0;
-
-    /** Batch compute time on one accelerator. */
-    Time computeTime = 0.0;
-
-    /** Ring-sync time per step. */
-    Time syncTime = 0.0;
-
-    /** Average wall time each prep stage took per group batch. */
-    std::map<std::string, Time> prepStageTime;
-
-    /** Average end-to-end prep latency per group batch. */
-    Time prepLatency = 0.0;
-
-    /** Steps included in the measurement window. */
-    std::size_t stepsMeasured = 0;
-
-    /** Host CPU demand by category (cores, i.e., core-sec per second). */
-    std::map<std::string, double> cpuCoresByCategory;
-
-    /** Host DRAM bandwidth by category (bytes/s). */
-    std::map<std::string, double> memBwByCategory;
-
-    /** PCIe root-complex bandwidth by category (bytes/s). */
-    std::map<std::string, double> rcBwByCategory;
-
-    /** Fault and recovery counters (sim/fault_injector.hh). */
-    using FaultStats = tb::FaultStats;
-    FaultStats faults;
-
-    /** Silent-corruption counters (sim/fault_injector.hh). */
-    using IntegrityStats = tb::IntegrityStats;
-    IntegrityStats integrity;
-
-    /** Checkpoint/restore counters (all zero when disabled). */
-    CheckpointStats checkpoint;
-
-    /**
-     * Elastic-capacity counters plus the session-wide sample ledger.
-     * The event counters are all zero when elasticity is disabled; the
-     * ledger (samplesPrepared/Consumed/CachedAtEnd/Discarded) is always
-     * tracked, and its conservation identity
-     *
-     *   prepared == consumed + cachedAtEnd + discarded
-     *
-     * is panic-checked at the end of every run (in-flight chains that
-     * were cancelled never became "prepared", so they are outside the
-     * ledger by construction).
-     */
-    struct ElasticityStats
-    {
-        std::size_t events = 0;      ///< elastic events delivered
-        std::size_t drains = 0;      ///< planned-leave notices applied
-        std::size_t preemptions = 0; ///< hard leaves applied
-        std::size_t joins = 0;       ///< members (re)activated
-        std::size_t chainsRebalanced = 0; ///< chains re-dispatched
-
-        /** Ready + aborted-compute samples killed by hard preemption. */
-        double samplesLostToPreemption = 0.0;
-
-        /** Samples whose prep finished inside a drain grace window. */
-        double samplesSavedByDrain = 0.0;
-
-        /** Buffered samples discarded at a planned detach. */
-        double samplesDroppedAtDrain = 0.0;
-
-        Time degradedCapacityTime = 0.0; ///< wall time below full groups
-        Time zeroCapacityTime = 0.0;     ///< wall time with zero groups
-        Time rebalanceTime = 0.0;        ///< rejoin/shard-reassign time
-
-        /** Time-weighted mean of activeGroups / totalGroups. */
-        double avgActiveFraction = 1.0;
-
-        /** Config echo (SessionReport::sloAttainment()). */
-        double sloTargetSamplesPerSec = 0.0;
-
-        // --- sample ledger (always tracked) --------------------------
-        double samplesPrepared = 0.0;    ///< prep chains completed
-        double samplesConsumed = 0.0;    ///< taken by compute starts
-        double samplesCachedAtEnd = 0.0; ///< still buffered at run end
-        double samplesDiscarded = 0.0;   ///< dropped (crash or detach)
-    };
-    ElasticityStats elasticity;
-
-    /** Streaming-ingest counters and ledger (trainbox/ingest_tier.hh). */
-    using IngestStats = tb::IngestStats;
-    IngestStats ingest;
-
-    /** Total simulated wall time of the run (start to last sync). */
-    Time wallTime = 0.0;
-};
 
 /**
  * Runs training steps on a Server and measures steady state.
@@ -199,10 +86,10 @@ class TrainingSession
 
     /**
      * Arm the session on its server's core without stepping the event
-     * loop: registers instruments, arms the fault/elastic/ingest
-     * injectors, and launches the initial prep chains at the core's
-     * current time. The caller (run(), or a fleet driver multiplexing
-     * several sessions) then steps the core.
+     * loop: starts the meter, arms the fault/elastic/ingest injectors,
+     * and launches the initial prep chains at the core's current time.
+     * The caller (run(), or a fleet driver multiplexing several
+     * sessions) then steps the core.
      */
     void start(std::size_t warmup = 4, std::size_t measure = 8);
 
@@ -224,37 +111,39 @@ class TrainingSession
     SessionResult collect();
 
     /**
-     * Terminate the session *now* — the fleet layer's host-failure
-     * path (docs/ROBUSTNESS.md). Cancels the pending sync and every
-     * per-group compute/membership event, stops the injector streams,
-     * cancels every flow the session started (prep chains, the ingest
-     * shard write, a checkpoint capture), discards buffered prepared
-     * samples (counted in the conservation ledger), and freezes a
-     * *partial* result over whatever measurement window had elapsed:
-     * stepsMeasured is the synchronized in-window step count,
-     * throughput/stepTime are 0 when nothing measured, and every
-     * ledger invariant still holds. After kill() the session reports
-     * done() but the registered onDone callback never fires —
-     * termination is the caller's decision, not a completion. No-op on
-     * an already-done session.
+     * Terminate the session *now*: the fleet layer's host-failure path
+     * (docs/ROBUSTNESS.md). Cancels every pending event and flow of the
+     * session, discards buffered samples (the ledger counts them), and
+     * freezes the result over the window elapsed so far, exactly as a
+     * completion does (SessionMeter::finish()); throughput and stepTime
+     * are 0 when nothing was measured. The session then reports done()
+     * but the onDone callback never fires: termination is the caller's
+     * decision, not a completion. No-op on a done session.
      */
     void kill();
 
     /** Global steps synchronized so far (final count once done()). */
-    std::size_t stepsSynced() const { return syncedSteps_; }
+    std::size_t stepsSynced() const { return meter_.steps(); }
 
     /**
      * Last durably checkpointed step — what a restarted attempt can
      * resume from (0 when checkpointing is disabled: a restart then
      * replays from scratch). See trainbox/checkpoint.hh.
      */
-    std::size_t lastDurableStep() const;
+    std::size_t lastDurableStep() const
+    {
+        return ckpt_ ? ckpt_->lastDurableStep() : 0;
+    }
+
+    /** Measured steps up to lastDurableStep(): what a retry keeps. */
+    std::size_t durableMeasuredSteps() const
+    {
+        return meter_.measuredThrough(lastDurableStep());
+    }
 
     /**
-     * Run and assemble the full SessionReport (config echo, latency
-     * breakdown, per-device utilization when cfg.metricsEnabled, and
-     * ranked bottleneck attribution). The preferred entry point for
-     * consuming a run; see trainbox/report.hh.
+     * Run and build the full SessionReport (trainbox/report.hh), the
+     * preferred way to consume a run.
      */
     SessionReport runReport(std::size_t warmup = 4,
                             std::size_t measure = 8);
@@ -307,6 +196,13 @@ class TrainingSession
         double offloadOverride = -1.0; ///< re-planned offload (<0: spec)
         EventId detachEv{};            ///< pending grace-window end
         EventId joinEv{};              ///< pending rejoin completion
+
+        /** In the job: Active or Draining. */
+        bool attached() const
+        {
+            return membership == Membership::Active ||
+                   membership == Membership::Draining;
+        }
     };
 
     /**
@@ -344,19 +240,16 @@ class TrainingSession
         std::size_t stage = 0;
         Time stageStart = 0.0; ///< when the running stage started
         FlowId flow = 0;       ///< current stage's flow (0 = none)
-        ChainRetryState retry; ///< the current chunk's retry state
+        ChainRetryState retry{}; ///< the current chunk's retry state
     };
 
     void launchPrep(std::size_t g);
     void forEachGroup(void (TrainingSession::*step)(std::size_t));
-    void onChainDone(std::size_t g, double samples, Time chain_start);
-    bool measuring() const;
-    std::size_t chunksPerBatch() const;
     double groupBatchSamples(std::size_t g) const;
     void tryStartCompute(std::size_t g);
     void onComputeDone(std::size_t g);
     void stepComplete();
-    void onSyncDone();
+    void onSyncDone(Time start);
 
     // --- prep chains (every chain the session runs is a ChainRun) ----
     void launchChain(std::size_t g, bool offload, double samples);
@@ -367,7 +260,6 @@ class TrainingSession
     const std::string &chainTrack(const ChainRun &run) const;
     void startChainStage(ChainId id, std::size_t idx);
     void onStageDone(ChainId id, Time now);
-    void resumeChainIn(Time delay, ChainRun &run, std::size_t idx);
     void restartChain(ChainRun &run);
     static constexpr std::size_t kAllGroups = static_cast<std::size_t>(-1);
     void cancelChains(std::size_t g = kAllGroups);
@@ -388,7 +280,7 @@ class TrainingSession
     void onPrepLeave(std::size_t g, bool planned);
     void onPrepJoin(std::size_t g);
     void replanOffload();
-    void accrueCapacity();
+    double dropGroupWork(std::size_t g);
 
     // --- fault windows (never reached when fault_ is null) -----------
     void onFault(const FaultEvent &ev);
@@ -398,36 +290,20 @@ class TrainingSession
 
     /**
      * Freeze the SessionResult at the completion instant (still inside
-     * the final sync event). On a private core this is observably
-     * identical to assembling the result after the event loop drains —
-     * simulated time cannot advance in between — but on a shared core
-     * it guards the result against co-resident sessions that keep
-     * simulating past this session's end. It is also the session's
-     * one teardown: it disarms the fault/elastic/ingest injectors and
-     * cancels every flow the session started, so a finished or killed
-     * session stops adding events to a shared queue and owns no flow.
-     *
-     * @p partial relaxes the completed-run assumptions for kill():
-     * the measurement window may be empty (no throughput/resource
-     * collection then) and stepsMeasured counts only the steps that
-     * actually synchronized inside it. The ledger panics stay armed
-     * in both modes. A normal completion (partial = false) computes
-     * byte-identical values to the historical code.
+     * the final sync event) or at kill(): on a shared core, co-resident
+     * sessions that keep simulating never perturb it. It is also the
+     * session's one teardown: it disarms the fault/elastic/ingest
+     * injectors and cancels every flow the session started, so a
+     * finished or killed session stops adding events to a shared queue
+     * and owns no flow.
      */
-    void finalizeResult(bool partial = false);
+    void finish();
 
     Server &server_;
     EventQueue &eq_;    ///< the core's event queue (shared clock)
     FluidNetwork &net_; ///< the core's contention engine
     std::vector<GroupState> groups_;
     TraceWriter *trace_ = nullptr;
-
-    // session-level instruments (nullptr whenever metrics are off, in
-    // which case no instrumented statement executes)
-    MetricCounter *computeBusyCtr_ = nullptr;
-    MetricCounter *syncBusyCtr_ = nullptr;
-    MetricCounter *stepsCtr_ = nullptr;
-    MetricCounter *chainsCtr_ = nullptr;
 
     std::unique_ptr<FaultInjector> fault_;
     std::unique_ptr<Checkpointer> ckpt_;
@@ -441,49 +317,19 @@ class TrainingSession
     /** Stage id of the SSD read, whose completion may fail a read. */
     std::uint32_t readStage_ = kNoStage;
 
-    // --- elastic capacity --------------------------------------------
+    /** Elastic membership; null unless cfg.elasticity.enabled. */
     std::unique_ptr<ElasticScheduler> elastic_;
-    std::size_t activeGroups_ = 0; ///< Active + Draining groups
-    SessionResult::ElasticityStats elasticStats_;
-    Time lastCapacityMark_ = 0.0;
-    double activeFractionIntegral_ = 0.0;
 
     /** Streaming ingest; null unless cfg.ingest.enabled. */
     std::unique_ptr<IngestTier> ingest_;
 
-    // sample ledger (always tracked; conservation panic-checked)
-    double samplesPrepared_ = 0.0;
-    double samplesConsumed_ = 0.0;
-    double samplesDiscarded_ = 0.0;
-
-    // elastic throughput: per-step compute contributions, committed
-    // once per distinct step index at sync (crash replays recommit
-    // nothing). Unused when elasticity is disabled — then throughput
-    // keeps the fixed-membership closed form, bit-identically.
-    double stepSamples_ = 0.0;
-    double measuredSamples_ = 0.0;
-    std::size_t maxSyncedStep_ = 0;
-
-    std::size_t syncedSteps_ = 0;
-    std::size_t warmupSteps_ = 0;
-    std::size_t measureSteps_ = 0;
-    std::size_t totalSteps_ = 0;
+    SessionMeter meter_;
     bool started_ = false;
     bool done_ = false;
-    bool windowOpen_ = false; ///< measurement window reset already done
-    Time startNow_ = 0.0; ///< core time at start() (0 when standalone)
-    Time windowStart_ = 0.0;
-    Time windowEnd_ = 0.0;
 
-    /** Result frozen by finalizeResult() at the completion instant. */
+    /** Result frozen by finish(). */
     SessionResult result_;
     std::function<void()> doneCb_;
-
-    // measurement accumulators, indexed by StageTemplate::stageId
-    std::vector<Time> stageTimeSum_;
-    std::vector<std::size_t> stageTimeCount_;
-    Time prepLatencySum_ = 0.0;
-    std::size_t prepLatencyCount_ = 0;
 };
 
 } // namespace tb

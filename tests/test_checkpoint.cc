@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
+#include "result_digest.hh"
 #include "trainbox/checkpoint.hh"
 #include "trainbox/report.hh"
 #include "trainbox/server_builder.hh"
@@ -212,6 +214,39 @@ TEST(CheckpointCrash, RollbackIsDeterministicAndBounded)
     EXPECT_EQ(b.checkpoint.stepsLost, a.checkpoint.stepsLost);
     EXPECT_DOUBLE_EQ(b.checkpoint.lostWorkTime,
                      a.checkpoint.lostWorkTime);
+}
+
+// A session killed after a fatal-crash rollback counts each measured
+// step index once, at its first sync, as a completed run does: the
+// steps the crash rolled back stay in stepsMeasured and throughput.
+// Here the crash at step 7 rolls back to step 0, below the warm-up
+// (before, the closed form then reported 0 steps and no throughput).
+TEST(CheckpointCrash, KilledAfterRollbackCountsEachStepOnce)
+{
+    ServerConfig cfg = vggConfig(ArchPreset::TrainBox);
+    cfg.checkpoint.restartLatency = 5.0;
+    cfg.faults.enabled = true;
+    cfg.faults.fatalCrash.ratePerSec = 0.02;
+
+    auto server = buildServer(cfg);
+    TrainingSession session(*server);
+    session.start(4, 40);
+    EventQueue &eq = server->core().events();
+    std::size_t peak = 0;
+    while (!session.done() && eq.step()) {
+        if (session.stepsSynced() < peak)
+            break; // rolled back
+        peak = std::max(peak, session.stepsSynced());
+    }
+    ASSERT_EQ(session.stepsSynced(), 0u);
+    ASSERT_EQ(peak, 7u);
+    session.kill();
+    const SessionResult res = session.collect();
+    EXPECT_EQ(res.stepsMeasured, 3u);
+    EXPECT_NEAR(res.throughput * res.stepTime,
+                32.0 * static_cast<double>(server->batchSize()),
+                1e-9 * res.throughput * res.stepTime);
+    EXPECT_EQ(hexDigest(res), "0x8e5e8f2bc5612ddc");
 }
 
 TEST(CheckpointCrash, CheckpointingBeatsRestartFromScratch)

@@ -40,7 +40,8 @@ TEST(FaultSchedule, DeterministicAndNonOverlapping)
     const FaultConfig fc = windowScenario();
     FaultTargets targets;
     targets.numSsds = 8;
-    targets.numGroups = 4;
+    targets.prepGroups = targets.hostPathGroups = {0, 1, 2, 3};
+    targets.pool = true;
 
     const auto a = FaultInjector::schedule(fc, targets, 100.0);
     const auto b = FaultInjector::schedule(fc, targets, 100.0);
@@ -60,7 +61,8 @@ TEST(FaultSchedule, DeterministicAndNonOverlapping)
         prev_end[ev.kind] = ev.start + ev.duration;
         const std::size_t space = ev.kind == FaultKind::SsdDegrade
             ? targets.numSsds
-            : (ev.kind == FaultKind::EthDegrade ? 1 : targets.numGroups);
+            : (ev.kind == FaultKind::EthDegrade ? 1
+                                                : targets.prepGroups.size());
         EXPECT_LT(ev.target, space);
     }
 }
@@ -70,7 +72,8 @@ TEST(FaultSchedule, NewSeedNewSchedule)
     FaultConfig fc = windowScenario();
     FaultTargets targets;
     targets.numSsds = 8;
-    targets.numGroups = 4;
+    targets.prepGroups = targets.hostPathGroups = {0, 1, 2, 3};
+    targets.pool = true;
     const auto a = FaultInjector::schedule(fc, targets, 100.0);
     fc.seed ^= 0x1;
     const auto b = FaultInjector::schedule(fc, targets, 100.0);
@@ -84,7 +87,8 @@ TEST(FaultSchedule, DisabledClassesProduceNothing)
     const FaultConfig fc; // all rates zero
     FaultTargets targets;
     targets.numSsds = 4;
-    targets.numGroups = 2;
+    targets.prepGroups = targets.hostPathGroups = {0, 1};
+    targets.pool = true;
     EXPECT_TRUE(FaultInjector::schedule(fc, targets, 1000.0).empty());
 }
 
@@ -94,7 +98,8 @@ TEST(FaultSchedule, ArmPlaysExactlyThePreview)
     fc.fatalCrash.ratePerSec = 0.05;
     FaultTargets targets;
     targets.numSsds = 8;
-    targets.numGroups = 4;
+    targets.prepGroups = targets.hostPathGroups = {0, 1, 2, 3};
+    targets.pool = true;
     constexpr Time kHorizon = 100.0;
     const auto preview = FaultInjector::schedule(fc, targets, kHorizon);
     ASSERT_GT(preview.size(), 20u);
@@ -131,7 +136,8 @@ TEST(FaultSchedule, DisarmInsideHandlerStopsEveryClass)
     const FaultConfig fc = windowScenario();
     FaultTargets targets;
     targets.numSsds = 8;
-    targets.numGroups = 4;
+    targets.prepGroups = targets.hostPathGroups = {0, 1, 2, 3};
+    targets.pool = true;
     EventQueue eq;
     FaultInjector inj(fc, targets);
     std::size_t faults = 0, repairs = 0;
@@ -300,7 +306,8 @@ TEST(FaultRecoveryUnit, OverlappingWindowsCountTheirTimeOnce)
     fc.enabled = true;
     FaultTargets targets;
     targets.numSsds = 8;
-    targets.numGroups = 4;
+    targets.prepGroups = targets.hostPathGroups = {0, 1, 2, 3};
+    targets.pool = true;
     constexpr Time kHorizon = 60.0;
 
     // The union of every window, cut at the horizon, from the preview.
@@ -645,11 +652,8 @@ bool
 windowOpenAt(const ServerConfig &cfg, FaultKind kind, Time end)
 {
     auto server = buildServer(cfg);
-    FaultTargets targets;
-    targets.numSsds = server->ssds.size();
-    targets.numGroups = server->groups.size();
     for (const FaultEvent &ev :
-         FaultInjector::schedule(cfg.faults, targets, end))
+         FaultInjector::schedule(cfg.faults, server->faultTargets(), end))
         if (ev.kind == kind && ev.start + ev.duration > end)
             return true;
     return false;
@@ -659,13 +663,13 @@ windowOpenAt(const ServerConfig &cfg, FaultKind kind, Time end)
 // each: the per-attempt faults (read failures, each corruption kind,
 // stragglers), each windowed class ending with a window still open,
 // fatal crashes with and without checkpoints, and a session killed
-// while a window is open. Moving the recovery policy must leave every
-// digest as it is.
+// while a window is open. The Baseline prep-crash, Ethernet and
+// route-loss scenarios strike nothing, so they digest as healthy.
 TEST(FaultSession, EveryScenarioMatchesItsPin)
 {
     const std::map<std::string, std::string> pins = {
         {"baseline/all_flips_0.9/checks_on", "0x75d4b63f76897291"},
-        {"baseline/eth_degrade", "0xd81b4f5bd849a0c0"},
+        {"baseline/eth_degrade", "0x258ea1060c984508"},
         {"baseline/fatal_crash/async_ckpt", "0xc921c6445c8c1be7"},
         {"baseline/fatal_crash/no_ckpt", "0xb31a29b85bc1b685"},
         {"baseline/fatal_crash/sync_ckpt", "0x383532209e917fc7"},
@@ -677,11 +681,11 @@ TEST(FaultSession, EveryScenarioMatchesItsPin)
         {"baseline/killed/window_open", "0x2a0b58212b74acab"},
         {"baseline/pcie_link_error/checks_off", "0xc2aaa7b01a193d90"},
         {"baseline/pcie_link_error/checks_on", "0xf118a9cea146f402"},
-        {"baseline/prep_crash/failover", "0xcc1edcddd9fc3d12"},
-        {"baseline/prep_crash/no_failover", "0xcc1edcddd9fc3d12"},
+        {"baseline/prep_crash/failover", "0x258ea1060c984508"},
+        {"baseline/prep_crash/no_failover", "0x258ea1060c984508"},
         {"baseline/read_fail_0.05", "0x3cb569756ff5355b"},
         {"baseline/read_fail_0.6", "0x4045ca4a781d0c9f"},
-        {"baseline/route_loss", "0x76dbec4c23fad091"},
+        {"baseline/route_loss", "0x258ea1060c984508"},
         {"baseline/ssd_bit_flip/checks_off", "0xc2f92e123946b49a"},
         {"baseline/ssd_bit_flip/checks_on", "0x9f1b530494630639"},
         {"baseline/ssd_degrade", "0xc91acabd52c84cae"},
@@ -731,7 +735,12 @@ TEST(FaultSession, EveryScenarioMatchesItsPin)
             EXPECT_EQ(res.integrity.detected + res.integrity.escaped,
                       res.integrity.injected);
             if (sc.openAtEnd) {
-                EXPECT_TRUE(windowOpenAt(cfg, *sc.openAtEnd, res.wallTime));
+                // Baseline has no prep FPGA, pool or P2P route, so those
+                // classes open no window there and it runs healthy.
+                const bool strikes = preset == ArchPreset::TrainBox ||
+                                     *sc.openAtEnd == FaultKind::SsdDegrade;
+                EXPECT_EQ(windowOpenAt(cfg, *sc.openAtEnd, res.wallTime),
+                          strikes);
             }
             got[key] = hexDigest(res);
         }

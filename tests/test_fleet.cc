@@ -180,6 +180,32 @@ TEST(FleetSingleJob, DisturbedResultMatchesBareRun)
     EXPECT_DOUBLE_EQ(res.ingest.stalenessSum, bare.ingest.stalenessSum);
 }
 
+// Without warm-up the window opens when the job starts, not at fleet
+// time 0, so a job admitted at t = 5 measures what its bare run does
+// (before, 49,204 against 64,288 samples/s).
+TEST(FleetSingleJob, NoWarmupJobAdmittedLateMatchesBareRun)
+{
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.model = workload::ModelId::Resnet50;
+    cfg.numAccelerators = 16;
+
+    auto server = buildServer(cfg);
+    TrainingSession session(*server);
+    const SessionResult bare = session.run(0, 8);
+
+    FleetConfig fleet = singleJobFleet(cfg, "late");
+    fleet.jobs[0].arrival = 5.0;
+    fleet.jobs[0].warmupSteps = 0;
+    const FleetReport r = runFleet(fleet);
+    ASSERT_EQ(r.jobsCompleted, 1u);
+    const SessionResult &res = r.jobs[0].report.result;
+    EXPECT_EQ(res.stepsMeasured, 8u);
+    EXPECT_NEAR(res.throughput, bare.throughput, 1e-12 * bare.throughput);
+    EXPECT_NEAR(res.stepTime, bare.stepTime, 1e-12 * bare.stepTime);
+    EXPECT_NEAR(res.wallTime, bare.wallTime, 1e-12 * bare.wallTime);
+}
+
 /** A mixed vision + audio two-job trace on one shared core. */
 FleetConfig
 twoJobFleet(bool disturbed)

@@ -8,6 +8,7 @@
 
 #include "fpga/engine_library.hh"
 #include "trainbox/multi_job.hh"
+#include "trainbox/train_initializer.hh"
 
 namespace tb {
 namespace {
@@ -104,6 +105,26 @@ TEST(Reconfig, ImageToAudioKeepsInterfacingBlocks)
     EXPECT_GT(est.bitstreamBytes, 0.0);
     EXPECT_GT(est.seconds, 0.0);
     EXPECT_LT(est.seconds, 2.0); // sub-second-scale partial reconfig
+}
+
+TEST(MultiJob, FullMembershipReplanMatchesThePlanAtAnyBatch)
+{
+    // Every train box attached again: the elastic re-plan gives back
+    // the build-time fraction, also at a batch other than Table I's
+    // (before the batch was passed, batch 2048 re-planned 0.3413
+    // against the plan's 0.3767).
+    for (const std::size_t batch : {0u, 256u, 2048u}) {
+        SCOPED_TRACE(batch);
+        ServerConfig cfg = ServerConfig::forPreset(ArchPreset::TrainBox);
+        cfg.withModel(ModelId::TfSr).withAccelerators(64).withBatchSize(
+            batch);
+        const double planned = planPreparation(cfg).offloadFraction;
+        ASSERT_GT(planned, 0.0);
+        EXPECT_NEAR(replanOffloadFraction(cfg.model, 64,
+                                          64 / cfg.box.accPerBox, cfg.box,
+                                          cfg.sync, cfg.batchSize),
+                    planned, 1e-12);
+    }
 }
 
 TEST(Reconfig, IdenticalPlansAreFree)

@@ -380,5 +380,153 @@ TEST(Session, EveryEventCostsAtMostOneSolve)
               1u);
 }
 
+// --- the measurement window, on a bare SessionMeter ---------------------
+
+TEST(SessionMeterUnit, WindowOpensAtTheFirstWarmupCrossing)
+{
+    SessionMeter m({"read"}, {});
+    EXPECT_FALSE(m.start(2, 3, 1, 10.0));
+    EXPECT_FALSE(m.measuring());
+    m.stageDone(0, 5.0); // warm-up: not counted
+    m.batchComputed(8.0);
+    EXPECT_FALSE(m.stepSynced(11.0));
+    m.batchComputed(8.0);
+    EXPECT_TRUE(m.stepSynced(12.0));
+    EXPECT_TRUE(m.measuring());
+    for (const Time t : {14.0, 16.0, 18.0}) {
+        EXPECT_FALSE(m.complete());
+        m.stageDone(0, 1.0);
+        m.batchComputed(8.0);
+        EXPECT_FALSE(m.stepSynced(t));
+    }
+    EXPECT_TRUE(m.complete());
+    const SessionResult r = m.finish(18.0, 0.0);
+    EXPECT_FALSE(m.measuring());
+    EXPECT_EQ(r.stepsMeasured, 3u);
+    EXPECT_DOUBLE_EQ(r.stepTime, 2.0);   // (18 - 12) / 3
+    EXPECT_DOUBLE_EQ(r.throughput, 4.0); // 24 samples over 6 s
+    EXPECT_DOUBLE_EQ(r.prepStageTime.at("read"), 1.0);
+    EXPECT_DOUBLE_EQ(r.wallTime, 8.0);
+    EXPECT_DOUBLE_EQ(r.elasticity.avgActiveFraction, 1.0);
+}
+
+TEST(SessionMeterUnit, NoWarmupOpensTheWindowAtStart)
+{
+    SessionMeter m({}, {});
+    EXPECT_TRUE(m.start(0, 2, 1, 5.0));
+    EXPECT_TRUE(m.measuring());
+    m.batchComputed(4.0);
+    EXPECT_FALSE(m.stepSynced(6.0));
+    m.batchComputed(4.0);
+    EXPECT_FALSE(m.stepSynced(7.0));
+    const SessionResult r = m.finish(7.0, 0.0);
+    EXPECT_EQ(r.stepsMeasured, 2u);
+    EXPECT_DOUBLE_EQ(r.throughput, 4.0); // 8 samples over [5, 7]
+}
+
+TEST(SessionMeterUnit, CrashReplayNeverReopensNorRecommits)
+{
+    SessionMeter m({}, {});
+    m.start(2, 3, 1, 0.0);
+    m.stepSynced(1.0);
+    EXPECT_TRUE(m.stepSynced(2.0));
+    m.batchComputed(8.0);
+    m.stepSynced(3.0); // step 3 commits its 8 samples
+    m.batchComputed(8.0);
+    m.rollBack(1); // step 4 dies with the crash
+    EXPECT_EQ(m.steps(), 1u);
+    EXPECT_FALSE(m.measuring()); // replaying the warm-up
+    EXPECT_FALSE(m.stepSynced(5.0));
+    EXPECT_TRUE(m.measuring());
+    for (const Time t : {6.0, 7.0, 8.0}) {
+        m.batchComputed(8.0);
+        m.stepSynced(t); // step 3 again commits nothing, 4 and 5 do
+    }
+    const SessionResult r = m.finish(8.0, 0.0);
+    EXPECT_EQ(r.stepsMeasured, 3u);
+    // The window still starts at t = 2, so it holds the crash's cost.
+    EXPECT_DOUBLE_EQ(r.stepTime, 2.0);
+    EXPECT_DOUBLE_EQ(r.throughput, 4.0);
+}
+
+TEST(SessionMeterUnit, KilledAndCompletedRunsShareOneAssembly)
+{
+    // warm-up 1, measure 4; one step per second, 2 samples a step.
+    auto endAfter = [](std::size_t syncs) {
+        SessionMeter m({}, {});
+        m.start(1, 4, 1, 0.0);
+        for (std::size_t s = 1; s <= syncs; ++s) {
+            m.batchComputed(2.0);
+            m.stepSynced(static_cast<Time>(s));
+        }
+        return m.finish(static_cast<Time>(syncs), 0.0);
+    };
+    const SessionResult done = endAfter(5);
+    const SessionResult killed = endAfter(3);
+    EXPECT_EQ(done.stepsMeasured, 4u);
+    EXPECT_EQ(killed.stepsMeasured, 2u);
+    EXPECT_DOUBLE_EQ(done.throughput, 2.0);
+    EXPECT_DOUBLE_EQ(killed.throughput, 2.0);
+    EXPECT_DOUBLE_EQ(killed.stepTime, done.stepTime);
+    // Killed before anything was measured: nothing to report.
+    for (const std::size_t syncs : {0u, 1u}) {
+        const SessionResult early = endAfter(syncs);
+        EXPECT_EQ(early.stepsMeasured, 0u);
+        EXPECT_EQ(early.throughput, 0.0);
+        EXPECT_EQ(early.stepTime, 0.0);
+    }
+}
+
+TEST(SessionMeterUnit, LedgerAndCapacityIntegrals)
+{
+    SessionMeter m({}, {});
+    m.start(0, 1, 4, 0.0);
+    m.chainDone(10.0, 1.0);
+    m.consumed(6.0);
+    m.discarded(1.0);
+    m.detach(2.0); // 3 of 4 groups from t = 2
+    m.attach(6.0); // 4 of 4 from t = 6
+    m.stepSynced(10.0);
+    const SessionResult r = m.finish(10.0, 3.0);
+    EXPECT_DOUBLE_EQ(r.elasticity.samplesPrepared, 10.0);
+    EXPECT_DOUBLE_EQ(r.elasticity.samplesCachedAtEnd, 3.0);
+    EXPECT_DOUBLE_EQ(r.elasticity.degradedCapacityTime, 4.0);
+    EXPECT_DOUBLE_EQ(r.elasticity.zeroCapacityTime, 0.0);
+    EXPECT_DOUBLE_EQ(r.elasticity.avgActiveFraction, 0.9);
+    EXPECT_DOUBLE_EQ(r.prepLatency, 1.0);
+
+    EXPECT_DEATH(
+        {
+            SessionMeter bad({}, {});
+            bad.start(0, 1, 1, 0.0);
+            bad.chainDone(5.0, 0.0);
+            bad.finish(1.0, 0.0);
+        },
+        "sample ledger violated");
+}
+
+// A session without warm-up measures from its first step, so a kill
+// reports what it synchronized (before the window could not open then).
+TEST(Session, KilledNoWarmupSessionReportsItsSteps)
+{
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.model = workload::ModelId::Resnet50;
+    cfg.numAccelerators = 16;
+    auto server = buildServer(cfg);
+    TrainingSession session(*server);
+    session.start(0, 8);
+    EventQueue &eq = server->core().events();
+    while (session.stepsSynced() < 3 && eq.step()) {
+    }
+    session.kill();
+    const SessionResult res = session.collect();
+    EXPECT_EQ(res.stepsMeasured, 3u);
+    EXPECT_GT(res.throughput, 0.0);
+    EXPECT_NEAR(res.throughput * res.stepTime,
+                16.0 * static_cast<double>(server->batchSize()),
+                1e-9 * res.throughput * res.stepTime);
+}
+
 } // namespace
 } // namespace tb

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Write the tb_report outputs of a fixed scenario list into OUT_DIR and
-# check that they are well formed.
+# Write the tb_report outputs of a fixed scenario list, and the output
+# of every figure, table and sweep bench, into OUT_DIR, and check that
+# the reports are well formed.
 #
 # usage: tools/report_scenarios.sh TB_REPORT OUT_DIR
+#        tools/report_scenarios.sh --benches
 #
 # Each scenario NAME leaves NAME.json, NAME.csv and NAME.txt (the
 # printed summary); the --trace scenarios also leave NAME.trace.json.
@@ -13,18 +15,38 @@
 # Every JSON file must parse with Python's json module, and every CSV
 # file must start with the "section,key,value" header and hold exactly
 # three fields in every row (Python's csv module, so quoted fields
-# count as one). Nothing in OUT_DIR depends on where it was written, so
-# two builds can be compared with `diff -r`: a change that must leave
-# the reports byte-identical runs this script on both and diffs.
+# count as one).
+# Each bench B of the list below, found in the bench/ directory beside
+# TB_REPORT's tools/ directory of a build tree, leaves its printed
+# tables in bench/B.txt and its --csv output in bench/B.csv (the
+# timing-based micro_prep_scaling is left out); --benches prints the
+# list. Nothing in OUT_DIR depends on where it was written, so two
+# builds can be compared with `diff -r`: a change that must leave the
+# reports and every figure number byte-identical runs this script on
+# both and diffs.
 set -euo pipefail
 
+benches=(fig02b_sync_scaling fig03_bottleneck_shift fig05_augmentation
+         fig08_baseline_scalability fig09_latency_breakdown
+         fig10_host_resources fig11_resource_decomposition
+         fig19_throughput fig20_batch_sweep fig21_scalability
+         fig22_host_utilization table1_workloads table2_3_fpga_resources
+         ablation_design_space fault_sweep checkpoint_sweep
+         integrity_sweep elastic_sweep ingest_sweep fleet_sweep
+         fleet_fault_sweep)
+
+if [ $# -eq 1 ] && [ "$1" = --benches ]; then
+    echo "${benches[@]}"
+    exit 0
+fi
 if [ $# -ne 2 ]; then
-    echo "usage: $0 TB_REPORT OUT_DIR" >&2
+    echo "usage: $0 TB_REPORT OUT_DIR | $0 --benches" >&2
     exit 2
 fi
 tb_report=$1
 out=$2
-mkdir -p "$out"
+bench_dir=$(dirname "$tb_report")/../bench
+mkdir -p "$out/bench"
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 
@@ -85,6 +107,20 @@ run trace-baseline-16 --preset baseline --accs 16 \
 run trace-baseline-32-ingest "${b32[@]}" --ingest \
     --trace "$out/trace-baseline-32-ingest.trace.json"
 
+for b in "${benches[@]}"; do
+    for format in txt csv; do
+        flag=()
+        [ "$format" = csv ] && flag=(--csv)
+        if ! "$bench_dir/$b" "${flag[@]}" > "$out/bench/$b.$format" \
+            2> "$log"; then
+            echo "report_scenarios: bench $b failed: $bench_dir/$b" \
+                "${flag[*]}" >&2
+            cat "$log" >&2
+            exit 1
+        fi
+    done
+done
+
 python3 - "$out" <<'EOF'
 import csv
 import json
@@ -115,4 +151,5 @@ sys.exit(1 if bad else 0)
 EOF
 
 echo "report_scenarios: $(ls "$out"/*.json | wc -l) JSON and" \
-     "$(ls "$out"/*.csv | wc -l) CSV files in $out are well formed"
+     "$(ls "$out"/*.csv | wc -l) CSV files in $out are well formed;" \
+     "$(ls "$out"/bench | wc -l) bench outputs in $out/bench"

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "prep/executor/prep_executor.hh"
@@ -61,6 +62,9 @@ struct Options
     bool fleetChaos = false; // scripted fleet faults on the canned fleet
 };
 
+/** The arguments of the usage line, after the program name. */
+constexpr const char *kUsage = "[options]";
+
 void
 usage(std::FILE *out)
 {
@@ -71,7 +75,7 @@ usage(std::FILE *out)
         "  --model NAME     Table I model name      (default Resnet-50)\n"
         "  --accs N         number of accelerators        (default 256)\n"
         "  --batch N        per-accelerator batch     (default Table I)\n"
-        "  --warmup N       warmup steps                    (default 4)\n"
+        "  --warmup N       warmup steps, 0 or more         (default 4)\n"
         "  --measure N      measured steps                  (default 8)\n"
         "  --json PATH      write the JSON report (PATH '-' = stdout)\n"
         "  --csv PATH       write the CSV report  (PATH '-' = stdout)\n"
@@ -280,13 +284,14 @@ main(int argc, char **argv)
         } else if (arg == "--model") {
             opt.model = value();
         } else if (arg == "--accs") {
-            opt.accs = std::strtoull(value().c_str(), nullptr, 10);
+            opt.accs = tb::cli::countArgument(argc, argv, i, kUsage);
         } else if (arg == "--batch") {
-            opt.batch = std::strtoull(value().c_str(), nullptr, 10);
+            opt.batch = tb::cli::countArgument(argc, argv, i, kUsage);
         } else if (arg == "--warmup") {
-            opt.warmup = std::strtoull(value().c_str(), nullptr, 10);
+            opt.warmup = tb::cli::countArgument(argc, argv, i, kUsage,
+                                                /*zeroOk=*/true);
         } else if (arg == "--measure") {
-            opt.measure = std::strtoull(value().c_str(), nullptr, 10);
+            opt.measure = tb::cli::countArgument(argc, argv, i, kUsage);
         } else if (arg == "--json") {
             opt.jsonPath = value();
         } else if (arg == "--csv") {
@@ -296,7 +301,7 @@ main(int argc, char **argv)
         } else if (arg == "--no-metrics") {
             opt.metrics = false;
         } else if (arg == "--corrupt") {
-            opt.corrupt = std::strtod(value().c_str(), nullptr);
+            opt.corrupt = tb::cli::probabilityArgument(argc, argv, i, kUsage);
         } else if (arg == "--checks") {
             opt.checks = true;
         } else if (arg == "--elastic") {
@@ -304,7 +309,7 @@ main(int argc, char **argv)
         } else if (arg == "--ingest") {
             opt.ingest = true;
         } else if (arg == "--prep-smoke") {
-            opt.prepSmoke = std::strtoull(value().c_str(), nullptr, 10);
+            opt.prepSmoke = tb::cli::countArgument(argc, argv, i, kUsage);
         } else if (arg == "--fleet") {
             opt.fleet = true;
         } else if (arg == "--fleet-chaos") {
