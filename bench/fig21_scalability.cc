@@ -60,11 +60,12 @@ main(int argc, char **argv)
         cfg.model = id;
         cfg.numAccelerators = 256;
         const PrepPlan plan = planPreparation(cfg);
+        const double boxes = static_cast<double>(boxCount(256));
         std::printf("\nprep-pool plan for %s @256: demand/box %.0f, local "
                     "capacity/box %.0f, offload %.1f%%, pool FPGAs %zu "
                     "(+%.0f%% capacity)\n",
-                    m.name.c_str(), plan.perBoxDemand,
-                    plan.perBoxLocalCapacity,
+                    m.name.c_str(), plan.demand / boxes,
+                    plan.localCapacity / boxes,
                     100.0 * plan.offloadFraction, plan.poolFpgas,
                     100.0 * plan.poolOvercapacityRatio);
     }

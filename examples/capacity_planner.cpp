@@ -1,9 +1,9 @@
 /**
  * @file
  * Capacity planner built on the train initializer (§V-A): for a chosen
- * workload and scale, report the per-box preparation demand, the local
- * FPGA capacity, the prep-pool allocation, Ethernet feasibility, and the
- * host resources a baseline server would have needed instead.
+ * workload and scale, report the server's preparation demand, its train
+ * boxes' FPGA capacity, the prep-pool allocation, Ethernet feasibility,
+ * and the host resources a baseline server would have needed instead.
  *
  * With `--calibrate`, the baseline host demand is additionally
  * recomputed from a live prep-throughput measurement on this machine
@@ -49,18 +49,15 @@ main(int argc, char **argv)
     cfg.numAccelerators = n;
 
     const PrepPlan plan = planPreparation(cfg);
-    const std::size_t boxes =
-        (n + cfg.box.accPerBox - 1) / cfg.box.accPerBox;
 
     std::printf("TrainBox capacity plan: %s on %zu accelerators "
-                "(%zu train boxes)\n\n",
-                m.name.c_str(), n, boxes);
+                "(%zu train boxes, %zu FPGAs)\n\n",
+                m.name.c_str(), n, boxCount(n), cfg.box.fpgas(n));
 
     Table t({"quantity", "value"});
-    t.row().add("prep demand per box (samples/s)")
-        .add(plan.perBoxDemand, 0);
-    t.row().add("local FPGA capacity per box (samples/s)")
-        .add(plan.perBoxLocalCapacity, 0);
+    t.row().add("prep demand (samples/s)").add(plan.demand, 0);
+    t.row().add("local FPGA capacity (samples/s)")
+        .add(plan.localCapacity, 0);
     t.row().add("offload fraction to prep-pool")
         .add(100.0 * plan.offloadFraction, 1);
     t.row().add("prep-pool FPGAs to allocate")

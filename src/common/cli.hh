@@ -10,6 +10,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -32,24 +33,41 @@ rejectValue(char **argv, const char *option, const char *value,
 }
 
 /**
- * The count after option argv[i], which moves @p i past it: a positive
- * integer, or also 0 when @p zeroOk. Anything else exits 2.
+ * The integer after option argv[i], which moves @p i past it: a value
+ * in [@p lo, @p hi]. Anything else exits 2, saying the option @p wants.
  */
+inline long long
+integerArgument(int argc, char **argv, int &i, const char *usage,
+                long long lo, long long hi, const char *wants)
+{
+    const char *option = argv[i];
+    const char *text = i + 1 < argc ? argv[++i] : "";
+    const char *digits = text[0] == '-' ? text + 1 : text;
+    char *end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(digits[0])) ||
+        *end != '\0' || errno == ERANGE || value < lo || value > hi)
+        rejectValue(argv, option, text, wants, usage);
+    return value;
+}
+
+/** The count after option argv[i]: positive, or also 0 when @p zeroOk. */
 inline std::size_t
 countArgument(int argc, char **argv, int &i, const char *usage,
               bool zeroOk = false)
 {
-    const char *option = argv[i];
-    const char *text = i + 1 < argc ? argv[++i] : "";
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-        errno == ERANGE || (value == 0 && !zeroOk))
-        rejectValue(argv, option, text,
-                    zeroOk ? "a non-negative integer" : "a positive integer",
-                    usage);
-    return static_cast<std::size_t>(value);
+    return static_cast<std::size_t>(integerArgument(
+        argc, argv, i, usage, zeroOk ? 0 : 1, LLONG_MAX,
+        zeroOk ? "a non-negative integer" : "a positive integer"));
+}
+
+/** The int after option argv[i]; negative values included. */
+inline int
+intArgument(int argc, char **argv, int &i, const char *usage)
+{
+    return static_cast<int>(integerArgument(argc, argv, i, usage, INT_MIN,
+                                            INT_MAX, "an integer"));
 }
 
 /**

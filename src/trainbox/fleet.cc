@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "common/logging.hh"
-#include "common/math_util.hh"
 #include "trainbox/train_initializer.hh"
 
 namespace tb {
@@ -17,8 +16,7 @@ namespace {
 std::size_t
 boxesFor(const FleetJobSpec &spec)
 {
-    return divCeil(std::max<std::size_t>(spec.config.numAccelerators, 1),
-                   spec.config.box.accPerBox);
+    return boxCount(std::max<std::size_t>(spec.config.numAccelerators, 1));
 }
 
 } // namespace
@@ -233,6 +231,7 @@ FleetSimulation::FleetSimulation(FleetConfig cfg)
         Job job;
         job.spec = spec;
         job.boxesNeeded = boxesFor(spec);
+        job.poolRequest = prepPoolSize(spec.config);
         job.result.job = spec.name;
         job.result.priority = spec.priority;
         job.result.arrival = spec.arrival;
@@ -242,16 +241,6 @@ FleetSimulation::FleetSimulation(FleetConfig cfg)
 }
 
 FleetSimulation::~FleetSimulation() = default;
-
-std::size_t
-FleetSimulation::poolRequest(const ServerConfig &cfg) const
-{
-    // The job's natural pool appetite: an explicit configured size wins;
-    // otherwise the train initializer's plan (§V-A) sizes it.
-    if (cfg.prepPoolFpgas >= 0)
-        return static_cast<std::size_t>(cfg.prepPoolFpgas);
-    return planPreparation(cfg).poolFpgas;
-}
 
 int
 FleetSimulation::pickHost(const Job &job) const
@@ -280,7 +269,7 @@ FleetSimulation::admit(std::size_t j, std::size_t host)
     Job &job = jobs_[j];
     ServerConfig config = job.spec.config;
 
-    const std::size_t request = poolRequest(config);
+    const std::size_t request = job.poolRequest;
     std::size_t granted = request;
     if (cfg_.sharedPoolFpgas >= 0) {
         granted = std::min(request, poolFree_);
@@ -364,14 +353,12 @@ FleetSimulation::tryAdmit()
                 // Yield to a waiting job whose pool request fits whole:
                 // a partial grant now would fragment the pool while a
                 // clean grant is available.
-                const std::size_t request = poolRequest(job.spec.config);
-                if (request > poolFree_) {
+                if (job.poolRequest > poolFree_) {
                     bool betterFit = false;
                     for (std::size_t k : order) {
                         if (k == j || !jobs_[k].waiting)
                             continue;
-                        const std::size_t rk =
-                            poolRequest(jobs_[k].spec.config);
+                        const std::size_t rk = jobs_[k].poolRequest;
                         if (rk > 0 && rk <= poolFree_) {
                             betterFit = true;
                             break;

@@ -381,6 +381,7 @@ class FleetSimulation
     {
         FleetJobSpec spec;
         std::size_t boxesNeeded = 0;
+        std::size_t poolRequest = 0; ///< prepPoolSize() of spec.config
         std::size_t host = 0; ///< hosts_ index of the current attempt
         FleetJobResult result;
         // Admitted jobs own a server + session until the run ends:
@@ -417,7 +418,6 @@ class FleetSimulation
     void tryAdmit();
     bool admit(std::size_t j, std::size_t host);
     int pickHost(const Job &job) const;
-    std::size_t poolRequest(const ServerConfig &cfg) const;
     bool allDone() const;
     FleetReport buildReport();
 

@@ -3,46 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/math_util.hh"
-#include "devices/prep_accelerator.hh"
-#include "workload/cost_model.hh"
+#include "trainbox/train_initializer.hh"
 
 namespace tb {
-
-namespace {
-
-/**
- * The prep demand of @p accs accelerators at per-accelerator batch
- * @p batch (0: Table I's) and what @p boxes train boxes' FPGAs can
- * prepare, both in samples/s.
- */
-struct PrepSplit
-{
-    Rate demand = 0.0;
-    Rate local = 0.0;
-
-    /** The share of the demand the boxes cannot cover. */
-    double offload() const
-    {
-        return demand > local ? (demand - local) / demand : 0.0;
-    }
-};
-
-PrepSplit
-prepSplit(const workload::ModelInfo &m, std::size_t accs, std::size_t boxes,
-          const BoxConfig &box, const sync::SyncConfig &sync_cfg,
-          std::size_t batch)
-{
-    using namespace workload;
-    const Rate per_acc = batch == 0
-        ? effectiveDeviceThroughput(m, accs, sync_cfg)
-        : effectiveDeviceThroughput(m, accs, sync_cfg, batch);
-    return {static_cast<double>(accs) * per_acc,
-            static_cast<double>(boxes) * static_cast<double>(box.prepPerBox) *
-                prepDemand(m.input).fpgaChainRate};
-}
-
-} // namespace
 
 RackPlan
 planRack(const std::vector<JobRequest> &jobs, std::size_t total_boxes,
@@ -54,35 +17,31 @@ planRack(const std::vector<JobRequest> &jobs, std::size_t total_boxes,
     plan.boxesAvailable = total_boxes;
 
     for (const auto &req : jobs) {
+        // Each job's plan is the §V-A plan of a TrainBox server of its
+        // own size: it syncs only its own accelerators.
+        ServerConfig cfg = ServerConfig::trainBox()
+                               .withModel(req.model)
+                               .withAccelerators(req.numAccelerators);
+        cfg.box = box;
+        cfg.sync = sync_cfg;
+        const PrepPlan job = planPreparation(cfg);
+
         JobAllocation alloc;
         alloc.request = req;
-        alloc.boxes = divCeil(req.numAccelerators, box.accPerBox);
+        alloc.boxes = boxCount(req.numAccelerators);
         plan.boxesUsed += alloc.boxes;
-
-        const ModelInfo &m = model(req.model);
-        const PrepDemand d = prepDemand(m.input);
-        const PrepSplit split = prepSplit(m, req.numAccelerators,
-                                          alloc.boxes, box, sync_cfg, 0);
-        alloc.demand = split.demand;
-        alloc.localCapacity = split.local;
-
-        // A lent/borrowed FPGA works at the *borrower's* chain rate,
-        // capped by its 100 Gbps pool port.
-        const Rate pool_rate = std::min(
-            d.fpgaChainRate,
-            PrepAccelerator::defaultEthernetBw /
-                (d.ssdBytes + d.preparedBytes));
-
-        if (alloc.demand > alloc.localCapacity) {
-            const Rate shortfall = alloc.demand - alloc.localCapacity;
-            alloc.deficitFpgas = static_cast<std::size_t>(
-                std::ceil(shortfall / pool_rate));
-            alloc.offloadFraction = split.offload();
-        } else {
+        alloc.demand = job.demand;
+        alloc.localCapacity = job.localCapacity;
+        // A lent/borrowed FPGA works at the *borrower's* pool rate.
+        alloc.deficitFpgas = job.poolFpgas;
+        alloc.offloadFraction = job.offloadFraction;
+        if (alloc.localCapacity >= alloc.demand) {
             // Whole FPGAs this job can give up and still meet demand.
             const Rate surplus = alloc.localCapacity - alloc.demand;
-            alloc.surplusFpgas = static_cast<std::size_t>(
-                std::floor(surplus / d.fpgaChainRate));
+            const Rate engine = prepEngineRate(
+                cfg.preset, prepDemand(model(req.model).input));
+            alloc.surplusFpgas =
+                static_cast<std::size_t>(std::floor(surplus / engine));
         }
         plan.jobs.push_back(alloc);
     }
@@ -114,21 +73,6 @@ planRack(const std::vector<JobRequest> &jobs, std::size_t total_boxes,
         plan.externalPoolFpgas += j.externalFpgas;
     }
     return plan;
-}
-
-double
-replanOffloadFraction(workload::ModelId model_id, std::size_t active_accs,
-                      std::size_t active_boxes, const BoxConfig &box,
-                      const sync::SyncConfig &sync_cfg,
-                      std::size_t batch_size)
-{
-    if (active_accs == 0 || active_boxes == 0)
-        return 0.0;
-    // planRack()'s split, over the surviving membership's boxes rather
-    // than ceil(accs / accPerBox).
-    return prepSplit(workload::model(model_id), active_accs, active_boxes,
-                     box, sync_cfg, batch_size)
-        .offload();
 }
 
 } // namespace tb

@@ -33,7 +33,7 @@ struct JobAllocation
 {
     JobRequest request;
 
-    /** Train boxes assigned (ceil(numAccelerators / accPerBox)). */
+    /** Train boxes assigned (boxCount(numAccelerators)). */
     std::size_t boxes = 0;
 
     /** Required preparation throughput (samples/s). */
@@ -76,31 +76,17 @@ struct RackPlan
 };
 
 /**
- * Plan a rack of @p totalBoxes train boxes for @p jobs. Jobs are placed
- * in order; lending matches the largest surpluses to the largest
- * deficits. Each job's synchronization spans only its own accelerators,
- * so smaller jobs see lower sync overhead (§II footnote 2).
+ * Plan a rack of @p totalBoxes train boxes for @p jobs. Each job's
+ * demand, local capacity and deficit are planPreparation()'s for a
+ * TrainBox server of the job's size; the deficit is its pool FPGAs.
+ * Jobs are placed in order; lending matches the largest surpluses to
+ * the largest deficits. Each job's synchronization spans only its own
+ * accelerators, so smaller jobs see lower sync overhead (§II
+ * footnote 2).
  */
 RackPlan planRack(const std::vector<JobRequest> &jobs,
                   std::size_t totalBoxes, const BoxConfig &box = {},
                   const sync::SyncConfig &sync_cfg = {});
-
-/**
- * Re-plan prep lending for one job after a membership change: the
- * offload fraction planRack() would assign a single job running
- * @p activeAccs accelerators on @p activeBoxes surviving train boxes,
- * at per-accelerator batch @p batchSize (0: Table I's, as
- * ServerConfig::batchSize). TrainingSession calls this on every
- * elastic group join/leave so prep offload tracks the *current* box
- * count rather than the build-time one. Returns 0 for a zero-capacity
- * interval.
- */
-double replanOffloadFraction(workload::ModelId model,
-                             std::size_t activeAccs,
-                             std::size_t activeBoxes,
-                             const BoxConfig &box = {},
-                             const sync::SyncConfig &sync_cfg = {},
-                             std::size_t batchSize = 0);
 
 } // namespace tb
 

@@ -82,10 +82,6 @@ requiredHostDemand(const workload::ModelInfo &m, ArchPreset preset,
         out.rcBw += bytes * target;
     };
 
-    // Same per-sample control costs as the server builder.
-    constexpr double dma_setup_cpu = 1.0e-5;
-    constexpr double p2p_control_cpu = 5.0e-6;
-
     auto stage_cpu = [&](PrepStage st) {
         auto it = d.cpuByStage.find(st);
         return it == d.cpuByStage.end() ? 0.0 : it->second;
@@ -116,8 +112,8 @@ requiredHostDemand(const workload::ModelInfo &m, ArchPreset preset,
         // DRAM: RC pressure doubles (§IV-D).
         add_cpu(stageCategory(PrepStage::SsdRead),
                 stage_cpu(PrepStage::SsdRead));
-        add_cpu("data_copy", 2.0 * dma_setup_cpu);
-        add_cpu(stageCategory(PrepStage::DataLoad), dma_setup_cpu);
+        add_cpu("data_copy", 2.0 * kDmaSetupCpu);
+        add_cpu(stageCategory(PrepStage::DataLoad), kDmaSetupCpu);
         add_cpu(stageCategory(PrepStage::Others),
                 stage_cpu(PrepStage::Others));
         add_mem(stageCategory(PrepStage::SsdRead), d.ssdBytes);
@@ -133,7 +129,7 @@ requiredHostDemand(const workload::ModelInfo &m, ArchPreset preset,
         // P2P frees DRAM and the CPU, but inter-box routes still hop
         // up-and-over the RC (2x per transfer) — total RC bytes match
         // the staged variant.
-        add_cpu(stageCategory(PrepStage::Others), 3.0 * p2p_control_cpu);
+        add_cpu(stageCategory(PrepStage::Others), 3.0 * kP2pControlCpu);
         add_rc(stageCategory(PrepStage::SsdRead), 2.0 * d.ssdBytes);
         add_rc(stageCategory(PrepStage::DataLoad), 2.0 * d.preparedBytes);
         break;
@@ -141,7 +137,7 @@ requiredHostDemand(const workload::ModelInfo &m, ArchPreset preset,
       case ArchPreset::TrainBoxNoPool:
       case ArchPreset::TrainBox:
         // Clustering localizes every transfer inside a train box.
-        add_cpu(stageCategory(PrepStage::Others), 2.0 * p2p_control_cpu);
+        add_cpu(stageCategory(PrepStage::Others), 2.0 * kP2pControlCpu);
         break;
     }
     return out;

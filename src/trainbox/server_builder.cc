@@ -13,11 +13,8 @@ using workload::stageCategory;
 
 namespace {
 
-/** Host CPU cost of programming one staged DMA (core-sec/sample). */
-constexpr double kDmaSetupCpu = 1.0e-5;
-
-/** Host CPU cost per sample when devices run the datapath (P2P). */
-constexpr double kP2pControlCpu = 5.0e-6;
+/** Max CPU cores one batch's prep may use at once (sw pipelining). */
+constexpr double kMaxPrepParallelism = 48.0;
 
 /**
  * Host CPU cost of serializing + writing one checkpoint byte
@@ -96,7 +93,6 @@ struct Builder
     pcie::Topology &topo;
 
     std::size_t nAcc;
-    std::size_t accPerGroup;
     std::size_t nGroups;
     Rate engineRate;
 
@@ -113,10 +109,8 @@ struct Builder
           ds(static_cast<std::uint32_t>(firstResource))
     {
         nAcc = cfg.numAccelerators;
-        accPerGroup = std::min<std::size_t>(cfg.box.accPerBox, nAcc);
-        nGroups = divCeil(nAcc, accPerGroup);
-        engineRate = cfg.preset == ArchPreset::BaselineAccGpu
-            ? d.gpuChainRate : d.fpgaChainRate;
+        nGroups = boxCount(nAcc);
+        engineRate = prepEngineRate(cfg.preset, d);
         groupAccs.resize(nGroups);
         groupPreps.resize(nGroups);
         groupSsds.resize(nGroups);
@@ -165,7 +159,7 @@ struct Builder
     cpuCap(double core_sec) const
     {
         return core_sec > 0.0
-            ? cfg.maxPrepParallelism / core_sec : 0.0;
+            ? kMaxPrepParallelism / core_sec : 0.0;
     }
 
     /**
@@ -537,7 +531,7 @@ Builder::buildCentral()
         const pcie::NodeId sw =
             topo.addSwitch(box, topo.root(), pcie::gen::gen3x16);
         const std::size_t count =
-            std::min(accPerGroup, nAcc - g * accPerGroup);
+            std::min(kAccPerBox, nAcc - g * kAccPerBox);
         for (std::size_t i = 0; i < count; ++i) {
             s.accs.push_back(std::make_unique<NnAccelerator>(
                 topo, box + ".acc" + std::to_string(i), sw));
@@ -546,17 +540,14 @@ Builder::buildCentral()
     }
 
     // SSD boxes: same aggregate SSD count as the clustered design.
-    const std::size_t n_ssd =
-        std::max<std::size_t>(cfg.box.ssdsPerBox,
-                              nGroups * cfg.box.ssdsPerBox);
-    const std::size_t per_box = cfg.box.ssdsPerSsdBox;
-    const std::size_t n_ssd_boxes = divCeil(n_ssd, per_box);
+    const std::size_t n_ssd = nGroups * kSsdsPerBox;
+    const std::size_t n_ssd_boxes = divCeil(n_ssd, kSsdsPerSsdBox);
     for (std::size_t b = 0; b < n_ssd_boxes; ++b) {
         const std::string box = "ssdbox" + std::to_string(b);
         const pcie::NodeId sw =
             topo.addSwitch(box, topo.root(), pcie::gen::gen3x16);
         for (std::size_t i = 0;
-             i < per_box && s.ssds.size() < n_ssd; ++i) {
+             i < kSsdsPerSsdBox && s.ssds.size() < n_ssd; ++i) {
             s.ssds.push_back(std::make_unique<NvmeSsd>(
                 s.core().fluid(), topo, box + ".ssd" + std::to_string(i), sw));
         }
@@ -570,9 +561,7 @@ Builder::buildCentral()
     // eight engines per box (§III-A box structure).
     if (presetUsesPrepAccelerators(cfg.preset)) {
         const std::size_t n_prep = std::max<std::size_t>(1, nAcc / 4);
-        const PrepEngineKind kind =
-            cfg.preset == ArchPreset::BaselineAccGpu
-                ? PrepEngineKind::Gpu : PrepEngineKind::Fpga;
+        const PrepEngineKind kind = prepEngineKind(cfg.preset);
         pcie::NodeId sw = pcie::kInvalidNode;
         for (std::size_t i = 0; i < n_prep; ++i) {
             if (i % 8 == 0) {
@@ -619,8 +608,8 @@ Builder::buildClustered()
             topo.addSwitch(box, topo.root(), pcie::gen::gen3x16);
 
         const std::size_t count =
-            std::min(accPerGroup, nAcc - g * accPerGroup);
-        const std::size_t n_sub = count > 4 ? 2 : 1;
+            std::min(kAccPerBox, nAcc - g * kAccPerBox);
+        const std::size_t n_sub = subSwitchCount(count);
         std::vector<pcie::NodeId> subs;
         for (std::size_t i = 0; i < n_sub; ++i)
             subs.push_back(topo.addSwitch(
@@ -633,16 +622,14 @@ Builder::buildClustered()
                 subs[i % n_sub]));
             groupAccs[g].push_back(s.accs.back().get());
         }
-        for (std::size_t i = 0;
-             i < std::max<std::size_t>(1, cfg.box.prepPerBox * n_sub / 2);
-             ++i) {
+        for (std::size_t i = 0; i < cfg.box.boxFpgas(count); ++i) {
             s.preps.push_back(std::make_unique<PrepAccelerator>(
                 s.core().fluid(), topo, box + ".fpga" + std::to_string(i),
                 subs[i % n_sub], PrepEngineKind::Fpga, engineRate,
                 /*withEthernet=*/true));
             groupPreps[g].push_back(s.preps.back().get());
         }
-        for (std::size_t i = 0; i < cfg.box.ssdsPerBox; ++i) {
+        for (std::size_t i = 0; i < kSsdsPerBox; ++i) {
             s.ssds.push_back(std::make_unique<NvmeSsd>(
                 s.core().fluid(), topo, box + ".ssd" + std::to_string(i), top));
             groupSsds[g].push_back(s.ssds.back().get());
@@ -650,12 +637,7 @@ Builder::buildClustered()
     }
 
     // Prep-pool over Ethernet.
-    std::size_t pool_size = 0;
-    if (cfg.preset == ArchPreset::TrainBox) {
-        pool_size = cfg.prepPoolFpgas >= 0
-            ? static_cast<std::size_t>(cfg.prepPoolFpgas)
-            : s.plan.poolFpgas;
-    }
+    const std::size_t pool_size = prepPoolSize(cfg);
     if (pool_size > 0) {
         s.pool = std::make_unique<PrepPool>(s.core().fluid(), "pool");
         for (std::size_t i = 0; i < pool_size; ++i)

@@ -1,6 +1,9 @@
 #include "trainbox/server_config.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
+#include "common/math_util.hh"
 
 namespace tb {
 
@@ -117,6 +120,32 @@ bool
 presetUsesClustering(ArchPreset p)
 {
     return p == ArchPreset::TrainBoxNoPool || p == ArchPreset::TrainBox;
+}
+
+std::size_t
+boxCount(std::size_t accs)
+{
+    return divCeil(accs, kAccPerBox);
+}
+
+std::size_t
+subSwitchCount(std::size_t accs)
+{
+    return divCeil(accs, kAccPerBox / 2);
+}
+
+std::size_t
+BoxConfig::boxFpgas(std::size_t accs) const
+{
+    return std::max<std::size_t>(1, prepPerBox * subSwitchCount(accs) / 2);
+}
+
+std::size_t
+BoxConfig::fpgas(std::size_t accs) const
+{
+    const std::size_t rest = accs % kAccPerBox;
+    return accs / kAccPerBox * boxFpgas(kAccPerBox) +
+           (rest > 0 ? boxFpgas(rest) : 0);
 }
 
 ServerConfig
@@ -291,20 +320,8 @@ ServerConfig::validate() const
         return stringPrintf("prefetchDepth must be >= 2 (next-batch "
                             "prefetch), got %zu",
                             prefetchDepth);
-    if (prepChunks == 0)
-        return "prepChunks must be > 0";
-    if (!(maxPrepParallelism > 0.0))
-        return stringPrintf("maxPrepParallelism must be > 0, got %g",
-                            maxPrepParallelism);
-
-    if (box.accPerBox == 0)
-        return "box.accPerBox must be > 0";
     if (box.prepPerBox == 0)
         return "box.prepPerBox must be > 0";
-    if (box.ssdsPerBox == 0)
-        return "box.ssdsPerBox must be > 0";
-    if (box.ssdsPerSsdBox == 0)
-        return "box.ssdsPerSsdBox must be > 0";
 
     if (!(host.cpuCores > 0.0))
         return stringPrintf("host.cpuCores must be > 0, got %g",
@@ -409,8 +426,7 @@ ServerConfig::validate() const
     if (!(err = checkElasticClass("prepPreempt", elasticity.prepPreempt))
              .empty())
         return err;
-    const std::size_t numGroups =
-        (numAccelerators + box.accPerBox - 1) / box.accPerBox;
+    const std::size_t numGroups = boxCount(numAccelerators);
     if (elasticity.deferredJoinGroups > 0 &&
         elasticity.deferredJoinGroups >= numGroups)
         return stringPrintf("elasticity.deferredJoinGroups (%zu) must "

@@ -79,20 +79,44 @@ struct HostConfig
     Rate rcBandwidth = 64.0e9;
 };
 
-/** Physical structure constants (§V-D). */
+// Host CPU control costs (core-sec/sample), charged by the server
+// builder's stages and by the host-demand profile alike.
+
+/** Programming one staged DMA. */
+constexpr double kDmaSetupCpu = 1.0e-5;
+
+/** Controlling a sample whose datapath the devices run (P2P). */
+constexpr double kP2pControlCpu = 5.0e-6;
+
+/** NN accelerators per train box (DGX-2 / Supermicro style). */
+constexpr std::size_t kAccPerBox = 8;
+
+/** NVMe SSDs per train box. */
+constexpr std::size_t kSsdsPerBox = 2;
+
+/** SSDs per dedicated SSD box (non-clustered presets). */
+constexpr std::size_t kSsdsPerSsdBox = 4;
+
+/** Train boxes that @p accs accelerators fill: ceil(accs / kAccPerBox). */
+std::size_t boxCount(std::size_t accs);
+
+/** PCIe sub-switches of a box of @p accs accelerators, 4 each (Fig 18). */
+std::size_t subSwitchCount(std::size_t accs);
+
+/** Physical structure of a train box (§V-D, Fig 18). */
 struct BoxConfig
 {
-    /** NN accelerators per box (DGX-2 / Supermicro style). */
-    std::size_t accPerBox = 8;
-
-    /** Prep accelerators per 8-accelerator box (1 per 4 accs). */
+    /** Prep FPGAs per full box, half on each sub-switch (1 per 4 accs). */
     std::size_t prepPerBox = 2;
 
-    /** NVMe SSDs per train box. */
-    std::size_t ssdsPerBox = 2;
+    /**
+     * Prep FPGAs in one box of @p accs (1 to kAccPerBox) accelerators:
+     * prepPerBox / 2 per sub-switch, and at least one.
+     */
+    std::size_t boxFpgas(std::size_t accs) const;
 
-    /** SSDs per dedicated SSD box (non-clustered presets). */
-    std::size_t ssdsPerSsdBox = 4;
+    /** Prep FPGAs in the boxes of @p accs accelerators, in closed form. */
+    std::size_t fpgas(std::size_t accs) const;
 };
 
 /**
@@ -128,20 +152,9 @@ struct ServerConfig
     std::size_t prefetchDepth = 4;
 
     /**
-     * Sub-chunks a group batch is split into while flowing through the
-     * prep chain. Local and offloaded streams are always decoupled;
-     * values > 1 additionally pipeline within a batch (finer-grained
-     * events at higher simulation cost; throughput is insensitive to
-     * this in steady state — see the ablation test).
-     */
-    std::size_t prepChunks = 1;
-
-    /** Max CPU cores one batch's prep may use at once (sw pipelining). */
-    double maxPrepParallelism = 48.0;
-
-    /**
-     * Prep-pool FPGAs. Negative = let the train initializer size the
-     * pool; 0 = no pool; positive = fixed pool size.
+     * Prep-pool FPGAs of a TrainBox server (no other preset has a
+     * pool). Negative = let the train initializer size the pool;
+     * 0 = no pool; positive = fixed pool size.
      */
     int prepPoolFpgas = -1;
 

@@ -1,73 +1,97 @@
 #include "trainbox/train_initializer.hh"
 
+#include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
-#include "devices/prep_accelerator.hh"
-#include "workload/cost_model.hh"
-
 namespace tb {
+
+namespace {
+
+/**
+ * Samples/s one prep-pool FPGA delivers on demand @p d: its chain rate,
+ * capped by its 100 Gbps port, which carries the raw input in and the
+ * prepared tensor out.
+ */
+Rate
+poolFpgaRate(const workload::PrepDemand &d)
+{
+    return std::min(d.fpgaChainRate, PrepAccelerator::defaultEthernetBw /
+                                         (d.ssdBytes + d.preparedBytes));
+}
+
+} // namespace
+
+PrepEngineKind
+prepEngineKind(ArchPreset p)
+{
+    return p == ArchPreset::BaselineAccGpu ? PrepEngineKind::Gpu
+                                           : PrepEngineKind::Fpga;
+}
+
+Rate
+prepEngineRate(ArchPreset p, const workload::PrepDemand &d)
+{
+    return prepEngineKind(p) == PrepEngineKind::Gpu ? d.gpuChainRate
+                                                    : d.fpgaChainRate;
+}
 
 PrepPlan
 planPreparation(const ServerConfig &cfg)
 {
-    using namespace workload;
+    return planPreparation(cfg, cfg.numAccelerators,
+                           cfg.box.fpgas(cfg.numAccelerators));
+}
 
+PrepPlan
+planPreparation(const ServerConfig &cfg, std::size_t accs,
+                std::size_t engines)
+{
+    using namespace workload;
     const ModelInfo &m = model(cfg.model);
-    const PrepDemand demand = prepDemand(m.input);
-    const std::size_t n = cfg.numAccelerators;
+    const PrepDemand d = prepDemand(m.input);
 
     PrepPlan plan;
 
     // Step 1 of §V-A: measure the per-batch time and derive the required
-    // preparation throughput (per accelerator, then per box).
+    // preparation throughput.
     const Rate per_acc = cfg.batchSize == 0
-        ? effectiveDeviceThroughput(m, n, cfg.sync)
-        : effectiveDeviceThroughput(m, n, cfg.sync, cfg.batchSize);
-
-    const std::size_t acc_per_box =
-        std::min<std::size_t>(cfg.box.accPerBox, n);
-    plan.perBoxDemand = static_cast<double>(acc_per_box) * per_acc;
+        ? effectiveDeviceThroughput(m, accs, cfg.sync)
+        : effectiveDeviceThroughput(m, accs, cfg.sync, cfg.batchSize);
+    plan.demand = static_cast<double>(accs) * per_acc;
 
     // Step 2: capability of the in-box prep accelerators (measured
     // offline; here the calibrated chain rate).
-    const Rate engine = cfg.preset == ArchPreset::BaselineAccGpu
-        ? demand.gpuChainRate
-        : demand.fpgaChainRate;
-    plan.perBoxLocalCapacity =
-        static_cast<double>(cfg.box.prepPerBox) * engine;
+    plan.localCapacity =
+        static_cast<double>(engines) * prepEngineRate(cfg.preset, d);
 
     // Step 3: pool sizing when the local capacity is short.
-    const Rate shortfall =
-        std::max(0.0, plan.perBoxDemand - plan.perBoxLocalCapacity);
-    plan.offloadFraction =
-        plan.perBoxDemand > 0.0 ? shortfall / plan.perBoxDemand : 0.0;
-
-    const std::size_t num_boxes =
-        (n + cfg.box.accPerBox - 1) / cfg.box.accPerBox;
-    plan.poolCapacityNeeded = shortfall * static_cast<double>(num_boxes);
-    // A pool FPGA is limited by its engine *and* by its 100 Gbps port,
-    // which carries the raw input in and the prepared tensor out.
-    const Rate port_rate = PrepAccelerator::defaultEthernetBw /
-                           (demand.ssdBytes + demand.preparedBytes);
-    const Rate pool_fpga_rate = std::min(engine, port_rate);
-    plan.poolFpgas = static_cast<std::size_t>(
-        std::ceil(plan.poolCapacityNeeded / pool_fpga_rate));
-    plan.poolOvercapacityRatio = plan.perBoxLocalCapacity > 0.0
-        ? shortfall / plan.perBoxLocalCapacity
-        : 0.0;
+    const Rate shortfall = std::max(0.0, plan.demand - plan.localCapacity);
+    plan.offloadFraction = shortfall > 0.0 ? shortfall / plan.demand : 0.0;
+    plan.poolCapacityNeeded = shortfall;
+    plan.poolFpgas =
+        static_cast<std::size_t>(std::ceil(shortfall / poolFpgaRate(d)));
+    plan.poolOvercapacityRatio =
+        plan.localCapacity > 0.0 ? shortfall / plan.localCapacity : 0.0;
 
     // Ethernet feasibility: each in-box FPGA ships its share of the raw
     // input out and receives the prepared tensor back over its port.
-    if (shortfall > 0.0 && cfg.box.prepPerBox > 0) {
-        const Rate per_port_samples =
-            shortfall / static_cast<double>(cfg.box.prepPerBox);
-        plan.ethernetPerPort =
-            per_port_samples * (demand.ssdBytes + demand.preparedBytes);
+    if (shortfall > 0.0 && engines > 0) {
+        plan.ethernetPerPort = shortfall / static_cast<double>(engines) *
+                               (d.ssdBytes + d.preparedBytes);
         plan.ethernetFeasible =
             plan.ethernetPerPort <= PrepAccelerator::defaultEthernetBw;
     }
     return plan;
+}
+
+std::size_t
+prepPoolSize(const ServerConfig &cfg)
+{
+    if (cfg.preset != ArchPreset::TrainBox)
+        return 0;
+    return cfg.prepPoolFpgas >= 0
+        ? static_cast<std::size_t>(cfg.prepPoolFpgas)
+        : planPreparation(cfg).poolFpgas;
 }
 
 } // namespace tb

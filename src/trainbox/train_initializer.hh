@@ -4,9 +4,12 @@
  *
  * Before training starts, the initializer measures the per-batch execution
  * time of the model (here: the calibrated compute + sync models), derives
- * the preparation throughput each train box must sustain, and — when the
+ * the preparation throughput the accelerators must be fed, and — when the
  * in-box FPGAs cannot keep up — sizes an allocation from the prep-pool by
- * dividing the shortfall by the per-accelerator preparation throughput.
+ * dividing the shortfall by the per-FPGA pool throughput.
+ *
+ * The server builder, the elastic re-plan, the rack planner and the
+ * fleet take the engine rates, the plan and the pool size from here.
  */
 
 #ifndef TRAINBOX_TRAINBOX_TRAIN_INITIALIZER_HH
@@ -14,23 +17,31 @@
 
 #include <cstddef>
 
+#include "devices/prep_accelerator.hh"
 #include "trainbox/server_config.hh"
+#include "workload/cost_model.hh"
 
 namespace tb {
+
+/** Prep engines preset @p p installs: GPUs on BaselineAccGpu, else FPGAs. */
+PrepEngineKind prepEngineKind(ArchPreset p);
+
+/** Samples/s one of preset @p p's prep engines delivers on demand @p d. */
+Rate prepEngineRate(ArchPreset p, const workload::PrepDemand &d);
 
 /** Result of the initializer's resource-planning pass. */
 struct PrepPlan
 {
-    /** Samples/s of prepared data each train box must deliver. */
-    Rate perBoxDemand = 0.0;
+    /** Samples/s of prepared data the accelerators consume. */
+    Rate demand = 0.0;
 
-    /** Samples/s the box's own prep accelerators can deliver. */
-    Rate perBoxLocalCapacity = 0.0;
+    /** Samples/s their own prep engines can deliver. */
+    Rate localCapacity = 0.0;
 
     /** Fraction of every batch forwarded to the prep-pool. */
     double offloadFraction = 0.0;
 
-    /** Pool FPGAs to allocate across the whole server. */
+    /** Pool FPGAs the shortfall needs. */
     std::size_t poolFpgas = 0;
 
     /** Aggregate pool throughput required (samples/s). */
@@ -47,11 +58,28 @@ struct PrepPlan
 };
 
 /**
- * Plan preparation resources for a configuration (§V-A). Meaningful for
- * the clustered presets; for others it reports the demand/capacity split
- * of the shared prep-device array.
+ * Plan preparation resources for a configuration (§V-A): the server's
+ * accelerators against the FPGAs its train boxes hold
+ * (BoxConfig::fpgas()). Meaningful for the clustered presets; for the
+ * others it reports what a train-box layout of the same size would get.
  */
 PrepPlan planPreparation(const ServerConfig &cfg);
+
+/**
+ * The plan for @p accs of @p cfg's accelerators, synchronizing among
+ * themselves at cfg's batch, against @p engines prep engines of cfg's
+ * preset: the split of demand against local capacity. Each is one
+ * product of an integer count and a per-device rate, so a server of 2^k
+ * full boxes plans the bits of one box.
+ */
+PrepPlan planPreparation(const ServerConfig &cfg, std::size_t accs,
+                         std::size_t engines);
+
+/**
+ * Pool FPGAs a server of @p cfg gets: none but on TrainBox, where an
+ * explicit ServerConfig::prepPoolFpgas wins over the plan's.
+ */
+std::size_t prepPoolSize(const ServerConfig &cfg);
 
 } // namespace tb
 

@@ -6,8 +6,8 @@
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
-#include "trainbox/multi_job.hh"
 #include "trainbox/report.hh"
+#include "trainbox/train_initializer.hh"
 
 namespace tb {
 
@@ -43,13 +43,10 @@ TrainingSession::launchPrep(std::size_t g)
     if (done_ || down_ || gs.membership != Membership::Active)
         return;
     const double batch = groupBatchSamples(g);
-    const std::size_t chunks =
-        std::max<std::size_t>(1, server_.cfg.prepChunks);
-    const double chunk = batch / static_cast<double>(chunks);
     const double window =
         static_cast<double>(server_.cfg.prefetchDepth) * batch;
 
-    // Launch chunk chains as window slots free up; the local and
+    // Launch batch chains as window slots free up; the local and
     // offloaded streams are independent producers of prepared samples,
     // so a slow prep-pool round-trip never stalls completed local work.
     // A crashed or departed FPGA's share shifts onto the prep pool.
@@ -58,13 +55,13 @@ TrainingSession::launchPrep(std::size_t g)
     // flow (forEachGroup() widens the batch to every group).
     FluidNetwork::FlowBatch launchBatch(net_);
     while (gs.readySamples + gs.inFlightSamples < window - 1e-6) {
-        gs.inFlightSamples += chunk;
+        gs.inFlightSamples += batch;
         const double f = effectiveOffload(g);
-        const double local = chunk * (1.0 - f);
+        const double local = batch * (1.0 - f);
         if (local > 0.0)
             launchChain(g, /*offload=*/false, local);
         if (f > 0.0)
-            launchChain(g, /*offload=*/true, chunk * f);
+            launchChain(g, /*offload=*/true, batch * f);
     }
 }
 
@@ -460,19 +457,18 @@ TrainingSession::replanOffload()
 {
     if (!server_.pool)
         return;
-    // Re-run the multi-job lending math for the surviving membership:
-    // each attached group is one train box worth of local FPGA capacity.
+    // The §V-A plan over the attached groups' own accelerators and
+    // FPGAs; at full membership it is the build-time plan.
     std::size_t accs = 0;
-    std::size_t boxes = 0;
+    std::size_t fpgas = 0;
     for (const GroupState &gs : groups_) {
         if (!gs.attached())
             continue;
         accs += gs.spec->numAccelerators;
-        ++boxes;
+        fpgas += gs.spec->preps.size();
     }
-    const ServerConfig &cfg = server_.cfg;
-    const double f = replanOffloadFraction(cfg.model, accs, boxes, cfg.box,
-                                           cfg.sync, cfg.batchSize);
+    const double f =
+        planPreparation(server_.cfg, accs, fpgas).offloadFraction;
     for (GroupState &gs : groups_)
         if (!gs.spec->offloadStages.empty())
             gs.offloadOverride = f;

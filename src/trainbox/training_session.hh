@@ -33,9 +33,11 @@
  *   membership state machine over the prep groups: planned drains get
  *   a grace window and a checkpoint-coordinated detach, preemptions
  *   kill the member and its buffered samples at once, and joins
- *   re-shard the data and re-plan prep lending through multi_job. The
- *   step barrier scans the attached groups, so training runs at
- *   degraded capacity and parks (without deadlock) at zero capacity.
+ *   re-shard the data. Every membership change re-plans the prep
+ *   offload with the train initializer (planPreparation() over the
+ *   attached groups' own accelerators and FPGAs). The step barrier
+ *   scans the attached groups, so training runs at degraded capacity
+ *   and parks (without deadlock) at zero capacity.
  * - Ingest (ServerConfig::ingest): an IngestTier
  *   (trainbox/ingest_tier.hh) owns streaming arrivals, their shard
  *   writes and the overload policy chain; training reads its stall and

@@ -52,7 +52,7 @@ chaosConfig()
     ServerConfig cfg;
     cfg.preset = ArchPreset::TrainBox;
     cfg.model = workload::ModelId::Resnet50;
-    cfg.numAccelerators = 16; // two groups at accPerBox = 8
+    cfg.numAccelerators = 16; // two groups at kAccPerBox = 8
     cfg.prepPoolFpgas = 4;
     return cfg;
 }
@@ -500,6 +500,28 @@ TEST(ChaosScaleUp, DeferredGroupJoinsAndLiftsThroughput)
     ServerConfig full = chaosConfig();
     const SessionResult base = runSession(full, 3, 8);
     EXPECT_LE(res.throughput, base.throughput * (1.0 + 1e-9));
+}
+
+// A deferred partial box that joins before the warm-up ends measures
+// what the fixed membership does: at full membership the re-plan is the
+// build-time plan, which credits the 4-accelerator box its one FPGA.
+TEST(ChaosScaleUp, PartialBoxJoinMatchesFixedMembership)
+{
+    for (const std::size_t n : {12u, 20u}) {
+        SCOPED_TRACE(n);
+        ServerConfig cfg = ServerConfig::trainBox()
+                               .withModel(workload::ModelId::TfSr)
+                               .withAccelerators(n);
+        const SessionResult fixed = runSession(cfg, 8, 24);
+        cfg.elasticity.enabled = true;
+        cfg.elasticity.deferredJoinGroups = 1;
+        cfg.elasticity.scaleUpTime = 0.001;
+        cfg.elasticity.rejoinLatency = 0.001;
+        const SessionResult joined = runSession(cfg, 8, 24);
+        EXPECT_EQ(joined.elasticity.joins, 1u);
+        EXPECT_NEAR(joined.throughput, fixed.throughput,
+                    1e-12 * fixed.throughput);
+    }
 }
 
 // --- prep-FPGA elasticity --------------------------------------------

@@ -390,6 +390,31 @@ TEST(FleetPool, UncappedPoolNeverConstrains)
         EXPECT_EQ(j.poolFpgasGranted, j.poolFpgasRequested);
 }
 
+// Only TrainBox builds a pool, so only a TrainBox job asks the shared
+// pool for one: a B+Acc+P2P job admitted first leaves the pool whole.
+TEST(FleetPool, PresetWithoutPoolRequestsNone)
+{
+    FleetConfig fleet;
+    fleet.hosts.push_back({"host0", 4});
+    fleet.sharedPoolFpgas = 4;
+    for (ArchPreset p : {ArchPreset::BaselineAccP2p, ArchPreset::TrainBox}) {
+        FleetJobSpec job;
+        job.name = presetKey(p);
+        job.config = ServerConfig::forPreset(p)
+                         .withModel(workload::ModelId::TfSr)
+                         .withAccelerators(16);
+        fleet.jobs.push_back(job);
+    }
+
+    const FleetReport r = runFleet(fleet);
+    ASSERT_EQ(r.jobsCompleted, 2u);
+    EXPECT_EQ(r.jobs[0].poolFpgasRequested, 0u);
+    EXPECT_EQ(r.jobs[0].poolFpgasGranted, 0u);
+    EXPECT_EQ(r.jobs[1].poolFpgasRequested, 3u);
+    EXPECT_EQ(r.jobs[1].poolFpgasGranted, 3u);
+    EXPECT_FALSE(r.jobs[1].poolConstrained);
+}
+
 // --- grant reclamation (docs/ROBUSTNESS.md, "Fleet fault tolerance") -----
 
 /** Two 2-box jobs, 4-FPGA requests each, scripted fleet faults. */

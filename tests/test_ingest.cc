@@ -39,7 +39,7 @@ baseConfig()
     ServerConfig cfg;
     cfg.preset = ArchPreset::TrainBox;
     cfg.model = workload::ModelId::Resnet50;
-    cfg.numAccelerators = 16; // two groups at accPerBox = 8
+    cfg.numAccelerators = 16; // two groups at kAccPerBox = 8
     cfg.prepPoolFpgas = 4;
     return cfg;
 }

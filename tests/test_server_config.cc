@@ -55,32 +55,14 @@ TEST(ServerConfigValidate, RejectsBadPrepShape)
     ServerConfig cfg = valid();
     cfg.prefetchDepth = 1;
     EXPECT_NE(cfg.validate().find("prefetchDepth"), std::string::npos);
-
-    cfg = valid();
-    cfg.prepChunks = 0;
-    EXPECT_NE(cfg.validate().find("prepChunks"), std::string::npos);
-
-    cfg = valid();
-    cfg.maxPrepParallelism = 0.0;
-    EXPECT_NE(cfg.validate().find("maxPrepParallelism"),
-              std::string::npos);
 }
 
 TEST(ServerConfigValidate, RejectsEmptyBoxes)
 {
-    const auto check = [](void (*mutate)(ServerConfig &),
-                          const char *field) {
-        ServerConfig cfg;
-        cfg.numAccelerators = 8;
-        mutate(cfg);
-        EXPECT_NE(cfg.validate().find(field), std::string::npos)
-            << field;
-    };
-    check([](ServerConfig &c) { c.box.accPerBox = 0; }, "accPerBox");
-    check([](ServerConfig &c) { c.box.prepPerBox = 0; }, "prepPerBox");
-    check([](ServerConfig &c) { c.box.ssdsPerBox = 0; }, "ssdsPerBox");
-    check([](ServerConfig &c) { c.box.ssdsPerSsdBox = 0; },
-          "ssdsPerSsdBox");
+    ServerConfig cfg;
+    cfg.numAccelerators = 8;
+    cfg.box.prepPerBox = 0;
+    EXPECT_NE(cfg.validate().find("prepPerBox"), std::string::npos);
 }
 
 TEST(ServerConfigValidate, RejectsNonPositiveHostResources)
@@ -200,7 +182,7 @@ TEST(ServerConfigValidate, RejectsBadElasticityKnobs)
 TEST(ServerConfigValidate, RejectsOverlargeDeferredJoin)
 {
     ServerConfig cfg = valid();
-    cfg.numAccelerators = 16; // two groups at accPerBox = 8
+    cfg.numAccelerators = 16; // two groups at kAccPerBox = 8
     cfg.elasticity.deferredJoinGroups = 2;
     const std::string err = cfg.validate();
     EXPECT_NE(err.find("deferredJoinGroups"), std::string::npos);
@@ -449,7 +431,6 @@ TEST(ServerConfigValidate, RejectsNaNInEveryNumericField)
     {needle, [](ServerConfig &c) -> double & { return c.path; }}
 #define TB_NAMED(path) TB_FIELD(#path, path)
     const Case cases[] = {
-        TB_NAMED(maxPrepParallelism),
         TB_NAMED(host.cpuCores),
         TB_NAMED(host.memBandwidth),
         TB_NAMED(host.rcBandwidth),

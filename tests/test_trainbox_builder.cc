@@ -242,7 +242,7 @@ TEST(Builder, EveryTemplateMatchesItsPin)
         {ArchPreset::BaselineAccP2p, 0x6622f0b125a4f007ull},
         {ArchPreset::BaselineAccP2pGen4, 0x6622f0b125a4f007ull},
         {ArchPreset::TrainBoxNoPool, 0x3296cde89b0461a9ull},
-        {ArchPreset::TrainBox, 0x0ddedec3c81bfd87ull},
+        {ArchPreset::TrainBox, 0xf07a1a8d8972fbdfull},
     };
     for (ArchPreset p : allPresets()) {
         std::uint64_t h = 0xcbf29ce484222325ull;
@@ -353,7 +353,7 @@ TEST(Initializer, InceptionNeedsNoPool)
                    256));
     EXPECT_DOUBLE_EQ(plan.offloadFraction, 0.0);
     EXPECT_EQ(plan.poolFpgas, 0u);
-    EXPECT_GT(plan.perBoxLocalCapacity, plan.perBoxDemand);
+    EXPECT_GT(plan.localCapacity, plan.demand);
 }
 
 TEST(Initializer, TfSrNeeds54PercentExtraCapacity)
@@ -394,6 +394,40 @@ TEST(Initializer, PoolMatchesBuilder)
         EXPECT_DOUBLE_EQ(g.offloadFraction, plan.offloadFraction);
         EXPECT_FALSE(g.offloadStages.empty());
     }
+}
+
+// The plan credits the server the FPGAs its train boxes hold (a box of
+// four or fewer accelerators holds one), and the plan over the built
+// groups' own counts, which is what the elastic re-plan computes at
+// full membership, has the plan's offload bit for bit, at any box
+// count and batch.
+TEST(Initializer, PlanSplitMatchesTheBuiltServer)
+{
+    for (const auto &m : workload::modelZoo())
+        for (std::size_t n = 1; n <= 40; ++n)
+            for (const std::size_t batch : {0u, 256u, 2048u}) {
+                ServerConfig cfg = baseConfig(ArchPreset::TrainBox, m.id, n);
+                cfg.batchSize = batch;
+                const PrepPlan plan = planPreparation(cfg);
+                auto server = buildServer(cfg);
+                std::size_t accs = 0;
+                std::size_t fpgas = 0;
+                for (const auto &g : server->groups) {
+                    accs += g.numAccelerators;
+                    fpgas += g.preps.size();
+                }
+                const double chain =
+                    workload::prepDemand(m.input).fpgaChainRate;
+                EXPECT_EQ(plan.localCapacity,
+                          static_cast<double>(fpgas) * chain)
+                    << m.name << " n=" << n << " batch=" << batch;
+                EXPECT_EQ(planPreparation(cfg, accs, fpgas).offloadFraction,
+                          plan.offloadFraction)
+                    << m.name << " n=" << n << " batch=" << batch;
+                EXPECT_EQ(server->pool ? server->pool->size() : 0u,
+                          plan.poolFpgas)
+                    << m.name << " n=" << n << " batch=" << batch;
+            }
 }
 
 TEST(Initializer, NoPoolPresetHasNoOffload)

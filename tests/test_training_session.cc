@@ -243,25 +243,6 @@ TEST(Session, P2pFreesHostMemory)
               0.01 * SessionReport::sumCategories(acc.memBwByCategory));
 }
 
-TEST(Session, ChunkingDoesNotChangeSteadyThroughput)
-{
-    // Ablation: sub-batch pipelining granularity must not change the
-    // capacity-bound result.
-    double results[2];
-    int i = 0;
-    for (std::size_t chunks : {1u, 4u}) {
-        ServerConfig cfg;
-        cfg.preset = ArchPreset::TrainBox;
-        cfg.model = workload::ModelId::Resnet50;
-        cfg.numAccelerators = 32;
-        cfg.prepChunks = chunks;
-        auto server = buildServer(cfg);
-        TrainingSession session(*server);
-        results[i++] = session.run(4, 8).throughput;
-    }
-    EXPECT_NEAR(results[0], results[1], 0.02 * results[0]);
-}
-
 TEST(Session, BatchSizeSweepFavorsTrainBox)
 {
     // Fig 20: at 256 accelerators TrainBox wins at small and large

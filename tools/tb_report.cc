@@ -323,8 +323,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--pool") {
-            opt.fleetPool =
-                static_cast<int>(std::strtol(value().c_str(), nullptr, 10));
+            opt.fleetPool = tb::cli::intArgument(argc, argv, i, kUsage);
         } else {
             std::fprintf(stderr, "tb_report: unknown option '%s'\n",
                          arg.c_str());
@@ -382,9 +381,8 @@ main(int argc, char **argv)
         // peaking a little above drain so the overload chain engages.
         tb::IngestConfig in;
         in.enabled = true;
-        const double boxes = static_cast<double>(
-            (cfg.numAccelerators + cfg.box.accPerBox - 1) /
-            cfg.box.accPerBox);
+        const double boxes =
+            static_cast<double>(tb::boxCount(cfg.numAccelerators));
         in.steady = {15000.0 * boxes, 256.0, 2};
         in.diurnal = {8000.0 * boxes, 128.0, 1};
         in.burst = {10000.0 * boxes, 512.0, 0};
