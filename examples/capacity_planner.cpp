@@ -52,7 +52,8 @@ main(int argc, char **argv)
 
     std::printf("TrainBox capacity plan: %s on %zu accelerators "
                 "(%zu train boxes, %zu FPGAs)\n\n",
-                m.name.c_str(), n, boxCount(n), cfg.box.fpgas(n));
+                m.name.c_str(), n, boxCount(n),
+                trainBoxes(cfg.box, n).engines);
 
     Table t({"quantity", "value"});
     t.row().add("prep demand (samples/s)").add(plan.demand, 0);

@@ -40,13 +40,13 @@ main(int argc, char **argv)
             .add(workload::model(j.request.model).name)
             .add(static_cast<long long>(j.request.numAccelerators))
             .add(static_cast<long long>(j.boxes))
-            .add(j.demand, 0)
-            .add(j.localCapacity, 0)
+            .add(j.plan.demand, 0)
+            .add(j.plan.localCapacity, 0)
             .add(static_cast<long long>(j.surplusFpgas))
             .add(static_cast<long long>(j.deficitFpgas))
             .add(static_cast<long long>(j.borrowedFpgas))
             .add(static_cast<long long>(j.externalFpgas))
-            .add(100.0 * j.offloadFraction, 1);
+            .add(100.0 * j.plan.offloadFraction, 1);
     }
     t.print();
 

@@ -62,14 +62,6 @@ countArgument(int argc, char **argv, int &i, const char *usage,
         zeroOk ? "a non-negative integer" : "a positive integer"));
 }
 
-/** The int after option argv[i]; negative values included. */
-inline int
-intArgument(int argc, char **argv, int &i, const char *usage)
-{
-    return static_cast<int>(integerArgument(argc, argv, i, usage, INT_MIN,
-                                            INT_MAX, "an integer"));
-}
-
 /**
  * The probability after option argv[i], which moves @p i past it: a
  * finite number in [0, 1). Anything else exits 2.

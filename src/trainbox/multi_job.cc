@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "trainbox/train_initializer.hh"
-
 namespace tb {
 
 RackPlan
@@ -24,24 +22,19 @@ planRack(const std::vector<JobRequest> &jobs, std::size_t total_boxes,
                                .withAccelerators(req.numAccelerators);
         cfg.box = box;
         cfg.sync = sync_cfg;
-        const PrepPlan job = planPreparation(cfg);
 
         JobAllocation alloc;
         alloc.request = req;
         alloc.boxes = boxCount(req.numAccelerators);
         plan.boxesUsed += alloc.boxes;
-        alloc.demand = job.demand;
-        alloc.localCapacity = job.localCapacity;
+        alloc.plan = planPreparation(cfg);
         // A lent/borrowed FPGA works at the *borrower's* pool rate.
-        alloc.deficitFpgas = job.poolFpgas;
-        alloc.offloadFraction = job.offloadFraction;
-        if (alloc.localCapacity >= alloc.demand) {
+        alloc.deficitFpgas = alloc.plan.poolFpgas;
+        if (alloc.deficitFpgas == 0) {
             // Whole FPGAs this job can give up and still meet demand.
-            const Rate surplus = alloc.localCapacity - alloc.demand;
-            const Rate engine = prepEngineRate(
-                cfg.preset, prepDemand(model(req.model).input));
-            alloc.surplusFpgas =
-                static_cast<std::size_t>(std::floor(surplus / engine));
+            const Rate surplus = alloc.plan.localCapacity - alloc.plan.demand;
+            alloc.surplusFpgas = static_cast<std::size_t>(std::floor(
+                surplus / prepDemand(model(req.model).input).fpgaChainRate));
         }
         plan.jobs.push_back(alloc);
     }

@@ -17,7 +17,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "trainbox/server_config.hh"
+#include "trainbox/train_initializer.hh"
 
 namespace tb {
 
@@ -36,11 +36,8 @@ struct JobAllocation
     /** Train boxes assigned (boxCount(numAccelerators)). */
     std::size_t boxes = 0;
 
-    /** Required preparation throughput (samples/s). */
-    Rate demand = 0.0;
-
-    /** In-box FPGA capacity (samples/s). */
-    Rate localCapacity = 0.0;
+    /** The job's §V-A plan (planPreparation()). */
+    PrepPlan plan;
 
     /** Whole idle FPGAs this job can lend. */
     std::size_t surplusFpgas = 0;
@@ -53,9 +50,6 @@ struct JobAllocation
 
     /** Of the deficit, FPGAs that must come from an external pool. */
     std::size_t externalFpgas = 0;
-
-    /** Fraction of each batch prepared off-box. */
-    double offloadFraction = 0.0;
 };
 
 /** Planning result for the whole rack. */

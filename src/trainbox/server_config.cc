@@ -140,14 +140,6 @@ BoxConfig::boxFpgas(std::size_t accs) const
     return std::max<std::size_t>(1, prepPerBox * subSwitchCount(accs) / 2);
 }
 
-std::size_t
-BoxConfig::fpgas(std::size_t accs) const
-{
-    const std::size_t rest = accs % kAccPerBox;
-    return accs / kAccPerBox * boxFpgas(kAccPerBox) +
-           (rest > 0 ? boxFpgas(rest) : 0);
-}
-
 ServerConfig
 ServerConfig::forPreset(ArchPreset p)
 {

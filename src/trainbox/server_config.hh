@@ -114,9 +114,6 @@ struct BoxConfig
      * prepPerBox / 2 per sub-switch, and at least one.
      */
     std::size_t boxFpgas(std::size_t accs) const;
-
-    /** Prep FPGAs in the boxes of @p accs accelerators, in closed form. */
-    std::size_t fpgas(std::size_t accs) const;
 };
 
 /**

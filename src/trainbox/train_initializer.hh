@@ -41,16 +41,16 @@ struct PrepPlan
     /** Fraction of every batch forwarded to the prep-pool. */
     double offloadFraction = 0.0;
 
-    /** Pool FPGAs the shortfall needs. */
+    /** Pool FPGAs the offloaded share needs. */
     std::size_t poolFpgas = 0;
 
-    /** Aggregate pool throughput required (samples/s). */
+    /** Pool throughput the offloaded share needs (samples/s). */
     Rate poolCapacityNeeded = 0.0;
 
     /** Extra prep capacity relative to local capacity (Fig 21's +54%). */
     double poolOvercapacityRatio = 0.0;
 
-    /** Offload traffic per FPGA Ethernet port (bytes/s). */
+    /** Offload traffic per FPGA port of the tight box (bytes/s). */
     Rate ethernetPerPort = 0.0;
 
     /** True when the 100 Gbps ports can carry the offload traffic. */
@@ -58,22 +58,41 @@ struct PrepPlan
 };
 
 /**
+ * The train boxes (or attached prep groups) a plan spreads demand over.
+ * Each box preps its own batch and forwards the same share of it to the
+ * pool, so the tight box, the one with the fewest prep engines per
+ * accelerator, sets the share.
+ */
+struct PrepBoxes
+{
+    std::size_t accs = 0;         ///< Accelerators in all the boxes.
+    std::size_t engines = 0;      ///< Prep engines in all the boxes.
+    std::size_t tightAccs = 0;    ///< The tight box's accelerators.
+    std::size_t tightEngines = 0; ///< The tight box's prep engines.
+
+    /** Adds @p copies boxes of @p accs accelerators and @p engines engines. */
+    void add(std::size_t accs, std::size_t engines, std::size_t copies = 1);
+};
+
+/** The train boxes of @p accs accelerators: full ones, then a partial one. */
+PrepBoxes trainBoxes(const BoxConfig &box, std::size_t accs);
+
+/**
  * Plan preparation resources for a configuration (§V-A): the server's
- * accelerators against the FPGAs its train boxes hold
- * (BoxConfig::fpgas()). Meaningful for the clustered presets; for the
- * others it reports what a train-box layout of the same size would get.
+ * accelerators against its train boxes' FPGAs (trainBoxes()).
+ * Meaningful for the clustered presets; for the others it reports what
+ * a train-box layout of the same size would get.
  */
 PrepPlan planPreparation(const ServerConfig &cfg);
 
 /**
- * The plan for @p accs of @p cfg's accelerators, synchronizing among
- * themselves at cfg's batch, against @p engines prep engines of cfg's
- * preset: the split of demand against local capacity. Each is one
- * product of an integer count and a per-device rate, so a server of 2^k
- * full boxes plans the bits of one box.
+ * The plan for @p boxes, whose accelerators synchronize among
+ * themselves at cfg's batch, with cfg's preset's prep engines: demand
+ * and local capacity over all the boxes, the offload share of the tight
+ * one. Each rate is one product of an integer count and a per-device
+ * rate, so every count of full boxes plans the offload bits of one.
  */
-PrepPlan planPreparation(const ServerConfig &cfg, std::size_t accs,
-                         std::size_t engines);
+PrepPlan planPreparation(const ServerConfig &cfg, const PrepBoxes &boxes);
 
 /**
  * Pool FPGAs a server of @p cfg gets: none but on TrainBox, where an

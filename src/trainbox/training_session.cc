@@ -459,16 +459,11 @@ TrainingSession::replanOffload()
         return;
     // The §V-A plan over the attached groups' own accelerators and
     // FPGAs; at full membership it is the build-time plan.
-    std::size_t accs = 0;
-    std::size_t fpgas = 0;
-    for (const GroupState &gs : groups_) {
-        if (!gs.attached())
-            continue;
-        accs += gs.spec->numAccelerators;
-        fpgas += gs.spec->preps.size();
-    }
-    const double f =
-        planPreparation(server_.cfg, accs, fpgas).offloadFraction;
+    PrepBoxes boxes;
+    for (const GroupState &gs : groups_)
+        if (gs.attached())
+            boxes.add(gs.spec->numAccelerators, gs.spec->preps.size());
+    const double f = planPreparation(server_.cfg, boxes).offloadFraction;
     for (GroupState &gs : groups_)
         if (!gs.spec->offloadStages.empty())
             gs.offloadOverride = f;

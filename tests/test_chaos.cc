@@ -503,25 +503,30 @@ TEST(ChaosScaleUp, DeferredGroupJoinsAndLiftsThroughput)
 }
 
 // A deferred partial box that joins before the warm-up ends measures
-// what the fixed membership does: at full membership the re-plan is the
-// build-time plan, which credits the 4-accelerator box its one FPGA.
+// what the fixed membership does, at any batch: at full membership the
+// re-plan is the build-time plan, which credits the partial box its own
+// FPGAs and takes the offload of the box with the fewest per
+// accelerator.
 TEST(ChaosScaleUp, PartialBoxJoinMatchesFixedMembership)
 {
-    for (const std::size_t n : {12u, 20u}) {
-        SCOPED_TRACE(n);
-        ServerConfig cfg = ServerConfig::trainBox()
-                               .withModel(workload::ModelId::TfSr)
-                               .withAccelerators(n);
-        const SessionResult fixed = runSession(cfg, 8, 24);
-        cfg.elasticity.enabled = true;
-        cfg.elasticity.deferredJoinGroups = 1;
-        cfg.elasticity.scaleUpTime = 0.001;
-        cfg.elasticity.rejoinLatency = 0.001;
-        const SessionResult joined = runSession(cfg, 8, 24);
-        EXPECT_EQ(joined.elasticity.joins, 1u);
-        EXPECT_NEAR(joined.throughput, fixed.throughput,
-                    1e-12 * fixed.throughput);
-    }
+    for (const std::size_t n : {9u, 12u, 20u})
+        for (const std::size_t batch : {0u, 256u, 2048u}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " batch=" + std::to_string(batch));
+            ServerConfig cfg = ServerConfig::trainBox()
+                                   .withModel(workload::ModelId::TfSr)
+                                   .withAccelerators(n)
+                                   .withBatchSize(batch);
+            const SessionResult fixed = runSession(cfg, 8, 24);
+            cfg.elasticity.enabled = true;
+            cfg.elasticity.deferredJoinGroups = 1;
+            cfg.elasticity.scaleUpTime = 0.001;
+            cfg.elasticity.rejoinLatency = 0.001;
+            const SessionResult joined = runSession(cfg, 8, 24);
+            EXPECT_EQ(joined.elasticity.joins, 1u);
+            EXPECT_NEAR(joined.throughput, fixed.throughput,
+                        1e-12 * fixed.throughput);
+        }
 }
 
 // --- prep-FPGA elasticity --------------------------------------------

@@ -75,8 +75,8 @@ TEST(MultiJob, SmallerJobsSeeLowerSyncOverhead)
         {{ModelId::Vgg19, 8}, {ModelId::Vgg19, 248}}, 32);
     ASSERT_EQ(plan.jobs.size(), 2u);
     const double small_per_acc =
-        plan.jobs[0].demand / 8.0;
-    const double large_per_acc = plan.jobs[1].demand / 248.0;
+        plan.jobs[0].plan.demand / 8.0;
+    const double large_per_acc = plan.jobs[1].plan.demand / 248.0;
     EXPECT_GT(small_per_acc, large_per_acc);
 }
 

@@ -242,7 +242,7 @@ TEST(Builder, EveryTemplateMatchesItsPin)
         {ArchPreset::BaselineAccP2p, 0x6622f0b125a4f007ull},
         {ArchPreset::BaselineAccP2pGen4, 0x6622f0b125a4f007ull},
         {ArchPreset::TrainBoxNoPool, 0x3296cde89b0461a9ull},
-        {ArchPreset::TrainBox, 0xf07a1a8d8972fbdfull},
+        {ArchPreset::TrainBox, 0x8b5f10aa8ded268full},
     };
     for (ArchPreset p : allPresets()) {
         std::uint64_t h = 0xcbf29ce484222325ull;
@@ -397,36 +397,47 @@ TEST(Initializer, PoolMatchesBuilder)
 }
 
 // The plan credits the server the FPGAs its train boxes hold (a box of
-// four or fewer accelerators holds one), and the plan over the built
-// groups' own counts, which is what the elastic re-plan computes at
-// full membership, has the plan's offload bit for bit, at any box
-// count and batch.
+// four or fewer accelerators holds one), every built box keeps up with
+// the share of its batch it preps itself, the pool carries the rest,
+// and the plan over the built groups' own counts, which is what the
+// elastic re-plan computes at full membership, has the plan's offload
+// bit for bit, at any box count and batch.
 TEST(Initializer, PlanSplitMatchesTheBuiltServer)
 {
     for (const auto &m : workload::modelZoo())
         for (std::size_t n = 1; n <= 40; ++n)
             for (const std::size_t batch : {0u, 256u, 2048u}) {
+                SCOPED_TRACE(m.name + " n=" + std::to_string(n) +
+                             " batch=" + std::to_string(batch));
                 ServerConfig cfg = baseConfig(ArchPreset::TrainBox, m.id, n);
                 cfg.batchSize = batch;
                 const PrepPlan plan = planPreparation(cfg);
                 auto server = buildServer(cfg);
-                std::size_t accs = 0;
-                std::size_t fpgas = 0;
+                const workload::PrepDemand d = workload::prepDemand(m.input);
+                const double chain = d.fpgaChainRate;
+                const double per_acc = plan.demand / static_cast<double>(n);
+                const double local = 1.0 - plan.offloadFraction;
+                PrepBoxes built;
                 for (const auto &g : server->groups) {
-                    accs += g.numAccelerators;
-                    fpgas += g.preps.size();
+                    built.add(g.numAccelerators, g.preps.size());
+                    EXPECT_LE(local * static_cast<double>(g.numAccelerators) *
+                                  per_acc,
+                              static_cast<double>(g.preps.size()) * chain *
+                                  (1.0 + 1e-12))
+                        << g.name;
                 }
-                const double chain =
-                    workload::prepDemand(m.input).fpgaChainRate;
                 EXPECT_EQ(plan.localCapacity,
-                          static_cast<double>(fpgas) * chain)
-                    << m.name << " n=" << n << " batch=" << batch;
-                EXPECT_EQ(planPreparation(cfg, accs, fpgas).offloadFraction,
-                          plan.offloadFraction)
-                    << m.name << " n=" << n << " batch=" << batch;
-                EXPECT_EQ(server->pool ? server->pool->size() : 0u,
-                          plan.poolFpgas)
-                    << m.name << " n=" << n << " batch=" << batch;
+                          static_cast<double>(built.engines) * chain);
+                EXPECT_EQ(planPreparation(cfg, built).offloadFraction,
+                          plan.offloadFraction);
+                const std::size_t pool =
+                    server->pool ? server->pool->size() : 0;
+                EXPECT_EQ(pool, plan.poolFpgas);
+                const double pool_rate = std::min(
+                    chain, PrepAccelerator::defaultEthernetBw /
+                               (d.ssdBytes + d.preparedBytes));
+                EXPECT_GE(static_cast<double>(pool) * pool_rate,
+                          plan.offloadFraction * plan.demand * (1.0 - 1e-12));
             }
 }
 

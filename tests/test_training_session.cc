@@ -243,6 +243,32 @@ TEST(Session, P2pFreesHostMemory)
               0.01 * SessionReport::sumCategories(acc.memBwByCategory));
 }
 
+// Each train box preps its own batch, so a partial last box, which
+// holds more FPGAs per accelerator than a full one, must not lower the
+// share every box forwards: a TrainBox server of any size keeps up with
+// its planned demand when the plan sizes its pool.
+TEST(Session, TrainBoxKeepsUpAtEveryBoxShape)
+{
+    for (const workload::ModelId id :
+         {workload::ModelId::TfSr, workload::ModelId::TfAa,
+          workload::ModelId::RnnS})
+        for (std::size_t n = 1; n <= 20; ++n)
+            for (const std::size_t batch : {0u, 2048u}) {
+                SCOPED_TRACE(workload::model(id).name +
+                             " n=" + std::to_string(n) +
+                             " batch=" + std::to_string(batch));
+                const ServerConfig cfg = ServerConfig::trainBox()
+                                             .withModel(id)
+                                             .withAccelerators(n)
+                                             .withBatchSize(batch);
+                const double demand = planPreparation(cfg).demand;
+                auto server = buildServer(cfg);
+                TrainingSession session(*server);
+                EXPECT_NEAR(session.run(8, 24).throughput, demand,
+                            1e-9 * demand);
+            }
+}
+
 TEST(Session, BatchSizeSweepFavorsTrainBox)
 {
     // Fig 20: at 256 accelerators TrainBox wins at small and large

@@ -14,6 +14,7 @@
  * them); --no-metrics shows the host-axis fallback attribution.
  */
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -323,7 +324,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--pool") {
-            opt.fleetPool = tb::cli::intArgument(argc, argv, i, kUsage);
+            opt.fleetPool = static_cast<int>(tb::cli::integerArgument(
+                argc, argv, i, kUsage, INT_MIN, INT_MAX, "an integer"));
         } else {
             std::fprintf(stderr, "tb_report: unknown option '%s'\n",
                          arg.c_str());
