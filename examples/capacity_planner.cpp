@@ -13,11 +13,12 @@
  *   ./capacity_planner [model-name] [num-accelerators] [--calibrate]
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "fpga/engine_library.hh"
 #include "prep/executor/calibration.hh"
@@ -29,8 +30,12 @@ main(int argc, char **argv)
 {
     using namespace tb;
 
+    constexpr const char *kUsage =
+        "[model-name] [num-accelerators] [--calibrate]";
     std::string model_name = "Transformer-SR";
-    std::size_t n = 256;
+    // Every positional argument after the model name, space-separated:
+    // one positive integer, or the count is rejected.
+    std::string count;
     bool calibrate = false;
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
@@ -39,8 +44,13 @@ main(int argc, char **argv)
         else if (positional++ == 0)
             model_name = argv[i];
         else
-            n = static_cast<std::size_t>(std::atoll(argv[i]));
+            count += (count.empty() ? "" : " ") + std::string(argv[i]);
     }
+    const std::size_t n = count.empty()
+        ? 256
+        : static_cast<std::size_t>(cli::integerValue(
+              argv, "num-accelerators", count.c_str(), kUsage, 1,
+              LLONG_MAX, "a positive integer"));
 
     const workload::ModelInfo &m = workload::modelByName(model_name);
     ServerConfig cfg;

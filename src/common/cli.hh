@@ -1,8 +1,9 @@
 /**
  * @file
- * Option values for the command-line programs (the benches and
- * tools/tb_report): a missing or malformed value exits 2 with a usage
- * line instead of running with a guessed one.
+ * Option values for the command-line programs (the benches,
+ * tools/tb_report and the capacity planner): a missing or malformed
+ * value exits 2 with a usage line instead of running with a guessed
+ * one.
  */
 
 #ifndef TRAINBOX_COMMON_CLI_HH
@@ -33,15 +34,15 @@ rejectValue(char **argv, const char *option, const char *value,
 }
 
 /**
- * The integer after option argv[i], which moves @p i past it: a value
- * in [@p lo, @p hi]. Anything else exits 2, saying the option @p wants.
+ * @p text, the value of @p option (a flag or a positional argument's
+ * name), as an integer in [@p lo, @p hi]. Anything else exits 2,
+ * saying the option @p wants.
  */
 inline long long
-integerArgument(int argc, char **argv, int &i, const char *usage,
-                long long lo, long long hi, const char *wants)
+integerValue(char **argv, const char *option, const char *text,
+             const char *usage, long long lo, long long hi,
+             const char *wants)
 {
-    const char *option = argv[i];
-    const char *text = i + 1 < argc ? argv[++i] : "";
     const char *digits = text[0] == '-' ? text + 1 : text;
     char *end = nullptr;
     errno = 0;
@@ -50,6 +51,19 @@ integerArgument(int argc, char **argv, int &i, const char *usage,
         *end != '\0' || errno == ERANGE || value < lo || value > hi)
         rejectValue(argv, option, text, wants, usage);
     return value;
+}
+
+/**
+ * The integer after option argv[i], which moves @p i past it; see
+ * integerValue().
+ */
+inline long long
+integerArgument(int argc, char **argv, int &i, const char *usage,
+                long long lo, long long hi, const char *wants)
+{
+    const char *option = argv[i];
+    const char *text = i + 1 < argc ? argv[++i] : "";
+    return integerValue(argv, option, text, usage, lo, hi, wants);
 }
 
 /** The count after option argv[i]: positive, or also 0 when @p zeroOk. */

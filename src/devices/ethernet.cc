@@ -26,8 +26,7 @@ PrepPool::setFabricBandwidthScale(double scale)
         return;
     fabricScale_ = scale;
     // Keep a tiny floor so in-flight flows stay finite-time.
-    fabric_->setCapacity(nominalFabricBw_ * std::max(scale, 1e-9));
-    net_.capacityChanged(fabric_);
+    net_.setCapacity(fabric_, nominalFabricBw_ * std::max(scale, 1e-9));
 }
 
 PoolFpga &
@@ -40,15 +39,6 @@ PrepPool::addFpga(Rate engine_rate, Rate port_bw)
     fpga.engine = net_.addResource(id + ".engine", engine_rate);
     fpgas_.push_back(fpga);
     return fpgas_.back();
-}
-
-Rate
-PrepPool::totalEngineRate() const
-{
-    Rate total = 0.0;
-    for (const auto &f : fpgas_)
-        total += f.engine->capacity();
-    return total;
 }
 
 } // namespace tb

@@ -44,9 +44,6 @@ class PrepPool
     const std::vector<PoolFpga> &fpgas() const { return fpgas_; }
     std::size_t size() const { return fpgas_.size(); }
 
-    /** Aggregate engine capacity of the pool (samples/s). */
-    Rate totalEngineRate() const;
-
     /**
      * Scale the switch fabric to @p scale x nominal bandwidth (fault
      * injection: Ethernet degradation windows). 1.0 restores health.

@@ -4,13 +4,11 @@ namespace tb {
 
 PrepAccelerator::PrepAccelerator(FluidNetwork &net, pcie::Topology &topo,
                                  const std::string &name,
-                                 pcie::NodeId parent, PrepEngineKind kind,
-                                 Rate engine_rate, bool with_ethernet,
-                                 Rate link_bw)
+                                 pcie::NodeId parent, Rate engine_rate,
+                                 bool with_ethernet, Rate link_bw)
     : net_(net),
       name_(name),
       node_(topo.addDevice(name, parent, link_bw)),
-      kind_(kind),
       engine_(net.addResource(name + ".engine", engine_rate)),
       nominalEngineRate_(engine_rate)
 {
@@ -24,9 +22,8 @@ PrepAccelerator::setFailed(bool failed)
     if (failed == failed_)
         return;
     failed_ = failed;
-    engine_->setCapacity(nominalEngineRate_ *
-                         (failed ? kFailedCapacityScale : 1.0));
-    net_.capacityChanged(engine_);
+    net_.setCapacity(engine_, nominalEngineRate_ *
+                                  (failed ? kFailedCapacityScale : 1.0));
 }
 
 } // namespace tb

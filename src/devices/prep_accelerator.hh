@@ -21,9 +21,6 @@
 
 namespace tb {
 
-/** Implementation substrate of a prep accelerator. */
-enum class PrepEngineKind { Fpga, Gpu };
-
 /** One data-preparation accelerator attached to the PCIe tree. */
 class PrepAccelerator
 {
@@ -39,22 +36,17 @@ class PrepAccelerator
      */
     PrepAccelerator(FluidNetwork &net, pcie::Topology &topo,
                     const std::string &name, pcie::NodeId parent,
-                    PrepEngineKind kind, Rate engineRate,
-                    bool withEthernet,
+                    Rate engineRate, bool withEthernet,
                     Rate linkBw = pcie::gen::gen3x16);
 
     const std::string &name() const { return name_; }
     pcie::NodeId node() const { return node_; }
-    PrepEngineKind kind() const { return kind_; }
 
     /** The formatting+augmentation pipeline resource (samples/s). */
     FluidResource *engine() const { return engine_; }
 
     /** Ethernet port toward the prep-pool (nullptr when absent). */
     FluidResource *ethernetPort() const { return ethPort_; }
-
-    /** Demand on the engine per sample. */
-    FlowDemand engineDemand() const { return {engine_, 1.0}; }
 
     /**
      * Crash / repair the accelerator (fault injection). A failed engine
@@ -65,8 +57,6 @@ class PrepAccelerator
      */
     void setFailed(bool failed);
 
-    bool failed() const { return failed_; }
-
     /** Residual engine capacity of a crashed accelerator. */
     static constexpr double kFailedCapacityScale = 1e-9;
 
@@ -74,7 +64,6 @@ class PrepAccelerator
     FluidNetwork &net_;
     std::string name_;
     pcie::NodeId node_;
-    PrepEngineKind kind_;
     FluidResource *engine_;
     FluidResource *ethPort_ = nullptr;
     Rate nominalEngineRate_;

@@ -31,8 +31,7 @@ NvmeSsd::setReadBandwidthScale(double scale)
     readScale_ = scale;
     // Floor the effective capacity so the fluid allocator never sees a
     // zero-capacity resource (flows would take infinite time).
-    readBw_->setCapacity(nominalReadBw_ * std::max(scale, 1e-9));
-    net_.capacityChanged(readBw_);
+    net_.setCapacity(readBw_, nominalReadBw_ * std::max(scale, 1e-9));
 }
 
 } // namespace tb

@@ -70,19 +70,6 @@ FluidResource::FluidResource(std::string name, Rate capacity,
              name_.c_str(), capacity);
 }
 
-void
-FluidResource::setCapacity(Rate capacity)
-{
-    // Zero is a legal *runtime* capacity (an elastic member that left,
-    // a device that is fully down): the solver parks flows demanding a
-    // zero-capacity resource at rate 0 until capacity returns. Only
-    // negative or non-finite capacities are programming errors.
-    panic_if(capacity < 0.0 || !std::isfinite(capacity),
-             "resource %s capacity %g must be finite and >= 0",
-             name_.c_str(), capacity);
-    capacity_ = capacity;
-}
-
 const std::map<std::string, double> &
 FluidResource::servedByCategory() const
 {
@@ -189,14 +176,6 @@ FluidNetwork::attachMetrics(MetricsRegistry *metrics)
     if (metrics == nullptr || !metrics->enabled() || metrics == metrics_)
         return;
     metrics_ = metrics;
-    flowsStartedCtr_ = metrics_->counter("fluid.flows_started",
-                                         "flows launched");
-    flowsCompletedCtr_ = metrics_->counter("fluid.flows_completed",
-                                           "flows run to completion");
-    flowsCancelledCtr_ = metrics_->counter("fluid.flows_cancelled",
-                                           "flows aborted");
-    activeFlowsGauge_ = metrics_->gauge("fluid.active_flows",
-                                        "in-flight flows");
     for (auto &r : resources_)
         instrumentResource(r.get());
 }
@@ -331,12 +310,6 @@ FluidNetwork::startFlow(FlowSpec spec)
     addMembership(flow);
     markFlowDirty(flow);
     updateHeaps(flow);
-
-    if (flowsStartedCtr_) {
-        flowsStartedCtr_->inc();
-        activeFlowsGauge_->set(static_cast<double>(numActive()));
-    }
-
     afterMutation();
     return id;
 }
@@ -348,10 +321,6 @@ FluidNetwork::cancelFlow(FlowId id)
         FluidFlow &flow = slots_[slotOf(id)];
         settle(flow, eq_.now());
         removeFlow(flow);
-        if (flowsCancelledCtr_) {
-            flowsCancelledCtr_->inc();
-            activeFlowsGauge_->set(static_cast<double>(numActive()));
-        }
     }
     afterMutation();
 }
@@ -389,9 +358,17 @@ FluidNetwork::flowRemaining(FlowId id) const
 }
 
 void
-FluidNetwork::capacityChanged(FluidResource *resource)
+FluidNetwork::setCapacity(FluidResource *resource, Rate capacity)
 {
-    panic_if(resource == nullptr, "capacityChanged(null resource)");
+    panic_if(resource == nullptr, "setCapacity(null resource)");
+    // Zero is a legal *runtime* capacity (an elastic member that left,
+    // a device that is fully down): the solver parks flows demanding a
+    // zero-capacity resource at rate 0 until capacity returns. Only
+    // negative or non-finite capacities are programming errors.
+    panic_if(capacity < 0.0 || !std::isfinite(capacity),
+             "resource %s capacity %g must be finite and >= 0",
+             resource->name().c_str(), capacity);
+    resource->capacity_ = capacity;
     markDirty(resource);
     afterMutation();
 }
@@ -702,11 +679,6 @@ FluidNetwork::completeEarliest()
         settle(*flow, now);
         doneCallbacks_.push_back(std::move(flow->onComplete));
         removeFlow(*flow);
-    }
-
-    if (flowsCompletedCtr_ && !doneCallbacks_.empty()) {
-        flowsCompletedCtr_->add(static_cast<double>(doneCallbacks_.size()));
-        activeFlowsGauge_->set(static_cast<double>(numActive()));
     }
 
     for (auto &cb : doneCallbacks_)

@@ -58,8 +58,6 @@
 namespace tb {
 
 class MetricsRegistry;
-class MetricCounter;
-class MetricGauge;
 class TimeWeightedHistogram;
 
 /**
@@ -74,15 +72,6 @@ class FluidResource
 
     /** Dense creation index in the owning network (0, 1, 2, ...). */
     std::uint32_t index() const { return index_; }
-
-    /**
-     * Change capacity (e.g., Gen3 -> Gen4 sweep); caller must notify the
-     * network via capacityChanged(this). Zero is legal — active flows
-     * demanding a zero-capacity resource are parked at rate 0 (no
-     * divide-by-zero, no NaN rates) until a later setCapacity +
-     * capacityChanged restores them. Negative or non-finite panics.
-     */
-    void setCapacity(Rate capacity);
 
     /**
      * Total units served through this resource so far. In-flight flows
@@ -417,11 +406,14 @@ class FluidNetwork
     static constexpr unsigned kSlotBits = 24;
 
     /**
-     * Notify the network that one resource's capacity changed. Only the
-     * component containing @p resource is re-solved (in Incremental
-     * mode); several changes inside one FlowBatch cost one solve.
+     * Change @p resource's capacity (e.g., a Gen3 -> Gen4 sweep, a
+     * degraded device) and re-solve its component only (in Incremental
+     * mode); several changes inside one FlowBatch cost one solve. Zero
+     * is legal: flows demanding a zero-capacity resource are parked at
+     * rate 0 (no divide-by-zero, no NaN rates) until a later change
+     * restores them. Negative or non-finite panics.
      */
-    void capacityChanged(FluidResource *resource);
+    void setCapacity(FluidResource *resource, Rate capacity);
 
     /** Select the solver strategy (takes effect at the next solve). */
     void setSolverMode(SolverMode mode) { mode_ = mode; }
@@ -460,10 +452,10 @@ class FluidNetwork
      * network keeps one time-weighted utilization histogram per
      * resource ("util.<resource>") — rates are piecewise constant
      * between flow events, so every interval between two load changes
-     * of a resource becomes one exact histogram sample — plus flow
-     * lifecycle counters. A disabled registry (or nullptr) leaves the
-     * network exactly on the uninstrumented path, and attaching the
-     * registry already attached is a no-op. Attach before flows start.
+     * of a resource becomes one exact histogram sample. A disabled
+     * registry (or nullptr) leaves the network exactly on the
+     * uninstrumented path, and attaching the registry already attached
+     * is a no-op. Attach before flows start.
      */
     void attachMetrics(MetricsRegistry *metrics);
 
@@ -584,12 +576,8 @@ class FluidNetwork
     std::vector<FluidFlow *> doneFlows_;
     std::vector<std::function<void(Time)>> doneCallbacks_;
 
-    // metrics instrumentation (all nullptr when metrics are disabled)
+    /** Utilization histories' registry (nullptr when disabled). */
     MetricsRegistry *metrics_ = nullptr;
-    MetricCounter *flowsStartedCtr_ = nullptr;
-    MetricCounter *flowsCompletedCtr_ = nullptr;
-    MetricCounter *flowsCancelledCtr_ = nullptr;
-    MetricGauge *activeFlowsGauge_ = nullptr;
 };
 
 } // namespace tb

@@ -163,8 +163,7 @@ Topology::scaleLinkBandwidth(double factor)
     // reschedules once.
     FluidNetwork::FlowBatch batch(net_);
     auto scale = [&](FluidResource *r) {
-        r->setCapacity(r->capacity() * factor);
-        net_.capacityChanged(r);
+        net_.setCapacity(r, r->capacity() * factor);
     };
     for (auto &n : nodes_) {
         if (n.up)

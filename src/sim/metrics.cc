@@ -108,15 +108,6 @@ MetricsRegistry::counter(const std::string &name, const std::string &desc)
                         std::make_unique<MetricCounter>());
 }
 
-MetricGauge *
-MetricsRegistry::gauge(const std::string &name, const std::string &desc)
-{
-    if (!enabled_)
-        return nullptr;
-    return findOrCreate(gauges_, gaugeIndex_, name, desc,
-                        std::make_unique<MetricGauge>());
-}
-
 TimeWeightedHistogram *
 MetricsRegistry::histogram(const std::string &name,
                            const std::string &desc,
@@ -135,12 +126,6 @@ MetricsRegistry::findCounter(const std::string &name) const
     return find(counters_, counterIndex_, name);
 }
 
-const MetricGauge *
-MetricsRegistry::findGauge(const std::string &name) const
-{
-    return find(gauges_, gaugeIndex_, name);
-}
-
 const TimeWeightedHistogram *
 MetricsRegistry::findHistogram(const std::string &name) const
 {
@@ -151,8 +136,6 @@ void
 MetricsRegistry::resetAll()
 {
     for (auto &e : counters_)
-        e.metric->reset();
-    for (auto &e : gauges_)
         e.metric->reset();
     for (auto &e : histograms_)
         e.metric->reset();

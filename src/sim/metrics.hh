@@ -1,7 +1,7 @@
 /**
  * @file
- * Unified metrics layer: counters, gauges, and time-weighted
- * utilization histograms behind a MetricsRegistry.
+ * Unified metrics layer: counters and time-weighted utilization
+ * histograms behind a MetricsRegistry.
  *
  * The registry is the collection point for everything the observability
  * layer records during a run: the fluid solver samples per-resource
@@ -40,18 +40,6 @@ class MetricCounter
   public:
     void add(double v) { value_ += v; }
     void inc() { value_ += 1.0; }
-    double value() const { return value_; }
-    void reset() { value_ = 0.0; }
-
-  private:
-    double value_ = 0.0;
-};
-
-/** Last-value-wins instantaneous measurement. */
-class MetricGauge
-{
-  public:
-    void set(double v) { value_ = v; }
     double value() const { return value_; }
     void reset() { value_ = 0.0; }
 
@@ -143,8 +131,6 @@ class MetricsRegistry
      */
     MetricCounter *counter(const std::string &name,
                            const std::string &desc = "");
-    MetricGauge *gauge(const std::string &name,
-                       const std::string &desc = "");
     TimeWeightedHistogram *histogram(const std::string &name,
                                      const std::string &desc = "",
                                      std::size_t numBuckets = 10,
@@ -152,7 +138,6 @@ class MetricsRegistry
 
     /** Lookup without creation (nullptr when absent or disabled). */
     const MetricCounter *findCounter(const std::string &name) const;
-    const MetricGauge *findGauge(const std::string &name) const;
     const TimeWeightedHistogram *
     findHistogram(const std::string &name) const;
 
@@ -168,10 +153,6 @@ class MetricsRegistry
     {
         return counters_;
     }
-    const std::vector<Entry<MetricGauge>> &gauges() const
-    {
-        return gauges_;
-    }
     const std::vector<Entry<TimeWeightedHistogram>> &histograms() const
     {
         return histograms_;
@@ -180,7 +161,7 @@ class MetricsRegistry
     /** Total number of registered instruments. */
     std::size_t size() const
     {
-        return counters_.size() + gauges_.size() + histograms_.size();
+        return counters_.size() + histograms_.size();
     }
 
     /** Reset every instrument (measurement-window reset). */
@@ -189,10 +170,8 @@ class MetricsRegistry
   private:
     bool enabled_ = false;
     std::vector<Entry<MetricCounter>> counters_;
-    std::vector<Entry<MetricGauge>> gauges_;
     std::vector<Entry<TimeWeightedHistogram>> histograms_;
     std::map<std::string, std::size_t> counterIndex_;
-    std::map<std::string, std::size_t> gaugeIndex_;
     std::map<std::string, std::size_t> histogramIndex_;
 };
 

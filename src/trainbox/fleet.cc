@@ -105,6 +105,11 @@ FleetConfig::validate() const
             return stringPrintf("job %s needs %zu boxes but the largest "
                                 "host has %zu",
                                 spec.name.c_str(), need, max_boxes);
+        // buildServer() checks again at admission, which may come
+        // after other jobs ran: refuse the scenario up front.
+        const std::string err = spec.config.validate();
+        if (!err.empty())
+            return "job " + spec.name + ": " + err;
     }
 
     // A job's resources and metrics live under "<name>." and a retry's

@@ -168,8 +168,9 @@ struct FleetConfig
     /**
      * Validate the scenario: "" when admissible, else a one-line
      * description of the first problem found (same contract as
-     * ServerConfig::validate()). The FleetSimulation constructor
-     * fatal()s on a non-empty answer.
+     * ServerConfig::validate(), whose answer for a job's config comes
+     * back as "job <name>: <problem>"). The FleetSimulation
+     * constructor fatal()s on a non-empty answer.
      */
     std::string validate() const;
 };

@@ -96,8 +96,8 @@ struct Builder
     std::size_t nGroups;
     Rate engineRate;
 
-    /** Per-group device assignments. */
-    std::vector<std::vector<NnAccelerator *>> groupAccs;
+    /** Per-group device assignments (accelerators as PCIe leaves). */
+    std::vector<std::vector<pcie::NodeId>> groupAccs;
     std::vector<PrepVec> groupPreps;
     std::vector<std::vector<NvmeSsd *>> groupSsds;
 
@@ -188,7 +188,7 @@ struct Builder
         st.verifiesIntegrity = true;
         for (auto *prep : preps)
             ds.add(prep->engine(), share(preps.size()) * kIntegrityEngineTax);
-        ds.add(s.cpu->resource(), kP2pControlCpu);
+        ds.add(s.cpu, kP2pControlCpu);
         st.demandsPerSample = ds.build();
         return st;
     }
@@ -201,8 +201,8 @@ struct Builder
         StageTemplate st = stage(name, "integrity");
         st.verifiesIntegrity = true;
         const double cpu = bytes * kCrcCpuPerByte;
-        ds.add(s.cpu->resource(), cpu);
-        ds.add(s.hostMem->resource(), bytes);
+        ds.add(s.cpu, cpu);
+        ds.add(s.hostMem, bytes);
         st.demandsPerSample = ds.build();
         if (fairCpu) {
             st.rateCap = cpuCap(cpu);
@@ -217,7 +217,7 @@ struct Builder
     {
         StageTemplate st = stage("integrity_sink", "integrity");
         st.verifiesIntegrity = true;
-        ds.add(s.cpu->resource(), kP2pControlCpu);
+        ds.add(s.cpu, kP2pControlCpu);
         st.demandsPerSample = ds.build();
         return st;
     }
@@ -246,10 +246,10 @@ struct Builder
             }
         }
         if (!p2p) {
-            ds.add(s.hostMem->resource(), d.ssdBytes);
+            ds.add(s.hostMem, d.ssdBytes);
             st.corruptionHops |= kDramHop;
         }
-        ds.add(s.cpu->resource(), cpu);
+        ds.add(s.cpu, cpu);
         st.demandsPerSample = ds.build();
         return st;
     }
@@ -260,8 +260,8 @@ struct Builder
              bool toPreps)
     {
         StageTemplate st = stage(name, "data_copy", kPcieHop | kDramHop);
-        ds.add(s.hostMem->resource(), bytes);
-        ds.add(s.cpu->resource(), kDmaSetupCpu);
+        ds.add(s.hostMem, bytes);
+        ds.add(s.cpu, kDmaSetupCpu);
         for (auto *prep : preps)
             topo.addHostRoute(ds, prep->node(), toPreps,
                               bytes * share(preps.size()));
@@ -307,8 +307,8 @@ struct Builder
     cpuStage(PrepStage ps)
     {
         StageTemplate st = stage(ps, kDramHop);
-        ds.add(s.cpu->resource(), stageCpu(ps));
-        ds.add(s.hostMem->resource(), stageMem(ps));
+        ds.add(s.cpu, stageCpu(ps));
+        ds.add(s.hostMem, stageMem(ps));
         st.demandsPerSample = ds.build();
         st.rateCap = cpuCap(stageCpu(ps));
         st.fairWeight = cpuFair(stageCpu(ps));
@@ -327,18 +327,18 @@ struct Builder
         StageTemplate st = stage(PrepStage::DataLoad, kPcieHop);
         if (p2p) {
             for (auto *prep : preps)
-                for (auto *acc : accs)
-                    topo.addRoute(ds, prep->node(), acc->node(),
+                for (pcie::NodeId acc : accs)
+                    topo.addRoute(ds, prep->node(), acc,
                                   d.preparedBytes * share(preps.size()) *
                                       share(accs.size()));
         } else {
-            ds.add(s.hostMem->resource(), d.preparedBytes);
-            for (auto *acc : accs)
-                topo.addHostRoute(ds, acc->node(), true,
+            ds.add(s.hostMem, d.preparedBytes);
+            for (pcie::NodeId acc : accs)
+                topo.addHostRoute(ds, acc, true,
                                   d.preparedBytes * share(accs.size()));
             st.corruptionHops |= kDramHop;
         }
-        ds.add(s.cpu->resource(), cpu);
+        ds.add(s.cpu, cpu);
         st.demandsPerSample = ds.build();
         return st;
     }
@@ -348,7 +348,7 @@ struct Builder
     othersStage(double cpu, bool fairCpu)
     {
         StageTemplate st = stage(PrepStage::Others);
-        ds.add(s.cpu->resource(), cpu);
+        ds.add(s.cpu, cpu);
         st.demandsPerSample = ds.build();
         st.rateCap = cpuCap(cpu);
         if (fairCpu)
@@ -465,8 +465,8 @@ Builder::checkpointWrite(std::size_t g)
     // of one prep stream on every contended resource.
     st.fairWeight = d.ssdBytes;
     if (central) {
-        ds.add(s.hostMem->resource(), 1.0);
-        ds.add(s.cpu->resource(), kCkptSerializeCpu);
+        ds.add(s.hostMem, 1.0);
+        ds.add(s.cpu, kCkptSerializeCpu);
     }
     for (auto *ssd : ssds) {
         ds.add(ssd->writeDemand(ssd_share).resource, ssd_share);
@@ -496,8 +496,8 @@ Builder::ingestWrite(std::size_t g)
     const auto &ssds = groupSsds[g];
     const double bytes = d.ssdBytes * share(ssds.size());
     StageTemplate st = stage("ingest_write", "ingest");
-    ds.add(s.hostMem->resource(), d.ssdBytes);
-    ds.add(s.cpu->resource(), kDmaSetupCpu + d.ssdBytes * kCrcCpuPerByte);
+    ds.add(s.hostMem, d.ssdBytes);
+    ds.add(s.cpu, kDmaSetupCpu + d.ssdBytes * kCrcCpuPerByte);
     for (auto *ssd : ssds) {
         const FlowDemand wr = ssd->shardWriteDemand(bytes);
         const FlowDemand rd = ssd->shardWriteReadInterference(bytes);
@@ -532,11 +532,9 @@ Builder::buildCentral()
             topo.addSwitch(box, topo.root(), pcie::gen::gen3x16);
         const std::size_t count =
             std::min(kAccPerBox, nAcc - g * kAccPerBox);
-        for (std::size_t i = 0; i < count; ++i) {
-            s.accs.push_back(std::make_unique<NnAccelerator>(
-                topo, box + ".acc" + std::to_string(i), sw));
-            groupAccs[g].push_back(s.accs.back().get());
-        }
+        for (std::size_t i = 0; i < count; ++i)
+            groupAccs[g].push_back(topo.addDevice(
+                box + ".acc" + std::to_string(i), sw, pcie::gen::gen3x16));
     }
 
     // SSD boxes: same aggregate SSD count as the clustered design.
@@ -561,7 +559,6 @@ Builder::buildCentral()
     // eight engines per box (§III-A box structure).
     if (presetUsesPrepAccelerators(cfg.preset)) {
         const std::size_t n_prep = std::max<std::size_t>(1, nAcc / 4);
-        const PrepEngineKind kind = prepEngineKind(cfg.preset);
         pcie::NodeId sw = pcie::kInvalidNode;
         for (std::size_t i = 0; i < n_prep; ++i) {
             if (i % 8 == 0) {
@@ -571,7 +568,7 @@ Builder::buildCentral()
                                     pcie::gen::gen3x16);
             }
             s.preps.push_back(std::make_unique<PrepAccelerator>(
-                s.core().fluid(), topo, "prep" + std::to_string(i), sw, kind,
+                s.core().fluid(), topo, "prep" + std::to_string(i), sw,
                 engineRate, /*withEthernet=*/false));
         }
         // Assign engines to groups round-robin so every group has at
@@ -616,17 +613,14 @@ Builder::buildClustered()
                 box + ".sw" + std::to_string(i), top,
                 pcie::gen::gen3x16));
 
-        for (std::size_t i = 0; i < count; ++i) {
-            s.accs.push_back(std::make_unique<NnAccelerator>(
-                topo, box + ".acc" + std::to_string(i),
-                subs[i % n_sub]));
-            groupAccs[g].push_back(s.accs.back().get());
-        }
+        for (std::size_t i = 0; i < count; ++i)
+            groupAccs[g].push_back(topo.addDevice(
+                box + ".acc" + std::to_string(i), subs[i % n_sub],
+                pcie::gen::gen3x16));
         for (std::size_t i = 0; i < cfg.box.boxFpgas(count); ++i) {
             s.preps.push_back(std::make_unique<PrepAccelerator>(
                 s.core().fluid(), topo, box + ".fpga" + std::to_string(i),
-                subs[i % n_sub], PrepEngineKind::Fpga, engineRate,
-                /*withEthernet=*/true));
+                subs[i % n_sub], engineRate, /*withEthernet=*/true));
             groupPreps[g].push_back(s.preps.back().get());
         }
         for (std::size_t i = 0; i < kSsdsPerBox; ++i) {
@@ -785,9 +779,8 @@ buildServer(const ServerConfig &cfg, SimulationCore *core,
 
     server->topo = std::make_unique<pcie::Topology>(
         net, "pcie.rc", cfg.host.rcBandwidth);
-    server->hostMem =
-        std::make_unique<HostMemory>(net, cfg.host.memBandwidth);
-    server->cpu = std::make_unique<CpuPool>(net, cfg.host.cpuCores);
+    server->hostMem = net.addResource("host.dram", cfg.host.memBandwidth);
+    server->cpu = net.addResource("host.cpu", cfg.host.cpuCores);
 
     Builder builder(*server, server->resBegin_);
     if (presetUsesClustering(cfg.preset))

@@ -21,11 +21,8 @@
 #include <vector>
 
 #include "devices/ethernet.hh"
-#include "devices/nn_accelerator.hh"
 #include "devices/prep_accelerator.hh"
 #include "devices/ssd.hh"
-#include "memsys/cpu_pool.hh"
-#include "memsys/host_memory.hh"
 #include "pcie/topology.hh"
 #include "sim/metrics.hh"
 #include "sim/simulation_core.hh"
@@ -210,11 +207,26 @@ class Server
     MetricsRegistry &metrics;
 
     std::unique_ptr<pcie::Topology> topo;
-    std::unique_ptr<HostMemory> hostMem;
-    std::unique_ptr<CpuPool> cpu;
+
+    /**
+     * Host DRAM bandwidth (bytes/s), one server for every staging copy
+     * through the host: the SSD -> DRAM DMA write, the CPU's read and
+     * write passes while formatting, the DRAM -> accelerator DMA read.
+     * Its per-category accounting gives the "Memory BW" columns of
+     * Figs 10b/11/22.
+     */
+    FluidResource *hostMem = nullptr;
+
+    /**
+     * The host's CPU cores (core-seconds per second). A prep task is a
+     * flow of samples demanding its calibrated core-seconds per sample.
+     * Its parallelism limit, a software pipeline of kMaxPrepParallelism
+     * cores, is its stage's rate cap (server_builder.cc). Its
+     * per-category accounting gives the "CPU" columns of Figs 10a/11/22.
+     */
+    FluidResource *cpu = nullptr;
 
     std::vector<std::unique_ptr<NvmeSsd>> ssds;
-    std::vector<std::unique_ptr<NnAccelerator>> accs;
     std::vector<std::unique_ptr<PrepAccelerator>> preps;
     std::unique_ptr<PrepPool> pool;
 

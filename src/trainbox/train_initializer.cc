@@ -3,20 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
-namespace tb {
+#include "devices/prep_accelerator.hh"
 
-PrepEngineKind
-prepEngineKind(ArchPreset p)
-{
-    return p == ArchPreset::BaselineAccGpu ? PrepEngineKind::Gpu
-                                           : PrepEngineKind::Fpga;
-}
+namespace tb {
 
 Rate
 prepEngineRate(ArchPreset p, const workload::PrepDemand &d)
 {
-    return prepEngineKind(p) == PrepEngineKind::Gpu ? d.gpuChainRate
-                                                    : d.fpgaChainRate;
+    return p == ArchPreset::BaselineAccGpu ? d.gpuChainRate
+                                           : d.fpgaChainRate;
 }
 
 void

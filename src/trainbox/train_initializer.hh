@@ -17,16 +17,15 @@
 
 #include <cstddef>
 
-#include "devices/prep_accelerator.hh"
 #include "trainbox/server_config.hh"
 #include "workload/cost_model.hh"
 
 namespace tb {
 
-/** Prep engines preset @p p installs: GPUs on BaselineAccGpu, else FPGAs. */
-PrepEngineKind prepEngineKind(ArchPreset p);
-
-/** Samples/s one of preset @p p's prep engines delivers on demand @p d. */
+/**
+ * Samples/s one of preset @p p's prep engines delivers on demand @p d:
+ * a GPU's on BaselineAccGpu, else an FPGA's.
+ */
 Rate prepEngineRate(ArchPreset p, const workload::PrepDemand &d);
 
 /** Result of the initializer's resource-planning pass. */

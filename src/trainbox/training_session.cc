@@ -15,8 +15,7 @@ TrainingSession::TrainingSession(Server &server)
     : server_(server), eq_(server.core().events()),
       net_(server.core().fluid()),
       meter_(server.stageNames,
-             {server.cpu->resource(), server.hostMem->resource(),
-              server.topo->rcResource()})
+             {server.cpu, server.hostMem, server.topo->rcResource()})
 {
     groups_.resize(server_.groups.size());
     for (std::size_t g = 0; g < groups_.size(); ++g) {
@@ -428,8 +427,8 @@ TrainingSession::onFatalCrash(const FaultEvent &)
 // scale-up joins). The state machine lives on GroupState::membership;
 // transitions that no longer apply (e.g. a drain for a group a preempt
 // already removed) are dropped here. Device capacity changes go through
-// setFailed -> capacityChanged inside a FlowBatch, so the fluid re-solve
-// stays component-local and runs once per transition.
+// setFailed -> FluidNetwork::setCapacity inside a FlowBatch, so the fluid
+// re-solve stays component-local and runs once per transition.
 
 /**
  * Drop group @p g's volatile work, as a crash, a detach or a kill does:

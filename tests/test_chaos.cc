@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "preset_goldens.hh"
 #include "sim/elastic_schedule.hh"
 #include "solve_budget.hh"
 #include "trainbox/report.hh"
@@ -229,24 +230,10 @@ checkInvariants(const SessionResult &res, std::size_t measure,
 
 TEST(ChaosDisabled, PresetThroughputsBitIdentical)
 {
-    // The pinned pre-robustness goldens (ResNet-50, 32 accelerators,
-    // run(4, 8), default config). With faults, checkpoints, corruption,
-    // elasticity AND ingest all disabled, no new resource, flow, or
-    // event may perturb the simulation — also when elasticity and
-    // ingest knobs are set behind their off switches.
-    const struct
-    {
-        ArchPreset preset;
-        double throughput;
-    } golden[] = {
-        { ArchPreset::Baseline, 30412.537359822836 },
-        { ArchPreset::BaselineAccFpga, 44099.421789335029 },
-        { ArchPreset::BaselineAccP2p, 52726.559174010392 },
-        { ArchPreset::BaselineAccP2pGen4, 105706.38456337905 },
-        { ArchPreset::TrainBoxNoPool, 237516.29284407894 },
-        { ArchPreset::TrainBox, 237516.29284407894 },
-        { ArchPreset::BaselineAccGpu, 31966.593052101314 },
-    };
+    // The pinned pre-robustness goldens. With faults, checkpoints,
+    // corruption, elasticity AND ingest all disabled, no new resource,
+    // flow, or event may perturb the simulation — also when elasticity
+    // and ingest knobs are set behind their off switches.
     ServerConfig knobs;
     knobs.elasticity.groupDrain = {10.0, 1.0};
     knobs.elasticity.groupPreempt = {10.0, 1.0};
@@ -256,7 +243,7 @@ TEST(ChaosDisabled, PresetThroughputsBitIdentical)
     knobs.ingest.burst = {1.0e4, 512.0, 0};
     knobs.ingest.policyChain = {IngestPolicy::Stall};
     knobs.ingest.enabled = false;
-    for (const auto &g : golden) {
+    for (const PresetGolden &g : kPresetGoldens) {
         SessionResult plain;
         for (const bool with_knobs : {false, true}) {
             SCOPED_TRACE(std::string(presetName(g.preset)) +

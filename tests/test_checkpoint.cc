@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "preset_goldens.hh"
 #include "result_digest.hh"
 #include "trainbox/checkpoint.hh"
 #include "trainbox/report.hh"
@@ -49,24 +50,9 @@ vggConfig(ArchPreset preset)
 
 TEST(CheckpointDisabled, PresetThroughputsBitIdentical)
 {
-    // Golden throughputs recorded before the checkpoint subsystem
-    // existed (ResNet-50, 32 accelerators, run(4, 8), default config).
     // With checkpointing disabled no new resource, flow, or event may
-    // perturb the simulation, so these must match to the last bit.
-    const struct
-    {
-        ArchPreset preset;
-        double throughput;
-    } golden[] = {
-        { ArchPreset::Baseline, 30412.537359822836 },
-        { ArchPreset::BaselineAccFpga, 44099.421789335029 },
-        { ArchPreset::BaselineAccP2p, 52726.559174010392 },
-        { ArchPreset::BaselineAccP2pGen4, 105706.38456337905 },
-        { ArchPreset::TrainBoxNoPool, 237516.29284407894 },
-        { ArchPreset::TrainBox, 237516.29284407894 },
-        { ArchPreset::BaselineAccGpu, 31966.593052101314 },
-    };
-    for (const auto &g : golden) {
+    // perturb the simulation, so the preset goldens match to the bit.
+    for (const PresetGolden &g : kPresetGoldens) {
         ServerConfig cfg;
         cfg.preset = g.preset;
         cfg.model = workload::ModelId::Resnet50;

@@ -20,6 +20,7 @@
 
 #include <cmath>
 
+#include "preset_goldens.hh"
 #include "trainbox/fleet.hh"
 #include "trainbox/server_builder.hh"
 #include "trainbox/training_session.hh"
@@ -115,20 +116,7 @@ expectLedgersHold(const SessionResult &res)
 // resources, report snapshot.
 TEST(FleetSingleJob, PresetGoldensBitIdentical)
 {
-    const struct
-    {
-        ArchPreset preset;
-        double throughput;
-    } golden[] = {
-        { ArchPreset::Baseline, 30412.537359822836 },
-        { ArchPreset::BaselineAccFpga, 44099.421789335029 },
-        { ArchPreset::BaselineAccP2p, 52726.559174010392 },
-        { ArchPreset::BaselineAccP2pGen4, 105706.38456337905 },
-        { ArchPreset::TrainBoxNoPool, 237516.29284407894 },
-        { ArchPreset::TrainBox, 237516.29284407894 },
-        { ArchPreset::BaselineAccGpu, 31966.593052101314 },
-    };
-    for (const auto &g : golden) {
+    for (const PresetGolden &g : kPresetGoldens) {
         ServerConfig cfg;
         cfg.preset = g.preset;
         cfg.model = workload::ModelId::Resnet50;
@@ -318,6 +306,25 @@ TEST(FleetValidate, LongDuplicateNameAppearsWhole)
     FleetConfig fleet = singleJobFleet(cfg, name);
     fleet.jobs.push_back(fleet.jobs.front());
     EXPECT_EQ(fleet.validate(), "duplicate job name " + name);
+}
+
+// A job's server config is part of the scenario: a bad one is refused
+// before any event runs, not when the job is admitted after the jobs
+// before it ran.
+TEST(FleetValidate, RejectsAJobsInvalidServerConfig)
+{
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.numAccelerators = 8;
+    FleetConfig fleet = singleJobFleet(cfg, "a");
+    FleetJobSpec b = fleet.jobs.front();
+    b.name = "b";
+    b.arrival = 1.0;
+    b.config.prefetchDepth = 1;
+    fleet.jobs.push_back(b);
+    EXPECT_EQ(fleet.validate(), "job b: prefetchDepth must be >= 2 "
+                                "(next-batch prefetch), got 1");
+    EXPECT_DEATH(FleetSimulation{fleet}, "fleet: job b: prefetchDepth");
 }
 
 // One two-box host, two two-box jobs: the second waits for the first

@@ -300,8 +300,7 @@ TEST_F(FluidTest, CapacityChangeTakesEffect)
     spec.onComplete = [&](Time t) { done = t; };
     net.startFlow(std::move(spec));
     eq.schedule(0.5, [&] {
-        link->setCapacity(200.0); // double speed halfway through
-        net.capacityChanged(link);
+        net.setCapacity(link, 200.0); // double speed halfway through
     });
     eq.run();
     // 50 served in 0.5 s, remaining 50 at 200/s -> 0.25 s more.
@@ -323,19 +322,13 @@ TEST_F(FluidTest, ZeroCapacityParksFlowUntilRestored)
     spec.onComplete = [&](Time t) { done = t; };
     const FlowId id = net.startFlow(std::move(spec));
 
-    eq.schedule(0.5, [&] {
-        link->setCapacity(0.0);
-        net.capacityChanged(link);
-    });
+    eq.schedule(0.5, [&] { net.setCapacity(link, 0.0); });
     double remaining_while_parked = -1.0;
     eq.schedule(3.0, [&] {
         EXPECT_DOUBLE_EQ(net.flowRate(id), 0.0);
         remaining_while_parked = net.flowRemaining(id);
     });
-    eq.schedule(4.0, [&] {
-        link->setCapacity(100.0);
-        net.capacityChanged(link);
-    });
+    eq.schedule(4.0, [&] { net.setCapacity(link, 100.0); });
     eq.run();
     // 50 served by t=0.5, frozen through [0.5, 4.0], the remaining 50
     // at 100/s -> completes at t=4.5.
@@ -349,8 +342,7 @@ TEST_F(FluidTest, ZeroCapacityNewFlowWaitsForCapacity)
     // A flow started against an already-parked resource stays pending
     // (rate 0) and completes once capacity appears.
     FluidResource *link = net.addResource("link", 100.0);
-    link->setCapacity(0.0);
-    net.capacityChanged(link);
+    net.setCapacity(link, 0.0);
 
     double done = -1.0;
     FlowSpec spec;
@@ -362,10 +354,7 @@ TEST_F(FluidTest, ZeroCapacityNewFlowWaitsForCapacity)
     const FlowId id = net.startFlow(std::move(spec));
     EXPECT_DOUBLE_EQ(net.flowRate(id), 0.0);
 
-    eq.schedule(2.0, [&] {
-        link->setCapacity(50.0);
-        net.capacityChanged(link);
-    });
+    eq.schedule(2.0, [&] { net.setCapacity(link, 50.0); });
     eq.run();
     EXPECT_DOUBLE_EQ(done, 3.0);
 }
@@ -375,7 +364,7 @@ TEST(FluidDeath, NegativeCapacityPanics)
     EventQueue eq;
     FluidNetwork net(eq);
     FluidResource *link = net.addResource("l", 1.0);
-    EXPECT_DEATH(link->setCapacity(-1.0), "capacity");
+    EXPECT_DEATH(net.setCapacity(link, -1.0), "capacity");
 }
 
 TEST_F(FluidTest, ManyFlowsAggregateCapacity)

@@ -389,8 +389,7 @@ TEST(FluidIncremental, TargetedCapacityChangeResolvesOneComponent)
     const FlowId flowB = net.startFlow(std::move(fb));
 
     const auto before = net.solverStats();
-    a->setCapacity(40.0);
-    net.capacityChanged(a);
+    net.setCapacity(a, 40.0);
     const auto after = net.solverStats();
 
     EXPECT_DOUBLE_EQ(net.flowRate(flowA), 40.0);

@@ -24,16 +24,6 @@ TEST(MetricCounter, AddIncValueReset)
     EXPECT_DOUBLE_EQ(c.value(), 0.0);
 }
 
-TEST(MetricGauge, LastValueWins)
-{
-    MetricGauge g;
-    g.set(4.0);
-    g.set(1.5);
-    EXPECT_DOUBLE_EQ(g.value(), 1.5);
-    g.reset();
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-}
-
 TEST(TimeWeightedHistogram, ExactTimeAverageAndPeak)
 {
     TimeWeightedHistogram h;
@@ -89,12 +79,10 @@ TEST(MetricsRegistry, DisabledAllocatesNothing)
     MetricsRegistry m;
     EXPECT_FALSE(m.enabled());
     EXPECT_EQ(m.counter("a"), nullptr);
-    EXPECT_EQ(m.gauge("b"), nullptr);
     EXPECT_EQ(m.histogram("c"), nullptr);
     EXPECT_EQ(m.findCounter("a"), nullptr);
     EXPECT_EQ(m.size(), 0u);
     EXPECT_TRUE(m.counters().empty());
-    EXPECT_TRUE(m.gauges().empty());
     EXPECT_TRUE(m.histograms().empty());
 }
 
@@ -112,10 +100,9 @@ TEST(MetricsRegistry, FindOrCreateIsIdempotent)
     EXPECT_EQ(m.counters()[0].name, "steps");
     EXPECT_EQ(m.counters()[0].desc, "global steps");
 
-    // Counters, gauges, and histograms live in separate namespaces.
-    EXPECT_NE(m.gauge("steps"), nullptr);
+    // Counters and histograms live in separate namespaces.
     EXPECT_NE(m.histogram("steps"), nullptr);
-    EXPECT_EQ(m.size(), 3u);
+    EXPECT_EQ(m.size(), 2u);
 }
 
 TEST(MetricsRegistry, ResetAllClearsEveryInstrument)
@@ -123,11 +110,9 @@ TEST(MetricsRegistry, ResetAllClearsEveryInstrument)
     MetricsRegistry m;
     m.enable();
     m.counter("c")->add(5.0);
-    m.gauge("g")->set(2.0);
     m.histogram("h")->record(0.5, 1.0);
     m.resetAll();
     EXPECT_DOUBLE_EQ(m.findCounter("c")->value(), 0.0);
-    EXPECT_DOUBLE_EQ(m.findGauge("g")->value(), 0.0);
     EXPECT_DOUBLE_EQ(m.findHistogram("h")->totalTime(), 0.0);
 }
 
@@ -163,13 +148,6 @@ TEST_F(FluidMetricsTest, UtilizationHistoryIsExact)
     EXPECT_DOUBLE_EQ(h->timeAverage(), 0.5);
     EXPECT_DOUBLE_EQ(h->peak(), 0.5);
     EXPECT_DOUBLE_EQ(h->saturatedFraction(), 0.0);
-
-    EXPECT_DOUBLE_EQ(metrics.findCounter("fluid.flows_started")->value(),
-                     1.0);
-    EXPECT_DOUBLE_EQ(
-        metrics.findCounter("fluid.flows_completed")->value(), 1.0);
-    EXPECT_DOUBLE_EQ(metrics.findGauge("fluid.active_flows")->value(),
-                     0.0);
 }
 
 TEST_F(FluidMetricsTest, SaturatedResourceIsDetected)

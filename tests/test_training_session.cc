@@ -226,7 +226,7 @@ TEST(Session, TrainBoxFreesHostResources)
     EXPECT_LT(sum(tbox.rcBwByCategory), 0.01 * sum(base.rcBwByCategory));
 }
 
-TEST(Session, P2pFreesHostMemory)
+TEST(Session, P2pFreesHostDram)
 {
     auto run = [](ArchPreset p) {
         ServerConfig cfg;
