@@ -44,9 +44,9 @@ main(int argc, char **argv)
         else if (positional++ == 0)
             model_name = argv[i];
         else
-            count += (count.empty() ? "" : " ") + std::string(argv[i]);
+            count += (positional > 2 ? " " : "") + std::string(argv[i]);
     }
-    const std::size_t n = count.empty()
+    const std::size_t n = positional < 2
         ? 256
         : static_cast<std::size_t>(cli::integerValue(
               argv, "num-accelerators", count.c_str(), kUsage, 1,

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "pcie/topology.hh"
-#include "workload/cost_model.hh"
 
 namespace tb {
 

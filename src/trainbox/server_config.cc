@@ -253,51 +253,70 @@ ServerConfig::effectiveBatchSize() const
 namespace {
 
 // Every numeric check below is written so that NaN fails it: NaN
-// compares false both ways, so `x < 0.0` would let it through.
+// compares false both ways, so `x < 0.0` would let it through. The
+// class checks return whether they failed and only then write @p why,
+// so a valid config builds no string: a fleet validates every job's.
 
 /** Elastic leave classes: sane arrival rate and time-away length. */
-std::string
-checkElasticClass(const char *name, const ElasticClassConfig &cc)
+bool
+badElasticClass(const char *name, const ElasticClassConfig &cc,
+                std::string &why)
 {
-    if (!(cc.ratePerSec >= 0.0))
-        return stringPrintf("elasticity.%s.ratePerSec must be >= 0, "
-                            "got %g",
-                            name, cc.ratePerSec);
-    if (cc.ratePerSec > 0.0 && !(cc.absence >= 0.0))
-        return stringPrintf("elasticity.%s.absence must be >= 0, got %g",
-                            name, cc.absence);
-    return "";
+    if (!(cc.ratePerSec >= 0.0)) {
+        why = stringPrintf("elasticity.%s.ratePerSec must be >= 0, "
+                           "got %g",
+                           name, cc.ratePerSec);
+        return true;
+    }
+    if (cc.ratePerSec > 0.0 && !(cc.absence >= 0.0)) {
+        why = stringPrintf("elasticity.%s.absence must be >= 0, got %g",
+                           name, cc.absence);
+        return true;
+    }
+    return false;
 }
 
 /** Ingest traffic classes: sane rates, batch sizes, priorities. */
-std::string
-checkIngestClass(const char *name, const IngestClassConfig &cc)
+bool
+badIngestClass(const char *name, const IngestClassConfig &cc,
+               std::string &why)
 {
-    if (!(cc.ratePerSec >= 0.0))
-        return stringPrintf("ingest.%s.ratePerSec must be >= 0, got %g",
-                            name, cc.ratePerSec);
-    if (cc.ratePerSec > 0.0 && !(cc.samplesPerEvent > 0.0))
-        return stringPrintf("ingest.%s.samplesPerEvent must be > 0, "
-                            "got %g",
-                            name, cc.samplesPerEvent);
-    return "";
+    if (!(cc.ratePerSec >= 0.0)) {
+        why = stringPrintf("ingest.%s.ratePerSec must be >= 0, got %g",
+                           name, cc.ratePerSec);
+        return true;
+    }
+    if (cc.ratePerSec > 0.0 && !(cc.samplesPerEvent > 0.0)) {
+        why = stringPrintf("ingest.%s.samplesPerEvent must be > 0, "
+                           "got %g",
+                           name, cc.samplesPerEvent);
+        return true;
+    }
+    return false;
 }
 
 /** Windowed-fault classes must have windows that end after they start. */
-std::string
-checkFaultClass(const char *name, const FaultClassConfig &cc)
+bool
+badFaultClass(const char *name, const FaultClassConfig &cc,
+              std::string &why)
 {
-    if (!(cc.ratePerSec >= 0.0))
-        return stringPrintf("faults.%s.ratePerSec must be >= 0, got %g",
-                            name, cc.ratePerSec);
-    if (cc.ratePerSec > 0.0 && !(cc.duration > 0.0))
-        return stringPrintf("faults.%s window ends at or before it starts "
-                            "(duration %g <= 0)",
-                            name, cc.duration);
-    if (!(cc.magnitude >= 0.0))
-        return stringPrintf("faults.%s.magnitude must be >= 0, got %g",
-                            name, cc.magnitude);
-    return "";
+    if (!(cc.ratePerSec >= 0.0)) {
+        why = stringPrintf("faults.%s.ratePerSec must be >= 0, got %g",
+                           name, cc.ratePerSec);
+        return true;
+    }
+    if (cc.ratePerSec > 0.0 && !(cc.duration > 0.0)) {
+        why = stringPrintf("faults.%s window ends at or before it starts "
+                           "(duration %g <= 0)",
+                           name, cc.duration);
+        return true;
+    }
+    if (!(cc.magnitude >= 0.0)) {
+        why = stringPrintf("faults.%s.magnitude must be >= 0, got %g",
+                           name, cc.magnitude);
+        return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -349,15 +368,12 @@ ServerConfig::validate() const
     if (!(faults.stepTimeoutFactor >= 0.0))
         return stringPrintf("faults.stepTimeoutFactor must be >= 0, got %g",
                             faults.stepTimeoutFactor);
-    std::string err;
-    if (!(err = checkFaultClass("ssdDegrade", faults.ssdDegrade)).empty())
-        return err;
-    if (!(err = checkFaultClass("prepCrash", faults.prepCrash)).empty())
-        return err;
-    if (!(err = checkFaultClass("ethDegrade", faults.ethDegrade)).empty())
-        return err;
-    if (!(err = checkFaultClass("routeLoss", faults.routeLoss)).empty())
-        return err;
+    std::string why;
+    if (badFaultClass("ssdDegrade", faults.ssdDegrade, why) ||
+        badFaultClass("prepCrash", faults.prepCrash, why) ||
+        badFaultClass("ethDegrade", faults.ethDegrade, why) ||
+        badFaultClass("routeLoss", faults.routeLoss, why))
+        return why;
     // fatalCrash is a point event: duration is ignored, only the rate
     // must be sane.
     if (!(faults.fatalCrash.ratePerSec >= 0.0))
@@ -405,19 +421,11 @@ ServerConfig::validate() const
     if (!(elasticity.scaleUpTime >= 0.0))
         return stringPrintf("elasticity.scaleUpTime must be >= 0, got %g",
                             elasticity.scaleUpTime);
-    if (!(err = checkElasticClass("groupDrain", elasticity.groupDrain))
-             .empty())
-        return err;
-    if (!(err = checkElasticClass("groupPreempt",
-                                  elasticity.groupPreempt))
-             .empty())
-        return err;
-    if (!(err = checkElasticClass("prepDrain", elasticity.prepDrain))
-             .empty())
-        return err;
-    if (!(err = checkElasticClass("prepPreempt", elasticity.prepPreempt))
-             .empty())
-        return err;
+    if (badElasticClass("groupDrain", elasticity.groupDrain, why) ||
+        badElasticClass("groupPreempt", elasticity.groupPreempt, why) ||
+        badElasticClass("prepDrain", elasticity.prepDrain, why) ||
+        badElasticClass("prepPreempt", elasticity.prepPreempt, why))
+        return why;
     const std::size_t numGroups = boxCount(numAccelerators);
     if (elasticity.deferredJoinGroups > 0 &&
         elasticity.deferredJoinGroups >= numGroups)
@@ -446,12 +454,10 @@ ServerConfig::validate() const
     }
 
     if (ingest.enabled) {
-        if (!(err = checkIngestClass("steady", ingest.steady)).empty())
-            return err;
-        if (!(err = checkIngestClass("diurnal", ingest.diurnal)).empty())
-            return err;
-        if (!(err = checkIngestClass("burst", ingest.burst)).empty())
-            return err;
+        if (badIngestClass("steady", ingest.steady, why) ||
+            badIngestClass("diurnal", ingest.diurnal, why) ||
+            badIngestClass("burst", ingest.burst, why))
+            return why;
         if (!(ingest.diurnalAmplitude >= 0.0 &&
               ingest.diurnalAmplitude <= 1.0))
             return stringPrintf("ingest.diurnalAmplitude must be in "
